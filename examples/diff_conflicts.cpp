@@ -4,9 +4,10 @@
 //
 // Cross-checks conflict reporting on real grammar files, three ways:
 //
-//   1. the pooled LALR construction (the default) against the baseline
-//      IndexSet fixpoints (PooledSets = false): the two must agree on
-//      every reported conflict — state, token, kind — not just counts;
+//   1. the default LALR construction (DeRemer–Pennello lookaheads)
+//      against the baseline IndexSet fixpoints (Dragon 4.63, PooledSets =
+//      false): the two must agree on every reported conflict — state,
+//      token, kind — not just counts;
 //   2. the reported counts against the grammar's own %expect/%expect-rr
 //      declarations, when declared;
 //   3. optionally (-canonical) the canonical LR(1) machine: its counts

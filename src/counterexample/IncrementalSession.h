@@ -12,12 +12,12 @@
 /// structural diff (grammar/GrammarDelta.h) permits:
 ///
 ///   - the automaton is rebuilt through Automaton::patch, which splices
-///     the item closures of every provably-clean state and skips their
-///     in-state lookahead fixpoints — producing a machine byte-identical
-///     to a cold build;
+///     the item closures of every provably-clean state and recomputes
+///     all lookaheads — producing a machine byte-identical to a cold
+///     build;
 ///   - the parse table is rebuilt through its patch constructor, which
 ///     translates the ACTION rows and conflict records of spliced states
-///     whose lookahead vectors were copied, falling back to the cold
+///     whose lookahead vectors equal the old ones, falling back to the cold
 ///     per-state pass wherever the edit touched a precedence input the
 ///     old row's resolution consulted;
 ///   - the state-item graph is rebuilt through its patch constructor,

@@ -15,9 +15,168 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <unordered_set>
+#include <unordered_map>
 
 using namespace lalrcex;
+
+namespace {
+
+/// Kernel interning table: sorted kernel -> state number.
+struct KernelHash {
+  size_t operator()(const std::vector<Item> &Kernel) const {
+    uint64_t H = 0x9e3779b97f4a7c15ULL ^ Kernel.size();
+    for (const Item &I : Kernel) {
+      H = (H ^ I.key()) * 0xff51afd7ed558ccdULL;
+      H ^= H >> 29;
+    }
+    return size_t(H);
+  }
+};
+using KernelIndex = std::unordered_map<std::vector<Item>, unsigned, KernelHash>;
+
+/// The LR(0) worklist shared by the cold build and Automaton::patch.
+/// States are numbered in discovery order and expanded in that order (a
+/// FIFO worklist); a state's moves are grouped per symbol and interned
+/// in symbol order, each target kernel sorted; a closure lists the
+/// kernel first, then closure items in discovery order.
+class Lr0Builder {
+public:
+  explicit Lr0Builder(const Grammar &G)
+      : G(G), Expanded(G.numSymbols(), 0), Bucket(G.numSymbols()) {}
+
+  /// Fills \p S with the LR(0) closure of the sorted \p Kernel. All
+  /// productions of a nonterminal enter together, so one generation stamp
+  /// per nonterminal records what the closure holds; the augmented start
+  /// symbol is on no right-hand side, so its kernel item never repeats.
+  void close(const std::vector<Item> &Kernel, Automaton::State &S) {
+    S.Items = Kernel;
+    S.NumKernel = unsigned(Kernel.size());
+    ++Gen;
+    for (size_t Idx = 0; Idx != S.Items.size(); ++Idx) {
+      Symbol Next = S.Items[Idx].afterDot(G);
+      if (!Next.valid() || G.isTerminal(Next) || Expanded[Next.id()] == Gen)
+        continue;
+      Expanded[Next.id()] = Gen;
+      for (unsigned P : G.productionsOf(Next))
+        S.Items.emplace_back(P, 0);
+    }
+  }
+
+  /// Builds the LR(0) collection into the empty \p States. \p Fill(Kernel,
+  /// S) fills each new state's Items and NumKernel, once per new kernel,
+  /// in state-number order.
+  template <typename FillFn>
+  void run(std::vector<Automaton::State> &States, FillFn Fill) {
+    KernelIndex Index;
+    std::vector<Item> Kernel{Item(G.augmentedProduction(), 0)};
+    auto intern = [&]() -> unsigned {
+      auto [It, Inserted] = Index.try_emplace(Kernel, unsigned(States.size()));
+      if (Inserted) {
+        States.emplace_back();
+        Fill(Kernel, States.back());
+      }
+      return It->second;
+    };
+    intern();
+    std::vector<int32_t> Touched;
+    for (unsigned S = 0; S != States.size(); ++S) {
+      for (const Item &I : States[S].Items) {
+        Symbol Next = I.afterDot(G);
+        if (!Next.valid())
+          continue;
+        std::vector<Item> &Moves = Bucket[Next.id()];
+        if (Moves.empty())
+          Touched.push_back(Next.id());
+        Moves.push_back(I.advanced());
+      }
+      std::sort(Touched.begin(), Touched.end());
+      for (int32_t Sym : Touched) {
+        Kernel.swap(Bucket[Sym]);
+        Bucket[Sym].clear();
+        std::sort(Kernel.begin(), Kernel.end());
+        unsigned Target = intern();
+        States[S].Transitions.emplace_back(Symbol(Sym), Target);
+      }
+      Touched.clear();
+    }
+  }
+
+private:
+  const Grammar &G;
+  uint32_t Gen = 0;                      ///< closures computed so far
+  std::vector<uint32_t> Expanded;        ///< symbol -> last closure using it
+  std::vector<std::vector<Item>> Bucket; ///< symbol -> advanced items
+};
+
+/// Edges of a relation over nonterminal transitions, in compressed rows.
+struct Relation {
+  std::vector<unsigned> Begin; ///< row x is To[Begin[x] .. Begin[x + 1])
+  std::vector<unsigned> To;
+};
+
+/// DeRemer & Pennello's DIGRAPH: on return F(x) = F(x) ∪ ⋃{F(y) | x R y}
+/// transitively, for every node of \p R. \p F holds \p W words per node.
+/// Tarjan's traversal with an explicit stack: every node of a strongly
+/// connected component receives the root's set.
+void digraph(const Relation &R, std::vector<uint64_t> &F, unsigned W) {
+  const unsigned N = unsigned(R.Begin.size()) - 1;
+  const unsigned Finished = ~0u;
+  std::vector<unsigned> Depth(N, 0); // 0 = unvisited
+  std::vector<unsigned> Stack;
+  struct Frame {
+    unsigned X, NextEdge, OwnDepth;
+  };
+  std::vector<Frame> Calls;
+  auto orInto = [&F, W](unsigned To, unsigned From) {
+    uint64_t *Dst = &F[size_t(To) * W];
+    const uint64_t *Src = &F[size_t(From) * W];
+    for (unsigned I = 0; I != W; ++I)
+      Dst[I] |= Src[I];
+  };
+  auto enter = [&](unsigned X) {
+    Stack.push_back(X);
+    Depth[X] = unsigned(Stack.size());
+    Calls.push_back({X, R.Begin[X], Depth[X]});
+  };
+  for (unsigned Root = 0; Root != N; ++Root) {
+    if (Depth[Root] != 0)
+      continue;
+    enter(Root);
+    while (!Calls.empty()) {
+      Frame &Top = Calls.back();
+      const unsigned X = Top.X;
+      if (Top.NextEdge != R.Begin[X + 1]) {
+        unsigned Y = R.To[Top.NextEdge++];
+        if (Depth[Y] == 0) {
+          enter(Y);
+          continue;
+        }
+        Depth[X] = std::min(Depth[X], Depth[Y]);
+        orInto(X, Y);
+        continue;
+      }
+      const unsigned OwnDepth = Top.OwnDepth;
+      Calls.pop_back();
+      if (Depth[X] == OwnDepth) {
+        for (;;) {
+          unsigned Member = Stack.back();
+          Stack.pop_back();
+          Depth[Member] = Finished;
+          if (Member == X)
+            break;
+          std::copy_n(&F[size_t(X) * W], W, &F[size_t(Member) * W]);
+        }
+      }
+      if (!Calls.empty()) {
+        unsigned Parent = Calls.back().X;
+        Depth[Parent] = std::min(Depth[Parent], Depth[X]);
+        orInto(Parent, X);
+      }
+    }
+  }
+}
+
+} // namespace
 
 int Automaton::State::indexOfItem(const Item &I) const {
   for (unsigned Idx = 0, E = unsigned(Items.size()); Idx != E; ++Idx)
@@ -32,18 +191,14 @@ Automaton::Automaton(const Grammar &G, const GrammarAnalysis &Analysis,
   assert(&Analysis.grammar() == &G && "analysis built for another grammar");
   ScopedTimer Timer(Opts.Metrics, metric::TimeAutomatonNs);
   TraceSpan Span(Opts.Trace, "automaton");
-  unsigned KernelPasses = 0, ClosurePasses = 0;
+  LookaheadWork Work;
   if (Kind == AutomatonKind::Canonical) {
     buildCanonical(Opts.PooledSets);
   } else {
-    buildLr0();
-    if (Opts.PooledSets) {
-      KernelPasses = computeKernelLookaheadsPooled();
-      ClosurePasses = computeClosureLookaheadsPooled();
-    } else {
-      KernelPasses = computeKernelLookaheads();
-      ClosurePasses = computeClosureLookaheads();
-    }
+    Lr0Builder Builder(G);
+    Builder.run(States, [&Builder](const std::vector<Item> &Kernel,
+                                   State &S) { Builder.close(Kernel, S); });
+    Work = computeLookaheads(Opts.PooledSets);
   }
   if (Opts.Metrics) {
     Opts.Metrics->add(metric::AutomatonBuilds);
@@ -52,8 +207,8 @@ Automaton::Automaton(const Grammar &G, const GrammarAnalysis &Analysis,
     for (const State &St : States)
       Items += St.Items.size();
     Opts.Metrics->add(metric::AutomatonClosureItems, Items);
-    Opts.Metrics->add(metric::AutomatonKernelLaPasses, KernelPasses);
-    Opts.Metrics->add(metric::AutomatonClosureLaPasses, ClosurePasses);
+    Opts.Metrics->add(metric::AutomatonNtTransitions, Work.NtTransitions);
+    Opts.Metrics->add(metric::AutomatonRelationEdges, Work.RelationEdges);
   }
 }
 
@@ -236,66 +391,6 @@ void Automaton::buildCanonical(bool PooledSets) {
   }
 }
 
-std::vector<Item> Automaton::closure(const std::vector<Item> &Kernel,
-                                     unsigned *NumKernel) const {
-  std::vector<Item> Items = Kernel;
-  *NumKernel = unsigned(Kernel.size());
-  std::unordered_set<uint32_t> ClosedProds;
-  // Kernel items with dot 0 only occur for the augmented production; treat
-  // any dot-0 kernel item as already closed to avoid duplicates.
-  for (const Item &I : Kernel)
-    if (I.Dot == 0)
-      ClosedProds.insert(I.Prod);
-
-  for (size_t Idx = 0; Idx != Items.size(); ++Idx) {
-    Symbol Next = Items[Idx].afterDot(G);
-    if (!Next.valid() || G.isTerminal(Next))
-      continue;
-    for (unsigned P : G.productionsOf(Next))
-      if (ClosedProds.insert(P).second)
-        Items.push_back(Item(P, 0));
-  }
-  return Items;
-}
-
-void Automaton::buildLr0() {
-  std::map<std::vector<Item>, unsigned> KernelToState;
-  std::deque<unsigned> Work;
-
-  auto internState = [&](std::vector<Item> Kernel) -> unsigned {
-    std::sort(Kernel.begin(), Kernel.end());
-    auto It = KernelToState.find(Kernel);
-    if (It != KernelToState.end())
-      return It->second;
-    unsigned Index = unsigned(States.size());
-    KernelToState.emplace(Kernel, Index);
-    State S;
-    S.Items = closure(Kernel, &S.NumKernel);
-    States.push_back(std::move(S));
-    Work.push_back(Index);
-    return Index;
-  };
-
-  internState({Item(G.augmentedProduction(), 0)});
-
-  while (!Work.empty()) {
-    unsigned Index = Work.front();
-    Work.pop_front();
-    // Group items by the symbol after the dot. Use a map for a
-    // deterministic transition order.
-    std::map<Symbol, std::vector<Item>> Moves;
-    for (const Item &I : States[Index].Items) {
-      Symbol Next = I.afterDot(G);
-      if (Next.valid())
-        Moves[Next].push_back(I.advanced());
-    }
-    for (auto &[Sym, Kernel] : Moves) {
-      unsigned Target = internState(std::move(Kernel));
-      States[Index].Transitions.emplace_back(Sym, Target);
-    }
-  }
-}
-
 int Automaton::transition(unsigned StateIndex, Symbol S) const {
   const auto &Ts = States[StateIndex].Transitions;
   auto It = std::lower_bound(
@@ -308,7 +403,7 @@ int Automaton::transition(unsigned StateIndex, Symbol S) const {
   return -1;
 }
 
-unsigned Automaton::computeKernelLookaheads() {
+void Automaton::computeKernelLookaheads() {
   const unsigned NumTerminals = G.numTerminals();
   // The probe universe has one extra pseudo-terminal "#" used to discover
   // propagation.
@@ -412,11 +507,9 @@ unsigned Automaton::computeKernelLookaheads() {
   }
 
   // Propagate to fixpoint.
-  unsigned Passes = 0;
   bool Changed = true;
   while (Changed) {
     Changed = false;
-    ++Passes;
     for (const PropLink &L : Links)
       Changed |= KernelLA[L.ToState][L.ToItem].unionWith(
           KernelLA[L.FromState][L.FromItem]);
@@ -428,11 +521,9 @@ unsigned Automaton::computeKernelLookaheads() {
     for (unsigned KI = 0; KI != States[S].NumKernel; ++KI)
       States[S].Lookaheads[KI] = std::move(KernelLA[S][KI]);
   }
-  return Passes;
 }
 
-unsigned Automaton::computeClosureLookaheads() {
-  unsigned Pops = 0;
+void Automaton::computeClosureLookaheads() {
   for (State &St : States) {
     // Map production -> index of its dot-0 closure item in this state.
     std::map<uint32_t, unsigned> ClosureIndex;
@@ -449,7 +540,6 @@ unsigned Automaton::computeClosureLookaheads() {
       unsigned I = Work.front();
       Work.pop_front();
       InWork[I] = false;
-      ++Pops;
       Symbol Next = St.Items[I].afterDot(G);
       if (!Next.valid() || G.isTerminal(Next))
         continue;
@@ -467,204 +557,163 @@ unsigned Automaton::computeClosureLookaheads() {
       }
     }
   }
-  return Pops;
 }
 
-unsigned Automaton::computeKernelLookaheadsPooled() {
+Automaton::LookaheadWork Automaton::computeLookaheads(bool PooledSets) {
+  if (!PooledSets) {
+    computeKernelLookaheads();
+    computeClosureLookaheads();
+    return {};
+  }
+  const unsigned NumStates = unsigned(States.size());
   const unsigned NumTerminals = G.numTerminals();
-  const unsigned Hash = NumTerminals;
-  const unsigned ProbeUniverse = NumTerminals + 1;
+  const unsigned W = (NumTerminals + 63) / 64;
 
-  // The probe closure runs over the extended universe with the "#"
-  // pseudo-terminal, which the analysis pool does not know; it gets its
-  // own standalone pool. Harvested (real-terminal) lookaheads live in an
-  // overlay of the analysis pool.
-  TerminalSetPool ProbePool(ProbeUniverse);
-  TerminalSetPool LaPool = TerminalSetPool::overlay(Analysis.pool());
-
-  // Probe-universe copies of the memoized suffix-FIRST sets ("#" never
-  // occurs in FIRST, so the bit patterns are the analysis tables',
-  // re-interned over the wider universe).
-  std::vector<TerminalSetPool::SetId> ProbeSuffix;
-  std::vector<unsigned> ProbeOffset(G.numProductions(), 0);
-  {
-    unsigned Total = 0;
-    for (unsigned P = 0; P != G.numProductions(); ++P) {
-      ProbeOffset[P] = Total;
-      Total += unsigned(G.production(P).Rhs.size()) + 1;
-    }
-    ProbeSuffix.reserve(Total);
-    for (unsigned P = 0; P != G.numProductions(); ++P) {
-      unsigned Len = unsigned(G.production(P).Rhs.size());
-      for (unsigned Dot = 0; Dot <= Len; ++Dot)
-        ProbeSuffix.push_back(ProbePool.intern(Analysis.pool().materialize(
-            Analysis.firstOfSequenceId(P, Dot), ProbeUniverse)));
-    }
+  // Number the nonterminal transitions. Transitions are sorted by symbol
+  // and terminals have the low ids, so state P's nonterminal transitions
+  // are the tail of its list from NtFirst[P]; transition (P, A) gets
+  // number Base[P] + its rank in that tail. One extra pseudo-transition,
+  // Aug, stands for (0, S'): it reads {$} and (0, S) includes it.
+  std::vector<unsigned> Base(NumStates + 1, 0), NtFirst(NumStates);
+  for (unsigned P = 0; P != NumStates; ++P) {
+    const auto &Ts = States[P].Transitions;
+    NtFirst[P] = unsigned(
+        std::lower_bound(Ts.begin(), Ts.end(), Symbol(int32_t(NumTerminals)),
+                         [](const std::pair<Symbol, unsigned> &T, Symbol S) {
+                           return T.first < S;
+                         }) -
+        Ts.begin());
+    Base[P + 1] = Base[P] + unsigned(Ts.size()) - NtFirst[P];
   }
-  auto probeFollow = [&](unsigned Prod, unsigned Dot,
-                         TerminalSetPool::SetId L) {
-    TerminalSetPool::SetId Out = ProbeSuffix[ProbeOffset[Prod] + Dot];
-    return Analysis.suffixNullable(Prod, Dot) ? ProbePool.unionSets(Out, L)
-                                              : Out;
-  };
-
-  std::vector<std::vector<TerminalSetPool::SetId>> KernelLA(States.size());
-  for (size_t S = 0; S != States.size(); ++S)
-    KernelLA[S].assign(States[S].NumKernel, LaPool.emptySet());
-
-  struct PropLink {
-    unsigned FromState, FromItem, ToState, ToItem;
-  };
-  std::vector<PropLink> Links;
-
-  const TerminalSetPool::SetId KernelProbe = ProbePool.singleton(Hash);
-  for (unsigned SI = 0, SE = unsigned(States.size()); SI != SE; ++SI) {
-    const State &St = States[SI];
-    for (unsigned KI = 0; KI != St.NumKernel; ++KI) {
-      // Probe closure: production -> probe lookahead id, to a fixpoint.
-      std::map<uint32_t, TerminalSetPool::SetId> ClosureLA;
-      std::vector<std::pair<Item, TerminalSetPool::SetId>> Work;
-      Work.push_back({St.Items[KI], KernelProbe});
-      while (!Work.empty()) {
-        auto [I, L] = Work.back();
-        Work.pop_back();
-        Symbol Next = I.afterDot(G);
-        if (!Next.valid() || G.isTerminal(Next))
-          continue;
-        TerminalSetPool::SetId Follow = probeFollow(I.Prod, I.Dot + 1, L);
-        for (unsigned P : G.productionsOf(Next)) {
-          auto [It, Inserted] = ClosureLA.emplace(P, Follow);
-          if (Inserted) {
-            Work.push_back({Item(P, 0), Follow});
-            continue;
-          }
-          TerminalSetPool::SetId Merged =
-              ProbePool.unionSets(It->second, Follow);
-          if (Merged != It->second) {
-            It->second = Merged;
-            Work.push_back({Item(P, 0), Merged});
-          }
-        }
-      }
-
-      // Harvest spontaneous lookaheads and propagation links.
-      auto harvest = [&](const Item &I, TerminalSetPool::SetId L) {
-        Symbol Next = I.afterDot(G);
-        if (!Next.valid())
-          return;
-        int Target = transition(SI, Next);
-        assert(Target >= 0 && "missing transition for item symbol");
-        const State &TargetState = States[unsigned(Target)];
-        int TargetItem = TargetState.indexOfItem(I.advanced());
-        assert(TargetItem >= 0 &&
-               unsigned(TargetItem) < TargetState.NumKernel &&
-               "advanced item must be in the target kernel");
-        auto &Slot = KernelLA[unsigned(Target)][unsigned(TargetItem)];
-        ProbePool.forEach(L, [&](unsigned T) {
-          if (T == Hash)
-            Links.push_back({SI, KI, unsigned(Target), unsigned(TargetItem)});
-          else
-            Slot = LaPool.withElement(Slot, T);
+  const unsigned NumNt = Base[NumStates];
+  const unsigned Aug = NumNt;
+  auto ntIndex = [&](unsigned P, Symbol A) {
+    const auto &Ts = States[P].Transitions;
+    auto It = std::lower_bound(
+        Ts.begin() + NtFirst[P], Ts.end(), A,
+        [](const std::pair<Symbol, unsigned> &T, Symbol S) {
+          return T.first < S;
         });
-      };
+    assert(It != Ts.end() && It->first == A && "missing goto");
+    return Base[P] + unsigned(It - (Ts.begin() + NtFirst[P]));
+  };
 
-      harvest(St.Items[KI], KernelProbe);
-      for (const auto &[Prod, L] : ClosureLA)
-        harvest(Item(Prod, 0), L);
+  // F holds W words per transition: DR, then Read, then Follow.
+  // Read = DIGRAPH(reads, DR): DR(p, A) holds the terminals shifted out of
+  // goto(p, A); (p, A) reads (r, C) when r = goto(p, A) and C is nullable.
+  std::vector<uint64_t> F(size_t(NumNt + 1) * W, 0);
+  Relation Reads;
+  Reads.Begin.reserve(NumNt + 2);
+  for (unsigned P = 0; P != NumStates; ++P) {
+    const auto &Ts = States[P].Transitions;
+    for (unsigned K = NtFirst[P]; K != Ts.size(); ++K) {
+      unsigned X = Base[P] + K - NtFirst[P];
+      unsigned R = Ts[K].second;
+      const auto &Rs = States[R].Transitions;
+      uint64_t *Bits = &F[size_t(X) * W];
+      for (unsigned T = 0; T != NtFirst[R]; ++T) {
+        unsigned Id = unsigned(Rs[T].first.id());
+        Bits[Id / 64] |= uint64_t(1) << (Id % 64);
+      }
+      Reads.Begin.push_back(unsigned(Reads.To.size()));
+      for (unsigned T = NtFirst[R]; T != Rs.size(); ++T)
+        if (Analysis.isNullable(Rs[T].first))
+          Reads.To.push_back(Base[R] + T - NtFirst[R]);
     }
   }
+  Reads.Begin.push_back(unsigned(Reads.To.size())); // Aug: no edges
+  Reads.Begin.push_back(unsigned(Reads.To.size()));
+  F[size_t(Aug) * W + unsigned(G.eof().id()) / 64] |=
+      uint64_t(1) << (unsigned(G.eof().id()) % 64);
+  digraph(Reads, F, W);
 
+  // One forward walk of every production A -> ω from every (p, A), and of
+  // the augmented production from Aug, finds both the includes edges —
+  // (q, X) includes (p, A) when ω = β X γ, p --β--> q and γ is nullable —
+  // and the lookback pairs: the kernel item A -> β • γ of q inherits
+  // Follow(p, A).
+  std::vector<unsigned> KernelBase(NumStates + 1, 0);
+  for (unsigned P = 0; P != NumStates; ++P)
+    KernelBase[P + 1] = KernelBase[P] + States[P].NumKernel;
+  std::vector<std::pair<unsigned, unsigned>> Includes; // (from, to)
+  std::vector<std::pair<unsigned, unsigned>> Lookback; // (kernel slot, x)
+  auto walk = [&](unsigned X, unsigned P, unsigned Prod) {
+    const std::vector<Symbol> &Rhs = G.production(Prod).Rhs;
+    unsigned Q = P;
+    for (unsigned I = 0, E = unsigned(Rhs.size()); I != E; ++I) {
+      if (G.isNonterminal(Rhs[I]) && Analysis.suffixNullable(Prod, I + 1))
+        Includes.emplace_back(ntIndex(Q, Rhs[I]), X);
+      int Next = transition(Q, Rhs[I]);
+      assert(Next >= 0 && "missing transition for item symbol");
+      Q = unsigned(Next);
+      const State &St = States[Q];
+      auto KIt = std::lower_bound(St.Items.begin(),
+                                  St.Items.begin() + St.NumKernel,
+                                  Item(Prod, I + 1));
+      assert(KIt != St.Items.begin() + St.NumKernel &&
+             *KIt == Item(Prod, I + 1) && "advanced item not in kernel");
+      Lookback.emplace_back(KernelBase[Q] + unsigned(KIt - St.Items.begin()),
+                            X);
+    }
+  };
+  for (unsigned P = 0; P != NumStates; ++P) {
+    const auto &Ts = States[P].Transitions;
+    for (unsigned K = NtFirst[P]; K != Ts.size(); ++K)
+      for (unsigned Prod : G.productionsOf(Ts[K].first))
+        walk(Base[P] + K - NtFirst[P], P, Prod);
+  }
+  walk(Aug, 0, G.augmentedProduction());
+
+  // Follow = DIGRAPH(includes, Read).
+  Relation Inc;
+  Inc.Begin.assign(NumNt + 2, 0);
+  for (const auto &[From, To] : Includes)
+    ++Inc.Begin[From + 1];
+  for (unsigned X = 0; X != NumNt + 1; ++X)
+    Inc.Begin[X + 1] += Inc.Begin[X];
+  Inc.To.resize(Includes.size());
   {
-    int AugIdx = States[0].indexOfItem(Item(G.augmentedProduction(), 0));
-    assert(AugIdx >= 0 && "start state lacks the augmented item");
-    KernelLA[0][unsigned(AugIdx)] =
-        LaPool.withElement(KernelLA[0][unsigned(AugIdx)], G.eof().id());
+    std::vector<unsigned> Fill(Inc.Begin.begin(), Inc.Begin.end() - 1);
+    for (const auto &[From, To] : Includes)
+      Inc.To[Fill[From]++] = To;
   }
+  digraph(Inc, F, W);
 
-  // Propagate to fixpoint: an id compare detects convergence, and the
-  // union cache answers the re-merges every round after the first.
-  unsigned Passes = 0;
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    ++Passes;
-    for (const PropLink &L : Links) {
-      TerminalSetPool::SetId &To = KernelLA[L.ToState][L.ToItem];
-      TerminalSetPool::SetId Merged =
-          LaPool.unionSets(To, KernelLA[L.FromState][L.FromItem]);
-      if (Merged != To) {
-        To = Merged;
-        Changed = true;
-      }
-    }
+  // Kernel items with the dot past position 0 take the union of their
+  // lookback transitions' Follow sets; dot-0 items A -> • ω of state p
+  // take Follow(p, A) (the augmented item of state 0 takes Aug's).
+  std::vector<uint64_t> KernelLa(W * size_t(KernelBase[NumStates]), 0);
+  for (const auto &[Slot, X] : Lookback) {
+    uint64_t *Dst = &KernelLa[size_t(Slot) * W];
+    const uint64_t *Src = &F[size_t(X) * W];
+    for (unsigned I = 0; I != W; ++I)
+      Dst[I] |= Src[I];
   }
-
-  for (size_t S = 0; S != States.size(); ++S) {
-    States[S].Lookaheads.assign(States[S].Items.size(),
-                                IndexSet(NumTerminals));
-    for (unsigned KI = 0; KI != States[S].NumKernel; ++KI)
-      States[S].Lookaheads[KI] = LaPool.materialize(KernelLA[S][KI]);
-  }
-  return Passes;
-}
-
-unsigned Automaton::computeClosureLookaheadsPooled(
-    const std::vector<bool> *SkipStates) {
-  TerminalSetPool Pool = TerminalSetPool::overlay(Analysis.pool());
-  std::vector<TerminalSetPool::SetId> Ids;
-  unsigned Pops = 0;
-  for (size_t SI = 0; SI != States.size(); ++SI) {
-    State &St = States[SI];
-    // Incremental rebuilds pre-fill some states' lookahead vectors from
-    // the previous automaton when the fixpoint's inputs are unchanged.
-    if (SkipStates && (*SkipStates)[SI])
-      continue;
-    std::map<uint32_t, unsigned> ClosureIndex;
-    for (unsigned I = 0, E = unsigned(St.Items.size()); I != E; ++I)
-      if (St.Items[I].Dot == 0)
-        ClosureIndex[St.Items[I].Prod] = I;
-
-    Ids.clear();
-    Ids.reserve(St.Items.size());
-    for (const IndexSet &L : St.Lookaheads)
-      Ids.push_back(Pool.intern(L));
-
-    // In-state fixpoint of the LR(1) closure rule on pooled ids.
-    std::deque<unsigned> Work;
-    for (unsigned I = 0, E = unsigned(St.Items.size()); I != E; ++I)
-      Work.push_back(I);
-    std::vector<bool> InWork(St.Items.size(), true);
-    while (!Work.empty()) {
-      unsigned I = Work.front();
-      Work.pop_front();
-      InWork[I] = false;
-      ++Pops;
-      Symbol Next = St.Items[I].afterDot(G);
-      if (!Next.valid() || G.isTerminal(Next))
-        continue;
-      unsigned Prod = St.Items[I].Prod, Dot = St.Items[I].Dot;
-      TerminalSetPool::SetId Follow = Analysis.firstOfSequenceId(Prod, Dot + 1);
-      if (Analysis.suffixNullable(Prod, Dot + 1))
-        Follow = Pool.unionSets(Follow, Ids[I]);
-      for (unsigned Q : G.productionsOf(Next)) {
-        auto It = ClosureIndex.find(Q);
-        assert(It != ClosureIndex.end() && "closure item missing");
-        unsigned CI = It->second;
-        TerminalSetPool::SetId Merged = Pool.unionSets(Ids[CI], Follow);
-        if (Merged != Ids[CI]) {
-          Ids[CI] = Merged;
-          if (!InWork[CI]) {
-            Work.push_back(CI);
-            InWork[CI] = true;
-          }
+  const Symbol AugStart = G.augmentedStart();
+  for (unsigned P = 0; P != NumStates; ++P) {
+    State &St = States[P];
+    St.Lookaheads.clear();
+    St.Lookaheads.reserve(St.Items.size());
+    Symbol LastLhs;
+    unsigned LastX = 0;
+    for (unsigned I = 0, E = unsigned(St.Items.size()); I != E; ++I) {
+      const Item &Itm = St.Items[I];
+      const uint64_t *Src;
+      if (Itm.Dot != 0) {
+        assert(I < St.NumKernel && "closure items have the dot at 0");
+        Src = &KernelLa[size_t(KernelBase[P] + I) * W];
+      } else {
+        Symbol Lhs = G.production(Itm.Prod).Lhs;
+        if (Lhs != LastLhs) {
+          LastLhs = Lhs;
+          LastX = Lhs == AugStart ? Aug : ntIndex(P, Lhs);
         }
+        Src = &F[size_t(LastX) * W];
       }
+      St.Lookaheads.emplace_back(NumTerminals, Src);
     }
-
-    for (unsigned I = 0, E = unsigned(St.Items.size()); I != E; ++I)
-      St.Lookaheads[I] = Pool.materialize(Ids[I]);
   }
-  return Pops;
+  return {NumNt, unsigned(Reads.To.size() + Inc.To.size())};
 }
 
 const IndexSet &Automaton::lookahead(unsigned StateIndex,
@@ -701,7 +750,7 @@ Automaton::patch(const Grammar &G, const GrammarAnalysis &Analysis,
   // recognize surviving cores even when their closures must be re-run.
   const unsigned NumOldStates = Old.numStates();
   std::vector<bool> CleanOld(NumOldStates, false);
-  std::map<std::vector<Item>, unsigned> OldKernelMap;
+  KernelIndex OldKernels;
   {
     std::vector<Item> Mapped;
     for (unsigned S = 0; S != NumOldStates; ++S) {
@@ -734,143 +783,85 @@ Automaton::patch(const Grammar &G, const GrammarAnalysis &Analysis,
       if (!KernelMaps)
         continue;
       // The production map is monotone, so the remapped kernel is already
-      // sorted; keep the sort as belt-and-braces for the map key.
+      // sorted; keep the sort as belt-and-braces for the lookup key.
       std::sort(Mapped.begin(), Mapped.end());
-      OldKernelMap.emplace(Mapped, S);
+      OldKernels.try_emplace(Mapped, S);
     }
   }
 
-  // The cold builder's worklist, with one change inside internState: a
+  // The cold builder's worklist; only filling a new state differs: a
   // kernel that names a clean old state splices that state's remapped
-  // item vector instead of running closure(). Interning order — and
+  // item vector instead of running the closure. Interning order — and
   // therefore state numbering — is untouched.
   std::vector<int> OldToNew(NumOldStates, -1);
   std::vector<int> NewToOld;
   std::vector<bool> Spliced;
-  std::map<std::vector<Item>, unsigned> KernelToState;
-  std::deque<unsigned> Work;
-
-  auto internState = [&](std::vector<Item> Kernel) -> unsigned {
-    std::sort(Kernel.begin(), Kernel.end());
-    auto It = KernelToState.find(Kernel);
-    if (It != KernelToState.end())
-      return It->second;
-    unsigned Index = unsigned(M->States.size());
-    State S;
-    int OldIndex = -1;
-    bool DidSplice = false;
-    auto OldIt = OldKernelMap.find(Kernel);
-    if (OldIt != OldKernelMap.end()) {
-      OldIndex = int(OldIt->second);
-      if (CleanOld[OldIt->second]) {
-        const State &OldSt = Old.States[OldIt->second];
-        S.NumKernel = OldSt.NumKernel;
-        S.Items.reserve(OldSt.Items.size());
-        for (const Item &I : OldSt.Items)
-          S.Items.emplace_back(uint32_t(Delta.ProdMap[I.Prod]), I.Dot);
-        DidSplice = true;
+  Lr0Builder Builder(G);
+  Builder.run(M->States, [&](const std::vector<Item> &Kernel, State &S) {
+    auto OldIt = OldKernels.find(Kernel);
+    int OldIndex = OldIt == OldKernels.end() ? -1 : int(OldIt->second);
+    bool DidSplice = OldIndex >= 0 && CleanOld[unsigned(OldIndex)];
+    if (DidSplice) {
+      const State &OldSt = Old.States[unsigned(OldIndex)];
+      S.NumKernel = OldSt.NumKernel;
+      S.Items.reserve(OldSt.Items.size());
+      for (const Item &I : OldSt.Items)
+        S.Items.emplace_back(uint32_t(Delta.ProdMap[I.Prod]), I.Dot);
 #ifndef NDEBUG
-        unsigned CheckKernel = 0;
-        assert(M->closure(Kernel, &CheckKernel) == S.Items &&
-               CheckKernel == S.NumKernel &&
-               "spliced state diverges from cold closure");
+      State Check;
+      Builder.close(Kernel, Check);
+      assert(Check.Items == S.Items && Check.NumKernel == S.NumKernel &&
+             "spliced state diverges from cold closure");
 #endif
-      }
+    } else {
+      Builder.close(Kernel, S);
     }
-    if (!DidSplice)
-      S.Items = M->closure(Kernel, &S.NumKernel);
-    KernelToState.emplace(std::move(Kernel), Index);
-    M->States.push_back(std::move(S));
+    if (OldIndex >= 0)
+      OldToNew[unsigned(OldIndex)] = int(NewToOld.size());
     NewToOld.push_back(OldIndex);
     Spliced.push_back(DidSplice);
-    if (OldIndex >= 0)
-      OldToNew[unsigned(OldIndex)] = int(Index);
-    Work.push_back(Index);
-    return Index;
-  };
+  });
 
-  internState({Item(G.augmentedProduction(), 0)});
-
-  while (!Work.empty()) {
-    unsigned Index = Work.front();
-    Work.pop_front();
-    std::map<Symbol, std::vector<Item>> Moves;
-    for (const Item &I : M->States[Index].Items) {
-      Symbol Next = I.afterDot(G);
-      if (Next.valid())
-        Moves[Next].push_back(I.advanced());
-    }
-    for (auto &[Sym, Kernel] : Moves) {
-      unsigned Target = internState(std::move(Kernel));
-      M->States[Index].Transitions.emplace_back(Sym, Target);
-    }
-  }
-
-  // Lookaheads. The spontaneous-generation/propagation pass is global —
-  // lookaheads flow across the whole machine — and re-runs in full. The
-  // in-state closure fixpoint is skippable per state: for a spliced
-  // state whose productions are all unaffected by the edit (so the
-  // FIRST/nullable tables it consults are unchanged) and whose kernel
-  // lookaheads came out equal to the old state's, the fixpoint's inputs
-  // are identical and the old lookahead vector is the answer.
-  unsigned KernelPasses = 0, ClosurePasses = 0;
+  // Lookaheads flow across the whole machine, so the DeRemer–Pennello
+  // pass re-runs in full. A spliced state whose productions are all
+  // unaffected by the edit (so the FIRST/nullable tables it consults are
+  // unchanged) and whose kernel lookaheads equal the old state's has, by
+  // the closure rule, its whole old lookahead vector as the answer; it is
+  // marked LaCopied — the precondition ParseTable::patch needs to
+  // translate its old action row — when the comparison bears that out.
+  LookaheadWork Work = M->computeLookaheads(Opts.PooledSets);
   unsigned Copied = 0;
   std::vector<bool> CopyLa(M->States.size(), false);
-  if (Opts.PooledSets) {
-    KernelPasses = M->computeKernelLookaheadsPooled();
-    for (unsigned S = 0, E = unsigned(M->States.size()); S != E; ++S) {
-      if (!Spliced[S])
-        continue;
-      const State &OldSt = Old.States[unsigned(NewToOld[S])];
-      State &NewSt = M->States[S];
-      bool Unaffected = true;
-      for (const Item &I : OldSt.Items)
-        if (Delta.ProdAffectedOld[I.Prod]) {
-          Unaffected = false;
-          break;
-        }
-      if (!Unaffected)
-        continue;
-      if (Delta.TermMapIdentity) {
-        bool KernelEqual = true;
-        for (unsigned KI = 0; KI != NewSt.NumKernel; ++KI)
-          if (NewSt.Lookaheads[KI] != OldSt.Lookaheads[KI]) {
-            KernelEqual = false;
-            break;
-          }
-        if (!KernelEqual)
-          continue;
-        NewSt.Lookaheads = OldSt.Lookaheads;
-      } else {
-        // Terminal-set edit: compare and copy through the terminal map.
-        // For an unaffected spliced state every FIRST/nullable table its
-        // closure fixpoint consults is equal-through-the-map (a FIRST
-        // set containing an unmapped terminal would make its symbol
-        // affected), so the translated old fixpoint result *is* the new
-        // fixpoint result — provided the kernel seeds also match after
-        // translation. A lookahead mentioning a removed terminal fails
-        // to translate and the state falls back to the fixpoint.
-        std::vector<IndexSet> Translated(OldSt.Lookaheads.size());
-        bool Ok = true;
-        for (unsigned KI = 0; KI != NewSt.NumKernel && Ok; ++KI)
-          Ok = Delta.translateTerminalSet(OldSt.Lookaheads[KI],
-                                          Translated[KI]) &&
-               Translated[KI] == NewSt.Lookaheads[KI];
-        for (unsigned I = NewSt.NumKernel,
-                      IE = unsigned(OldSt.Lookaheads.size());
-             I != IE && Ok; ++I)
-          Ok = Delta.translateTerminalSet(OldSt.Lookaheads[I], Translated[I]);
-        if (!Ok)
-          continue;
-        NewSt.Lookaheads = std::move(Translated);
+  std::vector<IndexSet> Translated;
+  for (unsigned S = 0, E = unsigned(M->States.size()); S != E; ++S) {
+    if (!Spliced[S])
+      continue;
+    const State &OldSt = Old.States[unsigned(NewToOld[S])];
+    const State &NewSt = M->States[S];
+    bool Unaffected = true;
+    for (const Item &I : OldSt.Items)
+      if (Delta.ProdAffectedOld[I.Prod]) {
+        Unaffected = false;
+        break;
       }
-      CopyLa[S] = true;
-      ++Copied;
+    if (!Unaffected)
+      continue;
+    bool Equal = true;
+    if (Delta.TermMapIdentity) {
+      Equal = NewSt.Lookaheads == OldSt.Lookaheads;
+    } else {
+      // Terminal-set edit: compare through the terminal map. A lookahead
+      // mentioning a removed terminal fails to translate.
+      Translated.resize(OldSt.Lookaheads.size());
+      for (size_t I = 0; I != OldSt.Lookaheads.size() && Equal; ++I)
+        Equal = Delta.translateTerminalSet(OldSt.Lookaheads[I],
+                                           Translated[I]) &&
+                Translated[I] == NewSt.Lookaheads[I];
     }
-    ClosurePasses = M->computeClosureLookaheadsPooled(&CopyLa);
-  } else {
-    KernelPasses = M->computeKernelLookaheads();
-    ClosurePasses = M->computeClosureLookaheads();
+    if (!Equal)
+      continue;
+    CopyLa[S] = true;
+    ++Copied;
   }
 
   AutomatonPatchStats PS;
@@ -894,8 +885,8 @@ Automaton::patch(const Grammar &G, const GrammarAnalysis &Analysis,
     for (const State &St : M->States)
       Items += St.Items.size();
     Opts.Metrics->add(metric::AutomatonClosureItems, Items);
-    Opts.Metrics->add(metric::AutomatonKernelLaPasses, KernelPasses);
-    Opts.Metrics->add(metric::AutomatonClosureLaPasses, ClosurePasses);
+    Opts.Metrics->add(metric::AutomatonNtTransitions, Work.NtTransitions);
+    Opts.Metrics->add(metric::AutomatonRelationEdges, Work.RelationEdges);
     Opts.Metrics->add(metric::AutomatonStatesReused, PS.StatesReused);
     Opts.Metrics->add(metric::AutomatonStatesRebuilt, PS.StatesRebuilt);
     Opts.Metrics->add(metric::AutomatonStatesAdded, PS.StatesAdded);

@@ -7,17 +7,22 @@
 /// \file
 /// Canonical LR(0) collection with LALR(1) lookahead sets.
 ///
-/// Construction proceeds in three phases:
+/// Construction proceeds in two phases:
 ///   1. the canonical LR(0) collection (states = kernel item sets, plus the
-///      closure items of each state);
-///   2. LALR(1) lookaheads of kernel items, via the classic
-///      spontaneous-generation / propagation algorithm (Dragon Book
-///      algorithm 4.63, i.e. the practical form of DeRemer-Pennello);
-///   3. lookaheads of closure items within each state, by an in-state
-///      fixpoint of the LR(1) closure rule.
+///      closure items of each state), interned through a kernel hash table;
+///   2. LALR(1) lookaheads by DeRemer & Pennello's relational method
+///      ("Efficient computation of LALR(1) look-ahead sets", TOPLAS 1982):
+///      over the nonterminal transitions (p, A), Read is the DIGRAPH
+///      closure of the directly-read terminals under `reads`, and Follow
+///      the closure of Read under `includes`. A closure item A -> . w of
+///      state p gets Follow(p, A); a kernel item A -> a . b of state q gets
+///      the union of Follow(p, A) over every p whose a-path reaches q.
 ///
 /// Every item of every state therefore carries the merged LALR(1)
-/// lookahead set that the paper's counterexample algorithms consume.
+/// lookahead set that the paper's counterexample algorithms consume. The
+/// Dragon Book's spontaneous-generation / propagation algorithm 4.63 plus
+/// an in-state closure fixpoint computes the same sets and is retained as
+/// the reference (AutomatonOptions::PooledSets off).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +54,10 @@ struct AutomatonPatchStats {
   unsigned StatesRebuilt = 0; ///< kernel matched an old state, closure re-run
   unsigned StatesAdded = 0;   ///< no old counterpart (fresh kernel)
   unsigned StatesDead = 0;    ///< old states with no new counterpart
-  unsigned LookaheadsCopied = 0; ///< states whose closure-LA fixpoint was skipped
+  /// Spliced states whose productions the edit leaves unaffected and
+  /// whose lookahead vector equals the old state's (through the terminal
+  /// map): their old parse-table rows translate unchanged.
+  unsigned LookaheadsCopied = 0;
 };
 
 /// Which parser state machine to construct.
@@ -67,16 +75,17 @@ enum class AutomatonKind {
 /// Construction options beyond the machine kind.
 struct AutomatonOptions {
   AutomatonKind Kind = AutomatonKind::Lalr1;
-  /// Run the lookahead fixpoints (closure rule, LALR probe + propagation,
-  /// canonical LR(1) closure) on hash-consed TerminalSetPool ids, where a
-  /// "did the union change anything" test is an integer compare and
-  /// repeated merges hit the union cache. The resulting lookahead sets
-  /// are identical; the baseline IndexSet fixpoints are retained for the
-  /// equivalence tests and the pooled-vs-baseline benchmarks.
+  /// LALR(1): compute lookaheads by the DeRemer–Pennello relations over
+  /// flat word arrays. Canonical LR(1): run the closure fixpoint on
+  /// hash-consed TerminalSetPool ids. Off selects the reference IndexSet
+  /// fixpoints (Dragon Book algorithm 4.63 plus the in-state closure
+  /// rule for LALR(1)), which produce identical lookahead sets and are
+  /// kept for the equivalence tests and the baseline benchmarks.
   bool PooledSets = true;
   /// Optional observability sinks: construction wall time, state/item
-  /// counts, and lookahead-fixpoint pass counts (automaton.* metrics) plus
-  /// an "automaton" trace span. Never affect the constructed machine.
+  /// counts, and the lookahead pass's work — nonterminal transitions and
+  /// reads + includes edges (automaton.* metrics) — plus an "automaton"
+  /// trace span. Never affect the constructed machine.
   MetricsRegistry *Metrics = nullptr;
   TraceRecorder *Trace = nullptr;
 };
@@ -129,10 +138,7 @@ public:
   /// unedited production blocks, which map 1:1 in order). The worklist,
   /// interning order, and transition grouping are the cold builder's,
   /// so state numbering and every byte of the result are identical to a
-  /// cold build; the lookahead fixpoints then re-run globally, with the
-  /// in-state closure fixpoint skipped (lookahead vector copied) for
-  /// spliced states whose inputs — kernel lookaheads and the FIRST
-  /// tables of their productions' suffixes — are unchanged.
+  /// cold build; the lookahead pass then re-runs globally.
   ///
   /// \p Old must be the automaton of \p Delta's old grammar. \returns
   /// nullptr when patching is inapplicable (non-LALR(1) kind on either
@@ -141,11 +147,12 @@ public:
   /// correspondence (kernel-matched states; -1 where none), per new
   /// state whether it was spliced (item layout identical to its old
   /// counterpart under the delta's production map), and per new state
-  /// whether its lookahead vector was copied from the old state —
-  /// verbatim when the delta's terminal map is the identity, translated
+  /// whether its lookaheads count as copied: spliced, every production
+  /// unaffected by the edit, and the lookahead vector equal to the old
+  /// state's — verbatim when the delta's terminal map is the identity,
   /// through it otherwise. \p LaCopied is the precondition the
-  /// ParseTable patch needs: a spliced state with copied lookaheads has
-  /// action-row content identical to its old row under the id maps.
+  /// ParseTable patch needs: such a state has action-row content
+  /// identical to its old row under the id maps.
   static std::unique_ptr<Automaton>
   patch(const Grammar &G, const GrammarAnalysis &Analysis,
         const Automaton &Old, const GrammarDelta &Delta,
@@ -171,18 +178,20 @@ private:
             AutomatonKind Kind, RestoreTag)
       : G(G), Analysis(Analysis), Kind(Kind) {}
 
-  void buildLr0();
-  unsigned computeKernelLookaheads();
-  unsigned computeClosureLookaheads();
-  unsigned computeKernelLookaheadsPooled();
-  unsigned computeClosureLookaheadsPooled(
-      const std::vector<bool> *SkipStates = nullptr);
-  void buildCanonical(bool PooledSets);
+  /// Work done by one lookahead pass, for the automaton.* metrics.
+  struct LookaheadWork {
+    unsigned NtTransitions = 0; ///< nonterminal transitions (p, A)
+    unsigned RelationEdges = 0; ///< reads + includes edges
+  };
 
-  /// The closure item set of a kernel (LR(0) closure), returning items in
-  /// deterministic order with kernel items first.
-  std::vector<Item> closure(const std::vector<Item> &Kernel,
-                            unsigned *NumKernel) const;
+  /// LALR(1) lookaheads of every item by DeRemer–Pennello, or with
+  /// \p PooledSets off by the reference pair below (no work counted).
+  LookaheadWork computeLookaheads(bool PooledSets);
+  /// The reference pair: Dragon Book 4.63 kernel lookaheads, then the
+  /// in-state LR(1) closure fixpoint.
+  void computeKernelLookaheads();
+  void computeClosureLookaheads();
+  void buildCanonical(bool PooledSets);
 
   const Grammar &G;
   const GrammarAnalysis &Analysis;

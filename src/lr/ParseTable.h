@@ -94,19 +94,18 @@ class ParseTable {
 public:
   explicit ParseTable(const Automaton &M);
 
-  /// Dirty-cone table patch: per state, when the automaton patch spliced
-  /// the state *and* copied its lookahead vector (\p SplicedNew /
-  /// \p LaCopied from Automaton::patch), the state's ACTION row and
-  /// conflict records are *translated* from \p Old — shift targets
-  /// rewritten through the state maps, reduce productions and conflict
-  /// tokens through \p Delta — instead of being re-derived from items
-  /// and lookaheads. Translation is refused (falling back to the cold
-  /// per-state pass, never to a wrong row) whenever the edit touched a
-  /// precedence input the old row's resolution consulted
-  /// (Delta.TermPrecChanged*/ProdPrecChanged*) or any needed id is
-  /// unmapped. Conflict emission order is preserved because the delta's
-  /// maps are monotone and per-state conflict runs are self-contained;
-  /// the result is byte-identical to ParseTable(M).
+  /// Dirty-cone table patch: per state, when the automaton patch spliced the
+  /// state *and* found its lookahead vector equal to the old one (\p SplicedNew
+  /// / \p LaCopied from Automaton::patch), the state's ACTION row and conflict
+  /// records are *translated* from \p Old — shift targets rewritten through the
+  /// state maps, reduce productions and conflict tokens through \p Delta —
+  /// instead of being re-derived from items and lookaheads. Translation is
+  /// refused (falling back to the cold per-state pass, never to a wrong row)
+  /// whenever the edit touched a precedence input the old row's resolution
+  /// consulted (Delta.TermPrecChanged*/ProdPrecChanged*) or any needed id is
+  /// unmapped. Conflict emission order is preserved because the delta's maps
+  /// are monotone and per-state conflict runs are self-contained; the result is
+  /// byte-identical to ParseTable(M).
   ParseTable(const Automaton &M, const ParseTable &Old,
              const GrammarDelta &Delta, const std::vector<int> &OldToNewState,
              const std::vector<int> &NewToOldState,

@@ -36,6 +36,12 @@ public:
   explicit IndexSet(unsigned UniverseSize)
       : Words((UniverseSize + 63) / 64, 0), Universe(UniverseSize) {}
 
+  /// Creates a set over {0, ..., \p UniverseSize - 1} from \p Bits, which
+  /// holds ceil(UniverseSize / 64) words with no bit at or past the
+  /// universe size.
+  IndexSet(unsigned UniverseSize, const uint64_t *Bits)
+      : Words(Bits, Bits + (UniverseSize + 63) / 64), Universe(UniverseSize) {}
+
   /// Creates a singleton set over the given universe.
   static IndexSet singleton(unsigned UniverseSize, unsigned Element) {
     IndexSet S(UniverseSize);

@@ -23,8 +23,8 @@ const char *const CounterNames[metric::NumCounters] = {
     "automaton.builds",
     "automaton.states",
     "automaton.closure_items",
-    "automaton.kernel_la_passes",
-    "automaton.closure_la_passes",
+    "automaton.nt_transitions",
+    "automaton.relation_edges",
     "automaton.states_reused",
     "automaton.states_rebuilt",
     "automaton.states_added",

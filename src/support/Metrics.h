@@ -38,8 +38,8 @@ enum Counter : unsigned {
   AutomatonBuilds,
   AutomatonStates,
   AutomatonClosureItems,
-  AutomatonKernelLaPasses,
-  AutomatonClosureLaPasses,
+  AutomatonNtTransitions,
+  AutomatonRelationEdges,
   AutomatonStatesReused,
   AutomatonStatesRebuilt,
   AutomatonStatesAdded,

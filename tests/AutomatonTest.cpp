@@ -6,6 +6,7 @@
 
 #include "lr/Automaton.h"
 
+#include "TestUtil.h"
 #include "corpus/Corpus.h"
 #include "grammar/GrammarParser.h"
 
@@ -169,6 +170,140 @@ TEST(AutomatonTest, DanglingElseLookaheads) {
         << "reduce item lacks 'else' lookahead";
   }
   EXPECT_TRUE(Found);
+}
+
+/// Production index of \p Lhs ::= \p Rhs (space-separated names).
+unsigned productionOf(const Grammar &G, const std::string &Lhs,
+                      const std::string &Rhs) {
+  for (unsigned P : G.productionsOf(G.symbolByName(Lhs))) {
+    std::string Text;
+    for (Symbol S : G.production(P).Rhs)
+      Text += (Text.empty() ? "" : " ") + G.name(S);
+    if (Text == Rhs)
+      return P;
+  }
+  ADD_FAILURE() << "no production " << Lhs << " ::= " << Rhs;
+  return 0;
+}
+
+using Names = std::vector<std::vector<std::string>>;
+
+/// The lookahead of \p I in every state holding it, as sorted names.
+Names lookaheadNames(const Grammar &G, const Automaton &M, const Item &I) {
+  Names Out;
+  for (unsigned S = 0; S != M.numStates(); ++S) {
+    int Idx = M.state(S).indexOfItem(I);
+    if (Idx < 0)
+      continue;
+    std::vector<std::string> Terms;
+    M.state(S).Lookaheads[unsigned(Idx)].forEach(
+        [&](unsigned T) { Terms.push_back(G.name(Symbol(int32_t(T)))); });
+    std::sort(Terms.begin(), Terms.end());
+    Out.push_back(Terms);
+  }
+  return Out;
+}
+
+/// A reads cycle: in m ::= n p q m with n, p and q nullable, the gotos on
+/// p, q and n lead from the state holding m ::= n . p q m through
+/// m ::= n p . q m and m ::= n p q . m back to it, so (s1, p) reads
+/// (s2, q) reads (s3, n) reads (s1, p). Each member reads a different
+/// terminal directly, and every reduce item of n, p and q must carry all
+/// three plus the closing b: a component member missing the root's set
+/// shows up here.
+TEST(AutomatonTest, ReadsCycleThroughNullableNonterminals) {
+  Grammar G = parse(R"(
+%%
+s : a m b ;
+m : n p q m | ;
+n : | c ;
+p : | d ;
+q : | e ;
+)");
+  GrammarAnalysis A(G);
+  expectAutomatonMatchesReference(G, A, AutomatonKind::Lalr1, "reads cycle");
+  Automaton M(G, A);
+  const std::vector<std::string> All{"b", "c", "d", "e"};
+  for (const char *Nt : {"n", "p", "q"}) {
+    Names LAs = lookaheadNames(G, M, Item(productionOf(G, Nt, ""), 0));
+    EXPECT_FALSE(LAs.empty()) << Nt;
+    for (const auto &LA : LAs)
+      EXPECT_EQ(LA, All) << Nt;
+  }
+}
+
+/// An includes cycle from mutual right recursion with nullable tails:
+/// (q1, B) includes (q3, A) includes (q2, C) includes (q1, B), one
+/// strongly connected component whose members each read a different
+/// terminal and must all receive the same Follow set.
+TEST(AutomatonTest, IncludesCycleFromMutualRightRecursion) {
+  Grammar G = parse(R"(
+%%
+s : A ;
+A : x B T | z ;
+B : y C U | w ;
+C : v A V | k ;
+T : | t ;
+U : | u ;
+V : | r ;
+)");
+  GrammarAnalysis A(G);
+  expectAutomatonMatchesReference(G, A, AutomatonKind::Lalr1,
+                                  "includes cycle");
+  Automaton M(G, A);
+  const std::vector<std::string> All{"$", "r", "t", "u"};
+  // A ::= . z sits in state 0 (Follow {$}) and in the state after v.
+  EXPECT_EQ(lookaheadNames(G, M, Item(productionOf(G, "A", "z"), 0)),
+            (Names{{"$"}, All}));
+  EXPECT_EQ(lookaheadNames(G, M, Item(productionOf(G, "B", "w"), 0)),
+            (Names{All}));
+  EXPECT_EQ(lookaheadNames(G, M, Item(productionOf(G, "C", "k"), 0)),
+            (Names{All}));
+  EXPECT_EQ(lookaheadNames(G, M, Item(productionOf(G, "A", "x B T"), 3)),
+            (Names{All}));
+}
+
+/// The LALR merge artifact of CanonicalLr1Test: A ::= x . and B ::= x .
+/// share one state whose two reduce items both carry exactly {y, z}.
+TEST(AutomatonTest, MergeArtifactReduceItemsCarryBothContexts) {
+  Grammar G = parse(R"(
+%%
+s : q A y | q B z | r A z | r B y ;
+A : x ;
+B : x ;
+)");
+  GrammarAnalysis A(G);
+  expectAutomatonMatchesReference(G, A, AutomatonKind::Lalr1,
+                                  "merge artifact");
+  Automaton M(G, A);
+  const Names Both{{"y", "z"}};
+  EXPECT_EQ(lookaheadNames(G, M, Item(productionOf(G, "A", "x"), 1)), Both);
+  EXPECT_EQ(lookaheadNames(G, M, Item(productionOf(G, "B", "x"), 1)), Both);
+}
+
+/// A 5,000-level nullable chain a0 ::= a1 | ε, ..., a4999 ::= x | ε,
+/// declared in both orders: one path of 5,000 includes edges, walked from
+/// either end depending on the transition numbering.
+TEST(AutomatonTest, DeepNullableChainInBothDeclarationOrders) {
+  constexpr unsigned Depth = 5000;
+  for (bool Descending : {false, true}) {
+    std::string Text = "%start a0\n%%\n";
+    for (unsigned K = 0; K != Depth; ++K) {
+      unsigned I = Descending ? Depth - 1 - K : K;
+      Text += "a" + std::to_string(I) + " : " +
+              (I + 1 == Depth ? "x" : "a" + std::to_string(I + 1)) +
+              " | ;\n";
+    }
+    Grammar G = parse(Text);
+    GrammarAnalysis A(G);
+    std::string Context = Descending ? "descending chain" : "ascending chain";
+    expectAutomatonMatchesReference(G, A, AutomatonKind::Lalr1, Context);
+    Automaton M(G, A);
+    std::string Last = "a" + std::to_string(Depth - 1);
+    EXPECT_EQ(lookaheadNames(G, M, Item(productionOf(G, Last, ""), 0)),
+              (Names{{"$"}}))
+        << Context;
+  }
 }
 
 } // namespace

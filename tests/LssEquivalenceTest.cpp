@@ -7,17 +7,24 @@
 // edge kind for edge kind, lookahead set for lookahead set — that the
 // retained reference BFS returns. DESIGN.md §5e proves this; the suite
 // checks it over the worked corpus grammars and a random-grammar sweep,
-// with the §6 reachability pruning both on and off.
+// with the §6 reachability pruning both on and off. The automaton those
+// searches run on is checked the same way: the DeRemer–Pennello
+// lookahead pass against the Dragon Book 4.63 reference, over the whole
+// corpus, the example grammars and random grammars.
 //
 //===----------------------------------------------------------------------===//
 
 #include "RandomGrammar.h"
+#include "TestUtil.h"
 #include "corpus/Corpus.h"
 #include "counterexample/LookaheadSensitiveSearch.h"
 #include "grammar/GrammarParser.h"
 #include "lr/ParseTable.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace lalrcex;
 using lalrcex::testing::randomGrammarText;
@@ -100,9 +107,83 @@ TEST_P(LssRandomEquivalenceTest, PooledMatchesReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LssRandomEquivalenceTest,
                          ::testing::Range(0, 40));
 
-/// The pooled automaton fixpoints must produce exactly the lookahead
-/// tables the baseline IndexSet fixpoints produce, for both automaton
-/// kinds (the canonical path pools only its closure fixpoint).
+/// Every corpus entry, then the example grammar files.
+std::vector<std::string> grammarNames() {
+  std::vector<std::string> Names;
+  for (const CorpusEntry &E : corpus())
+    Names.push_back(E.Name);
+  Names.push_back("ansi_c.y");
+  Names.push_back("sql.y");
+  return Names;
+}
+
+/// The DeRemer–Pennello lookahead pass (the LALR(1) default) must give
+/// every item exactly the lookahead set the reference Dragon Book 4.63
+/// propagation plus in-state closure fixpoint gives it.
+class DeRemerPennelloVsDragon463Test
+    : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DeRemerPennelloVsDragon463Test, LookaheadsMatch) {
+  std::string Text;
+  if (const CorpusEntry *E = findCorpusEntry(GetParam())) {
+    Text = E->Text;
+  } else {
+    std::ifstream In(std::string(LALRCEX_EXAMPLE_GRAMMARS) + "/" + GetParam(),
+                     std::ios::binary);
+    ASSERT_TRUE(In) << GetParam();
+    std::stringstream Buf;
+    Buf << In.rdbuf();
+    Text = Buf.str();
+  }
+  GrammarParseResult R = parseGrammar(Text);
+  ASSERT_TRUE(R.ok()) << GetParam();
+  GrammarAnalysis A(*R.G);
+  expectAutomatonMatchesReference(*R.G, A, AutomatonKind::Lalr1, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Grammars, DeRemerPennelloVsDragon463Test,
+                         ::testing::ValuesIn(grammarNames()));
+
+class DeRemerPennelloRandomTest : public ::testing::TestWithParam<int> {};
+
+/// The 40 seeded grammars of LssRandomEquivalenceTest.
+TEST_P(DeRemerPennelloRandomTest, SmallGrammarsMatchDragon463) {
+  uint64_t Seed = uint64_t(GetParam()) + 9000;
+  std::string Text =
+      randomGrammarText(Seed, 4 + unsigned(Seed % 5), 3 + unsigned(Seed % 4));
+  std::optional<Grammar> G = parseGrammarText(Text);
+  ASSERT_TRUE(G) << Text;
+  GrammarAnalysis A(*G);
+  expectAutomatonMatchesReference(*G, A, AutomatonKind::Lalr1, Text);
+}
+
+/// Larger grammars, each with at least one nullable nonterminal, so
+/// the reads and includes relations carry real edges and cycles. A start
+/// rule naming every nonterminal keeps all of them reachable.
+TEST_P(DeRemerPennelloRandomTest, LargeNullableGrammarsMatchDragon463) {
+  uint64_t Seed = uint64_t(GetParam()) + 17000;
+  unsigned NumNts = 20 + unsigned(Seed % 21);
+  std::string Text = "%%\nstart :";
+  for (unsigned N = 0; N != NumNts; ++N)
+    Text += (N == 0 ? " n" : " | n") + std::to_string(N);
+  Text += " ;\n" + randomGrammarText(Seed, NumNts, 6 + unsigned(Seed % 9))
+                       .substr(3); // drop its "%%\n"
+  std::optional<Grammar> G = parseGrammarText(Text);
+  ASSERT_TRUE(G) << Text;
+  GrammarAnalysis A(*G);
+  bool AnyNullable = false;
+  for (unsigned S = G->numTerminals(); S != G->numSymbols(); ++S)
+    AnyNullable |= A.isNullable(Symbol(int32_t(S)));
+  ASSERT_TRUE(AnyNullable) << "seed " << Seed << " has no nullable symbol";
+  expectAutomatonMatchesReference(*G, A, AutomatonKind::Lalr1, Text);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeRemerPennelloRandomTest,
+                         ::testing::Range(0, 40));
+
+/// The canonical LR(1) closure fixpoint on pooled ids must match its
+/// IndexSet baseline (the LALR(1) kind is checked above, against
+/// Dragon 4.63).
 class AutomatonPoolEquivalenceTest
     : public ::testing::TestWithParam<const char *> {};
 
@@ -112,23 +193,7 @@ TEST_P(AutomatonPoolEquivalenceTest, PooledLookaheadsMatchBaseline) {
   std::optional<Grammar> G = parseGrammarText(E->Text);
   ASSERT_TRUE(G);
   GrammarAnalysis A(*G);
-  for (AutomatonKind Kind :
-       {AutomatonKind::Lalr1, AutomatonKind::Canonical}) {
-    AutomatonOptions Pooled{Kind, /*PooledSets=*/true};
-    AutomatonOptions Baseline{Kind, /*PooledSets=*/false};
-    Automaton MP(*G, A, Pooled);
-    Automaton MB(*G, A, Baseline);
-    ASSERT_EQ(MP.numStates(), MB.numStates()) << E->Name;
-    for (unsigned S = 0; S != MP.numStates(); ++S) {
-      const Automaton::State &SP = MP.state(S), &SB = MB.state(S);
-      ASSERT_EQ(SP.Items, SB.Items) << E->Name << " state " << S;
-      ASSERT_EQ(SP.Lookaheads.size(), SB.Lookaheads.size())
-          << E->Name << " state " << S;
-      for (size_t I = 0; I != SP.Lookaheads.size(); ++I)
-        ASSERT_EQ(SP.Lookaheads[I], SB.Lookaheads[I])
-            << E->Name << " state " << S << " item " << I;
-    }
-  }
+  expectAutomatonMatchesReference(*G, A, AutomatonKind::Canonical, E->Name);
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, AutomatonPoolEquivalenceTest,

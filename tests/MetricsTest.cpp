@@ -396,6 +396,8 @@ TEST(MetricsPipelineTest, AnalysisAndAutomatonInstrumented) {
   EXPECT_EQ(S.counter(metric::AutomatonBuilds), 1u);
   EXPECT_EQ(S.counter(metric::AutomatonStates), M.numStates());
   EXPECT_GT(S.counter(metric::AutomatonClosureItems), 0u);
+  EXPECT_GT(S.counter(metric::AutomatonNtTransitions), 0u);
+  EXPECT_GT(S.counter(metric::AutomatonRelationEdges), 0u);
   EXPECT_EQ(S.hist(metric::TimeAnalysisNs).Count, 1u);
   EXPECT_EQ(S.hist(metric::TimeAutomatonNs).Count, 1u);
 

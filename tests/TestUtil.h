@@ -36,6 +36,30 @@ struct BuiltGrammar {
   }
 };
 
+/// Builds \p G twice — default options and the reference IndexSet
+/// fixpoints (PooledSets off) — and asserts equal machines: states, items,
+/// kernel sizes, transitions, and every lookahead set.
+inline void expectAutomatonMatchesReference(const Grammar &G,
+                                            const GrammarAnalysis &A,
+                                            AutomatonKind Kind,
+                                            const std::string &Context) {
+  Automaton MP(G, A, AutomatonOptions{Kind, /*PooledSets=*/true});
+  Automaton MB(G, A, AutomatonOptions{Kind, /*PooledSets=*/false});
+  ASSERT_EQ(MP.numStates(), MB.numStates()) << Context;
+  for (unsigned S = 0; S != MP.numStates(); ++S) {
+    const Automaton::State &SP = MP.state(S), &SB = MB.state(S);
+    ASSERT_EQ(SP.Items, SB.Items) << Context << " state " << S;
+    ASSERT_EQ(SP.NumKernel, SB.NumKernel) << Context << " state " << S;
+    ASSERT_EQ(SP.Transitions, SB.Transitions) << Context << " state " << S;
+    ASSERT_EQ(SP.Lookaheads.size(), SB.Lookaheads.size())
+        << Context << " state " << S;
+    for (size_t I = 0; I != SP.Lookaheads.size(); ++I)
+      ASSERT_EQ(SP.Lookaheads[I], SB.Lookaheads[I])
+          << Context << " state " << S << " item "
+          << G.productionString(SP.Items[I].Prod, int(SP.Items[I].Dot));
+  }
+}
+
 /// Checks that a derivation tree is consistent with the grammar: every
 /// expanded node's children (ignoring dot markers) spell out the chosen
 /// production's right-hand side.
