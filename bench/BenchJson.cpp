@@ -146,7 +146,7 @@ lalrcex::bench::writeBenchRecords(const std::string &Tool,
   JsonWriter W;
   W.beginObject();
   W.field("tool", Tool);
-  W.field("schema", size_t(7));
+  W.field("schema", size_t(8));
   // The measuring machine's parallel width: speedup gates consult this to
   // decide whether a parallel-vs-serial ratio is meaningful here at all.
   W.field("cpus", std::max(1u, std::thread::hardware_concurrency()));
@@ -182,14 +182,6 @@ lalrcex::bench::writeBenchRecords(const std::string &Tool,
       W.field("states_reused", size_t(R.StatesReused));
     if (R.StatesRebuilt >= 0)
       W.field("states_rebuilt", size_t(R.StatesRebuilt));
-    if (R.TableRowsReused >= 0)
-      W.field("table_rows_reused", size_t(R.TableRowsReused));
-    if (R.TableRowsRebuilt >= 0)
-      W.field("table_rows_rebuilt", size_t(R.TableRowsRebuilt));
-    if (R.GraphRowsPatched >= 0)
-      W.field("graph_rows_patched", size_t(R.GraphRowsPatched));
-    if (R.GraphRowsRebuilt >= 0)
-      W.field("graph_rows_rebuilt", size_t(R.GraphRowsRebuilt));
     W.field("configurations", R.Configurations);
     W.field("peak_bytes", R.PeakBytes);
     if (!R.Metrics.empty()) {

@@ -9,11 +9,11 @@
 /// file next to its human-readable output, so each PR's perf numbers can
 /// be compared against the recorded trajectory instead of eyeballed.
 ///
-/// Schema (version 7), documented in README.md:
+/// Schema (version 8), documented in README.md:
 ///
 ///   {
 ///     "tool": "<tool name>",
-///     "schema": 7,
+///     "schema": 8,
 ///     "cpus": <hardware concurrency of the measuring machine>,
 ///     "records": [
 ///       {
@@ -33,12 +33,8 @@
 ///         "conflicts_remapped": <old-generation reports re-served via
 ///                                the structural remap layer>,
 ///         "edit": "<edit-loop edit description>",
-///         "states_reused": <automaton states spliced by Automaton::patch>,
-///         "states_rebuilt": <automaton states re-closed by the patch>,
-///         "table_rows_reused": <parse-table rows translated in place>,
-///         "table_rows_rebuilt": <parse-table rows re-resolved cold>,
-///         "graph_rows_patched": <state-item-graph rows copied by offset>,
-///         "graph_rows_rebuilt": <state-item-graph rows re-derived>,
+///         "states_reused": <new states kernel-matched to an old state>,
+///         "states_rebuilt": <new states with no old counterpart>,
 ///         "configurations": <configurations explored>,
 ///         "peak_bytes": <peak guard-accounted bytes>,
 ///         "metrics": { "<dotted metric name>": <value>, ... }
@@ -49,17 +45,17 @@
 /// Unmeasured wall and cache fields (negative in BenchRecord) are omitted
 /// from the record, "edit" is omitted when empty, and "metrics" is
 /// omitted when the record carries none (the usual flattened
-/// MetricsSnapshot of the measured run); each schema bump has been a pure
-/// field addition (schema 4 added the top-level "cpus" and per-record
+/// MetricsSnapshot of the measured run); schemas 4–7 were pure field
+/// additions (schema 4 added the top-level "cpus" and per-record
 /// "jobs_inner", so speedup gates can tell whether the measuring machine
 /// could physically show a speedup; schema 5 added "conflicts_reused" /
 /// "conflicts_recomputed" / "edit" for batch_analyze's -edit-loop
 /// incremental-reuse records; schema 6 added "states_reused" /
 /// "states_rebuilt" / "conflicts_remapped" for the dirty-state automaton
-/// patch those records now ride on; schema 7 added "table_rows_reused" /
-/// "table_rows_rebuilt" / "graph_rows_patched" / "graph_rows_rebuilt"
-/// for the row-level parse-table and graph patch), so older consumers
-/// keep working.
+/// patch; schema 7 added "table_rows_*" / "graph_rows_*" for the
+/// row-level patch). Schema 8 drops the row fields with the patch itself
+/// and redefines "states_reused" / "states_rebuilt" as the session's
+/// matched / unmatched states.
 /// Files are written as BENCH_<tool>.json in $LALRCEX_BENCH_DIR, or under
 /// bench/out/ relative to the working directory when the variable is
 /// unset (the directory is created on demand and gitignored; committed
@@ -134,17 +130,11 @@ struct BenchRecord {
   long ConflictsRemapped = -1;
   /// Edit description for -edit-loop records (schema 5); empty: omitted.
   std::string Edit;
-  /// Automaton::patch state economics of the measured edit (schema 6);
-  /// < 0: the run rebuilt cold or was not an edit, omitted.
+  /// New states kernel-matched / unmatched to the previous generation's
+  /// (schema 8); < 0: no state map (invalid delta) or not an edit,
+  /// omitted.
   long StatesReused = -1;
   long StatesRebuilt = -1;
-  /// Row-level patch economics of the measured edit (schema 7): parse-
-  /// table rows translated vs. re-resolved, graph adjacency rows copied
-  /// vs. re-derived; < 0: cold rebuild or not an edit, omitted.
-  long TableRowsReused = -1;
-  long TableRowsRebuilt = -1;
-  long GraphRowsPatched = -1;
-  long GraphRowsRebuilt = -1;
   size_t Configurations = 0;
   size_t PeakBytes = 0;
   /// Flattened MetricsSnapshot of the measured run (name, value) pairs;

@@ -1,48 +1,31 @@
 #!/usr/bin/env python3
-"""Gate the dirty-state automaton patch against its edit-loop records.
+"""Gate incremental state matching against its edit-loop records.
 
 Reads the "edit-loop/<grammar>/<k>" rows of BENCH_batch_analyze.json
-(schema 7). Each post-baseline row carries the patch economics of that
-edit: "states_reused" (item closures spliced from the previous
-generation) and "states_rebuilt" (states whose closure was re-run or
-that are new), plus the row-level split "table_rows_reused" /
-"table_rows_rebuilt" (parse-table rows translated in place vs.
-re-resolved cold) and "graph_rows_patched" / "graph_rows_rebuilt"
-(state-item-graph adjacency rows copied by offset vs. re-derived) — or
-none of them when the session fell back to a full cold rebuild
-(invalid delta). batch_analyze already exits nonzero when a patched
-automaton is not byte-identical to a cold build — running it at all IS
-the equivalence half of this gate — so this script enforces the splice
-economics:
+(schema 8). Each post-baseline row carries the state correspondence of
+that edit: "states_reused" (new states kernel-matched to a state of the
+previous generation) and "states_rebuilt" (new states with no old
+counterpart) — or neither when the delta was invalid and the session
+offered no state map. The conflict-report remap layer can only re-serve
+reports whose states matched. batch_analyze already exits nonzero when
+the session's automaton is not byte-identical to a cold build, so this
+script enforces only the matching economics:
 
-1. Patching happens: each gated grammar needs at least one *structural*
-   patched edit (states_rebuilt > 0; pure-splice edits like precedence
-   toggles reuse everything trivially and prove nothing about the dirty
-   cone).
+1. Matching is exercised: each gated grammar needs at least one
+   *structural* edit (states_rebuilt > 0; edits like precedence toggles
+   match every state trivially and prove nothing).
 
-2. Patching is narrow: on every structural patched edit, the spliced
-   share states_reused / (states_reused + states_rebuilt) must exceed
+2. Matching is narrow: on every structural edit, the matched share
+   states_reused / (states_reused + states_rebuilt) must exceed
    --min-state-reuse (default 0.50). A localized production edit that
-   dirties half the machine means the cone computation leaks.
+   leaves half the machine unmatched means the delta's maps leak.
 
-3. The patch reaches the rows: aggregated over a grammar's structural
-   patched edits, the translated parse-table-row share must exceed
-   --min-table-reuse (default 0.30) and the copied graph-row share must
-   exceed --min-graph-reuse (default 0.50). Row reuse is gated as an
-   aggregate, not per edit: a single edit on a widely-referenced symbol
-   legitimately forces most rows cold (table translation additionally
-   requires the state's lookaheads to have been copied), but across a
-   stream the patch must carry its weight. A patch that splices states
-   yet rebuilds every table or graph row would still pay most of the
-   cold cost.
-
-Cold-fallback edits are reported and exempt: the session is *supposed*
-to refuse the patch when the delta cannot be trusted.
+Edits without a state map are reported and exempt: the session is
+*supposed* to refuse one when the delta cannot be trusted.
 
 Usage:
   check_automaton_reuse.py <current.json>
         [--grammars sql] [--min-state-reuse 0.50]
-        [--min-table-reuse 0.50] [--min-graph-reuse 0.50]
 """
 
 import argparse
@@ -68,16 +51,6 @@ def load(path):
     return rows
 
 
-def share(rec, reused_key, rebuilt_key):
-    """(reused, total, share) for one reused/rebuilt field pair, or None
-    when the record does not carry the pair (older producer)."""
-    if reused_key not in rec:
-        return None
-    reused = rec.get(reused_key, 0)
-    total = reused + rec.get(rebuilt_key, 0)
-    return reused, total, (reused / total if total else 0.0)
-
-
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("current")
@@ -85,16 +58,8 @@ def main():
                     help="comma-separated grammars that must be present "
                          "and pass (default: every grammar in the file)")
     ap.add_argument("--min-state-reuse", type=float, default=0.50,
-                    help="minimum spliced share of states on every "
-                         "structural patched edit (default 0.50)")
-    ap.add_argument("--min-table-reuse", type=float, default=0.30,
-                    help="minimum translated share of parse-table rows, "
-                         "aggregated over a grammar's structural patched "
-                         "edits (default 0.30)")
-    ap.add_argument("--min-graph-reuse", type=float, default=0.50,
-                    help="minimum copied share of graph adjacency rows, "
-                         "aggregated over a grammar's structural patched "
-                         "edits (default 0.50)")
+                    help="minimum matched share of states on every "
+                         "structural edit (default 0.50)")
     args = ap.parse_args()
 
     rows = load(args.current)
@@ -116,65 +81,36 @@ def main():
             continue
 
         structural = 0
-        agg = {"table rows": [0, 0], "graph rows": [0, 0]}
         for k, rec in recs:
             if k == 0:
-                continue  # baseline build, nothing to patch
+                continue  # baseline build, nothing to match
             edit = rec.get("edit", "?")
             if "states_reused" not in rec:
-                print(f"  {grammar} #{k} [{edit}]: cold rebuild "
+                print(f"  {grammar} #{k} [{edit}]: no state map "
                       f"(invalid delta) exempt")
                 continue
-            reused = rec.get("states_reused", 0)
-            rebuilt = rec.get("states_rebuilt", 0)
-            total = reused + rebuilt
-            if rebuilt == 0:
-                print(f"  {grammar} #{k} [{edit}]: pure splice "
-                      f"{reused}/{total} states (non-structural)")
+            matched = rec.get("states_reused", 0)
+            unmatched = rec.get("states_rebuilt", 0)
+            total = matched + unmatched
+            if unmatched == 0:
+                print(f"  {grammar} #{k} [{edit}]: matched "
+                      f"{matched}/{total} states (non-structural)")
                 continue
             structural += 1
-            if total <= 0:
-                print(f"error: {grammar} #{k}: empty automaton?",
-                      file=sys.stderr)
-                failed = True
-                continue
-            sh = reused / total
+            sh = matched / total
             verdict = "OK" if sh > args.min_state_reuse else "CONE TOO WIDE"
             if verdict != "OK":
                 failed = True
-            print(f"  {grammar} #{k} [{edit}]: spliced {reused}/{total} "
+            print(f"  {grammar} #{k} [{edit}]: matched {matched}/{total} "
                   f"states = {sh:.3f} "
                   f"(floor {args.min_state_reuse:.2f}) {verdict}")
-            for label, rk, bk in (
-                    ("table rows", "table_rows_reused",
-                     "table_rows_rebuilt"),
-                    ("graph rows", "graph_rows_patched",
-                     "graph_rows_rebuilt")):
-                s = share(rec, rk, bk)
-                if s is not None:
-                    agg[label][0] += s[0]
-                    agg[label][1] += s[1]
-                    print(f"  {grammar} #{k} [{edit}]: {label} "
-                          f"{s[0]}/{s[1]} = {s[2]:.3f}")
 
         if structural == 0:
-            print(f"  {grammar}: no structural patched edit in the stream "
-                  f"NO PATCH COVERAGE", file=sys.stderr)
+            print(f"  {grammar}: no structural edit in the stream "
+                  f"NO MATCH COVERAGE", file=sys.stderr)
             failed = True
             continue
-        for label, floor in (("table rows", args.min_table_reuse),
-                             ("graph rows", args.min_graph_reuse)):
-            r, t = agg[label]
-            if t == 0:
-                continue  # older producer without row fields
-            sh = r / t
-            verdict = "OK" if sh > floor else "ROWS REBUILT TOO WIDELY"
-            if verdict != "OK":
-                failed = True
-            print(f"  {grammar}: aggregate {label} {r}/{t} = {sh:.3f} "
-                  f"(floor {floor:.2f}) {verdict}")
-        print(f"  {grammar}: {structural} structural patched edit(s) "
-              f"gated")
+        print(f"  {grammar}: {structural} structural edit(s) gated")
 
     if failed:
         print("automaton reuse gate FAILED", file=sys.stderr)

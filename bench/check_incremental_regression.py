@@ -2,12 +2,12 @@
 """Gate incremental re-analysis against its edit-loop bench records.
 
 Validates the "edit-loop/<grammar>/<k>" rows of BENCH_batch_analyze.json
-(schema 7), produced by `batch_analyze -edit-loop`. Each row measures one
-edit of a seeded edit stream twice: incrementally (patched automaton plus
-conflict-level cache reuse, "wall_ms_warm") and as a cold recompute
-("wall_ms_cold"); batch_analyze itself already failed the run if either
-the rendered reports or the serialized automatons diverged, so this
-script gates only the economics:
+(schema 8), produced by `batch_analyze -edit-loop`. Each row measures one
+edit of a seeded edit stream twice: incrementally (session advance plus
+conflict-level cache reuse and report remapping, "wall_ms_warm") and as
+a cold recompute ("wall_ms_cold"); batch_analyze itself already failed
+the run if either the rendered reports or the serialized automatons
+diverged, so this script gates only the economics:
 
 1. Reuse happens: every gated grammar must have at least one post-baseline
    edit with conflicts_reused > 0 (renames, precedence and %expect edits
@@ -23,12 +23,12 @@ script gates only the economics:
    (conflicts_reused == 0) recompute by design and are exempt too.
 
 3. Structural reuse pays: every gated grammar must have at least one
-   *structural* edit — one the automaton patch had to re-close or add
-   states for (states_rebuilt > 0), or that re-served reports through the
-   remap layer (conflicts_remapped > 0) — with conflicts_reused > 0 and a
-   warm/cold ratio at or below --max-warm-ratio. Before the dirty-state
-   automaton these edits were 100% cold; this clause is the regression
-   gate on the layer's reason to exist.
+   *structural* edit — one that left new states without an old
+   counterpart (states_rebuilt > 0), or that re-served reports through
+   the remap layer (conflicts_remapped > 0) — with conflicts_reused > 0
+   and a warm/cold ratio at or below --max-warm-ratio. Before the remap
+   layer these edits were 100% cold; this clause is the regression gate
+   on the layer's reason to exist.
 
 Edit #0 is the pre-edit baseline priming the cache and is never gated.
 
@@ -102,8 +102,8 @@ def main():
             cold = rec.get("wall_ms_cold", 0)
             warm = rec.get("wall_ms_warm", 0)
             edit = rec.get("edit", "?")
-            # A structural edit left a patch trail (states re-closed or
-            # added) or went through the report-remap layer.
+            # A structural edit left unmatched states or went through
+            # the report-remap layer.
             structural = (rec.get("states_rebuilt", 0) > 0
                           or remapped > 0)
             if structural:

@@ -36,18 +36,18 @@
 //                       attaches flattened metrics to the bench records
 //     -edit-loop <n>    incremental replay mode: apply n seeded random
 //                       single-production edits per grammar; after each,
-//                       advance one persistent IncrementalSession (the
-//                       automaton and state-item graph are patched in
-//                       place when the structural delta permits) and run
-//                       the finder against -cache, then run the whole
-//                       pipeline cold without either; byte-compare the
-//                       rendered reports AND the serialized automatons,
-//                       and print per-edit wall time, a parse/automaton/
-//                       search breakdown, state/row-patch and
-//                       conflict-reuse counts. -jobs-inner is honored:
-//                       per-slot read logs keep the remap layer's
-//                       touched sets exact under intra-conflict
-//                       parallelism. Unless
+//                       advance one persistent IncrementalSession (a cold
+//                       build whose states are kernel-matched to the
+//                       previous generation's when the structural delta
+//                       permits) and run the finder against -cache, then
+//                       run the whole pipeline cold without either;
+//                       byte-compare the rendered reports AND the
+//                       serialized automatons, and print per-edit wall
+//                       time, a parse/automaton/search breakdown, the
+//                       matched-state and conflict-reuse counts.
+//                       -jobs-inner is honored: per-slot read logs keep
+//                       the remap layer's touched sets exact under
+//                       intra-conflict parallelism. Unless
 //                       -cumulative is given explicitly, the cumulative
 //                       clock is turned off in this mode: a finite
 //                       cumulative budget couples conflicts and disables
@@ -61,14 +61,13 @@
 //                       directory down to n MiB (oldest blobs first)
 //
 // Output: one summary line per grammar, a final "TOTAL_MS <ms>" line, and
-// bench/out/BENCH_batch_analyze.json (schema 7) with per-grammar
+// bench/out/BENCH_batch_analyze.json (schema 8) with per-grammar
 // cold/warm wall times and cache hit/miss counts (plus metrics under
 // -metrics; plus per-edit records with conflicts_reused /
 // conflicts_recomputed / conflicts_remapped / states_reused /
-// states_rebuilt / table_rows_reused / graph_rows_patched under
-// -edit-loop). -edit-loop exits nonzero on any
+// states_rebuilt under -edit-loop). -edit-loop exits nonzero on any
 // incremental-vs-cold byte mismatch — of the rendered reports or of the
-// serialized patched automaton — making it a standalone differential
+// serialized session automaton — making it a standalone differential
 // harness.
 //
 //===----------------------------------------------------------------------===//
@@ -249,7 +248,7 @@ JobResult analyzeOne(const Job &J, const FinderOptions &BaseOpts,
 /// rendered report bytes. Grammar building stays outside the clock so the
 /// per-edit wall time measures exactly what the incremental layer can
 /// save; AutomatonMs/SearchMs split that wall time into the two phases
-/// the layer attacks separately (automaton patch vs conflict reuse).
+/// the layer attacks separately (session advance vs conflict reuse).
 struct EditRunResult {
   double WallMs = 0;
   double AutomatonMs = 0; ///< analysis + automaton + table + graph
@@ -260,7 +259,7 @@ struct EditRunResult {
   size_t Recomputed = 0;
   std::string Rendered;
   /// serializeAnalysis of the run's parse table: the automaton-level
-  /// equivalence witness (the incremental leg's patched machine must be
+  /// equivalence witness (the incremental leg's session machine must be
   /// byte-identical to the cold leg's).
   std::string AnalysisBytes;
 };
@@ -290,9 +289,9 @@ EditRunResult runColdPipeline(Grammar G, const FinderOptions &BaseOpts,
   return R;
 }
 
-/// The incremental leg: advance the persistent session (patching the
-/// automaton and graph in place when the delta permits) and search with
-/// the conflict cache plus the session's remap handoff. \p Advance is
+/// The incremental leg: advance the persistent session (cold build plus
+/// kernel-matched state maps when the delta permits) and search with the
+/// conflict cache plus the session's remap handoff. \p Advance is
 /// null on the baseline run (the session was just built cold).
 EditRunResult runIncrPipeline(IncrementalSession &Sess,
                               const IncrementalSession::AdvanceStats *Advance,
@@ -328,10 +327,10 @@ EditRunResult runIncrPipeline(IncrementalSession &Sess,
 
 /// The replay loop: per grammar, a baseline run plus \p EditCount seeded
 /// random edits over one persistent IncrementalSession; after each, the
-/// incremental run (patched automaton + conflict cache against
+/// incremental run (session automaton + conflict cache against
 /// \p CacheDir) is byte-compared against a cold run at both levels —
 /// rendered reports and serialized automaton — a standing differential
-/// harness for the whole dirty-state layer. \returns the mismatch count.
+/// harness for the whole incremental layer. \returns the mismatch count.
 size_t runEditLoop(const std::vector<Job> &Work, const FinderOptions &Opts,
                    AutomatonKind Kind, const std::string &CacheDir,
                    unsigned EditCount, uint64_t Seed,
@@ -373,7 +372,7 @@ size_t runEditLoop(const std::vector<Job> &Work, const FinderOptions &Opts,
       }
       double ParseMs = ParseClock.seconds() * 1000.0;
 
-      // Incremental leg: advance (patch-or-cold) the persistent session,
+      // Incremental leg: advance the persistent session,
       // then search with the conflict cache and the remap handoff.
       Stopwatch AdvanceClock;
       const IncrementalSession::AdvanceStats *Advance = nullptr;
@@ -398,45 +397,32 @@ size_t runEditLoop(const std::vector<Job> &Work, const FinderOptions &Opts,
                   SameReports ? "" : "  OUTPUT MISMATCH",
                   SameAutomaton ? "" : "  AUTOMATON MISMATCH");
 
-      // Per-edit phase breakdown: where the wall time went, and what the
-      // automaton patch reused. Grammar building ("parse") sits outside
-      // both legs' clocks.
-      std::string PatchNote;
-      long StatesReused = -1, StatesRebuilt = -1;
-      long TableRowsReused = -1, TableRowsRebuilt = -1;
-      long GraphRowsPatched = -1, GraphRowsRebuilt = -1;
+      // Per-edit phase breakdown: where the wall time went, and how many
+      // states kernel-matched the previous generation's. Grammar
+      // building ("parse") sits outside both legs' clocks.
+      std::string MatchNote;
+      long StatesMatched = -1, StatesUnmatched = -1;
       if (Advance) {
         char Buf[160];
         if (Advance->Patched) {
-          const AutomatonPatchStats &P = Advance->Patch;
-          StatesReused = long(P.StatesReused);
-          StatesRebuilt = long(P.StatesRebuilt) + long(P.StatesAdded);
-          TableRowsReused = long(Advance->Table.RowsReused);
-          TableRowsRebuilt = long(Advance->Table.RowsRebuilt);
-          GraphRowsPatched = long(Advance->Graph.RowsPatched);
-          GraphRowsRebuilt = long(Advance->Graph.RowsRebuilt);
-          std::snprintf(Buf, sizeof(Buf),
-                        "patched: %u spliced / %u reclosed / %u added, "
-                        "table rows %u/%u, graph rows %u/%u",
-                        P.StatesReused, P.StatesRebuilt, P.StatesAdded,
-                        Advance->Table.RowsReused,
-                        Advance->Table.RowsReused + Advance->Table.RowsRebuilt,
-                        Advance->Graph.RowsPatched,
-                        Advance->Graph.RowsPatched +
-                            Advance->Graph.RowsRebuilt);
+          unsigned Total = Sess->automaton().numStates();
+          StatesMatched = long(Advance->Patch.StatesReused);
+          StatesUnmatched = long(Total) - StatesMatched;
+          std::snprintf(Buf, sizeof(Buf), "matched %u/%u states",
+                        Advance->Patch.StatesReused, Total);
         } else {
-          // Leave the states fields unset (omitted from the record): a
-          // cold fallback has no patch economics to gate.
-          std::snprintf(Buf, sizeof(Buf), "cold rebuild: %s",
+          // Leave the states fields unset (omitted from the record): an
+          // advance without a state map has nothing to gate.
+          std::snprintf(Buf, sizeof(Buf), "no state map: %s",
                         Advance->ColdReason.c_str());
         }
-        PatchNote = Buf;
+        MatchNote = Buf;
       } else {
-        PatchNote = "initial build";
+        MatchNote = "initial build";
       }
       std::printf("%-24s      parse %6.1f ms  automaton %6.1f ms (%s)  "
                   "search %6.1f ms  remapped %zu\n",
-                  "", ParseMs, Incr.AutomatonMs, PatchNote.c_str(),
+                  "", ParseMs, Incr.AutomatonMs, MatchNote.c_str(),
                   Incr.SearchMs, Incr.Remapped);
 
       bench::BenchRecord Rec;
@@ -456,12 +442,8 @@ size_t runEditLoop(const std::vector<Job> &Work, const FinderOptions &Opts,
       Rec.ConflictsReused = long(Served);
       Rec.ConflictsRecomputed = long(Incr.Recomputed);
       Rec.ConflictsRemapped = long(Incr.Remapped);
-      Rec.StatesReused = StatesReused;
-      Rec.StatesRebuilt = StatesRebuilt;
-      Rec.TableRowsReused = TableRowsReused;
-      Rec.TableRowsRebuilt = TableRowsRebuilt;
-      Rec.GraphRowsPatched = GraphRowsPatched;
-      Rec.GraphRowsRebuilt = GraphRowsRebuilt;
+      Rec.StatesReused = StatesMatched;
+      Rec.StatesRebuilt = StatesUnmatched;
       Rec.Edit = EditLabel;
       Records.push_back(Rec);
     }

@@ -380,23 +380,14 @@ struct ArtifactAccess {
       W.u32(O);
     for (StateItemGraph::NodeId N : Graph.Fwd)
       W.u32(N);
-    // Emit each CSR in canonical compact form (prefix-sum offsets with a
-    // trailing total, then the live row data in node order). A patched
-    // graph may hold slack and relocated rows in memory; re-compacting
-    // here keeps its blob byte-identical to a cold build's.
     for (const StateItemGraph::Csr *C :
          {&Graph.ProdSteps, &Graph.RevTransitions, &Graph.RevProdSteps}) {
-      W.u32(uint32_t(C->rowCount() + 1));
-      uint32_t Total = 0;
-      for (size_t N = 0, NE = C->rowCount(); N != NE; ++N) {
-        W.u32(Total);
-        Total += C->Lens[N];
-      }
-      W.u32(Total);
-      W.u32(Total);
-      for (size_t N = 0, NE = C->rowCount(); N != NE; ++N)
-        for (StateItemGraph::NodeId V : C->row(StateItemGraph::NodeId(N)))
-          W.u32(V);
+      W.u32(uint32_t(C->Begin.size()));
+      for (uint32_t B : C->Begin)
+        W.u32(B);
+      W.u32(uint32_t(C->Data.size()));
+      for (StateItemGraph::NodeId V : C->Data)
+        W.u32(V);
     }
   }
 
@@ -425,15 +416,32 @@ struct ArtifactAccess {
       Graph.Nodes.push_back(N);
     }
 
+    // Node ids are fixed by the automaton: state S's items, in order,
+    // starting at the sum of the item counts of the states before it. An
+    // offset table or node list that disagrees would send nodeFor() and
+    // every accessor after it outside the tables.
     uint32_t NumOffsets = R.u32();
     if (!R.failed() && NumOffsets != M.numStates() + 1)
       R.fail("state offset table has wrong size");
-    for (uint32_t I = 0; I != NumOffsets && !R.failed(); ++I) {
+    size_t Expected = 0;
+    for (uint32_t S = 0; S != NumOffsets && !R.failed(); ++S) {
       uint32_t O = R.u32();
-      if (O > NumNodes)
-        R.fail("state offset out of range");
-      else
-        Graph.StateOffset.push_back(O);
+      if (R.failed())
+        break;
+      if (O != Expected) {
+        R.fail("state offset disagrees with automaton");
+        break;
+      }
+      Graph.StateOffset.push_back(O);
+      if (S != M.numStates())
+        Expected += M.state(S).Items.size();
+    }
+    if (!R.failed() && Expected != NumNodes)
+      R.fail("node count disagrees with automaton");
+    for (uint32_t I = 0; I != NumNodes && !R.failed(); ++I) {
+      const StateItemGraph::NodeData &N = Graph.Nodes[I];
+      if (Graph.StateOffset[N.State] + N.ItemIndex != I)
+        R.fail("graph node out of state order");
     }
 
     for (uint32_t I = 0; I != NumNodes && !R.failed(); ++I) {
@@ -452,14 +460,13 @@ struct ArtifactAccess {
       uint32_t Prev = 0;
       for (uint32_t I = 0; I != N && !R.failed(); ++I) {
         uint32_t O = R.u32();
-        if (O < Prev)
-          R.fail("adjacency offsets not monotone");
+        if (I == 0 ? O != 0 : O < Prev)
+          R.fail("adjacency offsets not prefix sums");
         else
-          C->Offsets.push_back(Prev = O);
+          C->Begin.push_back(Prev = O);
       }
       uint32_t Len = R.u32();
-      if (!R.failed() && (Len > R.remaining() / 4 ||
-                          (N != 0 && Len != C->Offsets.back())))
+      if (!R.failed() && (Len > R.remaining() / 4 || Len != Prev))
         R.fail("adjacency data length mismatch");
       for (uint32_t I = 0; I != Len && !R.failed(); ++I) {
         uint32_t Node = R.u32();
@@ -472,12 +479,6 @@ struct ArtifactAccess {
 
     if (R.failed())
       return std::nullopt;
-    // The blob's compact offset tables are validated; derive each CSR's
-    // per-row lengths and capacities from them (a restored graph starts
-    // fully compact, like a cold build).
-    Graph.ProdSteps.finishCompactLoad();
-    Graph.RevTransitions.finishCompactLoad();
-    Graph.RevProdSteps.finishCompactLoad();
     // Tables validated against the automaton: derive the pooled node
     // lookahead ids exactly as the build path does (ids are in-memory
     // only; blobs stay structural, so fingerprints are unaffected).

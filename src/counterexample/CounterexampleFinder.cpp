@@ -128,8 +128,8 @@ CounterexampleFinder::makeOwnedGraph(const ParseTable &Table,
                                      const FinderOptions &Opts,
                                      CacheActivity &Activity) {
   // An incremental handoff lends the session's graph — already built
-  // (patched) for exactly this table's automaton — so the finder neither
-  // rebuilds nor restores one.
+  // for exactly this table's automaton — so the finder neither rebuilds
+  // nor restores one.
   if (Opts.Incremental && Opts.Incremental->Graph &&
       &Opts.Incremental->Graph->automaton() == &Table.automaton())
     return std::nullopt;

@@ -91,7 +91,7 @@ struct FinderOptions {
   /// of the cache key: two finders differing only in CachePath (or Jobs)
   /// produce identical reports.
   std::string CachePath;
-  /// Dirty-state incremental handoff from an IncrementalSession, or null
+  /// Incremental handoff from an IncrementalSession, or null
   /// (the default, a standalone run). When set with a usable generation
   /// pair, the finder (a) borrows the session's already-built state-item
   /// graph instead of building or restoring its own, and (b) extends the
@@ -291,7 +291,7 @@ private:
   CacheActivity Cache;
   /// The finder's own graph, absent when an IncrementalSession lends one
   /// through FinderOptions::Incremental (the session's graph is already
-  /// built — patched — for this table's automaton).
+  /// built for this table's automaton).
   std::optional<StateItemGraph> OwnedGraph;
   const StateItemGraph &Graph;
   NonunifyingBuilder Nonunifying;

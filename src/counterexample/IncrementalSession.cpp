@@ -2,7 +2,7 @@
 //
 // Part of lalrcex.
 //
-// Generation management for dirty-state incremental re-analysis, plus the
+// Generation management for incremental re-analysis, plus the
 // verification and rewriting layer that lets a stored conflict report
 // outlive a structural edit. The correctness contract of every helper
 // here is *byte-identity*: a remapped artifact must equal what a cold
@@ -265,11 +265,8 @@ bool IncrementalHandoff::verifyTouched(
       return false;
     unsigned OS = PrevGraph->stateOf(OldN);
     int NS = (*OldToNewState)[OS];
-    // A matched state suffices, spliced or rebuilt: whether the patch
-    // reused the state's storage says nothing about its content, and the
-    // lookahead/row/analysis checks below are the actual proof. A state
-    // rebuilt to identical content (the common case just outside the
-    // dirty cone's core) must not disqualify its conflicts.
+    // A matched state suffices: the lookahead/row/analysis checks below
+    // are the actual proof that the node's content survived.
     if (NS < 0)
       return false;
     const Item &OI = PrevGraph->itemOf(OldN);
@@ -329,7 +326,7 @@ bool IncrementalHandoff::verifyTouched(
 
   if (NewTouched) {
     // New node ids need not be ascending even though the old ones were
-    // (the dirty cone can renumber states); restore the canonical order.
+    // (an edit can renumber states); restore the canonical order.
     std::sort(Translated.begin(), Translated.end());
     *NewTouched = std::move(Translated);
   }
@@ -435,138 +432,60 @@ IncrementalSession::IncrementalSession(Grammar G, AutomatonKind InKind,
                                        MetricsRegistry *InMetrics,
                                        TraceRecorder *InTrace)
     : Kind(InKind), Metrics(InMetrics), Trace(InTrace) {
-  Cur = front(std::move(G));
+  Cur = build(std::move(G));
+}
+
+IncrementalSession::Generation IncrementalSession::build(Grammar G) const {
+  Generation Gen;
+  Gen.G = std::make_unique<Grammar>(std::move(G));
+  Gen.A = std::make_unique<GrammarAnalysis>(*Gen.G, Metrics, Trace);
   AutomatonOptions MO;
   MO.Kind = Kind;
   MO.Metrics = Metrics;
   MO.Trace = Trace;
-  Cur.M = std::make_unique<Automaton>(*Cur.G, *Cur.A, MO);
-  Cur.T = std::make_unique<ParseTable>(*Cur.M);
-  Cur.Graph = std::make_unique<StateItemGraph>(*Cur.M, Metrics, Trace);
-  StableIds.resize(Cur.M->numStates());
-  for (unsigned S = 0; S != Cur.M->numStates(); ++S)
-    StableIds[S] = NextStableId++;
-}
-
-IncrementalSession::Generation IncrementalSession::front(Grammar NewG) const {
-  Generation Gen;
-  Gen.G = std::make_unique<Grammar>(std::move(NewG));
-  Gen.A = std::make_unique<GrammarAnalysis>(*Gen.G, Metrics, Trace);
-  Gen.Slices = std::make_unique<SubGrammarIndex>(*Gen.G);
+  Gen.M = std::make_unique<Automaton>(*Gen.G, *Gen.A, MO);
+  Gen.T = std::make_unique<ParseTable>(*Gen.M);
+  Gen.Graph = std::make_unique<StateItemGraph>(*Gen.M, Metrics, Trace);
   return Gen;
 }
 
-uint64_t IncrementalSession::allocStableId() {
-  if (!FreeIds.empty()) {
-    uint64_t Id = FreeIds.back();
-    FreeIds.pop_back();
-    return Id;
+void IncrementalSession::matchStates() {
+  const Automaton &OldM = *Prev.M, &NewM = *Cur.M;
+  // An old kernel whose productions all map becomes, through the
+  // monotone production map, a sorted new-grammar kernel; the new state
+  // with exactly that kernel is its counterpart. Kernels are distinct
+  // within a machine and the map is injective, so the match is 1:1.
+  std::unordered_map<std::vector<Item>, unsigned, KernelHash> OldByKernel;
+  OldByKernel.reserve(OldM.numStates());
+  std::vector<Item> Kernel;
+  for (unsigned OS = 0, OE = OldM.numStates(); OS != OE; ++OS) {
+    const Automaton::State &St = OldM.state(OS);
+    Kernel.clear();
+    for (unsigned I = 0; I != St.NumKernel; ++I) {
+      int32_t NP = LastDelta.mapProd(St.Items[I].Prod);
+      if (NP < 0)
+        break;
+      Kernel.emplace_back(uint32_t(NP), St.Items[I].Dot);
+    }
+    if (Kernel.size() != St.NumKernel)
+      continue;
+    assert(std::is_sorted(Kernel.begin(), Kernel.end()) &&
+           "a monotone production map keeps kernels sorted");
+    OldByKernel.emplace(Kernel, OS);
   }
-  return NextStableId++;
-}
 
-void IncrementalSession::updateStableIds(bool Patched, const Automaton &NewM) {
-  const unsigned NumNewStates = NewM.numStates();
-  std::vector<uint64_t> NewIds(NumNewStates);
-  std::vector<bool> OldUsed(StableIds.size(), false);
-  if (Patched) {
-    for (unsigned S = 0; S != NumNewStates; ++S) {
-      if (NewToOldState[S] >= 0) {
-        NewIds[S] = StableIds[unsigned(NewToOldState[S])];
-        OldUsed[unsigned(NewToOldState[S])] = true;
-      } else {
-        NewIds[S] = allocStableId();
-      }
-    }
-  } else {
-    // Cold fallback: the patch supplied no state map, but stable ids
-    // must still survive where the state demonstrably did — an edit
-    // session that trips one cold rebuild should not renumber every
-    // state it later refers to. Re-derive the correspondence by kernel
-    // matching: through the delta's production map when the delta is
-    // valid (exact, rename-proof), by the items' textual form otherwise
-    // (correct for any grammar pair; misses renames, the safe direction —
-    // a missed match only costs a fresh id, never a collision).
-    auto textualItem = [](const Grammar &G, const Item &It) {
-      const Production &P = G.production(It.Prod);
-      std::string S = G.name(P.Lhs);
-      S += " ->";
-      for (unsigned J = 0, JE = unsigned(P.Rhs.size()); J != JE; ++J) {
-        if (J == It.Dot)
-          S += " .";
-        S += ' ';
-        S += G.name(P.Rhs[J]);
-      }
-      if (It.Dot == P.Rhs.size())
-        S += " .";
-      return S;
-    };
-    // Kernel keys are order-insensitive (sorted parts): the textual form
-    // need not order items the way either generation's kernels do.
-    auto kernelKey = [](std::vector<std::string> Parts) {
-      std::sort(Parts.begin(), Parts.end());
-      std::string Key;
-      for (const std::string &P : Parts) {
-        Key += P;
-        Key += '\n';
-      }
-      return Key;
-    };
-    const bool UseDelta = LastDelta.Valid;
-    std::unordered_map<std::string, unsigned> OldByKernel;
-    for (unsigned OS = 0, OE = Cur.M->numStates(); OS != OE; ++OS) {
-      const Automaton::State &St = Cur.M->state(OS);
-      std::vector<std::string> Parts;
-      bool OkKernel = true;
-      for (unsigned I = 0; I != St.NumKernel && OkKernel; ++I) {
-        if (UseDelta) {
-          int32_t NP = LastDelta.mapProd(St.Items[I].Prod);
-          if (NP < 0)
-            OkKernel = false;
-          else
-            Parts.push_back(
-                std::to_string(Item(uint32_t(NP), St.Items[I].Dot).key()));
-        } else {
-          Parts.push_back(textualItem(*Cur.G, St.Items[I]));
-        }
-      }
-      if (OkKernel)
-        OldByKernel.emplace(kernelKey(std::move(Parts)), OS);
-    }
-    for (unsigned S = 0; S != NumNewStates; ++S) {
-      const Automaton::State &St = NewM.state(S);
-      std::vector<std::string> Parts;
-      for (unsigned I = 0; I != St.NumKernel; ++I)
-        Parts.push_back(UseDelta
-                            ? std::to_string(St.Items[I].key())
-                            : textualItem(NewM.grammar(), St.Items[I]));
-      auto It = OldByKernel.find(kernelKey(std::move(Parts)));
-      if (It != OldByKernel.end() && !OldUsed[It->second]) {
-        NewIds[S] = StableIds[It->second];
-        OldUsed[It->second] = true;
-      } else {
-        NewIds[S] = allocStableId();
-      }
-    }
+  OldToNewState.assign(OldM.numStates(), -1);
+  NewToOldState.assign(NewM.numStates(), -1);
+  for (unsigned S = 0, SE = NewM.numStates(); S != SE; ++S) {
+    const Automaton::State &St = NewM.state(S);
+    Kernel.assign(St.Items.begin(), St.Items.begin() + St.NumKernel);
+    auto It = OldByKernel.find(Kernel);
+    if (It == OldByKernel.end())
+      continue;
+    NewToOldState[S] = int(It->second);
+    OldToNewState[It->second] = int(S);
+    ++Stats.Patch.StatesReused;
   }
-  std::vector<uint64_t> Dying;
-  for (unsigned OS = 0, OE = unsigned(OldUsed.size()); OS != OE; ++OS)
-    if (!OldUsed[OS])
-      Dying.push_back(StableIds[OS]);
-  StableIds = std::move(NewIds);
-  // Tombstone semantics: ids dying in *this* advance are appended after
-  // all of this advance's allocations, so a delete-then-add within one
-  // edit can never hand the deleted state's id to the added state; the
-  // parked ids become allocatable from the next advance on.
-  FreeIds.insert(FreeIds.end(), Dying.begin(), Dying.end());
-  assert(stableIdsDistinct() && "a stable id is live twice");
-}
-
-bool IncrementalSession::stableIdsDistinct() const {
-  std::vector<uint64_t> All = StableIds;
-  All.insert(All.end(), FreeIds.begin(), FreeIds.end());
-  std::sort(All.begin(), All.end());
-  return std::adjacent_find(All.begin(), All.end()) == All.end();
 }
 
 const IncrementalSession::AdvanceStats &
@@ -574,59 +493,30 @@ IncrementalSession::advance(Grammar NewG) {
   Stats = AdvanceStats{};
   HandoffValid = false;
 
-  Generation Next = front(std::move(NewG));
-  LastDelta =
-      computeGrammarDelta(*Cur.G, *Cur.Slices, *Next.G, *Next.Slices);
-
-  AutomatonOptions MO;
-  MO.Kind = Kind;
-  MO.Metrics = Metrics;
-  MO.Trace = Trace;
-  OldToNewState.clear();
-  NewToOldState.clear();
-  SplicedNew.clear();
-  LaCopied.clear();
-  if (LastDelta.Valid) {
-    Next.M = Automaton::patch(*Next.G, *Next.A, *Cur.M, LastDelta, MO,
-                              &Stats.Patch, &OldToNewState, &NewToOldState,
-                              &SplicedNew, &LaCopied);
-    if (Next.M)
-      Stats.Patched = true;
-    else
-      Stats.ColdReason = "patch inapplicable for this automaton kind";
-  } else {
-    Stats.ColdReason = LastDelta.InvalidReason;
-  }
-  if (!Next.M)
-    Next.M = std::make_unique<Automaton>(*Next.G, *Next.A, MO);
-
-  if (Stats.Patched) {
-    Next.T = std::make_unique<ParseTable>(*Next.M, *Cur.T, LastDelta,
-                                          OldToNewState, NewToOldState,
-                                          SplicedNew, LaCopied, &Stats.Table);
-    Next.Graph = std::make_unique<StateItemGraph>(
-        *Next.M, *Cur.Graph, NewToOldState, SplicedNew, &Stats.Graph,
-        Metrics, Trace);
-  } else {
-    Next.T = std::make_unique<ParseTable>(*Next.M);
-    Next.Graph = std::make_unique<StateItemGraph>(*Next.M, Metrics, Trace);
-  }
-
-  updateStableIds(Stats.Patched, *Next.M);
-
+  Generation Next = build(std::move(NewG));
+  LastDelta = computeGrammarDelta(*Cur.G, *Next.G);
   Prev = std::move(Cur);
   Cur = std::move(Next);
 
-  if (Stats.Patched) {
-    Handoff.PrevG = Prev.G.get();
-    Handoff.PrevTable = Prev.T.get();
-    Handoff.PrevGraph = Prev.Graph.get();
-    Handoff.Delta = &LastDelta;
-    Handoff.OldToNewState = &OldToNewState;
-    Handoff.NewToOldState = &NewToOldState;
-    Handoff.SplicedNew = &SplicedNew;
-    Handoff.Graph = Cur.Graph.get();
-    HandoffValid = true;
+  if (!LastDelta.Valid) {
+    Stats.ColdReason = LastDelta.InvalidReason;
+    return Stats;
   }
+  // Canonical LR(1) states share LR(0) kernels, so a kernel names no
+  // unique state there.
+  if (Kind != AutomatonKind::Lalr1) {
+    Stats.ColdReason = "kernel matching needs LALR(1) states";
+    return Stats;
+  }
+  matchStates();
+  Stats.Patched = true;
+  Handoff.PrevG = Prev.G.get();
+  Handoff.PrevTable = Prev.T.get();
+  Handoff.PrevGraph = Prev.Graph.get();
+  Handoff.Delta = &LastDelta;
+  Handoff.OldToNewState = &OldToNewState;
+  Handoff.NewToOldState = &NewToOldState;
+  Handoff.Graph = Cur.Graph.get();
+  HandoffValid = true;
   return Stats;
 }

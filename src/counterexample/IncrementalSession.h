@@ -1,4 +1,4 @@
-//===- counterexample/IncrementalSession.h - Dirty-state sessions *- C++ -*-===//
+//===- counterexample/IncrementalSession.h - Edit-loop sessions -*- C++ -*-===//
 //
 // Part of lalrcex.
 //
@@ -6,38 +6,16 @@
 ///
 /// \file
 /// The session object behind `-edit-loop` style workflows: it owns one
-/// grammar's full analysis generation (grammar, analysis, slices,
-/// automaton, parse table, state-item graph) and, on each edit, advances
-/// to the next generation by *patching* instead of rebuilding whenever the
-/// structural diff (grammar/GrammarDelta.h) permits:
+/// grammar's full analysis generation (grammar, analysis, automaton,
+/// parse table, state-item graph) and, on each edit, builds the next
+/// generation cold and relates it to the previous one:
 ///
-///   - the automaton is rebuilt through Automaton::patch, which splices
-///     the item closures of every provably-clean state and recomputes
-///     all lookaheads — producing a machine byte-identical to a cold
-///     build;
-///   - the parse table is rebuilt through its patch constructor, which
-///     translates the ACTION rows and conflict records of spliced states
-///     whose lookahead vectors equal the old ones, falling back to the cold
-///     per-state pass wherever the edit touched a precedence input the
-///     old row's resolution consulted;
-///   - the state-item graph is rebuilt through its patch constructor,
-///     translating the adjacency rows of spliced states arithmetically
-///     into a slack-bearing CSR layout that lets grown rows relocate
-///     without a global relayout.
-///
-/// Two layers of reuse ride on top:
-///
-/// **Stable state ids.** Automaton state numbers are generation-local (a
-/// structural edit renumbers the dirty cone). The session maintains a
-/// parallel table of session-stable 64-bit ids: a kernel-matched state
-/// keeps its id across generations — including across a *cold* fallback,
-/// where the patch supplies no state map and the session re-derives one
-/// by kernel matching (through the delta's production map when the delta
-/// is valid, by the items' textual form otherwise) — a dead state's id
-/// is tombstoned for one generation and then returns to a freelist, and
-/// a fresh state draws from the freelist before minting a new id.
-/// Delete-then-add within one edit therefore never collides, while long
-/// edit sessions don't grow the id space without bound.
+///   - the structural diff (grammar/GrammarDelta.h) supplies the symbol,
+///     production and terminal maps;
+///   - when the delta is valid and the machine is LALR(1), the states are
+///     kernel-matched: every old kernel, mapped through the production
+///     map, is interned, and each new kernel is looked up. A new state
+///     and an old state correspond exactly when their kernels do.
 ///
 /// **Conflict-report remapping.** After a structural edit every
 /// per-conflict `.crep` key misses (the key hashes automaton structure by
@@ -59,7 +37,6 @@
 #include "counterexample/CounterexampleFinder.h"
 #include "counterexample/StateItemGraph.h"
 #include "grammar/GrammarDelta.h"
-#include "grammar/SubGrammar.h"
 #include "lr/ParseTable.h"
 
 #include <memory>
@@ -81,8 +58,6 @@ struct IncrementalHandoff {
   const std::vector<int> *OldToNewState = nullptr;
   /// New state -> old state (kernel-matched) or -1.
   const std::vector<int> *NewToOldState = nullptr;
-  /// Per new state: item layout identical to its old counterpart.
-  const std::vector<bool> *SplicedNew = nullptr;
   /// The *current* generation's graph (the one the finder must search).
   const StateItemGraph *Graph = nullptr;
 
@@ -96,13 +71,12 @@ struct IncrementalHandoff {
 
   /// The current-generation node for old-generation node \p OldN, or
   /// InvalidNode when its state died or its item's production is
-  /// unmapped. Mapping goes through (state, item) identity, so it is
-  /// valid for any matched state, spliced or not.
+  /// unmapped. Mapping goes through (state, item) identity.
   StateItemGraph::NodeId mapOldNode(StateItemGraph::NodeId OldN) const;
 
   /// Verifies that every node of \p OldTouched — the read set recorded
   /// during the original search — survives the edit unchanged: its state
-  /// spliced, its item's production mapped, its lookahead set equal, and
+  /// matched, its item's production mapped, its lookahead set equal, and
   /// all four adjacency rows equal *elementwise in order* under mapOldNode
   /// (order matters: the replayed search must read identical sequences,
   /// not just identical sets). On top of the graph rows it certifies the
@@ -130,74 +104,63 @@ struct IncrementalHandoff {
                    const Conflict &NewC, ConflictReport &Out) const;
 };
 
-/// Owns successive analysis generations over an edited grammar and
-/// patches rather than rebuilds across structurally-mild edits. See the
-/// file comment for the architecture.
+/// Owns successive analysis generations over an edited grammar and the
+/// state correspondence between the last two. See the file comment.
 class IncrementalSession {
 public:
-  /// What one advance() did, for bench records and diagnostics.
-  struct AdvanceStats {
-    bool Patched = false;        ///< automaton patched (else cold rebuild)
-    std::string ColdReason;      ///< why cold, when !Patched
-    AutomatonPatchStats Patch;   ///< valid when Patched
-    TablePatchStats Table;       ///< valid when Patched
-    GraphPatchStats Graph;       ///< valid when Patched
+  /// Kernel-match counts of one advance.
+  struct StateMatchStats {
+    unsigned StatesReused = 0; ///< new states kernel-matched to an old state
   };
 
-  /// Builds the first generation cold.
+  /// What one advance() did, for bench records and diagnostics.
+  struct AdvanceStats {
+    /// Delta valid, states kernel-matched, handoff offered.
+    bool Patched = false;
+    std::string ColdReason; ///< why no handoff, when !Patched
+    StateMatchStats Patch;  ///< valid when Patched
+  };
+
+  /// Builds the first generation.
   explicit IncrementalSession(Grammar G,
                               AutomatonKind Kind = AutomatonKind::Lalr1,
                               MetricsRegistry *Metrics = nullptr,
                               TraceRecorder *Trace = nullptr);
 
-  /// Advances to \p NewG: computes the delta against the current
-  /// generation, patches the automaton and graph when the delta permits,
-  /// falls back to a cold rebuild otherwise. The previous generation is
-  /// retained (for the handoff) until the advance after this one.
+  /// Advances to \p NewG: builds its generation cold, computes the delta
+  /// against the current one, and kernel-matches the states when the
+  /// delta permits. The previous generation is retained (for the handoff)
+  /// until the advance after this one.
   const AdvanceStats &advance(Grammar NewG);
 
   const Grammar &grammar() const { return *Cur.G; }
   const GrammarAnalysis &analysis() const { return *Cur.A; }
-  const SubGrammarIndex &slices() const { return *Cur.Slices; }
   const Automaton &automaton() const { return *Cur.M; }
   const ParseTable &table() const { return *Cur.T; }
   const StateItemGraph &graph() const { return *Cur.Graph; }
 
-  /// The remap handoff for the finder, or null when the last advance fell
-  /// back to a cold rebuild (or no advance has happened yet). Valid until
-  /// the next advance().
+  /// The remap handoff for the finder, or null when the last advance could
+  /// not match states (or no advance has happened yet). Valid until the
+  /// next advance().
   const IncrementalHandoff *handoff() const {
     return HandoffValid ? &Handoff : nullptr;
   }
-
-  /// Session-stable id of current state \p State (see file comment).
-  uint64_t stableStateId(unsigned State) const { return StableIds[State]; }
-  const std::vector<uint64_t> &stableStateIds() const { return StableIds; }
-  /// Ids currently parked on the freelist (tombstoned last advance or
-  /// earlier, available to the next).
-  size_t freeStateIdCount() const { return FreeIds.size(); }
-
-  /// The lifecycle invariant: no id is live for two states at once or
-  /// both live and parked on the freelist. Checked (asserted) after
-  /// every advance; exposed so tests can check it after theirs.
-  bool stableIdsDistinct() const;
 
 private:
   struct Generation {
     std::unique_ptr<Grammar> G;
     std::unique_ptr<GrammarAnalysis> A;
-    std::unique_ptr<SubGrammarIndex> Slices;
     std::unique_ptr<Automaton> M;
     std::unique_ptr<ParseTable> T;
     std::unique_ptr<StateItemGraph> Graph;
   };
 
-  /// Grammar/analysis/slices of \p NewG (the delta needs these before the
-  /// patch-or-cold decision).
-  Generation front(Grammar NewG) const;
+  /// Builds \p G's whole generation cold.
+  Generation build(Grammar G) const;
 
-  uint64_t allocStableId();
-  void updateStableIds(bool Patched, const Automaton &NewM);
+  /// Fills OldToNewState/NewToOldState by kernel matching Prev.M against
+  /// Cur.M through LastDelta's production map.
+  void matchStates();
 
   AutomatonKind Kind;
   MetricsRegistry *Metrics;
@@ -206,14 +169,9 @@ private:
   Generation Cur, Prev;
   GrammarDelta LastDelta;
   std::vector<int> OldToNewState, NewToOldState;
-  std::vector<bool> SplicedNew, LaCopied;
   IncrementalHandoff Handoff;
   bool HandoffValid = false;
   AdvanceStats Stats;
-
-  std::vector<uint64_t> StableIds;
-  std::vector<uint64_t> FreeIds;
-  uint64_t NextStableId = 0;
 };
 
 } // namespace lalrcex

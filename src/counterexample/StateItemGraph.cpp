@@ -23,6 +23,26 @@ std::vector<uint32_t> GraphTouchRecorder::sortedNodes() const {
   return Out;
 }
 
+namespace {
+
+/// Fills the CSR \p Begin / \p Data with the transpose of the edges
+/// \p ForEachEdge enumerates (it calls its argument with (source, target),
+/// sources ascending) by a counting sort, so each row lists its sources
+/// in ascending order.
+template <typename ForEachEdgeFn>
+void transpose(size_t NumNodes, std::vector<uint32_t> &Begin,
+               std::vector<uint32_t> &Data, ForEachEdgeFn ForEachEdge) {
+  Begin.assign(NumNodes + 1, 0);
+  ForEachEdge([&](uint32_t, uint32_t To) { ++Begin[To + 1]; });
+  for (size_t N = 0; N != NumNodes; ++N)
+    Begin[N + 1] += Begin[N];
+  Data.resize(Begin[NumNodes]);
+  std::vector<uint32_t> Cursor(Begin.begin(), Begin.end() - 1);
+  ForEachEdge([&](uint32_t From, uint32_t To) { Data[Cursor[To]++] = From; });
+}
+
+} // namespace
+
 StateItemGraph::StateItemGraph(const Automaton &M, MetricsRegistry *Metrics,
                                TraceRecorder *Trace)
     : M(M), LaPool(TerminalSetPool::overlay(M.analysis().pool())) {
@@ -32,212 +52,75 @@ StateItemGraph::StateItemGraph(const Automaton &M, MetricsRegistry *Metrics,
 
   // Enumerate nodes: per state, in the state's item order.
   StateOffset.assign(M.numStates() + 1, 0);
-  for (unsigned S = 0, SE = M.numStates(); S != SE; ++S) {
-    StateOffset[S] = unsigned(Nodes.size());
-    const Automaton::State &St = M.state(S);
-    for (unsigned I = 0, IE = unsigned(St.Items.size()); I != IE; ++I)
-      Nodes.push_back(NodeData{S, I, St.Items[I]});
-  }
-  StateOffset[M.numStates()] = unsigned(Nodes.size());
-
-  Fwd.assign(Nodes.size(), InvalidNode);
-  std::vector<std::vector<NodeId>> ProdRows(Nodes.size());
-  std::vector<std::vector<NodeId>> RevTransRows(Nodes.size());
-  std::vector<std::vector<NodeId>> RevProdRows(Nodes.size());
-
-  for (NodeId N = 0, NE = NodeId(Nodes.size()); N != NE; ++N) {
-    const NodeData &D = Nodes[N];
-    Symbol Next = D.Itm.afterDot(G);
-    if (!Next.valid())
-      continue;
-
-    // Transition edge.
-    int Target = M.transition(D.State, Next);
-    assert(Target >= 0 && "state must have a transition on the dot symbol");
-    NodeId Succ = nodeFor(unsigned(Target), D.Itm.advanced());
-    assert(Succ != InvalidNode && "advanced item missing from target state");
-    Fwd[N] = Succ;
-    RevTransRows[Succ].push_back(N);
-
-    // Production-step edges.
-    if (G.isNonterminal(Next)) {
-      for (unsigned P : G.productionsOf(Next)) {
-        NodeId Step = nodeFor(D.State, Item(P, 0));
-        assert(Step != InvalidNode && "closure item missing from state");
-        ProdRows[N].push_back(Step);
-        RevProdRows[Step].push_back(N);
-      }
-    }
-  }
-
-  ProdSteps = Csr::fromRows(ProdRows);
-  RevTransitions = Csr::fromRows(RevTransRows);
-  RevProdSteps = Csr::fromRows(RevProdRows);
-  internNodeLookaheads();
-
-  if (Metrics) {
-    Metrics->add(metric::GraphBuilds);
-    Metrics->add(metric::GraphNodes, Nodes.size());
-    size_t Edges = ProdSteps.totalEntries();
-    for (NodeId F : Fwd)
-      if (F != InvalidNode)
-        ++Edges;
-    Metrics->add(metric::GraphEdges, Edges);
-  }
-}
-
-StateItemGraph::StateItemGraph(const Automaton &M, const StateItemGraph &Old,
-                               const std::vector<int> &NewToOldState,
-                               const std::vector<bool> &SplicedNew,
-                               GraphPatchStats *Stats, MetricsRegistry *Metrics,
-                               TraceRecorder *Trace)
-    : M(M), LaPool(TerminalSetPool::overlay(M.analysis().pool())) {
-  ScopedTimer Timer(Metrics, metric::TimeGraphBuildNs);
-  TraceSpan Span(Trace, "graph-patch");
-  const Grammar &G = M.grammar();
-  assert(NewToOldState.size() == M.numStates() &&
-         SplicedNew.size() == M.numStates() && "state maps of another patch");
-
-  // Node enumeration always follows the new automaton — it defines node
-  // ids and is a linear copy.
-  StateOffset.assign(M.numStates() + 1, 0);
-  for (unsigned S = 0, SE = M.numStates(); S != SE; ++S) {
-    StateOffset[S] = unsigned(Nodes.size());
-    const Automaton::State &St = M.state(S);
-    for (unsigned I = 0, IE = unsigned(St.Items.size()); I != IE; ++I)
-      Nodes.push_back(NodeData{S, I, St.Items[I]});
-  }
-  StateOffset[M.numStates()] = unsigned(Nodes.size());
-
-  std::vector<int> OldToNew(Old.M.numStates(), -1);
   for (unsigned S = 0, SE = M.numStates(); S != SE; ++S)
-    if (NewToOldState[S] >= 0)
-      OldToNew[unsigned(NewToOldState[S])] = int(S);
+    StateOffset[S + 1] = StateOffset[S] + unsigned(M.state(S).Items.size());
+  const NodeId NumNodes = StateOffset[M.numStates()];
+  Nodes.reserve(NumNodes);
+  for (unsigned S = 0, SE = M.numStates(); S != SE; ++S) {
+    const Automaton::State &St = M.state(S);
+    for (unsigned I = 0, IE = unsigned(St.Items.size()); I != IE; ++I)
+      Nodes.push_back(NodeData{S, I, St.Items[I]});
+  }
 
-  const NodeId NumNodes = NodeId(Nodes.size());
+  // Forward edges and production-step rows, state by state. A dot-0 item
+  // is always a closure item (S' -> . S aside, which no right-hand side
+  // mentions), so stamping each production's dot-0 node per state answers
+  // every production-step target of the state. A transition's advanced
+  // item is a kernel item of the goto state, and kernels are sorted, so a
+  // binary search over that kernel finds the forward target.
   Fwd.assign(NumNodes, InvalidNode);
-
-  // Lay the three CSRs out up front. A production-step row's length is
-  // exactly computable from the node's item alone (the productions of the
-  // symbol after its dot), so ProdSteps never relocates. Reverse row
-  // lengths are in-degrees — not locally computable — so they are
-  // predicted from the old counterpart's rows where one exists and given
-  // a small default otherwise; rows that outgrow the prediction relocate
-  // to a tail segment via push(). This is the slack scheme's payoff: one
-  // fill pass instead of the count-then-fill counting sort, without
-  // risking a wrong layout.
-  std::vector<uint32_t> ProdCaps(NumNodes, 0), RevTCaps(NumNodes, 0),
-      RevPCaps(NumNodes, 0);
+  ProdSteps.Begin.reserve(NumNodes + 1);
+  ProdSteps.Begin.push_back(0);
+  std::vector<NodeId> DotZero(G.numProductions(), InvalidNode);
   for (unsigned S = 0, SE = M.numStates(); S != SE; ++S) {
-    int OS = NewToOldState[S];
-    unsigned OldCount = OS >= 0 ? Old.StateOffset[unsigned(OS) + 1] -
-                                      Old.StateOffset[unsigned(OS)]
-                                : 0;
-    for (NodeId N = StateOffset[S], NE = StateOffset[S + 1]; N != NE; ++N) {
-      Symbol Next = Nodes[N].Itm.afterDot(G);
-      if (Next.valid() && G.isNonterminal(Next))
-        ProdCaps[N] = uint32_t(G.productionsOf(Next).size());
-      unsigned I = Nodes[N].ItemIndex;
-      if (I < OldCount) {
-        NodeId ON = Old.StateOffset[unsigned(OS)] + I;
-        RevTCaps[N] = Old.RevTransitions.Lens[ON];
-        RevPCaps[N] = Old.RevProdSteps.Lens[ON];
-      } else {
-        RevTCaps[N] = 2;
-        RevPCaps[N] = 2;
-      }
-    }
-  }
-  ProdSteps.layout(ProdCaps);
-  RevTransitions.layout(RevTCaps);
-  RevProdSteps.layout(RevPCaps);
-
-  GraphPatchStats PS;
-  for (unsigned S = 0, SE = M.numStates(); S != SE; ++S) {
-    if (SplicedNew[S]) {
-      // Spliced state: same item layout as its old counterpart, so each
-      // node's rows translate arithmetically. Transition targets are
-      // kernel items of kernel-matched states (kernels are sorted and
-      // the production map is monotone, so kernel item indices are
-      // preserved even in states whose closures were rebuilt), and
-      // production steps stay within this state — the whole row shifts
-      // by one per-state constant (unsigned wrap handles a shift in
-      // either direction), so it copies as a single bulk add.
-      unsigned OS = unsigned(NewToOldState[S]);
-      unsigned Count = StateOffset[S + 1] - StateOffset[S];
-      uint32_t DeltaOff = StateOffset[S] - Old.StateOffset[OS];
-      for (unsigned I = 0; I != Count; ++I) {
-        NodeId N = StateOffset[S] + I;
-        NodeId ON = Old.StateOffset[OS] + I;
-        NodeId OF = Old.Fwd[ON];
-        if (OF != InvalidNode) {
-          unsigned OldTargetState = Old.Nodes[OF].State;
-          assert(OldToNew[OldTargetState] >= 0 &&
-                 "spliced state's transition target must be matched");
-          Fwd[N] = StateOffset[unsigned(OldToNew[OldTargetState])] +
-                   Old.Nodes[OF].ItemIndex;
-        }
-        NodeRange ORow = Old.ProdSteps.row(ON);
-        assert(uint32_t(ORow.size()) == ProdSteps.Caps[N] &&
-               "spliced node's production-step row length must be exact");
-        ProdSteps.Lens[N] = uint32_t(ORow.size());
-        NodeId *Dst = ProdSteps.rowData(N);
-        unsigned K = 0;
-        for (NodeId OStep : ORow) {
-          assert(NodeId(OStep + DeltaOff) ==
-                     StateOffset[S] + Old.Nodes[OStep].ItemIndex &&
-                 "production-step target must stay within the state");
-          Dst[K++] = OStep + DeltaOff;
+    const Automaton::State &St = M.state(S);
+    const NodeId Base = StateOffset[S];
+    for (unsigned I = 0, IE = unsigned(St.Items.size()); I != IE; ++I)
+      if (St.Items[I].Dot == 0)
+        DotZero[St.Items[I].Prod] = Base + I;
+    for (unsigned I = 0, IE = unsigned(St.Items.size()); I != IE; ++I) {
+      const Item &Itm = St.Items[I];
+      Symbol Next = Itm.afterDot(G);
+      if (Next.valid()) {
+        int Target = M.transition(S, Next);
+        assert(Target >= 0 && "state must have a transition on the dot symbol");
+        const Automaton::State &To = M.state(unsigned(Target));
+        auto KernelEnd = To.Items.begin() + To.NumKernel;
+        auto It = std::lower_bound(To.Items.begin(), KernelEnd, Itm.advanced());
+        assert(It != KernelEnd && *It == Itm.advanced() &&
+               "advanced item missing from the target kernel");
+        Fwd[Base + I] =
+            StateOffset[unsigned(Target)] + NodeId(It - To.Items.begin());
+        if (G.isNonterminal(Next)) {
+          for (unsigned P : G.productionsOf(Next)) {
+            assert(DotZero[P] >= Base && DotZero[P] < StateOffset[S + 1] &&
+                   "closure item missing from state");
+            ProdSteps.Data.push_back(DotZero[P]);
+          }
         }
       }
-      PS.RowsPatched += Count;
-      continue;
+      ProdSteps.Begin.push_back(uint32_t(ProdSteps.Data.size()));
     }
-    // Dirty or fresh state: the cold per-node derivation.
-    for (NodeId N = StateOffset[S], NE = StateOffset[S + 1]; N != NE; ++N) {
-      const NodeData &D = Nodes[N];
-      Symbol Next = D.Itm.afterDot(G);
-      if (!Next.valid())
-        continue;
-      int Target = M.transition(D.State, Next);
-      assert(Target >= 0 && "state must have a transition on the dot symbol");
-      NodeId Succ = nodeFor(unsigned(Target), D.Itm.advanced());
-      assert(Succ != InvalidNode && "advanced item missing from target state");
-      Fwd[N] = Succ;
-      if (G.isNonterminal(Next)) {
-        for (unsigned P : G.productionsOf(Next)) {
-          NodeId Step = nodeFor(D.State, Item(P, 0));
-          assert(Step != InvalidNode && "closure item missing from state");
-          ProdSteps.push(N, Step);
-        }
-      }
-    }
-    PS.RowsRebuilt += StateOffset[S + 1] - StateOffset[S];
   }
 
-  // Reverse tables in one ascending-source pass — the cold builder pushes
-  // reverse entries in exactly this order, so the rebuilt rows match a
-  // cold build's byte for byte; a relocation moves a row's prefix
-  // verbatim, preserving that order.
-  for (NodeId N = 0; N != NumNodes; ++N) {
-    if (Fwd[N] != InvalidNode)
-      PS.RowsRelocated += RevTransitions.push(Fwd[N], N);
-    for (NodeId Step : ProdSteps.row(N))
-      PS.RowsRelocated += RevProdSteps.push(Step, N);
-  }
-
+  transpose(NumNodes, RevTransitions.Begin, RevTransitions.Data,
+            [&](auto Edge) {
+              for (NodeId N = 0; N != NumNodes; ++N)
+                if (Fwd[N] != InvalidNode)
+                  Edge(N, Fwd[N]);
+            });
+  transpose(NumNodes, RevProdSteps.Begin, RevProdSteps.Data, [&](auto Edge) {
+    for (NodeId N = 0; N != NumNodes; ++N)
+      for (NodeId Step : ProdSteps.row(N))
+        Edge(N, Step);
+  });
   internNodeLookaheads();
-  if (Stats)
-    *Stats = PS;
 
   if (Metrics) {
     Metrics->add(metric::GraphBuilds);
     Metrics->add(metric::GraphNodes, Nodes.size());
-    size_t Edges = ProdSteps.totalEntries();
-    for (NodeId F : Fwd)
-      if (F != InvalidNode)
-        ++Edges;
-    Metrics->add(metric::GraphEdges, Edges);
+    Metrics->add(metric::GraphEdges,
+                 ProdSteps.Data.size() + RevTransitions.Data.size());
   }
 }
 
@@ -248,72 +131,6 @@ void StateItemGraph::internNodeLookaheads() {
     NodeLookIds.push_back(
         LaPool.intern(M.state(D.State).Lookaheads[D.ItemIndex]));
   LaPool.freeze();
-}
-
-StateItemGraph::Csr
-StateItemGraph::Csr::fromRows(const std::vector<std::vector<NodeId>> &Rows) {
-  Csr Out;
-  Out.Offsets.reserve(Rows.size());
-  Out.Lens.reserve(Rows.size());
-  size_t Total = 0;
-  for (const std::vector<NodeId> &R : Rows) {
-    Out.Offsets.push_back(uint32_t(Total));
-    Out.Lens.push_back(uint32_t(R.size()));
-    Total += R.size();
-  }
-  Out.Caps = Out.Lens;
-  Out.Data.reserve(Total);
-  for (const std::vector<NodeId> &R : Rows)
-    Out.Data.insert(Out.Data.end(), R.begin(), R.end());
-  return Out;
-}
-
-size_t StateItemGraph::Csr::totalEntries() const {
-  size_t Total = 0;
-  for (uint32_t L : Lens)
-    Total += L;
-  return Total;
-}
-
-void StateItemGraph::Csr::layout(const std::vector<uint32_t> &RowCaps) {
-  Offsets.resize(RowCaps.size());
-  Lens.assign(RowCaps.size(), 0);
-  Caps = RowCaps;
-  size_t Total = 0;
-  for (size_t N = 0, NE = RowCaps.size(); N != NE; ++N) {
-    Offsets[N] = uint32_t(Total);
-    Total += RowCaps[N];
-  }
-  Data.assign(Total, InvalidNode);
-}
-
-bool StateItemGraph::Csr::push(NodeId N, NodeId V) {
-  bool Relocated = false;
-  if (Lens[N] == Caps[N]) {
-    // The row outgrew its slack: relocate it to a fresh tail segment with
-    // geometric headroom. The old storage becomes a hole — cheap compared
-    // to relaying out every row after it, and serialization re-compacts.
-    uint32_t NewCap = Caps[N] + Caps[N] / 2 + 4;
-    uint32_t NewOff = uint32_t(Data.size());
-    Data.resize(Data.size() + NewCap, InvalidNode);
-    std::copy(Data.begin() + Offsets[N], Data.begin() + Offsets[N] + Lens[N],
-              Data.begin() + NewOff);
-    Offsets[N] = NewOff;
-    Caps[N] = NewCap;
-    Relocated = true;
-  }
-  Data[Offsets[N] + Lens[N]++] = V;
-  return Relocated;
-}
-
-void StateItemGraph::Csr::finishCompactLoad() {
-  assert(!Offsets.empty() && "compact load requires the sentinel offset");
-  size_t Rows = Offsets.size() - 1;
-  Lens.resize(Rows);
-  for (size_t N = 0; N != Rows; ++N)
-    Lens[N] = Offsets[N + 1] - Offsets[N];
-  Caps = Lens;
-  Offsets.pop_back();
 }
 
 StateItemGraph::NodeId StateItemGraph::nodeFor(unsigned State,

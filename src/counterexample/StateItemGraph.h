@@ -111,14 +111,6 @@ private:
   GraphTouchRecorder *Saved;
 };
 
-/// What one StateItemGraph patch construction translated versus
-/// re-derived; feeds the schema-7 graph_rows_* bench fields.
-struct GraphPatchStats {
-  unsigned RowsPatched = 0;   ///< node rows translated from the old graph
-  unsigned RowsRebuilt = 0;   ///< node rows re-derived cold
-  unsigned RowsRelocated = 0; ///< slack overflows: rows moved to a tail segment
-};
-
 /// Precomputed node/edge tables over (state, item) pairs.
 class StateItemGraph {
 public:
@@ -145,28 +137,6 @@ public:
   explicit StateItemGraph(const Automaton &M,
                           MetricsRegistry *Metrics = nullptr,
                           TraceRecorder *Trace = nullptr);
-
-  /// Incremental rebuild over a patched automaton: node enumeration is
-  /// always recomputed from \p M (it is cheap and defines node ids), but
-  /// the adjacency rows of every *spliced* state — per-new-state flag
-  /// \p SplicedNew, old counterpart in \p NewToOldState, both from
-  /// Automaton::patch — are translated arithmetically from \p Old
-  /// instead of re-deriving them through transition lookups and item
-  /// searches. A spliced state's production-step row even translates by
-  /// a single per-state constant (its targets stay within the state), so
-  /// the fill is one bulk add over the old span. The three CSRs are laid
-  /// out up front from per-row capacities predicted by the old graph
-  /// (exact for spliced rows); dirty, fresh, and in-degree-grown rows
-  /// that outgrow their prediction relocate to a tail segment instead of
-  /// forcing a global relayout (see Csr::push). Reverse tables fill in
-  /// one ascending-source pass, reproducing the cold construction order
-  /// exactly. The result is identical to a cold build over \p M.
-  StateItemGraph(const Automaton &M, const StateItemGraph &Old,
-                 const std::vector<int> &NewToOldState,
-                 const std::vector<bool> &SplicedNew,
-                 GraphPatchStats *Stats = nullptr,
-                 MetricsRegistry *Metrics = nullptr,
-                 TraceRecorder *Trace = nullptr);
 
   const Automaton &automaton() const { return M; }
   const Grammar &grammar() const { return M.grammar(); }
@@ -258,43 +228,17 @@ private:
       R->touch(N);
   }
 
-  /// Compressed-sparse-row adjacency with per-row slack: all rows live in
-  /// one contiguous array, but each row records its start, live length,
-  /// and capacity separately, so a row can grow in place up to its
-  /// capacity and *relocate to a tail segment* (leaving a hole) when it
-  /// outgrows it — no global relayout. One allocation per edge kind
-  /// instead of one vector per node, and the search's hottest loops walk
-  /// cache-dense spans instead of chasing vector headers. Cold builds and
-  /// cache restores produce the fully compact layout (Caps == Lens, no
-  /// holes), so serialization stays byte-identical across build paths.
+  /// Compressed-sparse-row adjacency: row N is Data[Begin[N], Begin[N + 1]).
+  /// One allocation per edge kind instead of one vector per node, so the
+  /// search's hottest loops walk cache-dense spans instead of chasing
+  /// vector headers. The two arrays are also the graph blob's layout.
   struct Csr {
-    std::vector<uint32_t> Offsets; // per row: start of the row in Data
-    std::vector<uint32_t> Lens;    // per row: live length
-    std::vector<uint32_t> Caps;    // per row: capacity before relocation
-    std::vector<NodeId> Data;      // row storage; relocated rows leave holes
+    std::vector<uint32_t> Begin; // NumNodes + 1 prefix sums
+    std::vector<NodeId> Data;
 
     NodeRange row(NodeId N) const {
-      const NodeId *B = Data.data() + Offsets[N];
-      return NodeRange(B, B + Lens[N]);
+      return NodeRange(Data.data() + Begin[N], Data.data() + Begin[N + 1]);
     }
-    size_t rowCount() const { return Lens.size(); }
-    /// Sum of live row lengths (holes excluded).
-    size_t totalEntries() const;
-
-    /// Flattens per-node rows into the compact layout.
-    static Csr fromRows(const std::vector<std::vector<NodeId>> &Rows);
-    /// Lays out empty rows contiguously with the given capacities.
-    void layout(const std::vector<uint32_t> &RowCaps);
-    /// Appends \p V to row \p N, relocating the row to a tail segment
-    /// with extra slack when it is at capacity. \returns true when the
-    /// append relocated the row.
-    bool push(NodeId N, NodeId V);
-    /// Mutable storage of row \p N (valid for Caps[N] entries).
-    NodeId *rowData(NodeId N) { return Data.data() + Offsets[N]; }
-    /// After a cache restore filled Offsets (rowCount + 1 compact prefix
-    /// sums) and Data: derives Lens/Caps from the offset diffs and drops
-    /// the trailing sentinel offset.
-    void finishCompactLoad();
   };
 
   /// Cache restore: an empty shell whose tables the cache subsystem

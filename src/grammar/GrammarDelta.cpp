@@ -6,8 +6,6 @@
 
 #include "grammar/GrammarDelta.h"
 
-#include "grammar/SubGrammar.h"
-
 #include <algorithm>
 
 namespace lalrcex {
@@ -17,8 +15,8 @@ namespace {
 /// True when old production \p P and new production \p Q are the same
 /// rule under \p SymbolMap: mapped left-hand sides and right-hand sides
 /// agree symbol for symbol. Precedence is deliberately ignored — it
-/// affects conflict *resolution*, which the always-cold ParseTable
-/// rebuild handles, never automaton structure or report content.
+/// affects conflict *resolution*, which the cold ParseTable build
+/// handles, never automaton structure or report content.
 bool sameProduction(const Grammar &Old, unsigned P, const Grammar &New,
                     unsigned Q, const std::vector<int32_t> &SymbolMap) {
   const Production &A = Old.production(P);
@@ -64,23 +62,6 @@ void lcsMatch(const Grammar &Old, const std::vector<unsigned> &A,
   }
 }
 
-/// Marks, for every nonterminal of \p G, whether its slice reaches some
-/// edited nonterminal.
-void computeAffected(const Grammar &G, const SubGrammarIndex &Slices,
-                     const std::vector<bool> &Edited,
-                     std::vector<bool> &Affected) {
-  std::vector<Symbol> EditedNts;
-  for (unsigned Id = G.numTerminals(); Id != G.numSymbols(); ++Id)
-    if (Edited[Id])
-      EditedNts.push_back(Symbol(Id));
-  for (unsigned Id = G.numTerminals(); Id != G.numSymbols(); ++Id)
-    for (Symbol E : EditedNts)
-      if (Slices.reaches(Symbol(Id), E)) {
-        Affected[Id] = true;
-        break;
-      }
-}
-
 } // namespace
 
 bool GrammarDelta::translateTerminalSet(const IndexSet &OldSet,
@@ -102,35 +83,22 @@ bool GrammarDelta::translateTerminalSet(const IndexSet &OldSet,
   return Ok;
 }
 
-GrammarDelta computeGrammarDelta(const Grammar &Old,
-                                 const SubGrammarIndex &OldSlices,
-                                 const Grammar &New,
-                                 const SubGrammarIndex &NewSlices) {
+GrammarDelta computeGrammarDelta(const Grammar &Old, const Grammar &New) {
   GrammarDelta D;
   D.SymbolMap.assign(Old.numSymbols(), -1);
   D.InvSymbolMap.assign(New.numSymbols(), -1);
   D.ProdMap.assign(Old.numProductions(), -1);
   D.InvProdMap.assign(New.numProductions(), -1);
-  D.EditedOld.assign(Old.numSymbols(), false);
-  D.EditedNew.assign(New.numSymbols(), false);
-  D.AffectedOld.assign(Old.numSymbols(), false);
-  D.AffectedNew.assign(New.numSymbols(), false);
-  D.ProdAffectedOld.assign(Old.numProductions(), false);
-  D.ProdAffectedNew.assign(New.numProductions(), false);
 
   D.OldNumTerminals = Old.numTerminals();
   D.NewNumTerminals = New.numTerminals();
-  D.TermPrecChangedOld.assign(Old.numTerminals(), false);
-  D.TermPrecChangedNew.assign(New.numTerminals(), false);
-  D.ProdPrecChangedOld.assign(Old.numProductions(), false);
-  D.ProdPrecChangedNew.assign(New.numProductions(), false);
 
   // Terminals: by name, then leftover pairs positionally (renames) — the
   // same scheme as nonterminals below. "$" (eof) is id 0 in every
   // grammar and always pairs with itself. Terminal ids index lookahead
   // bitsets, so consumers translate bitsets through this map; that
-  // translation preserves the token order of per-state conflict runs
-  // only when the map is monotone, checked right after matching.
+  // translation preserves the searches' iteration order only when the
+  // map is monotone, checked right after matching.
   D.SymbolMap[0] = 0;
   D.InvSymbolMap[0] = 0;
   for (unsigned T = 1; T < Old.numTerminals(); ++T) {
@@ -166,32 +134,14 @@ GrammarDelta computeGrammarDelta(const Grammar &Old,
     }
   }
 
-  // Identity test plus the precedence-change flags the table patch gates
-  // on: an unmatched terminal counts as changed on its side.
   D.TermMapIdentity = Old.numTerminals() == New.numTerminals();
-  for (unsigned T = 0; T != Old.numTerminals(); ++T) {
-    int32_t NT = D.SymbolMap[T];
-    if (NT < 0) {
-      D.TermPrecChangedOld[T] = true;
+  for (unsigned T = 0; T != Old.numTerminals(); ++T)
+    if (D.SymbolMap[T] != int32_t(T))
       D.TermMapIdentity = false;
-      continue;
-    }
-    if (NT != int32_t(T))
-      D.TermMapIdentity = false;
-    Symbol OldT{int32_t(T)}, NewT{NT};
-    if (Old.precedenceLevel(OldT) != New.precedenceLevel(NewT) ||
-        Old.associativity(OldT) != New.associativity(NewT)) {
-      D.TermPrecChangedOld[T] = true;
-      D.TermPrecChangedNew[NT] = true;
-    }
-  }
-  for (unsigned T = 0; T != New.numTerminals(); ++T)
-    if (D.InvSymbolMap[T] < 0)
-      D.TermPrecChangedNew[T] = true;
 
   // Nonterminals: by name, then leftover pairs positionally (renames).
   // The augmented start symbols always pair with each other: both are
-  // synthetic, and the automaton patch needs state 0's kernel to map.
+  // synthetic, and state matching needs state 0's kernel to map.
   D.SymbolMap[Old.augmentedStart().id()] = New.augmentedStart().id();
   D.InvSymbolMap[New.augmentedStart().id()] = Old.augmentedStart().id();
   for (unsigned Id = Old.numTerminals(); Id != Old.numSymbols(); ++Id) {
@@ -216,16 +166,10 @@ GrammarDelta computeGrammarDelta(const Grammar &Old,
       D.SymbolMap[OldFree[I]] = NewFree[I];
       D.InvSymbolMap[NewFree[I]] = OldFree[I];
     }
-    // A nonterminal with no partner is edited by definition: its block
-    // appeared or disappeared wholesale.
-    for (size_t I = NewFree.size(); I < OldFree.size(); ++I)
-      D.EditedOld[OldFree[I]] = true;
-    for (size_t I = OldFree.size(); I < NewFree.size(); ++I)
-      D.EditedNew[NewFree[I]] = true;
   }
 
-  // Production blocks: positional match is "unedited", otherwise mark
-  // both sides edited and salvage what an LCS still maps.
+  // Production blocks: a positional match maps 1:1, otherwise an LCS
+  // salvages what still maps.
   for (unsigned Id = Old.numTerminals(); Id != Old.numSymbols(); ++Id) {
     if (D.SymbolMap[Id] < 0)
       continue;
@@ -242,8 +186,6 @@ GrammarDelta computeGrammarDelta(const Grammar &Old,
       }
       continue;
     }
-    D.EditedOld[Id] = true;
-    D.EditedNew[NewNt.id()] = true;
     std::vector<std::pair<unsigned, unsigned>> Pairs;
     lcsMatch(Old, A, New, B, D.SymbolMap, Pairs);
     for (auto [P, Q] : Pairs) {
@@ -252,8 +194,8 @@ GrammarDelta computeGrammarDelta(const Grammar &Old,
     }
   }
 
-  // Item vectors and kernels are ordered by production index; splicing
-  // them unsorted is only sound when the map preserves that order.
+  // Kernels are ordered by production index; a mapped old kernel is a
+  // lookup key for state matching only when the map preserves that order.
   int32_t Last = -1;
   for (unsigned P = 0; P != Old.numProductions(); ++P) {
     if (D.ProdMap[P] < 0)
@@ -266,32 +208,6 @@ GrammarDelta computeGrammarDelta(const Grammar &Old,
     }
     Last = D.ProdMap[P];
   }
-
-  // Effective %prec of surviving productions, compared through the map:
-  // productionPrecedence is exactly the resolution input ParseTable
-  // consults, so comparing its value across the edit is neither over-
-  // nor under-approximate. Unmapped productions count as changed.
-  for (unsigned P = 0; P != Old.numProductions(); ++P) {
-    int32_t Q = D.ProdMap[P];
-    if (Q < 0) {
-      D.ProdPrecChangedOld[P] = true;
-      continue;
-    }
-    if (Old.productionPrecedence(P) != New.productionPrecedence(unsigned(Q))) {
-      D.ProdPrecChangedOld[P] = true;
-      D.ProdPrecChangedNew[Q] = true;
-    }
-  }
-  for (unsigned Q = 0; Q != New.numProductions(); ++Q)
-    if (D.InvProdMap[Q] < 0)
-      D.ProdPrecChangedNew[Q] = true;
-
-  computeAffected(Old, OldSlices, D.EditedOld, D.AffectedOld);
-  computeAffected(New, NewSlices, D.EditedNew, D.AffectedNew);
-  for (unsigned P = 0; P != Old.numProductions(); ++P)
-    D.ProdAffectedOld[P] = D.AffectedOld[Old.production(P).Lhs.id()];
-  for (unsigned P = 0; P != New.numProductions(); ++P)
-    D.ProdAffectedNew[P] = D.AffectedNew[New.production(P).Lhs.id()];
 
   D.Valid = true;
   return D;

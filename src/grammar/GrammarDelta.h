@@ -5,51 +5,44 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A structural diff between two grammars — the old one an automaton was
-/// built for and the edited one the author just handed back — expressed
-/// as partial id maps plus dirtiness sets. It is the input contract of
-/// the dirty-state automaton patch (lr/Automaton.h) and of conflict-
-/// report remapping (counterexample/IncrementalSession.h).
+/// A structural diff between two grammars — the old one a session
+/// analysed and the edited one the author just handed back — expressed
+/// as partial id maps. It is the input contract of the state matching
+/// and conflict-report remapping in counterexample/IncrementalSession.h.
 ///
 /// Matching is deliberately conservative: the delta only claims what it
-/// can prove cheaply, and every consumer falls back to a cold rebuild
-/// when `Valid` is false or a needed id is unmapped. Concretely:
+/// can prove cheaply, and every consumer recomputes when `Valid` is false
+/// or a needed id is unmapped. Concretely:
 ///
 ///   - Terminals are matched by name first ("$"/eof always pairs id 0
 ///     with id 0); leftover old and new terminals are then paired
 ///     positionally in id order, which absorbs renames exactly as for
-///     nonterminals. A removed terminal simply stays unmapped — every
-///     production mentioning it fails to match and its block becomes
-///     edited, so the dirty cone covers all structure that could see
-///     the change. Terminal ids double as lookahead-bitset indices, so
-///     consumers translate bitsets through the map
-///     (translateTerminalSet); because spliced per-state conflict runs
-///     must stay sorted by token id under that translation, a
-///     non-monotone terminal map invalidates the delta (our edit model
-///     appends, removes, or renames in place, all of which keep the map
-///     monotone).
+///     nonterminals. A removed terminal simply stays unmapped, and so
+///     does every production mentioning it. Terminal ids double as
+///     lookahead-bitset indices, so consumers translate bitsets through
+///     the map (translateTerminalSet).
 ///   - Nonterminals are matched by name first; leftover old and new
 ///     nonterminals are then paired positionally in id order, which
 ///     absorbs renames. A mis-pairing is harmless: the paired blocks
-///     fail to match structurally and both sides are marked edited.
+///     fail to match structurally.
 ///   - Per matched nonterminal, the production blocks are compared
 ///     positionally under the symbol map; a positionally identical
-///     block is *unedited* and maps 1:1. Otherwise the nonterminal is
-///     *edited* on both sides and the blocks are matched by a longest
+///     block maps 1:1. Otherwise the blocks are matched by a longest
 ///     common subsequence, so an insert/delete/rotation still maps
 ///     every surviving alternative.
-///   - The production map must be globally monotone (old index order
-///     preserved), because item vectors and kernels are ordered by
-///     production index and the automaton patch splices them without
-///     re-sorting. Our edit model only inserts/deletes/rotates within
-///     a block, which keeps the map monotone; anything wilder simply
-///     invalidates the delta.
 ///
-/// *Edited* is a local property (this nonterminal's own block changed);
-/// *affected* is its transitive closure through sub-grammar slices: a
-/// nonterminal is affected when its slice (grammar/SubGrammar.h) can
-/// reach an edited nonterminal, i.e. when FIRST sets, nullability, or
-/// derivations rooted at it could differ between the two grammars.
+/// Both maps must be monotone (old id order preserved), or the delta is
+/// invalid. Kernels are sorted by production index, so a monotone
+/// production map carries an old kernel to a sorted new one, which is
+/// what state matching looks up. And the searches iterate terminal sets
+/// and production-step rows in id order: only an order-preserving map
+/// turns the remap layer's set and row equalities into an identical
+/// replay. An edit that renumbers terminals out of order therefore gives
+/// an invalid delta. Two do so once the edited grammar is printed and
+/// parsed again, as an editor would hand it over: declaring a token's
+/// precedence (the printer then declares that token last), and removing
+/// a terminal where that strands nonterminals without alternatives
+/// (their references come back as terminals, numbered last).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -65,13 +58,11 @@
 
 namespace lalrcex {
 
-class SubGrammarIndex;
-
 /// The structural diff described in the file comment. All vectors are
 /// indexed by old/new symbol id or production index; -1 means unmapped.
 struct GrammarDelta {
-  /// False when the grammars are not comparable (terminal mismatch,
-  /// non-monotone production map); consumers must rebuild cold.
+  /// False when the grammars are not comparable (non-monotone terminal
+  /// or production map); consumers must recompute.
   bool Valid = false;
   /// One-line reason when !Valid, for trace/debug output.
   std::string InvalidReason;
@@ -90,28 +81,6 @@ struct GrammarDelta {
   /// Lookahead bitsets can then be copied verbatim instead of being
   /// translated element by element.
   bool TermMapIdentity = false;
-  /// Per terminal id: unmatched terminal, or matched one whose
-  /// (precedence level, associativity) pair differs numerically across
-  /// the edit. Any conflict resolution consulting such a terminal must
-  /// be re-derived rather than translated. Comparing raw levels is
-  /// conservative under level renumbering, which only costs reuse.
-  std::vector<bool> TermPrecChangedOld, TermPrecChangedNew;
-  /// Per production: unmapped, or mapped with a different effective
-  /// %prec level. sameProduction deliberately ignores the precedence
-  /// symbol (it never affects automaton structure), so a surviving
-  /// production can still change its conflict-resolution inputs; table
-  /// patching gates on this flag.
-  std::vector<bool> ProdPrecChangedOld, ProdPrecChangedNew;
-
-  /// Per symbol id: nonterminal whose own production block changed
-  /// (terminals are never edited — a structural terminal change shows
-  /// up as edited productions referencing it).
-  std::vector<bool> EditedOld, EditedNew;
-  /// Per symbol id: nonterminal whose slice reaches an edited one.
-  std::vector<bool> AffectedOld, AffectedNew;
-  /// Per production: left-hand side is affected (and therefore so is
-  /// anything its right-hand side can derive).
-  std::vector<bool> ProdAffectedOld, ProdAffectedNew;
 
   Symbol mapSymbol(Symbol S) const {
     if (!S.valid() || unsigned(S.id()) >= SymbolMap.size())
@@ -142,13 +111,8 @@ struct GrammarDelta {
   bool translateTerminalSet(const IndexSet &OldSet, IndexSet &Out) const;
 };
 
-/// Computes the delta from \p Old to \p New. The slice indices must be
-/// over the respective grammars; they supply the reachability closures
-/// behind the affected sets.
-GrammarDelta computeGrammarDelta(const Grammar &Old,
-                                 const SubGrammarIndex &OldSlices,
-                                 const Grammar &New,
-                                 const SubGrammarIndex &NewSlices);
+/// Computes the delta from \p Old to \p New.
+GrammarDelta computeGrammarDelta(const Grammar &Old, const Grammar &New);
 
 } // namespace lalrcex
 

@@ -21,9 +21,8 @@
 ///     name lists). It is invariant under any edit outside the slice —
 ///     including edits that renumber symbol ids or production indices —
 ///     changes whenever a production inside the slice changes, and is
-///     stable across reordering of unrelated nonterminals' rules. Used for
-///     dirty-nonterminal diagnostics in the edit loop and property-tested
-///     directly.
+///     stable across reordering of unrelated nonterminals' rules.
+///     Property-tested directly.
 ///
 ///   - idBoundSliceHash(): an *id-based* structural hash (symbol ids and
 ///     production indices, no names, no precedence). Ids are only

@@ -6,7 +6,6 @@
 
 #include "lr/Automaton.h"
 
-#include "grammar/GrammarDelta.h"
 #include "support/Metrics.h"
 #include "support/Trace.h"
 
@@ -22,23 +21,12 @@ using namespace lalrcex;
 namespace {
 
 /// Kernel interning table: sorted kernel -> state number.
-struct KernelHash {
-  size_t operator()(const std::vector<Item> &Kernel) const {
-    uint64_t H = 0x9e3779b97f4a7c15ULL ^ Kernel.size();
-    for (const Item &I : Kernel) {
-      H = (H ^ I.key()) * 0xff51afd7ed558ccdULL;
-      H ^= H >> 29;
-    }
-    return size_t(H);
-  }
-};
 using KernelIndex = std::unordered_map<std::vector<Item>, unsigned, KernelHash>;
 
-/// The LR(0) worklist shared by the cold build and Automaton::patch.
-/// States are numbered in discovery order and expanded in that order (a
-/// FIFO worklist); a state's moves are grouped per symbol and interned
-/// in symbol order, each target kernel sorted; a closure lists the
-/// kernel first, then closure items in discovery order.
+/// The LR(0) worklist. States are numbered in discovery order and
+/// expanded in that order (a FIFO worklist); a state's moves are grouped
+/// per symbol and interned in symbol order, each target kernel sorted; a
+/// closure lists the kernel first, then closure items in discovery order.
 class Lr0Builder {
 public:
   explicit Lr0Builder(const Grammar &G)
@@ -62,18 +50,15 @@ public:
     }
   }
 
-  /// Builds the LR(0) collection into the empty \p States. \p Fill(Kernel,
-  /// S) fills each new state's Items and NumKernel, once per new kernel,
-  /// in state-number order.
-  template <typename FillFn>
-  void run(std::vector<Automaton::State> &States, FillFn Fill) {
+  /// Builds the LR(0) collection into the empty \p States.
+  void run(std::vector<Automaton::State> &States) {
     KernelIndex Index;
     std::vector<Item> Kernel{Item(G.augmentedProduction(), 0)};
     auto intern = [&]() -> unsigned {
       auto [It, Inserted] = Index.try_emplace(Kernel, unsigned(States.size()));
       if (Inserted) {
         States.emplace_back();
-        Fill(Kernel, States.back());
+        close(Kernel, States.back());
       }
       return It->second;
     };
@@ -195,9 +180,7 @@ Automaton::Automaton(const Grammar &G, const GrammarAnalysis &Analysis,
   if (Kind == AutomatonKind::Canonical) {
     buildCanonical(Opts.PooledSets);
   } else {
-    Lr0Builder Builder(G);
-    Builder.run(States, [&Builder](const std::vector<Item> &Kernel,
-                                   State &S) { Builder.close(Kernel, S); });
+    Lr0Builder(G).run(States);
     Work = computeLookaheads(Opts.PooledSets);
   }
   if (Opts.Metrics) {
@@ -722,184 +705,4 @@ const IndexSet &Automaton::lookahead(unsigned StateIndex,
   int Idx = St.indexOfItem(I);
   assert(Idx >= 0 && "item not present in state");
   return St.Lookaheads[unsigned(Idx)];
-}
-
-std::unique_ptr<Automaton>
-Automaton::patch(const Grammar &G, const GrammarAnalysis &Analysis,
-                 const Automaton &Old, const GrammarDelta &Delta,
-                 const AutomatonOptions &Opts, AutomatonPatchStats *Stats,
-                 std::vector<int> *OldToNewOut, std::vector<int> *NewToOldOut,
-                 std::vector<bool> *SplicedOut,
-                 std::vector<bool> *LaCopiedOut) {
-  if (Opts.Kind != AutomatonKind::Lalr1 || Old.Kind != AutomatonKind::Lalr1 ||
-      !Delta.Valid)
-    return nullptr;
-  assert(&Analysis.grammar() == &G && "analysis built for another grammar");
-  ScopedTimer Timer(Opts.Metrics, metric::TimeAutomatonNs);
-  TraceSpan Span(Opts.Trace, "automaton-patch");
-
-  std::unique_ptr<Automaton> M(
-      new Automaton(G, Analysis, Opts.Kind, RestoreTag{}));
-
-  // Classify old states. A state is *clean* when every item's production
-  // maps and no dot sits before an edited nonterminal: its remapped item
-  // vector is then exactly the LR(0) closure of its remapped kernel in
-  // the new grammar (the closure only expands unedited blocks, which map
-  // positionally). Separately, every old state whose *kernel* maps in
-  // full is indexed by its remapped kernel, so the worklist below can
-  // recognize surviving cores even when their closures must be re-run.
-  const unsigned NumOldStates = Old.numStates();
-  std::vector<bool> CleanOld(NumOldStates, false);
-  KernelIndex OldKernels;
-  {
-    std::vector<Item> Mapped;
-    for (unsigned S = 0; S != NumOldStates; ++S) {
-      const State &St = Old.States[S];
-      bool Clean = true;
-      for (const Item &I : St.Items) {
-        if (Delta.mapProd(I.Prod) < 0) {
-          Clean = false;
-          break;
-        }
-        Symbol Next = I.afterDot(Old.G);
-        if (Next.valid() && Old.G.isNonterminal(Next) &&
-            Delta.EditedOld[Next.id()]) {
-          Clean = false;
-          break;
-        }
-      }
-      CleanOld[S] = Clean;
-
-      Mapped.clear();
-      bool KernelMaps = true;
-      for (unsigned KI = 0; KI != St.NumKernel; ++KI) {
-        int32_t Q = Delta.mapProd(St.Items[KI].Prod);
-        if (Q < 0) {
-          KernelMaps = false;
-          break;
-        }
-        Mapped.emplace_back(uint32_t(Q), St.Items[KI].Dot);
-      }
-      if (!KernelMaps)
-        continue;
-      // The production map is monotone, so the remapped kernel is already
-      // sorted; keep the sort as belt-and-braces for the lookup key.
-      std::sort(Mapped.begin(), Mapped.end());
-      OldKernels.try_emplace(Mapped, S);
-    }
-  }
-
-  // The cold builder's worklist; only filling a new state differs: a
-  // kernel that names a clean old state splices that state's remapped
-  // item vector instead of running the closure. Interning order — and
-  // therefore state numbering — is untouched.
-  std::vector<int> OldToNew(NumOldStates, -1);
-  std::vector<int> NewToOld;
-  std::vector<bool> Spliced;
-  Lr0Builder Builder(G);
-  Builder.run(M->States, [&](const std::vector<Item> &Kernel, State &S) {
-    auto OldIt = OldKernels.find(Kernel);
-    int OldIndex = OldIt == OldKernels.end() ? -1 : int(OldIt->second);
-    bool DidSplice = OldIndex >= 0 && CleanOld[unsigned(OldIndex)];
-    if (DidSplice) {
-      const State &OldSt = Old.States[unsigned(OldIndex)];
-      S.NumKernel = OldSt.NumKernel;
-      S.Items.reserve(OldSt.Items.size());
-      for (const Item &I : OldSt.Items)
-        S.Items.emplace_back(uint32_t(Delta.ProdMap[I.Prod]), I.Dot);
-#ifndef NDEBUG
-      State Check;
-      Builder.close(Kernel, Check);
-      assert(Check.Items == S.Items && Check.NumKernel == S.NumKernel &&
-             "spliced state diverges from cold closure");
-#endif
-    } else {
-      Builder.close(Kernel, S);
-    }
-    if (OldIndex >= 0)
-      OldToNew[unsigned(OldIndex)] = int(NewToOld.size());
-    NewToOld.push_back(OldIndex);
-    Spliced.push_back(DidSplice);
-  });
-
-  // Lookaheads flow across the whole machine, so the DeRemer–Pennello
-  // pass re-runs in full. A spliced state whose productions are all
-  // unaffected by the edit (so the FIRST/nullable tables it consults are
-  // unchanged) and whose kernel lookaheads equal the old state's has, by
-  // the closure rule, its whole old lookahead vector as the answer; it is
-  // marked LaCopied — the precondition ParseTable::patch needs to
-  // translate its old action row — when the comparison bears that out.
-  LookaheadWork Work = M->computeLookaheads(Opts.PooledSets);
-  unsigned Copied = 0;
-  std::vector<bool> CopyLa(M->States.size(), false);
-  std::vector<IndexSet> Translated;
-  for (unsigned S = 0, E = unsigned(M->States.size()); S != E; ++S) {
-    if (!Spliced[S])
-      continue;
-    const State &OldSt = Old.States[unsigned(NewToOld[S])];
-    const State &NewSt = M->States[S];
-    bool Unaffected = true;
-    for (const Item &I : OldSt.Items)
-      if (Delta.ProdAffectedOld[I.Prod]) {
-        Unaffected = false;
-        break;
-      }
-    if (!Unaffected)
-      continue;
-    bool Equal = true;
-    if (Delta.TermMapIdentity) {
-      Equal = NewSt.Lookaheads == OldSt.Lookaheads;
-    } else {
-      // Terminal-set edit: compare through the terminal map. A lookahead
-      // mentioning a removed terminal fails to translate.
-      Translated.resize(OldSt.Lookaheads.size());
-      for (size_t I = 0; I != OldSt.Lookaheads.size() && Equal; ++I)
-        Equal = Delta.translateTerminalSet(OldSt.Lookaheads[I],
-                                           Translated[I]) &&
-                Translated[I] == NewSt.Lookaheads[I];
-    }
-    if (!Equal)
-      continue;
-    CopyLa[S] = true;
-    ++Copied;
-  }
-
-  AutomatonPatchStats PS;
-  for (unsigned S = 0, E = unsigned(M->States.size()); S != E; ++S) {
-    if (Spliced[S])
-      ++PS.StatesReused;
-    else if (NewToOld[S] >= 0)
-      ++PS.StatesRebuilt;
-    else
-      ++PS.StatesAdded;
-  }
-  for (unsigned S = 0; S != NumOldStates; ++S)
-    if (OldToNew[S] < 0)
-      ++PS.StatesDead;
-  PS.LookaheadsCopied = Copied;
-
-  if (Opts.Metrics) {
-    Opts.Metrics->add(metric::AutomatonBuilds);
-    Opts.Metrics->add(metric::AutomatonStates, M->States.size());
-    size_t Items = 0;
-    for (const State &St : M->States)
-      Items += St.Items.size();
-    Opts.Metrics->add(metric::AutomatonClosureItems, Items);
-    Opts.Metrics->add(metric::AutomatonNtTransitions, Work.NtTransitions);
-    Opts.Metrics->add(metric::AutomatonRelationEdges, Work.RelationEdges);
-    Opts.Metrics->add(metric::AutomatonStatesReused, PS.StatesReused);
-    Opts.Metrics->add(metric::AutomatonStatesRebuilt, PS.StatesRebuilt);
-    Opts.Metrics->add(metric::AutomatonStatesAdded, PS.StatesAdded);
-  }
-  if (Stats)
-    *Stats = PS;
-  if (OldToNewOut)
-    *OldToNewOut = std::move(OldToNew);
-  if (NewToOldOut)
-    *NewToOldOut = std::move(NewToOld);
-  if (SplicedOut)
-    *SplicedOut = std::move(Spliced);
-  if (LaCopiedOut)
-    *LaCopiedOut = std::move(CopyLa);
-  return M;
 }

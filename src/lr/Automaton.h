@@ -34,7 +34,6 @@
 #include "lr/Item.h"
 #include "support/IndexSet.h"
 
-#include <memory>
 #include <vector>
 
 namespace lalrcex {
@@ -45,20 +44,6 @@ struct ArtifactAccess;
 
 class MetricsRegistry;
 class TraceRecorder;
-struct GrammarDelta;
-
-/// What one Automaton::patch call reused versus recomputed; the counts
-/// feed the automaton.states_* metrics and schema-7 bench records.
-struct AutomatonPatchStats {
-  unsigned StatesReused = 0;  ///< spliced: item closure taken from the old state
-  unsigned StatesRebuilt = 0; ///< kernel matched an old state, closure re-run
-  unsigned StatesAdded = 0;   ///< no old counterpart (fresh kernel)
-  unsigned StatesDead = 0;    ///< old states with no new counterpart
-  /// Spliced states whose productions the edit leaves unaffected and
-  /// whose lookahead vector equals the old state's (through the terminal
-  /// map): their old parse-table rows translate unchanged.
-  unsigned LookaheadsCopied = 0;
-};
 
 /// Which parser state machine to construct.
 enum class AutomatonKind {
@@ -127,40 +112,6 @@ public:
 
   /// The start state (always 0).
   unsigned startState() const { return 0; }
-
-  /// Dirty-state incremental rebuild: constructs the automaton for \p G
-  /// by re-running the LR(0) worklist while *splicing* every state whose
-  /// old counterpart is provably untouched by the edit described in
-  /// \p Delta — an old state is clean when every one of its items'
-  /// productions maps and no item's dot sits before an edited
-  /// nonterminal, in which case its remapped item vector *is* the LR(0)
-  /// closure of the remapped kernel (the expansion only consults
-  /// unedited production blocks, which map 1:1 in order). The worklist,
-  /// interning order, and transition grouping are the cold builder's,
-  /// so state numbering and every byte of the result are identical to a
-  /// cold build; the lookahead pass then re-runs globally.
-  ///
-  /// \p Old must be the automaton of \p Delta's old grammar. \returns
-  /// nullptr when patching is inapplicable (non-LALR(1) kind on either
-  /// side, or an invalid delta) and the caller must build cold. On
-  /// success the optional out-parameters receive the old<->new state
-  /// correspondence (kernel-matched states; -1 where none), per new
-  /// state whether it was spliced (item layout identical to its old
-  /// counterpart under the delta's production map), and per new state
-  /// whether its lookaheads count as copied: spliced, every production
-  /// unaffected by the edit, and the lookahead vector equal to the old
-  /// state's — verbatim when the delta's terminal map is the identity,
-  /// through it otherwise. \p LaCopied is the precondition the
-  /// ParseTable patch needs: such a state has action-row content
-  /// identical to its old row under the id maps.
-  static std::unique_ptr<Automaton>
-  patch(const Grammar &G, const GrammarAnalysis &Analysis,
-        const Automaton &Old, const GrammarDelta &Delta,
-        const AutomatonOptions &Opts, AutomatonPatchStats *Stats = nullptr,
-        std::vector<int> *OldToNew = nullptr,
-        std::vector<int> *NewToOld = nullptr,
-        std::vector<bool> *Spliced = nullptr,
-        std::vector<bool> *LaCopied = nullptr);
 
   /// Target of the transition from \p StateIndex on \p S, or -1 if none.
   int transition(unsigned StateIndex, Symbol S) const;

@@ -6,8 +6,6 @@
 
 #include "lr/ParseTable.h"
 
-#include "grammar/GrammarDelta.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -195,143 +193,6 @@ ParseTable::ParseTable(const Automaton &M) : M(M) {
   Actions.assign(size_t(M.numStates()) * NumT, Action::error());
   for (unsigned S = 0, SE = M.numStates(); S != SE; ++S)
     buildStateRow(S, Conflicts);
-}
-
-bool ParseTable::translateStateRow(unsigned S, unsigned OS,
-                                   const ParseTable &Old,
-                                   const GrammarDelta &Delta,
-                                   const std::vector<int> &OldToNewState,
-                                   size_t OldConflictBegin,
-                                   size_t OldConflictEnd,
-                                   std::vector<Conflict> &Out) {
-  // Precedence gate first: every resolution the old row baked in must
-  // have been derived from inputs the edit did not touch. Conflict
-  // *sites* are structural (items, lookaheads, transitions — identical
-  // for a spliced, lookahead-copied state under the maps), so gating the
-  // resolution inputs of the recorded conflicts covers every cell whose
-  // content depends on precedence.
-  for (size_t CI = OldConflictBegin; CI != OldConflictEnd; ++CI) {
-    const Conflict &C = Old.Conflicts[CI];
-    if (Delta.TermPrecChangedOld[C.Token.id()] ||
-        Delta.ProdPrecChangedOld[C.ReduceProd])
-      return false;
-  }
-
-  const unsigned NumT = M.grammar().numTerminals();
-  const unsigned OldNumT = Old.M.grammar().numTerminals();
-  std::vector<Action> Row(NumT, Action::error());
-  for (unsigned T = 0; T != OldNumT; ++T) {
-    const Action &Cell = Old.Actions[size_t(OS) * OldNumT + T];
-    if (Cell.K == Action::Error)
-      continue;
-    int32_t NT = Delta.SymbolMap[T];
-    if (NT < 0)
-      return false; // a live cell on a removed terminal: not translatable
-    switch (Cell.K) {
-    case Action::Shift: {
-      int Target = OldToNewState[Cell.Target];
-      if (Target < 0)
-        return false;
-      Row[unsigned(NT)] = Action::shift(unsigned(Target));
-      break;
-    }
-    case Action::Reduce: {
-      int32_t Prod = Delta.mapProd(Cell.Target);
-      if (Prod < 0)
-        return false;
-      Row[unsigned(NT)] = Action::reduce(unsigned(Prod));
-      break;
-    }
-    case Action::Accept:
-      Row[unsigned(NT)] = Action::accept();
-      break;
-    case Action::Error:
-      break;
-    }
-  }
-
-  // Conflicts translate record by record. The old run is in ascending
-  // old-token order; the terminal map is monotone, so the translated run
-  // is in ascending new-token order — exactly the cold emission order.
-  std::vector<Conflict> Translated;
-  Translated.reserve(OldConflictEnd - OldConflictBegin);
-  for (size_t CI = OldConflictBegin; CI != OldConflictEnd; ++CI) {
-    Conflict C = Old.Conflicts[CI];
-    C.State = S;
-    Symbol NewTok = Delta.mapSymbol(C.Token);
-    int32_t Prod = Delta.mapProd(C.ReduceProd);
-    if (!NewTok.valid() || Prod < 0)
-      return false;
-    C.Token = NewTok;
-    C.ReduceProd = unsigned(Prod);
-    if (C.K == Conflict::ReduceReduce) {
-      int32_t Other = Delta.mapProd(C.OtherProd);
-      if (Other < 0)
-        return false;
-      C.OtherProd = unsigned(Other);
-    } else {
-      int32_t ShiftProd = Delta.mapProd(C.ShiftItm.Prod);
-      if (ShiftProd < 0)
-        return false;
-      C.ShiftItm = Item(uint32_t(ShiftProd), C.ShiftItm.Dot);
-    }
-    Translated.push_back(C);
-  }
-
-  std::copy(Row.begin(), Row.end(),
-            Actions.begin() + size_t(S) * NumT);
-  Out.insert(Out.end(), Translated.begin(), Translated.end());
-  return true;
-}
-
-ParseTable::ParseTable(const Automaton &M, const ParseTable &Old,
-                       const GrammarDelta &Delta,
-                       const std::vector<int> &OldToNewState,
-                       const std::vector<int> &NewToOldState,
-                       const std::vector<bool> &SplicedNew,
-                       const std::vector<bool> &LaCopied,
-                       TablePatchStats *Stats)
-    : M(M) {
-  assert(Delta.Valid && "table patch needs a valid delta");
-  assert(NewToOldState.size() == M.numStates() &&
-         SplicedNew.size() == M.numStates() &&
-         LaCopied.size() == M.numStates() && "state maps of another patch");
-  const unsigned NumT = M.grammar().numTerminals();
-  Actions.assign(size_t(M.numStates()) * NumT, Action::error());
-
-  // Old conflicts are stored in state order; index the per-state runs
-  // once so translation can hand each state its own self-contained run.
-  std::vector<std::pair<uint32_t, uint32_t>> OldRuns(Old.M.numStates(),
-                                                     {0, 0});
-  for (size_t CI = 0; CI != Old.Conflicts.size();) {
-    size_t Begin = CI;
-    unsigned OS = Old.Conflicts[CI].State;
-    while (CI != Old.Conflicts.size() && Old.Conflicts[CI].State == OS)
-      ++CI;
-    OldRuns[OS] = {uint32_t(Begin), uint32_t(CI)};
-  }
-
-  TablePatchStats PS;
-  for (unsigned S = 0, SE = M.numStates(); S != SE; ++S) {
-    bool Done = false;
-    if (SplicedNew[S] && LaCopied[S] && NewToOldState[S] >= 0) {
-      unsigned OS = unsigned(NewToOldState[S]);
-      Done = translateStateRow(S, OS, Old, Delta, OldToNewState,
-                               OldRuns[OS].first, OldRuns[OS].second,
-                               Conflicts);
-    }
-    if (Done) {
-      ++PS.RowsReused;
-    } else {
-      // Translation refused, or the state is in the dirty cone.
-      // translateStateRow commits the row and conflicts only on success,
-      // so the cold pass starts from a pristine error row.
-      buildStateRow(S, Conflicts);
-      ++PS.RowsRebuilt;
-    }
-  }
-  if (Stats)
-    *Stats = PS;
 }
 
 std::string ParseTable::checkExpectations() const {

@@ -82,36 +82,10 @@ struct Conflict {
   std::string describeResolution(const Grammar &G) const;
 };
 
-/// What one ParseTable patch construction translated versus re-derived;
-/// feeds the schema-7 table_rows_* bench fields.
-struct TablePatchStats {
-  unsigned RowsReused = 0;  ///< action rows translated from the old table
-  unsigned RowsRebuilt = 0; ///< action rows rebuilt by the cold per-state pass
-};
-
 /// The ACTION/GOTO table of an Automaton.
 class ParseTable {
 public:
   explicit ParseTable(const Automaton &M);
-
-  /// Dirty-cone table patch: per state, when the automaton patch spliced the
-  /// state *and* found its lookahead vector equal to the old one (\p SplicedNew
-  /// / \p LaCopied from Automaton::patch), the state's ACTION row and conflict
-  /// records are *translated* from \p Old — shift targets rewritten through the
-  /// state maps, reduce productions and conflict tokens through \p Delta —
-  /// instead of being re-derived from items and lookaheads. Translation is
-  /// refused (falling back to the cold per-state pass, never to a wrong row)
-  /// whenever the edit touched a precedence input the old row's resolution
-  /// consulted (Delta.TermPrecChanged*/ProdPrecChanged*) or any needed id is
-  /// unmapped. Conflict emission order is preserved because the delta's maps
-  /// are monotone and per-state conflict runs are self-contained; the result is
-  /// byte-identical to ParseTable(M).
-  ParseTable(const Automaton &M, const ParseTable &Old,
-             const GrammarDelta &Delta, const std::vector<int> &OldToNewState,
-             const std::vector<int> &NewToOldState,
-             const std::vector<bool> &SplicedNew,
-             const std::vector<bool> &LaCopied,
-             TablePatchStats *Stats = nullptr);
 
   const Automaton &automaton() const { return M; }
 
@@ -153,22 +127,9 @@ private:
   ParseTable(const Automaton &M, RestoreTag) : M(M) {}
 
   /// Builds state \p S's ACTION row in place and appends its conflicts
-  /// to \p Out — the cold per-state pass, shared by the cold constructor
-  /// (all states) and the patch constructor (non-translated states).
-  /// Per-state conflict runs are self-contained: the R/R dedup scan only
-  /// consults conflicts of the same state, so concatenating rows in
-  /// state order reproduces the monolithic construction exactly.
+  /// to \p Out. The R/R dedup scan only consults conflicts of the same
+  /// state, so running the states in order yields (state, token) order.
   void buildStateRow(unsigned S, std::vector<Conflict> &Out);
-
-  /// Translates state \p S's row and conflicts from old state \p OS of
-  /// \p Old through \p Delta and \p OldToNewState. \returns false (with
-  /// the row and \p Out untouched) when the precedence gate or any id
-  /// map refuses; the caller then rebuilds the row cold.
-  bool translateStateRow(unsigned S, unsigned OS, const ParseTable &Old,
-                         const GrammarDelta &Delta,
-                         const std::vector<int> &OldToNewState,
-                         size_t OldConflictBegin, size_t OldConflictEnd,
-                         std::vector<Conflict> &Out);
 
   const Automaton &M;
   std::vector<Action> Actions;

@@ -25,9 +25,6 @@ const char *const CounterNames[metric::NumCounters] = {
     "automaton.closure_items",
     "automaton.nt_transitions",
     "automaton.relation_edges",
-    "automaton.states_reused",
-    "automaton.states_rebuilt",
-    "automaton.states_added",
     "graph.builds",
     "graph.nodes",
     "graph.edges",

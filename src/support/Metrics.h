@@ -40,9 +40,6 @@ enum Counter : unsigned {
   AutomatonClosureItems,
   AutomatonNtTransitions,
   AutomatonRelationEdges,
-  AutomatonStatesReused,
-  AutomatonStatesRebuilt,
-  AutomatonStatesAdded,
   GraphBuilds,
   GraphNodes,
   GraphEdges,

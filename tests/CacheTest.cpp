@@ -311,6 +311,36 @@ TEST(CacheValidationTest, TruncationIsRejected) {
   }
 }
 
+TEST(CacheValidationTest, StateOffsetsDisagreeingWithAutomatonAreCorrupt) {
+  // A graph blob whose checksum is intact but whose state offset table
+  // disagrees with the automaton: every offset after state 0's is pushed
+  // to the end of the node table. Accepted, nodeFor() would hand out node
+  // ids past the tables for every state but 0.
+  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
+  StateItemGraph Graph(B.M);
+  std::string Blob = serializeGraph(Graph);
+
+  auto putU32 = [&Blob](size_t Off, uint32_t V) {
+    for (unsigned I = 0; I != 4; ++I)
+      Blob[Off + I] = char((V >> (8 * I)) & 0xFF);
+  };
+  // Header (magic, salt, two keys) and node count, then 16 bytes per node
+  // (state, item index, production, dot), then the offset table's size.
+  const size_t OffsetTable = 44 + 4 + 16 * size_t(Graph.numNodes()) + 4;
+  for (unsigned S = 1; S <= B.M.numStates(); ++S)
+    putU32(OffsetTable + 4 * S, Graph.numNodes());
+  Fingerprint128 Sum = fingerprintBytes(Blob.data(), Blob.size() - 16);
+  for (unsigned I = 0; I != 8; ++I) {
+    Blob[Blob.size() - 16 + I] = char((Sum.Lo >> (8 * I)) & 0xFF);
+    Blob[Blob.size() - 8 + I] = char((Sum.Hi >> (8 * I)) & 0xFF);
+  }
+
+  std::optional<StateItemGraph> Out;
+  CacheProbe P = deserializeGraph(Blob, B.M, Out);
+  EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
+  EXPECT_FALSE(Out);
+}
+
 //===----------------------------------------------------------------------===//
 // The on-disk layer
 //===----------------------------------------------------------------------===//

@@ -1,26 +1,22 @@
-//===- tests/IncrementalAutomatonTest.cpp - Dirty-state patching -*- C++ -*-===//
+//===- tests/IncrementalAutomatonTest.cpp - Session state maps -*- C++ -*-===//
 //
 // Part of lalrcex.
 //
-// Direct coverage of the dirty-state incremental automaton (PR 9),
+// Direct coverage of IncrementalSession's generations and state maps,
 // independent of the conflict-report oracle:
 //
-//   - patched-vs-cold byte equivalence of automaton, parse table, and
-//     state-item graph across seeded edit streams (all ten edit kinds,
-//     including the terminal-set edits of PR 10), with patch-stat
-//     accounting invariants for states, table rows, and graph rows;
+//   - each advance's automaton, parse table, and state-item graph are
+//     byte-identical to a cold build across seeded edit streams (all ten
+//     edit kinds), and the kernel-matched state maps pass a brute-force
+//     oracle: every matched pair's old kernel maps through the
+//     production map onto the new kernel, no unmatched new state has an
+//     old kernel that maps onto its own, and the two maps are mutual
+//     inverses;
 //   - terminal-only edit streams: add/remove/rename-terminal must keep
-//     the delta valid and splice the majority of states, with the
-//     translated-lookahead table/graph rows byte-identical to cold;
-//   - CSR slack-layout growth: reverse rows that outgrow their
-//     predicted capacity relocate to tail segments while the serialized
-//     (re-compacted) graph stays byte-identical to a cold build;
+//     the delta valid and match the majority of states;
 //   - SubGrammarIndex slice monotonicity under the toggle-nonterminal
 //     edit kind (grow on add, shrink on delete, untouched slices
-//     identical by name-based hash);
-//   - session-stable state ids: uniqueness per generation, persistence
-//     across matched states, and the one-generation tombstone that makes
-//     delete-then-add sequences collision-free.
+//     identical by name-based hash).
 //
 //===----------------------------------------------------------------------===//
 
@@ -35,22 +31,76 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
+#include <optional>
 
 using namespace lalrcex;
 
 namespace {
 
-/// Advances \p Sess to \p Edited and asserts the patched pipeline is
-/// byte-identical to a cold build, plus the patch-stat bookkeeping
-/// invariants (every new state accounted once, dead states counted,
-/// every table and graph row accounted once). \p StatsOut, when set,
-/// receives the advance stats for callers that aggregate across a
-/// stream (ASSERT_* needs a void return type, hence no return value).
+/// The kernel of \p St mapped through \p Delta's production map and
+/// sorted, or nullopt when some kernel production is unmapped.
+std::optional<std::vector<Item>> mappedKernel(const Automaton::State &St,
+                                              const GrammarDelta &Delta) {
+  std::vector<Item> Out;
+  for (unsigned I = 0; I != St.NumKernel; ++I) {
+    int32_t NP = Delta.mapProd(St.Items[I].Prod);
+    if (NP < 0)
+      return std::nullopt;
+    Out.emplace_back(uint32_t(NP), St.Items[I].Dot);
+  }
+  std::sort(Out.begin(), Out.end());
+  return Out;
+}
+
+std::vector<Item> kernelOf(const Automaton::State &St) {
+  return std::vector<Item>(St.Items.begin(), St.Items.begin() + St.NumKernel);
+}
+
+/// The state-map oracle over a handoff, by brute force over all state
+/// pairs.
+void expectStateMapsCorrect(const IncrementalHandoff &H,
+                            unsigned StatesReused) {
+  const Automaton &OldM = H.PrevGraph->automaton();
+  const Automaton &NewM = H.Graph->automaton();
+  const std::vector<int> &OldToNew = *H.OldToNewState;
+  const std::vector<int> &NewToOld = *H.NewToOldState;
+  ASSERT_EQ(OldToNew.size(), OldM.numStates());
+  ASSERT_EQ(NewToOld.size(), NewM.numStates());
+
+  unsigned Matched = 0;
+  for (unsigned S = 0; S != NewM.numStates(); ++S) {
+    std::vector<Item> NewKernel = kernelOf(NewM.state(S));
+    int OS = NewToOld[S];
+    if (OS >= 0) {
+      ++Matched;
+      ASSERT_LT(unsigned(OS), OldM.numStates());
+      EXPECT_EQ(OldToNew[unsigned(OS)], int(S)) << "maps not inverse";
+      EXPECT_EQ(mappedKernel(OldM.state(unsigned(OS)), *H.Delta), NewKernel)
+          << "matched state " << S << " has a different kernel";
+      continue;
+    }
+    for (unsigned O = 0; O != OldM.numStates(); ++O)
+      EXPECT_NE(mappedKernel(OldM.state(O), *H.Delta), NewKernel)
+          << "unmatched new state " << S << " has old counterpart " << O;
+  }
+  for (unsigned O = 0; O != OldM.numStates(); ++O) {
+    int NS = OldToNew[O];
+    if (NS >= 0) {
+      ASSERT_LT(unsigned(NS), NewM.numStates());
+      EXPECT_EQ(NewToOld[unsigned(NS)], int(O)) << "maps not inverse";
+    }
+  }
+  EXPECT_EQ(Matched, StatesReused);
+}
+
+/// Advances \p Sess to \p Edited and asserts the new generation is
+/// byte-identical to a cold build and, when a handoff is offered, that
+/// its state maps pass the oracle. \p StatsOut, when set, receives the
+/// advance stats for callers that aggregate across a stream (ASSERT_*
+/// needs a void return type, hence no return value).
 void expectAdvanceMatchesCold(
     IncrementalSession &Sess, const Grammar &Edited,
     const IncrementalSession::AdvanceStats **StatsOut = nullptr) {
-  unsigned OldStates = Sess.automaton().numStates();
   const IncrementalSession::AdvanceStats &St = Sess.advance(Edited);
 
   BuiltGrammar Cold(Edited);
@@ -61,23 +111,14 @@ void expectAdvanceMatchesCold(
             cache::serializeGraph(ColdGraph));
 
   if (St.Patched) {
-    EXPECT_EQ(St.Patch.StatesReused + St.Patch.StatesRebuilt +
-                  St.Patch.StatesAdded,
-              Sess.automaton().numStates());
-    EXPECT_EQ(St.Patch.StatesReused + St.Patch.StatesRebuilt +
-                  St.Patch.StatesDead,
-              OldStates);
-    EXPECT_LE(St.Patch.LookaheadsCopied, St.Patch.StatesReused);
-    // Every table row and graph row is accounted exactly once.
-    EXPECT_EQ(St.Table.RowsReused + St.Table.RowsRebuilt,
-              size_t(Sess.automaton().numStates()));
-    EXPECT_LE(St.Table.RowsReused, St.Patch.LookaheadsCopied);
-    EXPECT_EQ(St.Graph.RowsPatched + St.Graph.RowsRebuilt,
-              size_t(Sess.graph().numNodes()));
+    const IncrementalHandoff *H = Sess.handoff();
+    ASSERT_TRUE(H);
+    EXPECT_EQ(H->Graph, &Sess.graph());
+    expectStateMapsCorrect(*H, St.Patch.StatesReused);
   } else {
+    EXPECT_FALSE(Sess.handoff());
     EXPECT_FALSE(St.ColdReason.empty());
   }
-  EXPECT_TRUE(Sess.stableIdsDistinct());
   if (StatsOut)
     *StatsOut = &St;
 }
@@ -114,8 +155,8 @@ TEST(IncrementalAutomatonTest, PatchMatchesColdBuildOnCorpus) {
         ++Patched;
     }
   }
-  // The patch path must actually engage across the stream; an oracle
-  // that always falls back cold verifies nothing.
+  // State matching must actually engage across the stream; an oracle
+  // that never gets a handoff verifies nothing.
   EXPECT_GT(Patched, 10u);
 }
 
@@ -148,18 +189,15 @@ TEST(IncrementalAutomatonTest, PatchMatchesColdBuildOnRandomGrammars) {
 }
 
 TEST(IncrementalAutomatonTest, TerminalEditsSpliceAndMatchColdBuild) {
-  // Terminal-set edits (add/remove/rename-terminal) used to force a 100%
-  // cold rebuild: the lookahead universe changed size, so no bitset
-  // compared equal. With the delta's terminal id map they must now keep
-  // the patch path engaged — valid delta, majority of states spliced —
-  // while the translated table rows and graph lookaheads stay
-  // byte-identical to a cold build.
+  // Terminal-set edits (add/remove/rename-terminal) change the
+  // lookahead universe; the delta's terminal id map must still keep it
+  // valid and the majority of states matched.
   struct Entry {
     const char *Name;
     uint64_t Seed;
   };
   size_t Advances = 0, PatchedAdvances = 0;
-  size_t ReusedStates = 0, TotalOldStates = 0;
+  size_t MatchedStates = 0, TotalStates = 0;
   for (const Entry &E : {Entry{"figure1", 31}, Entry{"figure3", 32},
                          Entry{"expr_prec_unresolved", 33},
                          Entry{"SQL.1", 34}, Entry{"xi", 35}}) {
@@ -178,7 +216,6 @@ TEST(IncrementalAutomatonTest, TerminalEditsSpliceAndMatchColdBuild) {
       SCOPED_TRACE("edit #" + std::to_string(K) + ": " + Edit->Detail);
       std::optional<Grammar> Edited = Model.build();
       ASSERT_TRUE(Edited);
-      unsigned OldStates = Sess.automaton().numStates();
       const IncrementalSession::AdvanceStats *St = nullptr;
       expectAdvanceMatchesCold(Sess, *Edited, &St);
       if (::testing::Test::HasFatalFailure())
@@ -186,57 +223,16 @@ TEST(IncrementalAutomatonTest, TerminalEditsSpliceAndMatchColdBuild) {
       ++Advances;
       if (St->Patched) {
         ++PatchedAdvances;
-        ReusedStates += St->Patch.StatesReused;
-        TotalOldStates += OldStates;
+        MatchedStates += St->Patch.StatesReused;
+        TotalStates += Sess.automaton().numStates();
       }
     }
   }
   // The acceptance bar: terminal-only edits produce a valid delta on the
-  // large majority of advances and splice more than half of all states.
+  // large majority of advances and match more than half of all states.
   ASSERT_GT(Advances, 20u);
   EXPECT_GE(PatchedAdvances * 4, Advances * 3);
-  EXPECT_GT(ReusedStates * 2, TotalOldStates);
-}
-
-TEST(IncrementalAutomatonTest, CsrSlackGrowthKeepsGraphByteIdentical) {
-  // Growth-heavy streams (fresh alternatives and fresh nonterminal
-  // blocks) make reverse-adjacency rows outgrow the capacity predicted
-  // from the old graph, forcing Csr::push to relocate rows into tail
-  // segments. The serialized graph re-compacts canonically, so cold
-  // comparison in expectAdvanceMatchesCold stays exact; this test pins
-  // that the relocation path actually runs.
-  size_t Relocated = 0, Patched = 0;
-  for (const char *Name : {"figure1", "SQL.1"}) {
-    SCOPED_TRACE(Name);
-    Grammar G = loadCorpusGrammar(Name);
-    EditableGrammar Model = EditableGrammar::fromGrammar(G);
-    EditRng Rng(123);
-    std::optional<Grammar> G0 = Model.build();
-    ASSERT_TRUE(G0);
-    IncrementalSession Sess(*G0);
-    std::vector<EditKind> Growth{EditKind::AddAlternative,
-                                 EditKind::ToggleNonterminal,
-                                 EditKind::AddTerminal};
-    for (unsigned K = 0; K != 10; ++K) {
-      std::optional<AppliedEdit> Edit = applyRandomEdit(Model, Rng, Growth);
-      if (!Edit)
-        break;
-      SCOPED_TRACE("edit #" + std::to_string(K) + ": " + Edit->Detail);
-      std::optional<Grammar> Edited = Model.build();
-      ASSERT_TRUE(Edited);
-      const IncrementalSession::AdvanceStats &St = Sess.advance(*Edited);
-      BuiltGrammar Cold(*Edited);
-      StateItemGraph ColdGraph(Cold.M);
-      ASSERT_EQ(cache::serializeGraph(Sess.graph()),
-                cache::serializeGraph(ColdGraph));
-      if (St.Patched) {
-        ++Patched;
-        Relocated += St.Graph.RowsRelocated;
-      }
-    }
-  }
-  EXPECT_GT(Patched, 4u);
-  EXPECT_GT(Relocated, 0u) << "slack growth path never exercised";
+  EXPECT_GT(MatchedStates * 2, TotalStates);
 }
 
 /// Maps a slice through \p SymbolMap, dropping unmapped members; returns
@@ -257,6 +253,34 @@ std::vector<int32_t> sliceIds(const std::vector<Symbol> &Slice) {
     Out.push_back(S.id());
   std::sort(Out.begin(), Out.end());
   return Out;
+}
+
+/// Per old symbol id: a nonterminal whose slice reaches an *edited* one —
+/// unpartnered, or whose production block does not map positionally onto
+/// its partner's — computed from the delta's maps alone.
+std::vector<bool> affectedOld(const Grammar &Old, const Grammar &New,
+                              const SubGrammarIndex &OldIdx,
+                              const GrammarDelta &D) {
+  std::vector<Symbol> Edited;
+  for (unsigned Id = Old.numTerminals(); Id != Old.numSymbols(); ++Id) {
+    Symbol X{int32_t(Id)};
+    Symbol Y = D.mapSymbol(X);
+    bool Same = Y.valid() &&
+                Old.productionsOf(X).size() == New.productionsOf(Y).size();
+    for (size_t I = 0; Same && I != Old.productionsOf(X).size(); ++I)
+      Same = D.mapProd(Old.productionsOf(X)[I]) ==
+             int32_t(New.productionsOf(Y)[I]);
+    if (!Same)
+      Edited.push_back(X);
+  }
+  std::vector<bool> Affected(Old.numSymbols(), false);
+  for (unsigned Id = Old.numTerminals(); Id != Old.numSymbols(); ++Id)
+    for (Symbol E : Edited)
+      if (OldIdx.reaches(Symbol(int32_t(Id)), E)) {
+        Affected[Id] = true;
+        break;
+      }
+  return Affected;
 }
 
 TEST(IncrementalAutomatonTest, SliceMonotonicityUnderToggleNonterminal) {
@@ -282,7 +306,7 @@ TEST(IncrementalAutomatonTest, SliceMonotonicityUnderToggleNonterminal) {
       std::optional<Grammar> New = Model.build();
       ASSERT_TRUE(New);
       SubGrammarIndex OldIdx(*Old), NewIdx(*New);
-      GrammarDelta D = computeGrammarDelta(*Old, OldIdx, *New, NewIdx);
+      GrammarDelta D = computeGrammarDelta(*Old, *New);
       if (!D.Valid) {
         // Legitimately cold: e.g. a removal orphaned another block and
         // its leftover references became implicit terminals. No symbol
@@ -292,6 +316,7 @@ TEST(IncrementalAutomatonTest, SliceMonotonicityUnderToggleNonterminal) {
       }
       bool IsAdd = Edit->Detail.rfind("add-nonterminal", 0) == 0;
       (IsAdd ? Adds : Removes) += 1;
+      std::vector<bool> Affected = affectedOld(*Old, *New, OldIdx, D);
       for (unsigned Id = Old->numTerminals(); Id != Old->numSymbols();
            ++Id) {
         if (D.SymbolMap[Id] < 0)
@@ -310,7 +335,7 @@ TEST(IncrementalAutomatonTest, SliceMonotonicityUnderToggleNonterminal) {
           EXPECT_TRUE(std::includes(Mapped.begin(), Mapped.end(),
                                     Now.begin(), Now.end()))
               << Old->name(OldNt);
-        if (!D.AffectedOld[Id]) {
+        if (!Affected[Id]) {
           EXPECT_EQ(Mapped, Now) << Old->name(OldNt);
           EXPECT_EQ(OldIdx.subGrammarHash(OldNt),
                     NewIdx.subGrammarHash(NewNt))
@@ -323,69 +348,6 @@ TEST(IncrementalAutomatonTest, SliceMonotonicityUnderToggleNonterminal) {
   // Both directions must have been exercised.
   EXPECT_GT(Adds, 0u);
   EXPECT_GT(Removes, 0u);
-}
-
-TEST(IncrementalAutomatonTest, StableStateIdsSurviveAndNeverCollide) {
-  Grammar G = loadCorpusGrammar("SQL.1");
-  EditableGrammar Model = EditableGrammar::fromGrammar(G);
-  EditRng Rng(91);
-  std::optional<Grammar> G0 = Model.build();
-  ASSERT_TRUE(G0);
-  IncrementalSession Sess(*G0);
-
-  unsigned FreelistReuses = 0;
-  for (unsigned K = 0; K != 12; ++K) {
-    // Alternate structural growth/shrinkage with in-place edits so the
-    // id space sees matched, dead, and fresh states in every advance.
-    std::vector<EditKind> Kinds =
-        K % 2 ? allEditKinds()
-              : std::vector<EditKind>{EditKind::ToggleNonterminal};
-    std::optional<AppliedEdit> Edit = applyRandomEdit(Model, Rng, Kinds);
-    ASSERT_TRUE(Edit);
-    SCOPED_TRACE("edit #" + std::to_string(K) + ": " + Edit->Detail);
-    std::optional<Grammar> Edited = Model.build();
-    ASSERT_TRUE(Edited);
-
-    std::vector<uint64_t> PrevIds = Sess.stableStateIds();
-    size_t PrevFree = Sess.freeStateIdCount();
-    Sess.advance(*Edited);
-    const std::vector<uint64_t> &Ids = Sess.stableStateIds();
-
-    // One id per state, no duplicates within the generation.
-    ASSERT_EQ(Ids.size(), Sess.automaton().numStates());
-    std::set<uint64_t> Unique(Ids.begin(), Ids.end());
-    ASSERT_EQ(Unique.size(), Ids.size()) << "stable id collision";
-
-    if (const IncrementalHandoff *H = Sess.handoff()) {
-      // Matched states keep their id; dead ids are tombstoned for this
-      // generation (delete-then-add inside one advance cannot collide),
-      // and fresh states draw previously parked ids before minting.
-      std::set<uint64_t> Dying(PrevIds.begin(), PrevIds.end());
-      for (unsigned S = 0; S != Ids.size(); ++S) {
-        int OldS = (*H->NewToOldState)[S];
-        if (OldS >= 0) {
-          EXPECT_EQ(Ids[S], PrevIds[size_t(OldS)])
-              << "matched state renumbered";
-          Dying.erase(Ids[S]);
-        }
-      }
-      for (unsigned S = 0; S != Ids.size(); ++S) {
-        int OldS = (*H->NewToOldState)[S];
-        if (OldS < 0) {
-          EXPECT_FALSE(Dying.count(Ids[S]))
-              << "fresh state reused an id tombstoned this advance";
-          if (std::find(PrevIds.begin(), PrevIds.end(), Ids[S]) ==
-              PrevIds.end())
-            ++FreelistReuses; // minted or drawn from earlier tombstones
-        }
-      }
-      // The freelist only grows by what died and shrinks by what fresh
-      // states consumed.
-      EXPECT_LE(Sess.freeStateIdCount(), PrevFree + Dying.size());
-    }
-  }
-  // Structural edits on SQL.1 must have created fresh states somewhere.
-  EXPECT_GT(FreelistReuses, 0u);
 }
 
 } // namespace

@@ -11,16 +11,17 @@
 // Jobs = 4, and that the reuse counters are exactly the per-conflict
 // key-set intersection with everything the cache has seen.
 //
-// Since PR 9 the incremental leg holds an IncrementalSession across the
-// edit stream, so it exercises all three reuse grains at once:
+// The incremental leg holds an IncrementalSession across the edit
+// stream, so it exercises the session and both reuse grains at once:
 //
-//   - the *automaton* is patched in place (dirty-cone rebuild, clean
-//     states spliced) — asserted byte-identical to a cold build through
+//   - the session's generation (built cold, states kernel-matched to the
+//     previous one) — asserted byte-identical to a cold build through
 //     serializeAnalysis/serializeGraph after every edit;
-//   - *direct* per-conflict cache hits (PR 8) — keys that survived the
-//     edit verbatim;
-//   - *remapped* hits (PR 9) — keys that moved, re-served from the
-//     previous generation's blob after touched-set verification.
+//   - *direct* per-conflict cache hits — keys that survived the edit
+//     verbatim;
+//   - *remapped* hits — keys that moved, re-served from the previous
+//     generation's blob after touched-set verification through the
+//     session's state maps.
 //
 // Budgets are deterministic (step caps only, no wall-clock deadlines,
 // unlimited cumulative budget): report bytes are then a pure function of
@@ -115,7 +116,7 @@ RunResult runWith(const Grammar &G, const ParseTable &T, FinderOptions Opts,
 /// Drives one grammar through \p NumEdits seeded edits, holding two
 /// IncrementalSessions with independently primed cache directories so the
 /// Jobs = 1 and Jobs = 4 incremental legs each see the full edit history
-/// (and each patch their automaton across it). \p TotalRemapped, when
+/// (and each advance its session across it). \p TotalRemapped, when
 /// non-null, accumulates remap-layer hits across the whole stream.
 void runOracle(const Grammar &Initial, uint64_t Seed, unsigned NumEdits,
                size_t MaxConfigs, const std::string &Tag,
@@ -162,9 +163,9 @@ void runOracle(const Grammar &Initial, uint64_t Seed, unsigned NumEdits,
     std::optional<Grammar> Edited = Model.build();
     ASSERT_TRUE(Edited) << "validated edit no longer builds";
 
-    // Advance both sessions, then hold the patched pipeline to the
-    // absolute bar: automaton + table + state-item graph byte-identical
-    // to a cold build, not merely action-equivalent.
+    // Advance both sessions, then hold their generations to the absolute
+    // bar: automaton + table + state-item graph byte-identical to a cold
+    // build, not merely action-equivalent.
     SessA.advance(*Edited);
     SessB.advance(*Edited);
     BuiltGrammar ColdBuild(*Edited);
