@@ -146,8 +146,8 @@ lalrcex::bench::writeBenchRecords(const std::string &Tool,
   JsonWriter W;
   W.beginObject();
   W.field("tool", Tool);
-  W.field("schema", size_t(8));
-  // The measuring machine's parallel width: speedup gates consult this to
+  W.field("schema", size_t(9));
+  // The measuring machine's parallel width: readers consult this to
   // decide whether a parallel-vs-serial ratio is meaningful here at all.
   W.field("cpus", std::max(1u, std::thread::hardware_concurrency()));
   W.key("records").beginArray();
@@ -157,7 +157,6 @@ lalrcex::bench::writeBenchRecords(const std::string &Tool,
     W.field("grammar", R.Grammar);
     W.field("conflicts", R.Conflicts);
     W.field("jobs", R.Jobs);
-    W.field("jobs_inner", R.JobsInner);
     if (R.WallMsSerial >= 0)
       W.field("wall_ms_serial", R.WallMsSerial);
     if (R.WallMsParallel >= 0)

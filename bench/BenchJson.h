@@ -9,11 +9,11 @@
 /// file next to its human-readable output, so each PR's perf numbers can
 /// be compared against the recorded trajectory instead of eyeballed.
 ///
-/// Schema (version 8), documented in README.md:
+/// Schema (version 9), documented in README.md:
 ///
 ///   {
 ///     "tool": "<tool name>",
-///     "schema": 8,
+///     "schema": 9,
 ///     "cpus": <hardware concurrency of the measuring machine>,
 ///     "records": [
 ///       {
@@ -21,7 +21,6 @@
 ///         "grammar": "<corpus grammar>",
 ///         "conflicts": <reported conflict count>,
 ///         "jobs": <job count used for wall_ms_parallel>,
-///         "jobs_inner": <intra-conflict workers used for wall_ms_parallel>,
 ///         "wall_ms_serial": <examineAll wall ms with Jobs = 1>,
 ///         "wall_ms_parallel": <examineAll wall ms with Jobs = jobs>,
 ///         "wall_ms_cold": <wall ms with an empty analysis cache>,
@@ -46,8 +45,8 @@
 /// from the record, "edit" is omitted when empty, and "metrics" is
 /// omitted when the record carries none (the usual flattened
 /// MetricsSnapshot of the measured run); schemas 4–7 were pure field
-/// additions (schema 4 added the top-level "cpus" and per-record
-/// "jobs_inner", so speedup gates can tell whether the measuring machine
+/// additions (schema 4 added the top-level "cpus" and a per-record inner
+/// worker count, so speedup gates can tell whether the measuring machine
 /// could physically show a speedup; schema 5 added "conflicts_reused" /
 /// "conflicts_recomputed" / "edit" for batch_analyze's -edit-loop
 /// incremental-reuse records; schema 6 added "states_reused" /
@@ -55,7 +54,8 @@
 /// patch; schema 7 added "table_rows_*" / "graph_rows_*" for the
 /// row-level patch). Schema 8 drops the row fields with the patch itself
 /// and redefines "states_reused" / "states_rebuilt" as the session's
-/// matched / unmatched states.
+/// matched / unmatched states. Schema 9 drops schema 4's inner worker
+/// count with the intra-conflict scheduler it described.
 /// Files are written as BENCH_<tool>.json in $LALRCEX_BENCH_DIR, or under
 /// bench/out/ relative to the working directory when the variable is
 /// unset (the directory is created on demand and gitignored; committed
@@ -113,8 +113,6 @@ struct BenchRecord {
   std::string Grammar;
   size_t Conflicts = 0;
   unsigned Jobs = 1;
-  /// Intra-conflict workers used for WallMsParallel (schema 4).
-  unsigned JobsInner = 1;
   double WallMsSerial = -1;   // < 0: not measured, omitted
   double WallMsParallel = -1; // < 0: not measured, omitted
   double WallMsCold = -1;     // < 0: not measured, omitted

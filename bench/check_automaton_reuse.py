@@ -2,7 +2,7 @@
 """Gate incremental state matching against its edit-loop records.
 
 Reads the "edit-loop/<grammar>/<k>" rows of BENCH_batch_analyze.json
-(schema 8). Each post-baseline row carries the state correspondence of
+(schema 8+). Each post-baseline row carries the state correspondence of
 that edit: "states_reused" (new states kernel-matched to a state of the
 previous generation) and "states_rebuilt" (new states with no old
 counterpart) — or neither when the delta was invalid and the session

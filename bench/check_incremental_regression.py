@@ -2,7 +2,7 @@
 """Gate incremental re-analysis against its edit-loop bench records.
 
 Validates the "edit-loop/<grammar>/<k>" rows of BENCH_batch_analyze.json
-(schema 8), produced by `batch_analyze -edit-loop`. Each row measures one
+(schema 8+), produced by `batch_analyze -edit-loop`. Each row measures one
 edit of a seeded edit stream twice: incrementally (session advance plus
 conflict-level cache reuse and report remapping, "wall_ms_warm") and as
 a cold recompute ("wall_ms_cold"); batch_analyze itself already failed

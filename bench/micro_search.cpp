@@ -244,86 +244,6 @@ void metricsOverheadRecords(const char *Grammar,
   Records.push_back(On);
 }
 
-/// Intra-conflict scaling on the pathological single-conflict grammar:
-/// one record per inner worker count, all sharing the serial wall time.
-/// The wall budget is disabled and the step budget fixed, so every row
-/// does the same deterministic work — "configurations" must be identical
-/// across the rows (the machine-independent determinism proxy
-/// bench/check_steal_regression.py gates on), and wall_ms_parallel /
-/// wall_ms_serial is pure scheduler speedup (gated only when the
-/// recorded "cpus" field says the machine could show one).
-void stealRecords(std::vector<BenchRecord> &Records) {
-  const char *Grammar = "worst-case-conflict";
-  auto B = buildEntry(*findCorpusEntry(Grammar));
-
-  FinderOptions Opts;
-  Opts.Jobs = 1;
-  Opts.ConflictTimeLimitSeconds = 0;  // deterministic: steps are the
-  Opts.CumulativeTimeLimitSeconds = 0; // only budget
-  Opts.MaxConfigurations = 40'000;
-
-  size_t Conflicts = 0, Confs = 0, Peak = 0;
-  Opts.JobsInner = 1;
-  double SerialMs = minWallMs([&] {
-    CounterexampleFinder Finder(B->T, Opts);
-    std::vector<ConflictReport> Reports = Finder.examineAll();
-    Conflicts = Reports.size();
-    Confs = Peak = 0;
-    for (const ConflictReport &R : Reports) {
-      Confs += R.Configurations;
-      Peak = std::max(Peak, R.PeakBytes);
-    }
-  });
-
-  BenchRecord Serial;
-  Serial.Name = "worst-case-conflict";
-  Serial.Grammar = Grammar;
-  Serial.Conflicts = Conflicts;
-  Serial.Jobs = 1;
-  Serial.JobsInner = 1;
-  Serial.WallMsSerial = SerialMs;
-  Serial.Configurations = Confs;
-  Serial.PeakBytes = Peak;
-  Records.push_back(Serial);
-
-  for (unsigned Inner : {2u, 4u, 8u}) {
-    Opts.JobsInner = Inner;
-    Opts.Metrics = nullptr;
-    size_t InnerConfs = 0, InnerPeak = 0;
-    double Ms = minWallMs([&] {
-      CounterexampleFinder Finder(B->T, Opts);
-      std::vector<ConflictReport> Reports = Finder.examineAll();
-      InnerConfs = InnerPeak = 0;
-      for (const ConflictReport &R : Reports) {
-        InnerConfs += R.Configurations;
-        InnerPeak = std::max(InnerPeak, R.PeakBytes);
-      }
-    });
-    // One untimed run with the registry attached, so the row carries the
-    // steal counters without the timed loop paying for instrumentation.
-    MetricsRegistry Registry;
-    Opts.Metrics = &Registry;
-    {
-      CounterexampleFinder Finder(B->T, Opts);
-      benchmark::DoNotOptimize(Finder.examineAll().size());
-    }
-    Opts.Metrics = nullptr;
-
-    BenchRecord R;
-    R.Name = "worst-case-conflict";
-    R.Grammar = Grammar;
-    R.Conflicts = Conflicts;
-    R.Jobs = 1;
-    R.JobsInner = Inner;
-    R.WallMsSerial = SerialMs;
-    R.WallMsParallel = Ms;
-    R.Configurations = InnerConfs;
-    R.PeakBytes = InnerPeak;
-    R.Metrics = Registry.snapshot().flatten();
-    Records.push_back(R);
-  }
-}
-
 /// examineAll over a whole grammar, serial vs. a small worker pool.
 BenchRecord examineAllRecord(const char *Grammar, unsigned Jobs) {
   auto B = buildEntry(*findCorpusEntry(Grammar));
@@ -372,7 +292,6 @@ int main(int argc, char **argv) {
   Records.push_back(
       searchRecord("unifying-challenging", "figure1", "digit"));
   Records.push_back(examineAllRecord("C.1", 4));
-  stealRecords(Records);
   metricsOverheadRecords("C.1", Records);
   lssRecords("figure1", Records);
   lssRecords("Pascal.1", Records);

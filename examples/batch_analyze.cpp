@@ -22,10 +22,6 @@
 //     -jobs <n>         grammar-level workers (default: hardware
 //                       concurrency; conflicts within a grammar run
 //                       serially so the pool is not oversubscribed)
-//     -jobs-inner <n>   intra-conflict speculation workers per unifying
-//                       search (default 1 here — grammar-level workers
-//                       already fill the machine; reports are
-//                       byte-identical at any setting)
 //     -timeout <sec>    per-conflict unifying budget (default 5)
 //     -cumulative <sec> per-grammar cumulative budget (default 120)
 //     -steps <n>        deterministic per-conflict configuration budget
@@ -45,14 +41,11 @@
 //                       serialized automatons, and print per-edit wall
 //                       time, a parse/automaton/search breakdown, the
 //                       matched-state and conflict-reuse counts.
-//                       -jobs-inner is honored: per-slot read logs keep
-//                       the remap layer's touched sets exact under
-//                       intra-conflict parallelism. Unless
-//                       -cumulative is given explicitly, the cumulative
-//                       clock is turned off in this mode: a finite
-//                       cumulative budget couples conflicts and disables
-//                       the conflict-level reuse the loop measures
-//                       (DESIGN.md §5i)
+//                       Unless -cumulative is given explicitly, the
+//                       cumulative clock is turned off in this mode: a
+//                       finite cumulative budget couples conflicts and
+//                       disables the conflict-level reuse the loop
+//                       measures (DESIGN.md §5i)
 //     -edit-seed <s>    seed for -edit-loop's edit stream (default 1)
 //     -edit-kinds <m>   edit menu for -edit-loop: "all" (default) or
 //                       "terminal" (add/remove/rename-terminal only, for
@@ -103,7 +96,6 @@ namespace {
 int usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s [-cache <dir>] [-out <dir>] [-jobs <n>] "
-               "[-jobs-inner <n>] "
                "[-timeout <sec>] [-cumulative <sec>] [-steps <n>] "
                "[-canonical] [-metrics] [-edit-loop <n> [-edit-seed <s>] "
                "[-edit-kinds all|terminal]] "
@@ -303,10 +295,6 @@ EditRunResult runIncrPipeline(IncrementalSession &Sess,
   FinderOptions Opts = BaseOpts;
   Opts.CachePath = CacheDir;
   Opts.Jobs = 1;
-  // Inner parallelism stays whatever -jobs-inner asked for: the parallel
-  // unifying search commits in serial order and merges speculation
-  // workers' graph-read logs deterministically, so conflict blobs carry
-  // the same touched sets (and the legs the same bytes) at any width.
   Opts.Metrics = nullptr;
   Opts.Incremental = Advance ? Sess.handoff() : nullptr;
   CounterexampleFinder Finder(Sess.table(), Opts);
@@ -430,9 +418,6 @@ size_t runEditLoop(const std::vector<Job> &Work, const FinderOptions &Opts,
       Rec.Grammar = J.Name;
       Rec.Conflicts = Incr.Conflicts;
       Rec.Jobs = 1;
-      // Both legs pin Jobs = 1; the inner width is whatever -jobs-inner
-      // asked for (0 = auto resolves to 1 under a single outer worker).
-      Rec.JobsInner = Opts.JobsInner == 0 ? 1 : Opts.JobsInner;
       Rec.WallMsCold = Cold.WallMs;
       Rec.WallMsWarm = Incr.WallMs;
       // The reuse gate counts reports the incremental leg did not have to
@@ -497,12 +482,6 @@ int main(int argc, char **argv) {
       if (++I == argc || !parseFlagValue("-jobs", argv[I], UINT32_MAX, V))
         return usage(argv[0]);
       Jobs = unsigned(V);
-    } else if (Arg == "-jobs-inner") {
-      uint64_t V;
-      if (++I == argc ||
-          !parseFlagValue("-jobs-inner", argv[I], UINT32_MAX, V))
-        return usage(argv[0]);
-      Opts.JobsInner = unsigned(V);
     } else if (Arg == "-timeout") {
       if (++I == argc)
         return usage(argv[0]);

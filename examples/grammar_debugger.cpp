@@ -16,10 +16,6 @@
 //     -memory-mb <n>      accounted memory budget per unifying search
 //     -jobs <n>           worker threads for conflict examination
 //                         (default: hardware concurrency; 1 = serial)
-//     -jobs-inner <n>     intra-conflict speculation workers per unifying
-//                         search (default: auto — the -jobs budget split
-//                         across the conflict workers; 1 = serial search;
-//                         reports are byte-identical at any setting)
 //     -lss-stats          print per-conflict lookahead-sensitive search
 //                         stats (pool occupancy, union-cache hit rate,
 //                         dominance-check counts)
@@ -66,7 +62,7 @@ static int usage(const char *Prog) {
   std::fprintf(stderr,
                "usage: %s [-extendedsearch] [-nonunifying] "
                "[-timeout <sec>] [-cumulative <sec>] [-steps <n>] "
-               "[-memory-mb <n>] [-jobs <n>] [-jobs-inner <n>] "
+               "[-memory-mb <n>] [-jobs <n>] "
                "[-lss-stats] [-metrics] "
                "[-trace-out <file>] [-canonical] "
                "[-dump] [-print] [-list] <grammar-file | corpus:NAME>\n",
@@ -127,12 +123,6 @@ int main(int argc, char **argv) {
       if (++I == argc || !parseFlagValue("-jobs", argv[I], UINT32_MAX, V))
         return usage(argv[0]);
       Opts.Jobs = unsigned(V);
-    } else if (Arg == "-jobs-inner") {
-      uint64_t V;
-      if (++I == argc ||
-          !parseFlagValue("-jobs-inner", argv[I], UINT32_MAX, V))
-        return usage(argv[0]);
-      Opts.JobsInner = unsigned(V);
     } else if (Arg == "-lss-stats") {
       Opts.CollectLssStats = true;
     } else if (Arg == "-metrics") {
@@ -264,16 +254,10 @@ int main(int argc, char **argv) {
     }
     std::printf("\n");
   }
-  unsigned Outer = CounterexampleFinder::resolveJobs(Opts.Jobs);
-  if (size_t(Outer) > Reports.size() && !Reports.empty())
-    Outer = unsigned(Reports.size()); // examineAll clamps the same way
-  std::printf("examined %zu conflicts with %u worker thread(s) "
-              "(x%u intra-conflict); "
+  std::printf("examined %zu conflicts with %u worker thread(s); "
               "%zu cumulative configurations charged\n",
               Reports.size(),
               CounterexampleFinder::resolveJobs(Opts.Jobs),
-              CounterexampleFinder::resolveInnerJobs(Opts.JobsInner,
-                                                     Opts.Jobs, Outer),
               Finder.cumulativeGuard().steps());
 
   if (PrintMetrics) {

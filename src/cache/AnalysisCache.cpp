@@ -101,10 +101,9 @@ Fingerprint128 lalrcex::cache::optionsFingerprint(const FinderOptions &Opts,
   StableHasher H;
   H.addString("lalrcex-finder-options");
   H.addU32(VersionSalt);
-  // Every field that can change report content. Jobs and JobsInner are
-  // excluded (reports are byte-identical for every worker count at both
-  // scheduler levels); Cancellation is excluded (a cancelled run is
-  // never stored).
+  // Every field that can change report content. Jobs is excluded
+  // (reports are byte-identical for every worker count); Cancellation is
+  // excluded (a cancelled run is never stored).
   H.addF64(Opts.ConflictTimeLimitSeconds);
   H.addF64(Opts.CumulativeTimeLimitSeconds);
   H.addU8(Opts.ExtendedSearch);
@@ -565,6 +564,58 @@ bool readConflict(BlobReader &R, const Grammar &G, unsigned NumStates,
   return true;
 }
 
+/// The automaton shape every consumer (the state-item graph build, the
+/// searches) relies on, checked on restored states whose fields are each
+/// in range but may not fit together: transitions sorted by symbol (the
+/// lookup is a binary search), kernels sorted and closure items unique
+/// dot-0 items, every item's dot symbol has a transition whose target
+/// kernel holds the advanced item, and every nonterminal after a dot has
+/// all its dot-0 items in the state. \returns null when consistent.
+const char *automatonShapeError(const Grammar &G,
+                                const std::vector<Automaton::State> &States) {
+  std::vector<uint32_t> DotZeroStamp(G.numProductions(), 0);
+  for (uint32_t S = 0; S != States.size(); ++S) {
+    const Automaton::State &St = States[S];
+    const uint32_t Stamp = S + 1;
+    for (size_t T = 1; T < St.Transitions.size(); ++T)
+      if (!(St.Transitions[T - 1].first < St.Transitions[T].first))
+        return "transitions not sorted by symbol";
+    for (unsigned I = 0; I != St.Items.size(); ++I) {
+      const Item &Itm = St.Items[I];
+      if (I < St.NumKernel) {
+        if (I > 0 && !(St.Items[I - 1] < Itm))
+          return "kernel items not sorted";
+      } else if (Itm.Dot != 0 || DotZeroStamp[Itm.Prod] == Stamp) {
+        return "closure item not a unique dot-0 item";
+      }
+      if (Itm.Dot == 0)
+        DotZeroStamp[Itm.Prod] = Stamp;
+    }
+    for (const Item &Itm : St.Items) {
+      Symbol Next = Itm.afterDot(G);
+      if (!Next.valid())
+        continue;
+      auto T = std::lower_bound(
+          St.Transitions.begin(), St.Transitions.end(), Next,
+          [](const std::pair<Symbol, unsigned> &E, Symbol X) {
+            return E.first < X;
+          });
+      if (T == St.Transitions.end() || T->first != Next)
+        return "item's dot symbol has no transition";
+      const Automaton::State &To = States[T->second];
+      auto KernelEnd = To.Items.begin() + To.NumKernel;
+      auto It = std::lower_bound(To.Items.begin(), KernelEnd, Itm.advanced());
+      if (It == KernelEnd || *It != Itm.advanced())
+        return "advanced item missing from the target kernel";
+      if (G.isNonterminal(Next))
+        for (unsigned P : G.productionsOf(Next))
+          if (DotZeroStamp[P] != Stamp)
+            return "closure item missing from state";
+    }
+  }
+  return nullptr;
+}
+
 } // namespace
 
 CacheProbe lalrcex::cache::deserializeAnalysis(
@@ -657,7 +708,8 @@ CacheProbe lalrcex::cache::deserializeAnalysis(
   if (!R.failed() && NumConflicts > R.remaining() / 22)
     R.fail("conflict count exceeds blob");
   std::vector<Conflict> Conflicts;
-  Conflicts.reserve(NumConflicts);
+  if (!R.failed())
+    Conflicts.reserve(NumConflicts);
   for (uint32_t I = 0; I != NumConflicts && !R.failed(); ++I) {
     Conflict C;
     if (readConflict(R, G, NumStates, C))
@@ -667,6 +719,8 @@ CacheProbe lalrcex::cache::deserializeAnalysis(
     return R.failed() ? corrupt(R)
                       : CacheProbe{CacheOutcome::Corrupt,
                                    "trailing bytes after payload"};
+  if (const char *Error = automatonShapeError(G, States))
+    return {CacheOutcome::Corrupt, Error};
 
   Out.M = ArtifactAccess::restoreAutomaton(G, A, Kind, std::move(States));
   Out.T = ArtifactAccess::restoreTable(*Out.M, std::move(Actions),

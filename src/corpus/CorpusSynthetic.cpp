@@ -127,11 +127,10 @@ void corpus_detail::addSyntheticGrammars(std::vector<CorpusEntry> &Out) {
   // search pumping both lists backward reaches up to 23 x 29 distinct
   // item-pair combinations, with two reverse-production choices per
   // period boundary on each side: the Dial cost buckets fill with
-  // hundreds of same-cost configurations. That is the stress shape for
-  // the intra-conflict bucket-epoch scheduler (wide epochs, uneven slot
-  // costs), and the grammar is still unambiguous — the search never
-  // exhausts, so a fixed MaxConfigurations budget measures pure search
-  // throughput deterministically.
+  // hundreds of same-cost configurations. The grammar is still
+  // unambiguous — the search never exhausts, so a fixed
+  // MaxConfigurations budget measures pure search throughput
+  // deterministically.
   {
     std::string Text = "%token BREAK THIS\n%%\n"
                        "start : '@' deep_list_a THIS ';'\n"

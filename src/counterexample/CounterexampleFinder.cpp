@@ -296,8 +296,6 @@ ConflictReport CounterexampleFinder::examineImpl(const Conflict &C,
     UO.Cancellation = Opts.Cancellation;
     UO.WallPollPeriod = Opts.WallPollPeriod;
     UO.Metrics = Opts.Metrics;
-    UO.InnerJobs =
-        resolveInnerJobs(Opts.JobsInner, Opts.Jobs, OuterWorkersActive);
     // Effective step budget: per-conflict cap, shrunk to what the
     // cumulative deterministic budget still allows.
     UO.MaxConfigurations = Opts.MaxConfigurations;
@@ -409,17 +407,6 @@ unsigned CounterexampleFinder::resolveJobs(unsigned Jobs) {
   if (Jobs == 0)
     Jobs = std::thread::hardware_concurrency();
   return Jobs == 0 ? 1 : Jobs;
-}
-
-unsigned CounterexampleFinder::resolveInnerJobs(unsigned JobsInner,
-                                                unsigned Jobs,
-                                                unsigned OuterWorkers) {
-  if (JobsInner != 0)
-    return JobsInner;
-  // Auto split: divide the total worker budget evenly across the
-  // conflict-level workers, so few conflicts on a wide machine still
-  // saturate it (one conflict on 8 cores gets 8 inner workers).
-  return std::max(1u, resolveJobs(Jobs) / std::max(1u, OuterWorkers));
 }
 
 std::vector<ConflictReport> CounterexampleFinder::examineAll() {
@@ -562,15 +549,9 @@ std::vector<ConflictReport> CounterexampleFinder::examineAll() {
   unsigned Jobs = resolveJobs(Opts.Jobs);
   if (size_t(Jobs) > Pending.size())
     Jobs = unsigned(Pending.size());
-  // The JobsInner = 0 auto split divides the Jobs budget by the
-  // conflict-level worker count of this run.
-  OuterWorkersActive = std::max(1u, Jobs);
   // Graph-read recording for v2 per-conflict blobs (the remap layer's
-  // verification set). Speculation workers of the parallel unifying
-  // search log each slot's graph reads into its SlotSpec; the commit
-  // loop replays committed slots' logs into this thread's recorder, so
-  // the recorded set equals the serial schedule's at any inner worker
-  // count and recording no longer pins the search to one thread.
+  // verification set): one recorder per conflict, active on the thread
+  // that examines it, which is the only thread its searches run on.
   const bool RecordTouch = FineGrained;
   std::vector<std::vector<uint32_t>> PendingTouched(
       RecordTouch ? Pending.size() : 0);
@@ -635,8 +616,6 @@ std::vector<ConflictReport> CounterexampleFinder::examineAll() {
     for (std::thread &T : Pool)
       T.join();
   }
-
-  OuterWorkersActive = 1; // standalone examine() gets the full budget
 
   // Publish the report set unless cancellation truncated it: a cancelled
   // run's reports are a function of *when* the token tripped, not of the

@@ -65,19 +65,13 @@ struct FinderOptions {
   unsigned WallPollPeriod = 64;
   /// Worker threads for examineAll (0 = hardware concurrency). Conflicts
   /// are examined concurrently over shared read-only tables and one
-  /// shared cumulative guard; reports come back in conflict order and the
+  /// shared cumulative guard; each conflict's searches run on the one
+  /// worker that claimed it. Reports come back in conflict order and the
   /// deterministic report fields are identical for every job count. 1
   /// preserves strictly serial examination.
   unsigned Jobs = 0;
-  /// Intra-conflict workers for each unifying search — the second level
-  /// of the two-level scheduler (DESIGN.md 5h): Jobs spreads conflicts
-  /// across workers, JobsInner shards the active cost bucket inside one
-  /// search across speculation workers with work stealing. 0 (the
-  /// default) splits the resolved Jobs budget evenly across the
-  /// conflict-level workers, so a table with fewer conflicts than cores
-  /// still uses the whole machine. 1 disables intra-conflict
-  /// parallelism. Reports are byte-identical for every setting; like
-  /// Jobs, never part of the cache key.
+  /// Ignored. Each unifying search is serial (DESIGN.md 5h); the field
+  /// remains so existing callers that set it still compile.
   unsigned JobsInner = 0;
   /// Collect per-conflict LssStats (pool occupancy, union-cache hit rate,
   /// dominance-check counts) into ConflictReport::Lss. Observability
@@ -235,13 +229,6 @@ public:
   /// 0 = hardware-concurrency default; never returns 0).
   static unsigned resolveJobs(unsigned Jobs);
 
-  /// The intra-conflict worker count a search will use for
-  /// \p JobsInner when \p OuterWorkers conflict-level workers share the
-  /// resolved \p Jobs budget (the 0 = auto-split default; never
-  /// returns 0).
-  static unsigned resolveInnerJobs(unsigned JobsInner, unsigned Jobs,
-                                   unsigned OuterWorkers);
-
   /// Renders a report in the style of the paper's Figure 11.
   std::string render(const ConflictReport &R) const;
 
@@ -277,12 +264,6 @@ private:
   static std::optional<StateItemGraph>
   makeOwnedGraph(const ParseTable &Table, const FinderOptions &Opts,
                  CacheActivity &Activity);
-
-  /// Conflict-level workers of the currently running examineAll (1 for
-  /// standalone examine calls): the denominator of the JobsInner = 0
-  /// auto split. Written before the worker pool starts, read-only while
-  /// it runs.
-  unsigned OuterWorkersActive = 1;
 
   const ParseTable &Table;
   const Grammar &G;

@@ -54,20 +54,8 @@ class GraphTouchRecorder {
 public:
   explicit GraphTouchRecorder(unsigned NumNodes) : Marks(NumNodes, false) {}
 
-  /// A raw append-only recorder: every touch is logged, duplicates
-  /// included, with no dedup table to size or clear. Speculation workers
-  /// of the parallel unifying search record each slot's graph reads into
-  /// one of these; at commit, the logs of *committed* slots are replayed
-  /// into the conflict's dedup recorder (touch() re-dedups), which
-  /// reproduces the serial schedule's read set exactly — uncommitted
-  /// slots' reads never happened as far as the serial search is
-  /// concerned.
-  GraphTouchRecorder() : Raw(true) {}
-
   void touch(uint32_t N) {
-    if (Raw) {
-      Touched.push_back(N);
-    } else if (N < Marks.size() && !Marks[N]) {
+    if (N < Marks.size() && !Marks[N]) {
       Marks[N] = true;
       Touched.push_back(N);
     }
@@ -75,13 +63,6 @@ public:
 
   /// The touched node ids in ascending order.
   std::vector<uint32_t> sortedNodes() const;
-
-  /// Moves out the raw log (read order, duplicates included). Raw
-  /// recorders only.
-  std::vector<uint32_t> takeLog() {
-    assert(Raw && "takeLog is for raw recorders");
-    return std::move(Touched);
-  }
 
   /// The recorder active on this thread, or null when not recording.
   static GraphTouchRecorder *active() { return Active; }
@@ -92,7 +73,6 @@ private:
 
   std::vector<bool> Marks;
   std::vector<uint32_t> Touched;
-  bool Raw = false;
 };
 
 /// RAII activation of a GraphTouchRecorder on the current thread.

@@ -19,21 +19,19 @@
 //   - Guard.chargeBytes is charged on actual arena/pool/visited growth,
 //     not per-configuration approximations.
 //
+// Each search runs on one thread; examineAll runs the searches of
+// different conflicts concurrently (DESIGN.md 5h records why the
+// boundary stays there).
+//
 //===----------------------------------------------------------------------===//
 
 #include "counterexample/UnifyingSearch.h"
 
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
-#include "support/WorkStealingDeque.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
 #include <new>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -116,29 +114,6 @@ public:
       if (Entries[Id].Node == N)
         return true;
     return false;
-  }
-
-  /// Read-only probe of push(): the existing id for (\p Parent, \p N),
-  /// or NilChain when no such stack has been interned yet. Unlike push()
-  /// this never mutates, so speculation workers may call it concurrently
-  /// while the arena is epoch-frozen.
-  uint32_t probePush(uint32_t Parent, NodeId N) const {
-    auto It = Intern.find((uint64_t(Parent) << 32) | N);
-    return It == Intern.end() ? NilChain : It->second;
-  }
-
-  /// Read-only probe of prepend(): the existing id of the sequence with
-  /// \p N below \p Id, or NilChain if any re-interned prefix is missing.
-  /// \p Scr is caller-owned scratch (workers must not share the arena's).
-  uint32_t probePrepend(uint32_t Id, NodeId N,
-                        std::vector<NodeId> &Scr) const {
-    Scr.clear();
-    for (uint32_t I = Id; I != NilChain; I = Entries[I].Parent)
-      Scr.push_back(Entries[I].Node); // top .. front
-    uint32_t Out = probePush(NilChain, N);
-    for (size_t I = Scr.size(); I != 0 && Out != NilChain; --I)
-      Out = probePush(Out, Scr[I - 1]);
-    return Out;
   }
 
   /// The sequence with \p N prepended below the whole stack. O(depth):
@@ -280,29 +255,6 @@ public:
     }
   }
 
-  /// Moves every entry of the current lowest-cost bucket (the unconsumed
-  /// suffix) into \p Out, preserving FIFO order — one scheduling epoch of
-  /// the bucket-sharded parallel search. Same-cost successors enqueued
-  /// afterwards land back in this bucket and form the next epoch, which
-  /// is exactly the suffix pop() would have drained after them.
-  void drainCurrent(std::vector<uint32_t> &Out) {
-    for (;;) {
-      std::vector<uint32_t> &B = Buckets[size_t(Cur) % Buckets.size()];
-      if (Head < B.size()) {
-        Out.assign(B.begin() + Head, B.end());
-        size_t Taken = B.size() - Head;
-        Count -= Taken;
-        PopCount += Taken;
-        B.clear();
-        Head = 0;
-        return;
-      }
-      B.clear();
-      Head = 0;
-      ++Cur;
-    }
-  }
-
   size_t pushes() const { return PushCount; }
   size_t pops() const { return PopCount; }
 
@@ -328,14 +280,9 @@ struct QueueMetricsFlusher {
   }
 };
 
-//===----------------------------------------------------------------------===//
-// Bucket-epoch parallel machinery (DESIGN.md 5h)
-//===----------------------------------------------------------------------===//
-
 /// One potential successor of a configuration, recorded by the read-only
 /// generation pass and executed (intern + admit + ledger + enqueue) by the
-/// serial apply pass. Everything needed to redo the mutation is here, so
-/// speculation workers never touch an arena.
+/// apply pass.
 enum class CandKind : uint8_t {
   SharedShift, ///< Fig. 10(a): A/B = successor nodes of the two sides
   ProdStep,    ///< Fig. 10(b): A = dot-0 item node, side in First
@@ -348,129 +295,10 @@ struct Candidate {
   CandKind Kind;
   bool First = false;          ///< which side, for the per-side kinds
   bool ShiftsConflict = false; ///< SharedShift consumes the conflict term
-  bool Dropped = false;        ///< speculation proved the admit would fail
   NodeId A = 0, B = 0;
   int CostDelta = 0;
   uint32_t Prod = 0;  ///< Reduce: production index
   uint16_t PopLen = 0; ///< Reduce: right-hand-side length
-};
-
-/// Per-slot result of the speculation phase. Written by exactly one
-/// worker during the parallel phase, read by the commit phase after the
-/// epoch barrier (the pool's mutex hands over visibility).
-struct SlotSpec {
-  bool Done = false;     ///< speculation ran (skipped slots stay false)
-  bool GoalHit = false;  ///< the goal test passed on this configuration
-  bool HasError = false; ///< generation threw SearchError (replayed at
-                         ///< commit after the recorded candidate prefix)
-  bool BadAllocHit = false; ///< speculation hit an allocation failure
-  std::string Error;
-  std::vector<Candidate> Cands;
-  /// Graph nodes generate() read during speculation (raw log, read
-  /// order). Replayed into the conflict's touch recorder when the slot
-  /// commits, so remap-mode recording stays exact at any worker count.
-  std::vector<uint32_t> Touched;
-};
-
-/// A persistent pool of epoch workers for one search. Spawned once,
-/// parked on a condition variable between epochs; run() executes one job
-/// on every worker (the caller participates as worker 0) and returns only
-/// when all are done — the deterministic epoch barrier. Thread-exhaustion
-/// degrades gracefully: whatever workers could be spawned are used.
-class InnerWorkerPool {
-public:
-  explicit InnerWorkerPool(unsigned Requested) {
-    unsigned Extra = Requested > 0 ? Requested - 1 : 0;
-    Threads.reserve(Extra);
-    for (unsigned I = 0; I != Extra; ++I) {
-      try {
-        Threads.emplace_back([this, Idx = I + 1] { workerMain(Idx); });
-      } catch (const std::system_error &) {
-        break;
-      }
-    }
-  }
-
-  ~InnerWorkerPool() {
-    {
-      std::lock_guard<std::mutex> L(M);
-      Shutdown = true;
-    }
-    StartCV.notify_all();
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
-  unsigned workers() const { return unsigned(Threads.size()) + 1; }
-
-  /// Runs \p JobFn(WorkerIndex) on every worker, caller included, and
-  /// blocks until all have returned. JobFn must not throw.
-  void run(const std::function<void(unsigned)> &JobFn) {
-    {
-      std::lock_guard<std::mutex> L(M);
-      Job = &JobFn;
-      Pending = unsigned(Threads.size());
-      ++Seq;
-    }
-    StartCV.notify_all();
-    JobFn(0);
-    std::unique_lock<std::mutex> L(M);
-    DoneCV.wait(L, [&] { return Pending == 0; });
-    Job = nullptr;
-  }
-
-private:
-  void workerMain(unsigned Idx) {
-    uint64_t Seen = 0;
-    for (;;) {
-      const std::function<void(unsigned)> *J;
-      {
-        std::unique_lock<std::mutex> L(M);
-        StartCV.wait(L, [&] { return Shutdown || Seq != Seen; });
-        if (Shutdown)
-          return;
-        Seen = Seq;
-        J = Job;
-      }
-      (*J)(Idx);
-      {
-        std::lock_guard<std::mutex> L(M);
-        --Pending;
-      }
-      DoneCV.notify_one();
-    }
-  }
-
-  std::mutex M;
-  std::condition_variable StartCV, DoneCV;
-  const std::function<void(unsigned)> *Job = nullptr;
-  uint64_t Seq = 0;
-  unsigned Pending = 0;
-  bool Shutdown = false;
-  std::vector<std::thread> Threads;
-};
-
-/// Flushes the steal counters and barrier count into the search.* metrics
-/// when searchImpl exits, including via SearchError / bad_alloc.
-struct StealMetricsFlusher {
-  const std::vector<WorkStealingDeque::Counters> &Steal;
-  const uint64_t &Barriers;
-  MetricsRegistry *Metrics;
-  ~StealMetricsFlusher() {
-    if (!Metrics)
-      return;
-    uint64_t Stolen = 0, Failures = 0;
-    for (const WorkStealingDeque::Counters &C : Steal) {
-      Stolen += C.TasksStolen;
-      Failures += C.StealFailures;
-    }
-    if (Stolen)
-      Metrics->add(metric::SearchTasksStolen, Stolen);
-    if (Failures)
-      Metrics->add(metric::SearchStealFailures, Failures);
-    if (Barriers)
-      Metrics->add(metric::SearchBucketBarriers, Barriers);
-  }
 };
 
 } // namespace
@@ -696,11 +524,8 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
 
   // --------------------------------------------------------------------
   // Successor generation (Fig. 10), split into a read-only generate pass
-  // that records candidates and a mutating apply pass that executes them
-  // (DESIGN.md 5h). The serial schedule runs generate+apply per
-  // configuration; the parallel schedule runs generate on speculation
-  // workers and apply in the serial commit phase. Both schedules share
-  // this single implementation, so they cannot diverge structurally.
+  // that lists a configuration's candidates in canonical order and a
+  // mutating apply pass that executes them one by one.
   // --------------------------------------------------------------------
 
   // Reduction on one side (Fig. 10(f)); records one candidate if the
@@ -797,8 +622,7 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
 
   // All successors of one configuration, in canonical order: shared
   // shift, production steps (side 1, then 2), then the per-side
-  // reduce/reverse block. Read-only: safe on concurrent speculation
-  // workers while the arenas are epoch-frozen.
+  // reduce/reverse block. Read-only.
   auto generate = [&](const Config &C, std::vector<Candidate> &Out) {
     NodeId L1 = IA.top(C.S1.Items);
     NodeId L2 = IA.top(C.S2.Items);
@@ -866,10 +690,8 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
     }
   };
 
-  // Executes one candidate: authoritative interning, admission, ledger
-  // work, and enqueue. Always runs on the committing thread — every
-  // mutation of the search state funnels through here — so admission
-  // order, and with it every report byte, matches the serial schedule.
+  // Executes one candidate: interning, admission, ledger work, and
+  // enqueue. Every mutation of the search state funnels through here.
   auto apply = [&](const Config &C, const Candidate &D) {
     switch (D.Kind) {
     case CandKind::SharedShift: {
@@ -965,49 +787,6 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
     }
   };
 
-  // True when a candidate's admission is guaranteed to fail against the
-  // epoch-frozen state: every stack it would intern already exists (all
-  // probes hit) and the resulting visited key is already present.
-  // Admission can only fail on such full hits — a fresh stack id makes
-  // the visited key fresh too — so dropping a proven duplicate during
-  // speculation skips exactly the arena growth and byte charges that the
-  // serial search would not have performed either (DESIGN.md 5h). The
-  // check is conservative: any miss keeps the candidate for commit.
-  auto provenDuplicate = [&](const Config &C, const Candidate &D,
-                             std::vector<NodeId> &Scr) -> bool {
-    uint32_t I1 = C.S1.Items, I2 = C.S2.Items;
-    uint8_t Flags = C.Flags;
-    switch (D.Kind) {
-    case CandKind::SharedShift:
-      I1 = IA.probePush(C.S1.Items, D.A);
-      I2 = IA.probePush(C.S2.Items, D.B);
-      if (D.ShiftsConflict)
-        Flags |= FlagShifted;
-      break;
-    case CandKind::ProdStep:
-      (D.First ? I1 : I2) =
-          IA.probePush((D.First ? C.S1 : C.S2).Items, D.A);
-      break;
-    case CandKind::Reduce:
-      (D.First ? I1 : I2) = IA.probePush(
-          IA.popN((D.First ? C.S1 : C.S2).Items, D.PopLen + 1u), D.A);
-      Flags |= D.First ? FlagReduce1 : FlagReduce2;
-      break;
-    case CandKind::RevProd:
-      (D.First ? I1 : I2) =
-          IA.probePrepend((D.First ? C.S1 : C.S2).Items, D.A, Scr);
-      break;
-    case CandKind::RevTrans:
-      I1 = IA.probePrepend(C.S1.Items, D.A, Scr);
-      I2 = I1 == NilChain ? NilChain
-                          : IA.probePrepend(C.S2.Items, D.B, Scr);
-      break;
-    }
-    if (I1 == NilChain || I2 == NilChain)
-      return false; // a fresh stack: admission will succeed
-    return Visited.find(VisitKey{I1, I2, Flags}) != Visited.end();
-  };
-
   // Flattens a ledger (front chain, then reversed back chain) into the
   // derivation list of a counterexample; only the goal pays for this.
   auto materialize = [&](const SideRef &S) {
@@ -1049,7 +828,7 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
            G.isNonterminal(D1->symbol()) && !Derivation::equal(D1, D2);
   };
 
-  // One deterministic guard step per committed configuration; the guard
+  // One deterministic guard step per popped configuration; the guard
   // folds in the step budget, the byte budget (charged on admission and
   // arena growth), the periodic wall-clock poll, and cancellation.
   auto guardStop = [&]() -> bool {
@@ -1072,13 +851,11 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
     return false;
   };
 
-  // Commits one configuration: counting, fault hooks, integrity check,
-  // goal test, candidate application — every mutation of the search
-  // state. With a speculation result the goal verdict and candidate list
-  // are reused; without one the same generate() runs inline. \returns
-  // true when the goal was reached (Result is filled in).
-  std::vector<Candidate> CandScratch;
-  auto processConfig = [&](uint32_t PoolId, const SlotSpec *Spec) -> bool {
+  // Expands one configuration: counting, fault hooks, integrity check,
+  // goal test, then every successor generate() lists, applied in order.
+  // \returns true when the goal was reached (Result is filled in).
+  std::vector<Candidate> Cands;
+  auto processConfig = [&](uint32_t PoolId) -> bool {
     Config C = Pool[PoolId]; // 40-byte copy; arenas hold the state
     ++Result.ConfigurationsExplored;
 
@@ -1095,16 +872,7 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
       throw SearchError(
           "unifying search: configuration lost its item sequence");
 
-    const bool UseSpec = Spec && Spec->Done;
-    // A committed slot's speculative generate() reads stand in for the
-    // generate() call the serial schedule would make right here; replay
-    // them into the active recorder (apply()'s reads below happen on this
-    // thread and record directly, in both schedules).
-    if (UseSpec && !Spec->Touched.empty())
-      if (GraphTouchRecorder *R = GraphTouchRecorder::active())
-        for (uint32_t N : Spec->Touched)
-          R->touch(N);
-    if (UseSpec ? Spec->GoalHit : goalDetect(C)) {
+    if (goalDetect(C)) {
       Counterexample Ex;
       Ex.Unifying = true;
       Ex.Root = rootOf(C.S1)->symbol();
@@ -1121,145 +889,20 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
       return true;
     }
 
-    if (UseSpec) {
-      for (const Candidate &D : Spec->Cands)
-        if (!D.Dropped)
-          apply(C, D);
-      // Replay a failure speculation recorded. The candidates generated
-      // before the throw were applied above, mirroring the inline path.
-      if (Spec->BadAllocHit)
-        throw std::bad_alloc();
-      if (Spec->HasError)
-        throw SearchError(Spec->Error);
-    } else {
-      CandScratch.clear();
-      try {
-        generate(C, CandScratch);
-      } catch (...) {
-        // Apply the prefix generated before the failure, so the inline
-        // path mutates exactly like a replayed speculation would.
-        for (const Candidate &D : CandScratch)
-          apply(C, D);
-        throw;
-      }
-      for (const Candidate &D : CandScratch)
-        apply(C, D);
-    }
+    Cands.clear();
+    generate(C, Cands);
+    for (const Candidate &D : Cands)
+      apply(C, D);
     return false;
   };
 
-  const unsigned RequestedInner =
-      Opts.InnerJobs == 0
-          ? std::max(1u, std::thread::hardware_concurrency())
-          : Opts.InnerJobs;
-
-  if (RequestedInner <= 1) {
-    // Serial schedule: pop, test, generate, apply — the reference order
-    // the parallel schedule below reproduces slot by slot.
-    while (!Queue.empty()) {
-      if (guardStop())
-        return;
-      if (processConfig(Queue.pop(), nullptr))
-        return;
-    }
-    Result.Status = UnifyingStatus::Exhausted;
-    return;
-  }
-
-  // Parallel schedule (DESIGN.md 5h): repeatedly drain the entire
-  // current cost bucket (one epoch), speculate on all of its slots
-  // concurrently — work stealing balances uneven slots — then commit the
-  // slots in drain order on this thread. Commit order equals serial pop
-  // order and every mutation happens at commit, so the result is
-  // byte-identical to the serial schedule at any worker count.
-  InnerWorkerPool Workers(RequestedInner);
-  const unsigned W = Workers.workers();
-  // Captured on the committing thread: when the finder records graph
-  // reads for this conflict (remap mode), speculation workers log each
-  // slot's reads separately and the commit loop replays committed slots'
-  // logs — recording no longer forces the search serial.
-  const bool Recording = GraphTouchRecorder::active() != nullptr;
-  WorkStealingDeque Deque(W);
-  std::vector<WorkStealingDeque::Counters> Steal(W);
-  uint64_t Barriers = 0;
-  StealMetricsFlusher StealFlush{Steal, Barriers, Opts.Metrics};
-  std::vector<uint32_t> Epoch;
-  std::vector<SlotSpec> Specs;
-  std::vector<std::vector<NodeId>> WorkerScratch(W);
-  std::atomic<uint32_t> FirstGoal{UINT32_MAX};
-  // Epochs smaller than this run inline: the barrier would cost more
-  // than the speculation saves. Cannot affect determinism — inline and
-  // speculated slots share generate()/apply().
-  constexpr size_t MinParallelSlots = 8;
-
-  auto speculateSlot = [&](uint32_t Slot, unsigned Worker) {
-    SlotSpec &Spec = Specs[Slot];
-    const Config &C = Pool[Epoch[Slot]];
-    // Per-slot raw recorder (worker 0 is the committing thread; the
-    // scope shadows its conflict recorder for the slot's duration, so a
-    // slot's reads are never double-recorded).
-    GraphTouchRecorder SlotRec;
-    ScopedGraphTouchRecorder Scope(Recording ? &SlotRec : nullptr);
-    try {
-      if (goalDetect(C)) {
-        Spec.GoalHit = true;
-        // CAS-min: slots beyond the first goal will never be committed,
-        // so later speculation can skip them.
-        uint32_t Cur = FirstGoal.load(std::memory_order_relaxed);
-        while (Slot < Cur && !FirstGoal.compare_exchange_weak(
-                                 Cur, Slot, std::memory_order_relaxed))
-          ;
-      } else {
-        generate(C, Spec.Cands);
-        for (Candidate &D : Spec.Cands)
-          if (provenDuplicate(C, D, WorkerScratch[Worker]))
-            D.Dropped = true;
-      }
-    } catch (const SearchError &E) {
-      Spec.HasError = true;
-      Spec.Error = E.what();
-    } catch (const std::bad_alloc &) {
-      Spec.BadAllocHit = true;
-    }
-    if (Recording)
-      Spec.Touched = SlotRec.takeLog();
-    Spec.Done = true;
-  };
-
-  const std::function<void(unsigned)> EpochJob = [&](unsigned Worker) {
-    uint32_t Slot;
-    while (Deque.next(Worker, Slot, Steal[Worker])) {
-      if (Slot > FirstGoal.load(std::memory_order_relaxed))
-        continue; // a goal at an earlier slot ends the search first
-      speculateSlot(Slot, Worker);
-    }
-  };
-
+  // The cost-ordered search loop (paper §5.4): guard step, pop the
+  // cheapest configuration, goal test, generate, apply.
   while (!Queue.empty()) {
-    Queue.drainCurrent(Epoch);
-    const bool Parallel = W > 1 && Epoch.size() >= MinParallelSlots;
-    if (Parallel) {
-      if (Specs.size() < Epoch.size())
-        Specs.resize(Epoch.size());
-      for (size_t I = 0; I != Epoch.size(); ++I) {
-        SlotSpec &S = Specs[I];
-        S.Done = S.GoalHit = S.HasError = S.BadAllocHit = false;
-        S.Error.clear();
-        S.Cands.clear();
-        S.Touched.clear();
-      }
-      FirstGoal.store(UINT32_MAX, std::memory_order_relaxed);
-      Deque.distribute(uint32_t(Epoch.size()));
-      Workers.run(EpochJob);
-      ++Barriers;
-    }
-    for (size_t I = 0; I != Epoch.size(); ++I) {
-      if (guardStop())
-        return;
-      if (processConfig(Epoch[I], Parallel ? &Specs[I] : nullptr))
-        return;
-    }
+    if (guardStop())
+      return;
+    if (processConfig(Queue.pop()))
+      return;
   }
-
   Result.Status = UnifyingStatus::Exhausted;
 }

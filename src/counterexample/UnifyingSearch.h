@@ -71,14 +71,6 @@ struct UnifyingOptions {
   /// lookahead-sensitive path (extended search only).
   int ExtendedRevTransitionCost = 100;
 
-  /// Intra-conflict workers for the bucket-epoch speculate/commit scheme
-  /// (DESIGN.md 5h): the active Dial cost bucket is sharded across this
-  /// many workers via a work-stealing deque for the read-only speculation
-  /// phase; a serial commit phase replays the bucket in canonical order,
-  /// so results are byte-identical to 1 at any setting. 1 disables the
-  /// worker pool entirely; 0 resolves to the hardware concurrency.
-  unsigned InnerJobs = 1;
-
   /// Optional observability sink: wall time, configuration and bucket-queue
   /// counters, peak arena bytes, and guard trips (unifying.* metrics).
   /// Never affects the search result.

@@ -2,7 +2,7 @@
 //
 // Part of lalrcex.
 //
-// Derivation counting runs as a monotone fixpoint over two kinds of
+// Derivation counting solves a monotone system over two kinds of
 // subproblems, saturated at the cap:
 //
 //   sym(X, i, j):        #trees of symbol X yielding Input[i..j)
@@ -10,12 +10,20 @@
 //
 // sym(X,i,j) = [terminal or self-scan match] + sum over productions P of X
 //              of path(P, 0, i, j);
-// path(P,d,k,j) = sum over split m of sym(rhs[d],k,m) * path(P,d+1,m,j).
+// path(P,d,k,j) = sum over split m of sym(rhs[d],k,m) * path(P,d+1,m,j),
+//                 where the last rhs symbol must end at j.
 //
-// Cells are discovered on demand from the root cell; iteration to a least
-// fixpoint makes cyclic grammars (A -> A) saturate at the cap instead of
-// recursing forever, which is exactly the desired "infinitely many trees
-// counts as ambiguous" behavior.
+// Cells are discovered on demand from the root cell. Each round of the
+// solver walks them depth-first from the root with an explicit stack and
+// evaluates every cell after the cells it reads (post-order), so a value
+// travels from the leaves to the root in one round. A cell read while it
+// is still on the stack is a cycle (A -> A, or a nullable loop within one
+// span); such a round only yields lower bounds, and the solver repeats
+// rounds until nothing changes. Iterating to the least fixpoint makes
+// cyclic grammars saturate at the cap instead of recursing forever, which
+// is exactly the desired "infinitely many trees counts as ambiguous"
+// behavior. Cells the last round of a solve visited hold their final
+// values and are never re-evaluated.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,8 +58,32 @@ struct Counter {
   const std::vector<Symbol> &Input;
   unsigned Cap;
 
-  std::unordered_map<uint64_t, unsigned> Val;
-  std::vector<uint64_t> Cells; // discovery order
+  struct Cell {
+    uint64_t Key;
+    unsigned Value = 0;
+    unsigned Round = 0; // last round that visited the cell
+    bool OnStack = false;
+    bool Final = false;
+  };
+  /// A suspended evaluation: the split point or production it resumes at
+  /// and the sum so far.
+  struct Frame {
+    uint32_t Cell;
+    unsigned Cursor;
+    unsigned Total;
+  };
+
+  std::unordered_map<uint64_t, uint32_t> Index;
+  std::vector<Cell> Cells;
+  std::vector<Frame> Stack;
+  std::vector<uint32_t> Solving; // cells visited by the current solve
+  unsigned Round = 0;
+  unsigned FirstRound = 0; // the current solve's first round
+  bool Cyclic = false;  // this round read a cell still on the stack
+  bool Changed = false; // this round raised some cell's value
+
+  Counter(const Grammar &G, const std::vector<Symbol> &Input, unsigned Cap)
+      : G(G), Input(Input), Cap(Cap) {}
 
   unsigned satAdd(unsigned A, unsigned B) const {
     return A + B >= Cap ? Cap : A + B;
@@ -62,84 +94,129 @@ struct Counter {
     return A >= (Cap + B - 1) / B ? Cap : A * B;
   }
 
-  /// Reads the current value of a cell, registering it for evaluation if
-  /// new.
-  unsigned read(uint64_t Key) {
-    auto [It, Inserted] = Val.emplace(Key, 0);
+  /// Reads cell \p Key into \p Value if this round already has it (or it
+  /// is final, or on the stack: a cycle). Otherwise pushes a frame for it
+  /// and returns false; the caller suspends and repeats the read once the
+  /// frame is done.
+  bool read(uint64_t Key, unsigned &Value) {
+    auto [It, Inserted] = Index.emplace(Key, uint32_t(Cells.size()));
     if (Inserted)
-      Cells.push_back(Key);
-    return It->second;
+      Cells.push_back({Key});
+    uint32_t Id = It->second;
+    Cell &C = Cells[Id];
+    if (C.Final || C.Round == Round) {
+      Cyclic |= C.OnStack;
+      Value = C.Value;
+      return true;
+    }
+    if (C.Round < FirstRound)
+      Solving.push_back(Id);
+    C.Round = Round;
+    C.OnStack = true;
+    Stack.push_back({Id, 0, 0});
+    return false;
   }
 
-  unsigned readSym(Symbol S, unsigned I, unsigned J) {
-    // Terminals and self-scans need no registration; compute directly.
-    bool SelfScan = J == I + 1 && Input[I] == S;
-    if (G.isTerminal(S))
-      return SelfScan ? 1 : 0;
-    return satAdd(SelfScan ? 1 : 0, read(symKey(S.id(), I, J)));
+  /// sym(S, I, J) plus the self-scan match, as read() does.
+  bool readSym(Symbol S, unsigned I, unsigned J, unsigned &Value) {
+    // Terminals and self-scans need no cell; compute directly.
+    unsigned Self = J == I + 1 && Input[I] == S ? 1 : 0;
+    if (G.isTerminal(S)) {
+      Value = Self;
+      return true;
+    }
+    if (!read(symKey(S.id(), I, J), Value))
+      return false;
+    Value = satAdd(Self, Value);
+    return true;
   }
 
-  unsigned evalSym(int32_t SymId, unsigned I, unsigned J) {
-    Symbol S(SymId);
-    unsigned Total = 0;
-    for (unsigned P : G.productionsOf(S))
-      Total = satAdd(Total, read(pathKey(P, 0, I, J)));
-    return Total;
+  /// Advances \p F; \returns true once its sum is complete.
+  bool evalSym(Frame &F, int32_t SymId, unsigned I, unsigned J) {
+    const std::vector<unsigned> &Prods = G.productionsOf(Symbol(SymId));
+    for (; F.Cursor != Prods.size() && F.Total != Cap; ++F.Cursor) {
+      unsigned V = 0;
+      if (!read(pathKey(Prods[F.Cursor], 0, I, J), V))
+        return false;
+      F.Total = satAdd(F.Total, V);
+    }
+    return true;
   }
 
-  unsigned evalPath(unsigned Prod, unsigned Dot, unsigned K, unsigned J) {
+  bool evalPath(Frame &F, unsigned Prod, unsigned Dot, unsigned K,
+                unsigned J) {
     const Production &P = G.production(Prod);
-    if (Dot == P.Rhs.size())
-      return K == J ? 1 : 0;
+    if (Dot == P.Rhs.size()) {
+      F.Total = K == J ? 1 : 0;
+      return true;
+    }
     Symbol X = P.Rhs[Dot];
-    unsigned Total = 0;
-    for (unsigned M = K; M <= J; ++M) {
-      unsigned Left = readSym(X, K, M);
+    if (Dot + 1 == P.Rhs.size())
+      return readSym(X, K, J, F.Total);
+    for (; K + F.Cursor <= J && F.Total != Cap; ++F.Cursor) {
+      unsigned M = K + F.Cursor;
+      unsigned Left = 0, Right = 0;
+      if (!readSym(X, K, M, Left))
+        return false;
       if (Left == 0)
         continue;
-      unsigned Right = Dot + 1 == P.Rhs.size()
-                           ? (M == J ? 1 : 0)
-                           : read(pathKey(Prod, Dot + 1, M, J));
-      Total = satAdd(Total, satMul(Left, Right));
+      if (!read(pathKey(Prod, Dot + 1, M, J), Right))
+        return false;
+      F.Total = satAdd(F.Total, satMul(Left, Right));
     }
-    return Total;
+    return true;
   }
 
-  unsigned eval(uint64_t Key) {
+  bool eval(Frame &F) {
+    uint64_t Key = Cells[F.Cell].Key;
     if (Key >> 63)
-      return evalSym(int32_t((Key >> 32) & 0x7FFFFFFF),
+      return evalSym(F, int32_t((Key >> 32) & 0x7FFFFFFF),
                      unsigned((Key >> 16) & 0xFFFF), unsigned(Key & 0xFFFF));
-    return evalPath(unsigned(Key >> 40), unsigned((Key >> 32) & 0xFF),
+    return evalPath(F, unsigned(Key >> 40), unsigned((Key >> 32) & 0xFF),
                     unsigned((Key >> 16) & 0xFFFF), unsigned(Key & 0xFFFF));
   }
 
-  unsigned run(Symbol Root) {
-    unsigned N = unsigned(Input.size());
-    // Seed with the root cell. The self-scan contribution of the root is
-    // handled here, outside the fixpoint.
-    unsigned Self = (N == 1 && Input[0] == Root) ? 1 : 0;
-    if (G.isTerminal(Root))
-      return Self;
-    read(symKey(Root.id(), 0, N));
-
-    bool Changed = true;
-    while (Changed) {
-      Changed = false;
-      size_t CellsBefore = Cells.size();
-      // Cells may be discovered during evaluation; index-based loop.
-      for (size_t CI = 0; CI != Cells.size(); ++CI) {
-        uint64_t Key = Cells[CI];
-        unsigned New = eval(Key);
-        unsigned &Slot = Val[Key];
-        if (New != Slot) {
-          assert(New > Slot && "fixpoint must be monotone");
-          Slot = New;
+  /// Solves cell \p Key and every cell it reads to the least fixpoint.
+  unsigned solve(uint64_t Key) {
+    unsigned Value = 0;
+    FirstRound = Round + 1;
+    do {
+      ++Round;
+      Cyclic = Changed = false;
+      if (read(Key, Value))
+        break;
+      while (!Stack.empty()) {
+        size_t Top = Stack.size() - 1;
+        Frame F = Stack[Top];
+        bool Done = eval(F); // may push a frame above Top
+        Stack[Top] = F;
+        if (!Done)
+          continue;
+        Stack.pop_back();
+        Cell &C = Cells[F.Cell];
+        C.OnStack = false;
+        if (C.Value != F.Total) {
+          assert(F.Total > C.Value && "fixpoint must be monotone");
+          C.Value = F.Total;
           Changed = true;
         }
       }
-      Changed |= Cells.size() != CellsBefore;
-    }
-    return satAdd(Self, Val[symKey(Root.id(), 0, N)]);
+      // Without a cycle every cell was evaluated from final values.
+    } while (Cyclic && Changed);
+    // A cell the last round skipped (its reader saturated first) may
+    // hold a stale lower bound; it stays open for later solves.
+    for (uint32_t Id : Solving)
+      Cells[Id].Final |= Cells[Id].Round == Round;
+    Solving.clear();
+    return Cells[Index.at(Key)].Value;
+  }
+
+  /// Exact count of \p S over Input[I..J), including the self-scan.
+  unsigned countSym(Symbol S, unsigned I, unsigned J) {
+    unsigned Self = J == I + 1 && Input[I] == S ? 1 : 0;
+    if (G.isTerminal(S))
+      return Self;
+    return satAdd(Self, solve(symKey(S.id(), I, J)));
   }
 };
 
@@ -150,8 +227,8 @@ unsigned DerivationCounter::countDerivations(Symbol Root,
                                         unsigned Cap) const {
   assert(Cap >= 1 && "cap must be positive");
   assert(Input.size() < 0xFFFF && "input too long for cell encoding");
-  Counter C{G, Input, Cap, {}, {}};
-  return C.run(Root);
+  Counter C(G, Input, Cap);
+  return C.countSym(Root, 0, unsigned(Input.size()));
 }
 
 namespace {
@@ -222,7 +299,7 @@ struct PrefixChecker {
     // (b) X matches Input[I..M) exactly and the rest of the rule
     // continues from M.
     for (unsigned M = I; M <= N; ++M) {
-      if (Exact.readSym(X, I, M) >= 1 &&
+      if (Exact.countSym(X, I, M) >= 1 &&
           readOpen(openSeqKey(Prod, Dot + 1, M)))
         return true;
     }
@@ -247,22 +324,12 @@ struct PrefixChecker {
       return false;
     readOpen(openSymKey(Root.id(), 0));
 
+    // Exact counts are solved on demand and final when read, so only the
+    // open cells iterate.
     bool Changed = true;
     while (Changed) {
       Changed = false;
-      size_t ExactCellsBefore = Exact.Cells.size();
       size_t OpenCellsBefore = OpenCells.size();
-      // Advance the exact counter's cells one round.
-      for (size_t CI = 0; CI != Exact.Cells.size(); ++CI) {
-        uint64_t Key = Exact.Cells[CI];
-        unsigned New = Exact.eval(Key);
-        unsigned &Slot = Exact.Val[Key];
-        if (New != Slot) {
-          Slot = New;
-          Changed = true;
-        }
-      }
-      // Then the open cells.
       for (size_t CI = 0; CI != OpenCells.size(); ++CI) {
         uint64_t Key = OpenCells[CI];
         bool New = eval(Key);
@@ -272,11 +339,9 @@ struct PrefixChecker {
           Changed = true;
         }
       }
-      // Open-cell evaluation can discover fresh exact cells (and vice
-      // versa); a growing frontier must trigger another round even when
-      // no value changed yet.
-      Changed |= Exact.Cells.size() != ExactCellsBefore ||
-                 OpenCells.size() != OpenCellsBefore;
+      // A growing frontier must trigger another round even when no value
+      // changed yet.
+      Changed |= OpenCells.size() != OpenCellsBefore;
     }
     return Open[openSymKey(Root.id(), 0)];
   }
@@ -287,6 +352,6 @@ struct PrefixChecker {
 bool DerivationCounter::derivesPrefix(
     Symbol Root, const std::vector<Symbol> &Input) const {
   assert(Input.size() < 0xFFFF && "input too long for cell encoding");
-  PrefixChecker P{G, Analysis, Input, Counter{G, Input, 1, {}, {}}, {}, {}};
+  PrefixChecker P{G, Analysis, Input, Counter(G, Input, 1), {}, {}};
   return P.run(Root);
 }

@@ -43,7 +43,6 @@ const char *const CounterNames[metric::NumCounters] = {
     "unifying.exhausted",
     "unifying.budget_stops",
     "search.tasks_stolen",
-    "search.steal_failures",
     "search.bucket_barriers",
     "nonunifying.builds",
     "nonunifying.failures",

@@ -57,9 +57,8 @@ enum Counter : unsigned {
   UnifyingFound,
   UnifyingExhausted,
   UnifyingBudgetStops,
-  SearchTasksStolen,
-  SearchStealFailures,
-  SearchBucketBarriers,
+  SearchTasksStolen,    ///< never incremented: the search is serial
+  SearchBucketBarriers, ///< never incremented: the search is serial
   NonunifyingBuilds,
   NonunifyingFailures,
   GuardTripsStepLimit,

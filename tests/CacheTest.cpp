@@ -65,6 +65,22 @@ void writeFile(const std::string &Path, const std::string &Bytes) {
   ASSERT_TRUE(OS.flush()) << Path;
 }
 
+/// Overwrites the little-endian u32 at \p Off.
+void putU32(std::string &Blob, size_t Off, uint32_t V) {
+  for (unsigned I = 0; I != 4; ++I)
+    Blob[Off + I] = char((V >> (8 * I)) & 0xFF);
+}
+
+/// Recomputes a blob's trailing checksum, so an edited field reaches the
+/// field decoders instead of failing the checksum.
+void resealChecksum(std::string &Blob) {
+  Fingerprint128 Sum = fingerprintBytes(Blob.data(), Blob.size() - 16);
+  for (unsigned I = 0; I != 8; ++I) {
+    Blob[Blob.size() - 16 + I] = char((Sum.Lo >> (8 * I)) & 0xFF);
+    Blob[Blob.size() - 8 + I] = char((Sum.Hi >> (8 * I)) & 0xFF);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Fingerprints
 //===----------------------------------------------------------------------===//
@@ -161,31 +177,37 @@ TEST(OptionsFingerprintTest, BudgetsKeyedJobsAndCachePathNot) {
 //===----------------------------------------------------------------------===//
 
 TEST(CacheRoundTripTest, AnalysisSaveLoadSaveByteIdentical) {
+  // Both automaton kinds: the reader's shape checks must accept every
+  // automaton the builders produce.
   for (const char *Name : {"figure1", "figure3", "expr_prec_unresolved",
                            "SQL.1", "stackovf10"}) {
-    BuiltGrammar B = BuiltGrammar::fromCorpus(Name);
-    std::string Blob = serializeAnalysis(B.T);
+    for (AutomatonKind Kind :
+         {AutomatonKind::Lalr1, AutomatonKind::Canonical}) {
+      Grammar G = loadCorpusGrammar(Name);
+      GrammarAnalysis A(G);
+      Automaton M(G, A, Kind);
+      ParseTable T(M);
+      std::string Blob = serializeAnalysis(T);
 
-    RestoredAnalysis Restored;
-    CacheProbe P = deserializeAnalysis(Blob, B.G, B.A,
-                                       AutomatonKind::Lalr1, Restored);
-    ASSERT_TRUE(P.hit()) << Name << ": " << P.Detail;
-    ASSERT_TRUE(Restored.M && Restored.T);
+      RestoredAnalysis Restored;
+      CacheProbe P = deserializeAnalysis(Blob, G, A, Kind, Restored);
+      ASSERT_TRUE(P.hit()) << Name << ": " << P.Detail;
+      ASSERT_TRUE(Restored.M && Restored.T);
 
-    // Semantic equality...
-    ASSERT_EQ(Restored.M->numStates(), B.M.numStates()) << Name;
-    for (unsigned S = 0; S != B.M.numStates(); ++S) {
-      EXPECT_EQ(Restored.M->state(S).Items, B.M.state(S).Items);
-      EXPECT_EQ(Restored.M->state(S).Lookaheads, B.M.state(S).Lookaheads);
-      EXPECT_EQ(Restored.M->state(S).Transitions,
-                B.M.state(S).Transitions);
+      // Semantic equality...
+      ASSERT_EQ(Restored.M->numStates(), M.numStates()) << Name;
+      for (unsigned S = 0; S != M.numStates(); ++S) {
+        EXPECT_EQ(Restored.M->state(S).Items, M.state(S).Items);
+        EXPECT_EQ(Restored.M->state(S).Lookaheads, M.state(S).Lookaheads);
+        EXPECT_EQ(Restored.M->state(S).Transitions, M.state(S).Transitions);
+      }
+      EXPECT_EQ(Restored.T->reportedConflicts().size(),
+                T.reportedConflicts().size())
+          << Name;
+      // ...and canonical bytes: re-serializing the restored objects must
+      // reproduce the blob exactly.
+      EXPECT_EQ(serializeAnalysis(*Restored.T), Blob) << Name;
     }
-    EXPECT_EQ(Restored.T->reportedConflicts().size(),
-              B.T.reportedConflicts().size())
-        << Name;
-    // ...and canonical bytes: re-serializing the restored objects must
-    // reproduce the blob exactly.
-    EXPECT_EQ(serializeAnalysis(*Restored.T), Blob) << Name;
   }
 }
 
@@ -320,25 +342,72 @@ TEST(CacheValidationTest, StateOffsetsDisagreeingWithAutomatonAreCorrupt) {
   StateItemGraph Graph(B.M);
   std::string Blob = serializeGraph(Graph);
 
-  auto putU32 = [&Blob](size_t Off, uint32_t V) {
-    for (unsigned I = 0; I != 4; ++I)
-      Blob[Off + I] = char((V >> (8 * I)) & 0xFF);
-  };
   // Header (magic, salt, two keys) and node count, then 16 bytes per node
   // (state, item index, production, dot), then the offset table's size.
   const size_t OffsetTable = 44 + 4 + 16 * size_t(Graph.numNodes()) + 4;
   for (unsigned S = 1; S <= B.M.numStates(); ++S)
-    putU32(OffsetTable + 4 * S, Graph.numNodes());
-  Fingerprint128 Sum = fingerprintBytes(Blob.data(), Blob.size() - 16);
-  for (unsigned I = 0; I != 8; ++I) {
-    Blob[Blob.size() - 16 + I] = char((Sum.Lo >> (8 * I)) & 0xFF);
-    Blob[Blob.size() - 8 + I] = char((Sum.Hi >> (8 * I)) & 0xFF);
-  }
+    putU32(Blob, OffsetTable + 4 * S, Graph.numNodes());
+  resealChecksum(Blob);
 
   std::optional<StateItemGraph> Out;
   CacheProbe P = deserializeGraph(Blob, B.M, Out);
   EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
   EXPECT_FALSE(Out);
+}
+
+TEST(CacheValidationTest, ItemWithoutTransitionIsCorrupt) {
+  // An analysis blob whose checksum is intact and whose every field is in
+  // range, but whose state 0 kernel item is replaced by an item whose dot
+  // symbol has no transition out of state 0. Accepted, building the
+  // state-item graph over the restored automaton would follow the missing
+  // transition outside the state table.
+  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
+  std::string Blob = serializeAnalysis(B.T);
+
+  Item Stray;
+  bool Found = false;
+  for (unsigned P = 0; P != B.G.numProductions() && !Found; ++P) {
+    const Production &Prod = B.G.production(P);
+    for (unsigned D = 0; D != Prod.Rhs.size() && !Found; ++D) {
+      if (B.M.transition(0, Prod.Rhs[D]) < 0) {
+        Stray = Item(P, D);
+        Found = true;
+      }
+    }
+  }
+  ASSERT_TRUE(Found);
+  // Header, automaton kind, state count, then state 0's item and kernel
+  // counts before its first item.
+  const size_t FirstItem = 44 + 4 + 4 + 4 + 4;
+  putU32(Blob, FirstItem, Stray.Prod);
+  putU32(Blob, FirstItem + 4, Stray.Dot);
+  resealChecksum(Blob);
+
+  RestoredAnalysis Out;
+  CacheProbe P =
+      deserializeAnalysis(Blob, B.G, B.A, AutomatonKind::Lalr1, Out);
+  EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
+  EXPECT_FALSE(Out.M);
+}
+
+TEST(CacheValidationTest, ConflictCountPastBlobEndIsCorrupt) {
+  // An analysis blob whose conflict count claims far more records than
+  // the blob holds. The reader must reject it before sizing anything by
+  // the count: reserving 2^32 - 1 conflicts used to throw bad_alloc out
+  // of the reader.
+  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
+  std::string Blob = serializeAnalysis(B.T);
+  // The conflict table closes the payload: its count, then 26 bytes per
+  // record (kind, state, token, two productions, shift item, resolution).
+  const size_t Count = Blob.size() - 16 - 26 * B.T.conflicts().size() - 4;
+  putU32(Blob, Count, 0xFFFFFFFFu);
+  resealChecksum(Blob);
+
+  RestoredAnalysis Out;
+  CacheProbe P =
+      deserializeAnalysis(Blob, B.G, B.A, AutomatonKind::Lalr1, Out);
+  EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
+  EXPECT_FALSE(Out.M);
 }
 
 //===----------------------------------------------------------------------===//

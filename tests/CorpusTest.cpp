@@ -62,9 +62,13 @@ TEST_P(CorpusGrammarTest, CounterexamplesAreWellFormedAndVerified) {
   BuiltGrammar B = BuiltGrammar::fromText(E.Text);
   DerivationCounter D(B.G, B.A);
 
+  // Step budgets only, so which examples get verified depends on
+  // (grammar, options) alone and never on machine load. 20,000
+  // configurations per conflict is the hard-search benchmark budget.
   FinderOptions Opts;
-  Opts.ConflictTimeLimitSeconds = 0.1;
-  Opts.CumulativeTimeLimitSeconds = 2.0;
+  Opts.ConflictTimeLimitSeconds = 0;
+  Opts.CumulativeTimeLimitSeconds = 0;
+  Opts.MaxConfigurations = 20'000;
   CounterexampleFinder Finder(B.T, Opts);
 
   for (const ConflictReport &R : Finder.examineAll()) {

@@ -103,6 +103,63 @@ a : a | x ;
   EXPECT_EQ(D.countDerivations(A, syms(B.G, "x"), 7), 7u);
 }
 
+TEST(DerivationCounterTest, NullableCyclesSaturate) {
+  // s -> s s with a nullable s: every yield has infinitely many trees,
+  // and the cycle lies within one span, so only repeated solver rounds
+  // can reach the cap.
+  BuiltGrammar B = BuiltGrammar::fromText(R"(
+%%
+s : s s | x | ;
+)");
+  DerivationCounter D(B.G, B.A);
+  Symbol S = B.G.symbolByName("s");
+  EXPECT_EQ(D.countDerivations(S, syms(B.G, "x"), 5), 5u);
+  EXPECT_EQ(D.countDerivations(S, {}, 3), 3u);
+  EXPECT_EQ(D.countDerivations(S, syms(B.G, "x s x"), 4), 4u);
+}
+
+TEST(DerivationCounterTest, LongRightRecursiveSentence) {
+  // The worst-case-conflict grammar's nonunifying example: 23 x 29
+  // repetitions of ';' closed by BREAK, 671 symbols in all. The
+  // derivation tree is hundreds of levels deep.
+  BuiltGrammar B = BuiltGrammar::fromCorpus("worst-case-conflict");
+  DerivationCounter D(B.G, B.A);
+  std::vector<Symbol> Input{B.G.symbolByName("'@'")};
+  Input.insert(Input.end(), 23 * 29, B.G.symbolByName("';'"));
+  for (const char *Name : {"BREAK", "THIS", "';'"})
+    Input.push_back(B.G.symbolByName(Name));
+  ASSERT_EQ(Input.size(), 671u);
+  EXPECT_EQ(D.countDerivations(B.G.startSymbol(), Input), 1u);
+
+  // One ';' fewer fits neither list's period, so BREAK comes too early
+  // even for a prefix; the first 300 symbols are still viable.
+  std::vector<Symbol> Short = Input;
+  Short.erase(Short.begin() + 1);
+  EXPECT_FALSE(D.derives(B.G.startSymbol(), Short));
+  EXPECT_FALSE(D.derivesPrefix(B.G.startSymbol(), Short));
+  EXPECT_TRUE(D.derivesPrefix(B.G.startSymbol(),
+                              {Input.begin(), Input.begin() + 300}));
+}
+
+TEST(DerivationCounterTest, LongAmbiguousSentenceSaturates) {
+  BuiltGrammar B = BuiltGrammar::fromText(R"(
+%%
+e : e PLUS e | NUM ;
+)");
+  DerivationCounter D(B.G, B.A);
+  Symbol E = B.G.symbolByName("e");
+  std::string Text = "NUM";
+  for (unsigned I = 0; I != 60; ++I)
+    Text += " PLUS NUM";
+  std::vector<Symbol> Input = syms(B.G, Text);
+  EXPECT_EQ(D.countDerivations(E, Input, 10), 10u);
+  // A trailing operator makes it a viable prefix, not a sentence.
+  Input.push_back(B.G.symbolByName("PLUS"));
+  EXPECT_FALSE(D.derives(E, Input));
+  EXPECT_TRUE(D.derivesPrefix(E, Input));
+  EXPECT_FALSE(D.derivesPrefix(E, syms(B.G, "PLUS NUM")));
+}
+
 TEST(DerivationCounterTest, NullableChains) {
   BuiltGrammar B = BuiltGrammar::fromText(R"(
 %%

@@ -143,15 +143,15 @@ TEST_P(CorpusGoldenTest, WarmRenderMatchesCold) {
 }
 
 TEST_P(CorpusGoldenTest, InnerJobsRenderByteIdenticalColdAndWarm) {
-  // Full-corpus byte-identity for the intra-conflict work-stealing
-  // search: cold runs at inner worker counts 1/2/8 must render the exact
-  // same text (the DESIGN.md §5h determinism contract, exercised on
-  // every grammar shape in the corpus), and a warm run at a different
-  // inner count must serve the serially-written cache blobs verbatim —
-  // JobsInner is excluded from the cache fingerprint precisely because
-  // reports cannot depend on it.
+  // Full-corpus byte-identity across worker counts. Every unifying search
+  // runs serially inside one conflict worker (the name predates that), so
+  // the only parallelism left is between conflicts: cold runs at Jobs
+  // 1/2/8 must render the exact same text on every grammar shape in the
+  // corpus, and a warm run at another Jobs count must serve the serially
+  // written cache blobs verbatim — Jobs is excluded from the cache
+  // fingerprint precisely because reports cannot depend on it.
   const CorpusEntry &E = corpus()[size_t(GetParam())];
-  std::string Dir = ::testing::TempDir() + "lalrcex_steal_" +
+  std::string Dir = ::testing::TempDir() + "lalrcex_jobs_" +
                     std::to_string(GetParam());
   std::filesystem::remove_all(Dir);
   BuiltGrammar B = BuiltGrammar::fromCorpus(E.Name);
@@ -162,13 +162,12 @@ TEST_P(CorpusGoldenTest, InnerJobsRenderByteIdenticalColdAndWarm) {
   Opts.ConflictTimeLimitSeconds = 0;
   Opts.CumulativeTimeLimitSeconds = 0;
   Opts.MaxConfigurations = 5'000;
-  Opts.Jobs = 1;
 
   std::string ColdText;
-  for (unsigned Inner : {1u, 2u, 8u}) {
+  for (unsigned Jobs : {1u, 2u, 8u}) {
     FinderOptions ColdOpts = Opts;
-    ColdOpts.JobsInner = Inner;
-    if (Inner == 1)
+    ColdOpts.Jobs = Jobs;
+    if (Jobs == 1)
       ColdOpts.CachePath = Dir; // the serial run seeds the cache
     CounterexampleFinder Cold(B.T, ColdOpts);
     std::vector<ConflictReport> Reports = Cold.examineAll();
@@ -176,15 +175,15 @@ TEST_P(CorpusGoldenTest, InnerJobsRenderByteIdenticalColdAndWarm) {
     std::string Text;
     for (const ConflictReport &R : Reports)
       Text += Cold.render(R);
-    if (Inner == 1)
+    if (Jobs == 1)
       ColdText = Text;
     else
       EXPECT_EQ(Text, ColdText)
-          << E.Name << ": cold render diverges at JobsInner=" << Inner;
+          << E.Name << ": cold render diverges at Jobs=" << Jobs;
   }
 
   FinderOptions WarmOpts = Opts;
-  WarmOpts.JobsInner = 8;
+  WarmOpts.Jobs = 8;
   WarmOpts.CachePath = Dir;
   CounterexampleFinder Warm(B.T, WarmOpts);
   std::vector<ConflictReport> WarmReports = Warm.examineAll();
@@ -193,7 +192,7 @@ TEST_P(CorpusGoldenTest, InnerJobsRenderByteIdenticalColdAndWarm) {
   for (const ConflictReport &R : WarmReports)
     WarmText += Warm.render(R);
   EXPECT_EQ(WarmText, ColdText)
-      << E.Name << ": warm render diverges at JobsInner=8";
+      << E.Name << ": warm render diverges at Jobs=8";
   std::filesystem::remove_all(Dir);
 }
 

@@ -56,14 +56,11 @@ std::string tempCacheDir(const std::string &Name) {
 /// Deterministic and reuse-eligible: per-conflict step caps only. A
 /// finite cumulative budget would both add cross-conflict coupling and
 /// switch the fine-grained layer off (see cache/AnalysisCache.h).
-/// JobsInner is pinned to 1 so graph-read recording is sound and every
-/// stored blob carries its touched set (the remap layer's precondition).
 FinderOptions oracleOptions(size_t MaxConfigs) {
   FinderOptions Opts;
   Opts.ConflictTimeLimitSeconds = 0;
   Opts.CumulativeTimeLimitSeconds = 0;
   Opts.MaxConfigurations = MaxConfigs;
-  Opts.JobsInner = 1;
   return Opts;
 }
 

@@ -9,12 +9,8 @@
 #include "support/Stopwatch.h"
 #include "support/StrUtil.h"
 #include "support/TerminalSetPool.h"
-#include "support/WorkStealingDeque.h"
 
 #include <gtest/gtest.h>
-
-#include <algorithm>
-#include <thread>
 
 using namespace lalrcex;
 
@@ -300,94 +296,6 @@ TEST(TerminalSetPoolTest, OverlayReusesBaseAndIsolatesSiblings) {
   TerminalSetPool::SetId XId2 = O2.intern(X);
   EXPECT_EQ(O2.materialize(XId2), X);
   EXPECT_EQ(XId, XId2);
-}
-
-TEST(WorkStealingDequeTest, DistributeSplitsEvenlyInCanonicalOrder) {
-  WorkStealingDeque D(3);
-  D.distribute(10); // 4 + 3 + 3, worker 0 first
-  EXPECT_EQ(D.remaining(), 10u);
-  WorkStealingDeque::Counters C;
-  uint32_t Out;
-  // Owner pops come off the front of each worker's range, in order.
-  std::vector<uint32_t> W0;
-  while (D.pop(0, Out))
-    W0.push_back(Out);
-  EXPECT_EQ(W0, (std::vector<uint32_t>{0, 1, 2, 3}));
-  ASSERT_TRUE(D.pop(1, Out));
-  EXPECT_EQ(Out, 4u);
-  ASSERT_TRUE(D.pop(2, Out));
-  EXPECT_EQ(Out, 7u);
-  EXPECT_EQ(D.remaining(), 4u);
-  EXPECT_EQ(C.TasksStolen, 0u);
-}
-
-TEST(WorkStealingDequeTest, StealTakesBackHalfOfFullestVictim) {
-  WorkStealingDeque D(2);
-  D.assignRange(0, 0, 8); // worker 1 starts empty
-  D.assignRange(1, 0, 0);
-  WorkStealingDeque::Counters C;
-  uint32_t Out;
-  // Worker 1 owns nothing: next() steals [4, 8) from worker 0, handing
-  // out task 4 immediately and keeping [5, 8).
-  ASSERT_TRUE(D.next(1, Out, C));
-  EXPECT_EQ(Out, 4u);
-  EXPECT_EQ(C.TasksStolen, 4u);
-  ASSERT_TRUE(D.pop(1, Out));
-  EXPECT_EQ(Out, 5u);
-  // The victim keeps its front half untouched.
-  ASSERT_TRUE(D.pop(0, Out));
-  EXPECT_EQ(Out, 0u);
-  EXPECT_EQ(D.remaining(), 5u);
-}
-
-TEST(WorkStealingDequeTest, SingleRemainingTaskIsStealable) {
-  // Half rounded up: even one unclaimed task can be taken from a stalled
-  // victim, so no task ever strands behind a busy worker.
-  WorkStealingDeque D(2);
-  D.assignRange(0, 6, 7);
-  D.assignRange(1, 0, 0);
-  WorkStealingDeque::Counters C;
-  uint32_t Out;
-  ASSERT_TRUE(D.next(1, Out, C));
-  EXPECT_EQ(Out, 6u);
-  EXPECT_EQ(C.TasksStolen, 1u);
-  EXPECT_EQ(D.remaining(), 0u);
-  EXPECT_FALSE(D.next(0, Out, C));
-  EXPECT_FALSE(D.next(1, Out, C));
-}
-
-TEST(WorkStealingDequeTest, ConcurrentClaimsAreExactlyOnce) {
-  // The deque's whole correctness contract under contention: every task
-  // of the epoch is claimed exactly once, no matter how pops and steals
-  // interleave. Workers that finish early turn thief, so steals happen
-  // on every run even on one core.
-  const unsigned Workers = 4;
-  const uint32_t Tasks = 4096;
-  for (int Round = 0; Round != 8; ++Round) {
-    WorkStealingDeque D(Workers);
-    D.distribute(Tasks);
-    std::vector<std::vector<uint32_t>> Claimed(Workers);
-    std::vector<WorkStealingDeque::Counters> C(Workers);
-    {
-      std::vector<std::thread> Ts;
-      for (unsigned W = 0; W != Workers; ++W)
-        Ts.emplace_back([&, W] {
-          uint32_t Out;
-          while (D.next(W, Out, C[W]))
-            Claimed[W].push_back(Out);
-        });
-      for (std::thread &T : Ts)
-        T.join();
-    }
-    std::vector<uint32_t> All;
-    for (const std::vector<uint32_t> &V : Claimed)
-      All.insert(All.end(), V.begin(), V.end());
-    ASSERT_EQ(All.size(), size_t(Tasks)) << "round " << Round;
-    std::sort(All.begin(), All.end());
-    for (uint32_t I = 0; I != Tasks; ++I)
-      ASSERT_EQ(All[I], I) << "round " << Round;
-    EXPECT_EQ(D.remaining(), 0u);
-  }
 }
 
 TEST(SetKernelTest, Avx2MatchesScalarOnRandomizedSets) {

@@ -10,11 +10,11 @@
 #include "counterexample/UnifyingSearch.h"
 
 #include "TestUtil.h"
-#include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <thread>
 
 using namespace lalrcex;
 
@@ -193,177 +193,86 @@ std::string resultKey(const BuiltGrammar &B, const UnifyingResult &R) {
   return OS.str();
 }
 
+/// Runs the search the way a conflict worker of examineAll does: on its
+/// own thread, with that thread's graph touch recorder active.
+UnifyingResult searchOnWorker(const ConflictFixture &S,
+                              const UnifyingOptions &Opts) {
+  UnifyingResult R;
+  std::thread Worker([&] {
+    GraphTouchRecorder Recorder(S.Graph.numNodes());
+    ScopedGraphTouchRecorder Scope(&Recorder);
+    R = UnifyingSearch(S.Graph).search(S.ReduceNode, S.OtherNodes, S.C.Token,
+                                       &*S.Path, Opts);
+  });
+  Worker.join();
+  return R;
+}
+
+// Each search is serial; the only concurrency left is which conflict
+// worker runs it. The InnerJobs* names predate that: each test now checks
+// that a search on a worker thread reproduces the calling thread's search
+// byte for byte, under the outcome its name describes.
+
 TEST(UnifyingSearchTest, InnerJobsDeterministicOnChallengingConflict) {
   // The §3.1 challenging conflict explores ~9k configurations with wide
-  // Dial buckets, so the bucket-epoch scheduler genuinely runs the
-  // speculation phase (and steals) at > 1 inner worker. Every observable
-  // output must be byte-identical to the serial search at any worker
-  // count — the core stealing-determinism contract (DESIGN.md §5h).
+  // Dial buckets.
   ConflictFixture S("figure1", "digit");
-  UnifyingSearch Search(S.Graph);
-  std::string Expected;
-  for (unsigned Inner : {1u, 2u, 4u, 8u}) {
-    UnifyingOptions Opts;
-    Opts.InnerJobs = Inner;
-    UnifyingResult R =
-        Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
-    ASSERT_EQ(R.Status, UnifyingStatus::Found) << "InnerJobs=" << Inner;
-    std::string Key = resultKey(S.B, R);
-    if (Inner == 1)
-      Expected = Key;
-    else
-      EXPECT_EQ(Key, Expected) << "InnerJobs=" << Inner;
-  }
-  EXPECT_FALSE(Expected.empty());
+  UnifyingResult Serial = UnifyingSearch(S.Graph).search(
+      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, UnifyingOptions());
+  ASSERT_EQ(Serial.Status, UnifyingStatus::Found);
+  std::string Expected = resultKey(S.B, Serial);
+  for (unsigned Run = 0; Run != 2; ++Run)
+    EXPECT_EQ(resultKey(S.B, searchOnWorker(S, UnifyingOptions())), Expected)
+        << "worker run " << Run;
 }
 
 TEST(UnifyingSearchTest, InnerJobsDeterministicWhenExhausted) {
-  // Exhaustion must happen after exactly the same number of committed
-  // configurations: the speculation phase may only drop *proven*
-  // duplicates, so the explored-state count cannot depend on scheduling.
+  // Exhaustion must happen after exactly the same number of
+  // configurations wherever the search runs.
   ConflictFixture S("figure3", "a");
-  UnifyingSearch Search(S.Graph);
-  std::string Expected;
-  for (unsigned Inner : {1u, 4u}) {
-    UnifyingOptions Opts;
-    Opts.InnerJobs = Inner;
-    UnifyingResult R =
-        Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
-    EXPECT_EQ(R.Status, UnifyingStatus::Exhausted) << "InnerJobs=" << Inner;
-    std::string Key = resultKey(S.B, R);
-    if (Inner == 1)
-      Expected = Key;
-    else
-      EXPECT_EQ(Key, Expected) << "InnerJobs=" << Inner;
-  }
+  UnifyingResult Serial = UnifyingSearch(S.Graph).search(
+      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, UnifyingOptions());
+  EXPECT_EQ(Serial.Status, UnifyingStatus::Exhausted);
+  UnifyingResult Worker = searchOnWorker(S, UnifyingOptions());
+  EXPECT_EQ(Worker.Status, UnifyingStatus::Exhausted);
+  EXPECT_EQ(resultKey(S.B, Worker), resultKey(S.B, Serial));
 }
 
 TEST(UnifyingSearchTest, InnerJobsDeterministicAtConfigurationLimit) {
-  // Budget trips are checked in the serial commit phase, so a step limit
-  // must fire at exactly the same committed configuration whatever the
-  // inner worker count — even though the workers speculated further.
+  // A step limit must fire at exactly the same configuration wherever
+  // the search runs.
   ConflictFixture S("figure1", "digit");
-  UnifyingSearch Search(S.Graph);
-  std::string Expected;
-  for (unsigned Inner : {1u, 4u}) {
-    UnifyingOptions Opts;
-    Opts.InnerJobs = Inner;
-    Opts.MaxConfigurations = 500;
-    UnifyingResult R =
-        Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
-    EXPECT_EQ(R.Status, UnifyingStatus::LimitHit) << "InnerJobs=" << Inner;
-    std::string Key = resultKey(S.B, R);
-    if (Inner == 1)
-      Expected = Key;
-    else
-      EXPECT_EQ(Key, Expected) << "InnerJobs=" << Inner;
-  }
+  UnifyingOptions Opts;
+  Opts.MaxConfigurations = 500;
+  UnifyingResult Serial = UnifyingSearch(S.Graph).search(
+      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
+  EXPECT_EQ(Serial.Status, UnifyingStatus::LimitHit);
+  UnifyingResult Worker = searchOnWorker(S, Opts);
+  EXPECT_EQ(Worker.Status, UnifyingStatus::LimitHit);
+  EXPECT_EQ(resultKey(S.B, Worker), resultKey(S.B, Serial));
 }
 
 TEST(UnifyingSearchTest, InnerJobsZeroAutoDetectsAndStaysDeterministic) {
-  // InnerJobs = 0 resolves to the machine's hardware concurrency; the
-  // result must still match the explicit serial run bit for bit.
+  // Default options need no worker count: the dangling-else search on a
+  // worker thread matches the calling thread's bit for bit.
   ConflictFixture S("figure1", "else");
-  UnifyingSearch Search(S.Graph);
-  UnifyingResult Serial = Search.search(S.ReduceNode, S.OtherNodes, S.C.Token,
-                                        &*S.Path, UnifyingOptions());
-  UnifyingOptions Auto;
-  Auto.InnerJobs = 0;
-  UnifyingResult R =
-      Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Auto);
+  UnifyingResult Serial = UnifyingSearch(S.Graph).search(
+      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, UnifyingOptions());
+  UnifyingResult R = searchOnWorker(S, UnifyingOptions());
   ASSERT_EQ(R.Status, UnifyingStatus::Found);
   EXPECT_EQ(resultKey(S.B, R), resultKey(S.B, Serial));
 }
 
 TEST(UnifyingSearchTest, InnerJobsPreCancelledStopsWithoutHanging) {
-  // A token cancelled before the search starts must stop the parallel
-  // driver on the first commit poll; the worker pool must wind down
-  // cleanly (no deadlock on the epoch barrier).
-  ConflictFixture S("figure1", "else");
-  UnifyingSearch Search(S.Graph);
+  // A token cancelled before the search starts stops the search on the
+  // worker at its first poll, and the worker joins.
+  ConflictFixture S("figure1", "digit");
   UnifyingOptions Opts;
-  Opts.InnerJobs = 4;
   Opts.Cancellation.cancel();
-  UnifyingResult R =
-      Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
+  UnifyingResult R = searchOnWorker(S, Opts);
   EXPECT_EQ(R.Status, UnifyingStatus::Cancelled);
   EXPECT_FALSE(R.Example);
 }
-
-#if defined(LALRCEX_FAULT_INJECTION)
-
-TEST(UnifyingSearchTest, InnerJobsInjectedCancelMidStealDeterministic) {
-  // Trip the ResourceGuard (via the injected-cancellation hook) partway
-  // through a search that is actively stealing: the degradation must be
-  // reported exactly once, as the same status at the same committed
-  // configuration count as the serial search, because guard polls happen
-  // only in the serial commit phase.
-  ConflictFixture S("figure1", "digit");
-  UnifyingSearch Search(S.Graph);
-  std::string Expected;
-  for (unsigned Inner : {1u, 4u}) {
-    faults::ScopedFault F(faults::Kind::CancelAtStep, 700);
-    UnifyingOptions Opts;
-    Opts.InnerJobs = Inner;
-    UnifyingResult R =
-        Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
-    EXPECT_EQ(R.Status, UnifyingStatus::Cancelled) << "InnerJobs=" << Inner;
-    EXPECT_FALSE(R.Example);
-    std::string Key = resultKey(S.B, R);
-    if (Inner == 1)
-      Expected = Key;
-    else
-      EXPECT_EQ(Key, Expected) << "InnerJobs=" << Inner;
-  }
-}
-
-TEST(UnifyingSearchTest, InnerJobsInjectedDeadlineMidStealDeterministic) {
-  // Same shape with a forced deadline trip: TimedOut, exactly once, at
-  // the serial step.
-  ConflictFixture S("figure1", "digit");
-  UnifyingSearch Search(S.Graph);
-  std::string Expected;
-  for (unsigned Inner : {1u, 4u}) {
-    faults::ScopedFault F(faults::Kind::DeadlineAtStep, 700);
-    UnifyingOptions Opts;
-    Opts.InnerJobs = Inner;
-    UnifyingResult R =
-        Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
-    EXPECT_EQ(R.Status, UnifyingStatus::TimedOut) << "InnerJobs=" << Inner;
-    std::string Key = resultKey(S.B, R);
-    if (Inner == 1)
-      Expected = Key;
-    else
-      EXPECT_EQ(Key, Expected) << "InnerJobs=" << Inner;
-  }
-}
-
-TEST(UnifyingSearchTest, InnerJobsInjectedBadAllocReplaysAtCommit) {
-  // The injected bad_alloc keys off the committed-configuration counter,
-  // which only advances in the serial commit phase — so even while the
-  // workers are speculating (and stealing) ahead, the allocation failure
-  // strikes at exactly the same configuration as in the serial search
-  // and the degradation is reported exactly once.
-  ConflictFixture S("figure1", "digit");
-  UnifyingSearch Search(S.Graph);
-  std::string Expected;
-  for (unsigned Inner : {1u, 4u}) {
-    faults::ScopedFault F(faults::Kind::BadAllocAtStep, 700);
-    UnifyingOptions Opts;
-    Opts.InnerJobs = Inner;
-    UnifyingResult R =
-        Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
-    EXPECT_EQ(R.Status, UnifyingStatus::Error) << "InnerJobs=" << Inner;
-    EXPECT_TRUE(R.BadAlloc) << "InnerJobs=" << Inner;
-    std::string Key = resultKey(S.B, R);
-    if (Inner == 1)
-      Expected = Key;
-    else
-      EXPECT_EQ(Key, Expected) << "InnerJobs=" << Inner;
-  }
-}
-
-#endif // LALRCEX_FAULT_INJECTION
 
 TEST(UnifyingSearchTest, ReduceReduceDotAtEnd) {
   // A reduce/reduce ambiguity that unifies before consuming the conflict

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -87,29 +86,11 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t *Data, size_t Size) {
 
 #ifndef LALRCEX_LIBFUZZER
 
-#include <filesystem>
-#include <fstream>
+#include "FuzzDriver.h"
 
 namespace {
 
-/// xorshift64* — deterministic across platforms; the driver must produce
-/// the same mutation sequence on every run so ctest failures reproduce.
-struct Rng {
-  uint64_t S = 0x9e3779b97f4a7c15ull;
-  uint64_t next() {
-    S ^= S >> 12;
-    S ^= S << 25;
-    S ^= S >> 27;
-    return S * 0x2545f4914f6cdd1dull;
-  }
-  size_t below(size_t N) { return N ? size_t(next() % N) : 0; }
-};
-
-std::string readFile(const std::filesystem::path &P) {
-  std::ifstream In(P, std::ios::binary);
-  return std::string(std::istreambuf_iterator<char>(In),
-                     std::istreambuf_iterator<char>());
-}
+using fuzz::Rng;
 
 /// One random edit: byte flips, insertions (NUL and '%' included on
 /// purpose), deletions, span duplication, truncation, or a splice of two
@@ -158,39 +139,16 @@ std::string mutate(Rng &R, const std::vector<std::string> &Seeds,
 } // namespace
 
 int main(int argc, char **argv) {
-  unsigned long Runs = 5000;
-  std::vector<std::filesystem::path> Inputs;
-  for (int I = 1; I < argc; ++I) {
-    if (std::strcmp(argv[I], "-runs") == 0 && I + 1 < argc) {
-      Runs = std::strtoul(argv[++I], nullptr, 10);
-      continue;
-    }
-    std::filesystem::path P(argv[I]);
-    std::error_code Ec;
-    if (std::filesystem::is_directory(P, Ec)) {
-      std::vector<std::filesystem::path> Found;
-      for (const auto &E : std::filesystem::directory_iterator(P, Ec))
-        if (E.is_regular_file())
-          Found.push_back(E.path());
-      std::sort(Found.begin(), Found.end()); // directory order is not stable
-      Inputs.insert(Inputs.end(), Found.begin(), Found.end());
-    } else {
-      Inputs.push_back(P);
-    }
-  }
-
-  std::vector<std::string> Seeds;
-  for (const std::filesystem::path &P : Inputs) {
-    Seeds.push_back(readFile(P));
-    checkOneInput(reinterpret_cast<const uint8_t *>(Seeds.back().data()),
-                  Seeds.back().size());
-  }
+  fuzz::DriverArgs Args = fuzz::parseDriverArgs(argc, argv);
+  std::vector<std::string> &Seeds = Args.Seeds;
+  for (const std::string &S : Seeds)
+    checkOneInput(reinterpret_cast<const uint8_t *>(S.data()), S.size());
   if (Seeds.empty())
     Seeds.push_back("%%\ns : a ;\n");
   std::printf("replayed %zu seed(s)\n", Seeds.size());
 
   Rng R;
-  for (unsigned long I = 0; I != Runs; ++I) {
+  for (unsigned long I = 0; I != Args.Runs; ++I) {
     std::string S = Seeds[R.below(Seeds.size())];
     unsigned Edits = 1 + unsigned(R.below(4));
     for (unsigned E = 0; E != Edits; ++E)
@@ -198,7 +156,7 @@ int main(int argc, char **argv) {
     checkOneInput(reinterpret_cast<const uint8_t *>(S.data()), S.size());
   }
   std::printf("ran %lu deterministic mutation(s): all invariants held\n",
-              Runs);
+              Args.Runs);
   return 0;
 }
 
