@@ -9,15 +9,19 @@
 //     arena: a configuration holds a 32-bit stack id, successors share
 //     tails with their parent instead of deep-copying vectors, and the
 //     visited-set key is two stack ids plus a flag byte (canonical ids
-//     make equality O(1), and the duplicate-hit path allocates nothing).
+//     make equality O(1)).
+//   - The stack intern table and the visited set are open-addressing
+//     indexes whose 4-byte slots hold only ids; a probe reads the key
+//     back from the arena entry or pool configuration the id names, so
+//     a probe allocates nothing; only growth, at load 1/2, does.
 //   - Derivation ledgers are persistent two-chain deques (a front chain
 //     for prepends, a back chain for appends), so the reverse-transition
 //     prepend that used to be a vector front-insert is O(1).
 //   - The frontier is a monotone bucket queue (Dial's algorithm): edge
 //     costs are small dense constants, so a circular array of FIFO
 //     buckets replaces the binary heap's O(log n) pushes and pops.
-//   - Guard.chargeBytes is charged on actual arena/pool/visited growth,
-//     not per-configuration approximations.
+//   - Guard.chargeBytes is charged per new stack entry and per admitted
+//     configuration, at fixed per-item rates (DESIGN.md 5c).
 //
 // Each search runs on one thread; examineAll runs the searches of
 // different conflicts concurrently (DESIGN.md 5h records why the
@@ -32,8 +36,6 @@
 
 #include <algorithm>
 #include <new>
-#include <unordered_map>
-#include <unordered_set>
 
 using namespace lalrcex;
 
@@ -58,6 +60,60 @@ constexpr int ReduceCost = 1;
 /// Sentinel id for an empty persistent chain/stack.
 constexpr uint32_t NilChain = ~uint32_t(0);
 
+/// Open-addressing index over ids whose keys live in the caller's own
+/// storage. A slot holds only an id; probes compare keys by reading them
+/// back through the id, and growth re-hashes ids the same way. Linear
+/// probing over a power-of-two capacity, growth at load 1/2, no erase.
+class IdIndex {
+public:
+  static constexpr uint32_t Empty = ~uint32_t(0);
+
+  /// The slot holding the id for which \p Matches(Id) is true, or else the
+  /// empty slot where that key's id belongs. \p HashOf(Id) is the hash of
+  /// a stored id's key; every stored id's key must be readable. Growth
+  /// happens here, before the probe, so an empty result slot stays valid
+  /// for one publish().
+  template <typename MatchFn, typename HashFn>
+  uint32_t &probe(uint64_t Hash, MatchFn Matches, HashFn HashOf) {
+    if (2 * (Count + 1) > Slots.size())
+      grow(HashOf);
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = size_t(Hash) & Mask;; I = (I + 1) & Mask)
+      if (Slots[I] == Empty || Matches(Slots[I]))
+        return Slots[I];
+  }
+
+  /// Stores \p Id in the empty \p Slot that probe() returned.
+  void publish(uint32_t &Slot, uint32_t Id) {
+    Slot = Id;
+    ++Count;
+  }
+
+private:
+  template <typename HashFn> void grow(HashFn HashOf) {
+    std::vector<uint32_t> Old(std::max<size_t>(64, 2 * Slots.size()), Empty);
+    Old.swap(Slots);
+    size_t Mask = Slots.size() - 1;
+    for (uint32_t Id : Old) {
+      if (Id == Empty)
+        continue;
+      size_t I = size_t(HashOf(Id)) & Mask;
+      while (Slots[I] != Empty)
+        I = (I + 1) & Mask;
+      Slots[I] = Id;
+    }
+  }
+
+  std::vector<uint32_t> Slots;
+  size_t Count = 0;
+};
+
+/// Mixes a 64-bit key so the low bits IdIndex masks depend on all of it.
+uint64_t mixKey(uint64_t K) {
+  uint64_t H = K * 0x9e3779b97f4a7c15ULL;
+  return H ^ (H >> 32);
+}
+
 /// Hash-consed persistent stacks of state-item nodes. Each entry extends a
 /// parent stack by one node; interning (parent, node) pairs makes ids
 /// canonical, so two configurations with equal item sequences always hold
@@ -69,23 +125,32 @@ public:
 
   /// The stack \p Parent extended by \p N on top (the sequence back).
   uint32_t push(uint32_t Parent, NodeId N) {
-    uint64_t Key = (uint64_t(Parent) << 32) | N;
-    auto [It, New] = Intern.try_emplace(Key, uint32_t(Entries.size()));
-    if (New) {
-      Entry E;
-      E.Parent = Parent;
-      E.Node = N;
-      if (Parent == NilChain) {
-        E.Root = uint32_t(Entries.size());
-        E.Depth = 1;
-      } else {
-        E.Root = Entries[Parent].Root;
-        E.Depth = Entries[Parent].Depth + 1;
-      }
-      Entries.push_back(E);
-      Guard.chargeBytes(sizeof(Entry) + InternSlotBytes);
+    uint32_t &Slot = Intern.probe(
+        hashOf(Parent, N),
+        [&](uint32_t Id) {
+          return Entries[Id].Parent == Parent && Entries[Id].Node == N;
+        },
+        [&](uint32_t Id) {
+          return hashOf(Entries[Id].Parent, Entries[Id].Node);
+        });
+    if (Slot != IdIndex::Empty)
+      return Slot;
+    Entry E;
+    E.Parent = Parent;
+    E.Node = N;
+    if (Parent == NilChain) {
+      E.Root = uint32_t(Entries.size());
+      E.Depth = 1;
+    } else {
+      E.Root = Entries[Parent].Root;
+      E.Depth = Entries[Parent].Depth + 1;
     }
-    return It->second;
+    // The key is stored before its id is published, so an allocation
+    // failure here cannot leave the index naming a missing entry.
+    Entries.push_back(E);
+    Intern.publish(Slot, uint32_t(Entries.size() - 1));
+    Guard.chargeBytes(sizeof(Entry) + InternSlotBytes);
+    return Slot;
   }
 
   NodeId top(uint32_t Id) const { return Entries[Id].Node; }
@@ -136,12 +201,19 @@ private:
     NodeId Node;
     uint32_t Depth;
   };
-  // Amortized intern-table footprint per entry (key, value, bucket link).
+  // The accounting charge for an entry's intern slot. It is an upper bound
+  // on what the id slots cost (4 bytes at load 1/4 to 1/2, so 8 to 16
+  // bytes per entry) and is kept at its old value so that PeakBytes and
+  // memory-limit trips do not move.
   static constexpr size_t InternSlotBytes = 3 * sizeof(uint64_t);
+
+  static uint64_t hashOf(uint32_t Parent, NodeId N) {
+    return mixKey((uint64_t(Parent) << 32) | N);
+  }
 
   ResourceGuard &Guard;
   std::vector<Entry> Entries;
-  std::unordered_map<uint64_t, uint32_t> Intern;
+  IdIndex Intern; // entry ids, keyed by (Parent, Node) of Entries[id]
   std::vector<NodeId> Scratch;
 };
 
@@ -202,27 +274,12 @@ bool awaitingConflictShift(const Config &C) {
          !(C.Flags & FlagShifted);
 }
 
-/// Dedup key: two canonical item-stack ids plus the flag byte (derivation
-/// contents do not affect which successors are reachable, so the first
-/// representative wins). Probing allocates nothing — this is the fix for
-/// the old keyOf(C) that copied both item vectors even on duplicate hits.
-struct VisitKey {
-  uint32_t S1, S2;
-  uint8_t Flags;
-
-  bool operator==(const VisitKey &O) const {
-    return S1 == O.S1 && S2 == O.S2 && Flags == O.Flags;
-  }
-};
-
-struct VisitKeyHash {
-  size_t operator()(const VisitKey &K) const {
-    uint64_t H = (uint64_t(K.S1) << 29) ^ (uint64_t(K.S2) << 7) ^ K.Flags;
-    H *= 0x9e3779b97f4a7c15ULL;
-    H ^= H >> 32;
-    return size_t(H);
-  }
-};
+/// Hash of a visited-set key: two canonical item-stack ids plus the flag
+/// byte (derivation contents do not affect which successors are
+/// reachable, so the first representative wins).
+uint64_t visitHash(uint32_t S1, uint32_t S2, uint8_t Flags) {
+  return mixKey((uint64_t(S1) << 29) ^ (uint64_t(S2) << 7) ^ Flags);
+}
 
 /// Monotone circular bucket queue (Dial's algorithm). Every successor
 /// costs at most MaxDelta more than its parent and the minimum extracted
@@ -323,12 +380,17 @@ UnifyingSearch::search(NodeId ReduceNode,
   ResourceGuard Guard(Limits, Opts.Cancellation);
   Guard.attachMetrics(Opts.Metrics);
 
+  // When a guard stops the search (and metrics are on), the moment its
+  // step() returned the stop; time.guard_overshoot_ns runs from there to
+  // this function's return, so it covers searchImpl's teardown.
+  std::optional<std::chrono::steady_clock::time_point> StoppedAt;
+
   // The search boundary: malformed search state (SearchError) and real
   // allocation failure degrade to a structured Error result instead of
   // propagating; partial statistics survive.
   try {
     searchImpl(ReduceNode, OtherNodes, ConflictTerm, Slsp, Opts, Guard,
-               Result);
+               Result, StoppedAt);
   } catch (const SearchError &E) {
     Result.Status = UnifyingStatus::Error;
     Result.Message = E.what();
@@ -362,16 +424,20 @@ UnifyingSearch::search(NodeId ReduceNode,
     case UnifyingStatus::Error:
       break;
     }
+    if (StoppedAt)
+      M->observe(metric::TimeGuardOvershootNs,
+                 uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              std::chrono::steady_clock::now() - *StoppedAt)
+                              .count()));
   }
   return Result;
 }
 
-void UnifyingSearch::searchImpl(NodeId ReduceNode,
-                                const std::vector<NodeId> &OtherNodes,
-                                Symbol ConflictTerm, const LssPath *Slsp,
-                                const UnifyingOptions &Opts,
-                                ResourceGuard &Guard,
-                                UnifyingResult &Result) const {
+void UnifyingSearch::searchImpl(
+    NodeId ReduceNode, const std::vector<NodeId> &OtherNodes,
+    Symbol ConflictTerm, const LssPath *Slsp, const UnifyingOptions &Opts,
+    ResourceGuard &Guard, UnifyingResult &Result,
+    std::optional<std::chrono::steady_clock::time_point> &StoppedAt) const {
   // Malformed caller input is a recoverable error, not UB: these checks
   // replace what used to be implicit assumptions on valid node ids.
   if (OtherNodes.empty())
@@ -400,7 +466,7 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
   ItemStackArena IA(Guard);
   DerivChainArena DA(Guard);
   std::vector<Config> Pool;
-  std::unordered_set<VisitKey, VisitKeyHash> Visited;
+  IdIndex Visited; // pool ids, keyed by the items and flags of Pool[id]
   BucketQueue Queue(size_t(std::max(
       {ShiftCost, RevTransitionCost, ReduceCost, RevProductionCost,
        ProductionCost + DupCost, Opts.ExtendedSearch ? ExtRevCost : 0})));
@@ -462,11 +528,33 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
   // visited-set, and queue growth the admitted configuration will cause.
   // Derivation-ledger work happens only after admission, so the
   // duplicate-hit path costs two interning lookups and one probe.
+  //
+  // The visited index holds pool ids and reads each key back from Pool, so
+  // an admitted configuration must be in Pool before the next admission.
+  // apply() guarantees it: every successful admit is followed by that
+  // configuration's enqueue, or by a throw that ends the search.
+  //
+  // AdmitBytes is the accounting charge per admitted configuration: the
+  // pool slot plus a fixed visited-set charge (a 12-byte key and three
+  // pointers of node overhead). It is an upper bound on the 8 to 16 bytes
+  // per configuration that id slots cost, and is kept at its old value so
+  // that PeakBytes and memory-limit trips do not move.
   constexpr size_t AdmitBytes =
-      sizeof(Config) + sizeof(VisitKey) + 3 * sizeof(void *);
+      sizeof(Config) + 3 * sizeof(uint32_t) + 3 * sizeof(void *);
   auto admit = [&](uint32_t I1, uint32_t I2, uint8_t Flags) {
-    if (!Visited.insert(VisitKey{I1, I2, Flags}).second)
+    uint32_t &Slot = Visited.probe(
+        visitHash(I1, I2, Flags),
+        [&](uint32_t Id) {
+          const Config &C = Pool[Id];
+          return C.S1.Items == I1 && C.S2.Items == I2 && C.Flags == Flags;
+        },
+        [&](uint32_t Id) {
+          const Config &C = Pool[Id];
+          return visitHash(C.S1.Items, C.S2.Items, C.Flags);
+        });
+    if (Slot != IdIndex::Empty)
       return false;
+    Visited.publish(Slot, uint32_t(Pool.size()));
     // The pool, visited set, and arenas only grow until the search ends,
     // so bytes are charged on admission and never released; a tripped
     // byte budget surfaces at the next step() check as MemoryLimit.
@@ -837,18 +925,20 @@ void UnifyingSearch::searchImpl(NodeId ReduceNode,
       return false;
     case GuardStop::StepLimit:
       Result.Status = UnifyingStatus::LimitHit;
-      return true;
+      break;
     case GuardStop::MemoryLimit:
       Result.Status = UnifyingStatus::MemoryLimit;
-      return true;
+      break;
     case GuardStop::Deadline:
       Result.Status = UnifyingStatus::TimedOut;
-      return true;
+      break;
     case GuardStop::Cancelled:
       Result.Status = UnifyingStatus::Cancelled;
-      return true;
+      break;
     }
-    return false;
+    if (Opts.Metrics)
+      StoppedAt = std::chrono::steady_clock::now();
+    return true;
   };
 
   // Expands one configuration: counting, fault hooks, integrity check,

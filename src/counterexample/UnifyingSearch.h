@@ -38,6 +38,7 @@
 #include "counterexample/LookaheadSensitiveSearch.h"
 #include "support/Budget.h"
 
+#include <chrono>
 #include <optional>
 #include <string>
 #include <vector>
@@ -129,7 +130,9 @@ private:
                   const std::vector<StateItemGraph::NodeId> &OtherNodes,
                   Symbol ConflictTerm, const LssPath *Slsp,
                   const UnifyingOptions &Opts, ResourceGuard &Guard,
-                  UnifyingResult &Result) const;
+                  UnifyingResult &Result,
+                  std::optional<std::chrono::steady_clock::time_point>
+                      &StoppedAt) const;
 
   const StateItemGraph &Graph;
   const Grammar &G;

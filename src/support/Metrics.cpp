@@ -83,6 +83,7 @@ const char *const HistNames[metric::NumHists] = {
     "time.cache_load_ns",
     "time.cache_store_ns",
     "effort.conflict_configurations",
+    "time.guard_overshoot_ns",
 };
 
 } // namespace

@@ -103,6 +103,9 @@ enum Hist : unsigned {
   TimeCacheLoadNs,
   TimeCacheStoreNs,
   EffortConflictConfigurations,
+  /// Per guard-stopped unifying search: from the step() that returned the
+  /// stop to the search's return, teardown of its arenas included.
+  TimeGuardOvershootNs,
   NumHists
 };
 

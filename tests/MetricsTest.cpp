@@ -148,6 +148,41 @@ TEST(MetricsTest, ScopedTimerIsNullSafeAndIdempotent) {
   EXPECT_EQ(Reg.snapshot().hist(metric::TimeLssNs).Count, 1u);
 }
 
+TEST(MetricsTest, GuardOvershootObservedOncePerStoppedSearch) {
+  // time.guard_overshoot_ns gets one observation per unifying search that
+  // a guard stopped, and none for a search that ended on its own.
+  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
+  auto examineUnder = [&](const std::string &Token) {
+    MetricsRegistry Reg;
+    FinderOptions Opts;
+    Opts.Jobs = 1;
+    Opts.ConflictTimeLimitSeconds = 0;
+    Opts.MaxConfigurations = 500;
+    Opts.Metrics = &Reg;
+    CounterexampleFinder Finder(B.T, Opts);
+    Symbol T = B.G.symbolByName(Token);
+    for (const Conflict &C : B.T.reportedConflicts()) {
+      if (C.Token == T) {
+        Finder.examine(C);
+        break;
+      }
+    }
+    return Reg.snapshot();
+  };
+
+  // The §3.1 challenging conflict needs ~9k configurations: the step
+  // budget stops it.
+  MetricsSnapshot Stopped = examineUnder("digit");
+  EXPECT_EQ(Stopped.counter(metric::UnifyingSearches), 1u);
+  EXPECT_EQ(Stopped.counter(metric::UnifyingBudgetStops), 1u);
+  EXPECT_EQ(Stopped.counter(metric::GuardTripsStepLimit), 1u);
+  EXPECT_EQ(Stopped.hist(metric::TimeGuardOvershootNs).Count, 1u);
+
+  MetricsSnapshot Found = examineUnder("else");
+  EXPECT_EQ(Found.counter(metric::UnifyingFound), 1u);
+  EXPECT_EQ(Found.hist(metric::TimeGuardOvershootNs).Count, 0u);
+}
+
 TEST(TraceTest, SpanNestingLinksParents) {
   TraceRecorder Rec;
   {

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 #include <thread>
 
@@ -29,7 +30,11 @@ struct ConflictFixture {
   std::optional<LssPath> Path;
 
   ConflictFixture(const std::string &Corpus, const std::string &Token)
-      : B(BuiltGrammar::fromCorpus(Corpus)), Graph(B.M) {
+      : ConflictFixture(loadCorpusGrammar(Corpus), Token) {}
+
+  /// The first reported conflict of \p InG under terminal \p Token.
+  ConflictFixture(Grammar InG, const std::string &Token)
+      : B(std::move(InG)), Graph(B.M) {
     Symbol T = B.G.symbolByName(Token);
     bool Found = false;
     for (const Conflict &Cand : B.T.reportedConflicts()) {
@@ -209,11 +214,11 @@ UnifyingResult searchOnWorker(const ConflictFixture &S,
 }
 
 // Each search is serial; the only concurrency left is which conflict
-// worker runs it. The InnerJobs* names predate that: each test now checks
-// that a search on a worker thread reproduces the calling thread's search
-// byte for byte, under the outcome its name describes.
+// worker runs it. Each test below checks that a search on a worker thread
+// reproduces the calling thread's search byte for byte, under the outcome
+// its name describes.
 
-TEST(UnifyingSearchTest, InnerJobsDeterministicOnChallengingConflict) {
+TEST(UnifyingSearchTest, WorkerThreadMatchesCallerOnChallengingConflict) {
   // The §3.1 challenging conflict explores ~9k configurations with wide
   // Dial buckets.
   ConflictFixture S("figure1", "digit");
@@ -226,7 +231,7 @@ TEST(UnifyingSearchTest, InnerJobsDeterministicOnChallengingConflict) {
         << "worker run " << Run;
 }
 
-TEST(UnifyingSearchTest, InnerJobsDeterministicWhenExhausted) {
+TEST(UnifyingSearchTest, WorkerThreadMatchesCallerWhenExhausted) {
   // Exhaustion must happen after exactly the same number of
   // configurations wherever the search runs.
   ConflictFixture S("figure3", "a");
@@ -238,7 +243,7 @@ TEST(UnifyingSearchTest, InnerJobsDeterministicWhenExhausted) {
   EXPECT_EQ(resultKey(S.B, Worker), resultKey(S.B, Serial));
 }
 
-TEST(UnifyingSearchTest, InnerJobsDeterministicAtConfigurationLimit) {
+TEST(UnifyingSearchTest, WorkerThreadMatchesCallerAtConfigurationLimit) {
   // A step limit must fire at exactly the same configuration wherever
   // the search runs.
   ConflictFixture S("figure1", "digit");
@@ -252,7 +257,7 @@ TEST(UnifyingSearchTest, InnerJobsDeterministicAtConfigurationLimit) {
   EXPECT_EQ(resultKey(S.B, Worker), resultKey(S.B, Serial));
 }
 
-TEST(UnifyingSearchTest, InnerJobsZeroAutoDetectsAndStaysDeterministic) {
+TEST(UnifyingSearchTest, WorkerThreadMatchesCallerWithDefaultOptions) {
   // Default options need no worker count: the dangling-else search on a
   // worker thread matches the calling thread's bit for bit.
   ConflictFixture S("figure1", "else");
@@ -263,7 +268,7 @@ TEST(UnifyingSearchTest, InnerJobsZeroAutoDetectsAndStaysDeterministic) {
   EXPECT_EQ(resultKey(S.B, R), resultKey(S.B, Serial));
 }
 
-TEST(UnifyingSearchTest, InnerJobsPreCancelledStopsWithoutHanging) {
+TEST(UnifyingSearchTest, WorkerThreadPreCancelledStopsWithoutHanging) {
   // A token cancelled before the search starts stops the search on the
   // worker at its first poll, and the worker joins.
   ConflictFixture S("figure1", "digit");
@@ -272,6 +277,69 @@ TEST(UnifyingSearchTest, InnerJobsPreCancelledStopsWithoutHanging) {
   UnifyingResult R = searchOnWorker(S, Opts);
   EXPECT_EQ(R.Status, UnifyingStatus::Cancelled);
   EXPECT_FALSE(R.Example);
+}
+
+/// Reads and parses one of the imported grammars in examples/grammars.
+std::optional<Grammar> loadExampleGrammar(const std::string &Name) {
+  std::ifstream In(std::string(LALRCEX_EXAMPLE_GRAMMARS) + "/" + Name,
+                   std::ios::binary);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return parseGrammar(Buf.str()).G;
+}
+
+TEST(UnifyingSearchTest, PinnedWorkAndPeakBytes) {
+  // The exact work and accounted bytes of four searches on deterministic
+  // budgets (no wall clock): a Found, an Exhausted, and two step-limited
+  // searches. Any change to the exploration order, to which keys the
+  // intern table and visited set treat as present, or to the byte
+  // charges moves these numbers, and with them every cached report's
+  // Configurations and PeakBytes lines.
+  auto Run = [](const ConflictFixture &S, size_t MaxConfigurations) {
+    UnifyingOptions Opts;
+    Opts.TimeLimitSeconds = 0;
+    Opts.MaxConfigurations = MaxConfigurations;
+    return UnifyingSearch(S.Graph).search(S.ReduceNode, S.OtherNodes,
+                                          S.C.Token, &*S.Path, Opts);
+  };
+  const size_t DefaultSteps = UnifyingOptions().MaxConfigurations;
+
+  {
+    ConflictFixture S("figure1", "digit");
+    UnifyingResult R = Run(S, DefaultSteps);
+    ASSERT_EQ(R.Status, UnifyingStatus::Found);
+    EXPECT_EQ(R.ConfigurationsExplored, 9161u);
+    EXPECT_EQ(R.PeakBytes, 1555908u);
+    ASSERT_TRUE(R.Example);
+    EXPECT_EQ(R.Example->exampleString1(S.B.G),
+              "expr '?' arr '[' expr ']' ':=' num \xE2\x80\xA2 digit digit "
+              "'?' stmt stmt");
+  }
+  {
+    ConflictFixture S("figure3", "a");
+    UnifyingResult R = Run(S, DefaultSteps);
+    EXPECT_EQ(R.Status, UnifyingStatus::Exhausted);
+    EXPECT_EQ(R.ConfigurationsExplored, 26u);
+    EXPECT_EQ(R.PeakBytes, 3912u);
+  }
+  {
+    ConflictFixture S("stackovf10", "plus");
+    EXPECT_EQ(S.C.State, 6u);
+    UnifyingResult R = Run(S, 5000);
+    EXPECT_EQ(R.Status, UnifyingStatus::LimitHit);
+    EXPECT_EQ(R.ConfigurationsExplored, 5000u);
+    EXPECT_EQ(R.PeakBytes, 4640164u);
+  }
+  {
+    std::optional<Grammar> Sql = loadExampleGrammar("sql.y");
+    ASSERT_TRUE(Sql);
+    ConflictFixture S(std::move(*Sql), "ON");
+    EXPECT_EQ(S.C.State, 621u);
+    UnifyingResult R = Run(S, 2000);
+    EXPECT_EQ(R.Status, UnifyingStatus::LimitHit);
+    EXPECT_EQ(R.ConfigurationsExplored, 2000u);
+    EXPECT_EQ(R.PeakBytes, 1076940u);
+  }
 }
 
 TEST(UnifyingSearchTest, ReduceReduceDotAtEnd) {
