@@ -25,8 +25,8 @@
 ///         "wall_ms_parallel": <examineAll wall ms with Jobs = jobs>,
 ///         "wall_ms_cold": <wall ms with an empty analysis cache>,
 ///         "wall_ms_warm": <wall ms re-run against the populated cache>,
-///         "cache_hits": <analysis-cache blob hits>,
-///         "cache_misses": <analysis-cache blob misses/degradations>,
+///         "cache_hits": <whole-set `.rep` hits, one probe per grammar>,
+///         "cache_misses": <`.rep` misses/degradations>,
 ///         "conflicts_reused": <conflict reports re-served fine-grained>,
 ///         "conflicts_recomputed": <conflicts examined cold>,
 ///         "conflicts_remapped": <old-generation reports re-served via
@@ -55,7 +55,10 @@
 /// row-level patch). Schema 8 drops the row fields with the patch itself
 /// and redefines "states_reused" / "states_rebuilt" as the session's
 /// matched / unmatched states. Schema 9 drops schema 4's inner worker
-/// count with the intra-conflict scheduler it described.
+/// count with the intra-conflict scheduler it described. Since the cache
+/// stopped storing automaton and graph blobs, "cache_hits" /
+/// "cache_misses" count only `.rep` probes; the field set is unchanged,
+/// so the schema number is too.
 /// Files are written as BENCH_<tool>.json in $LALRCEX_BENCH_DIR, or under
 /// bench/out/ relative to the working directory when the variable is
 /// unset (the directory is created on demand and gitignored; committed

@@ -184,11 +184,12 @@ int main(int argc, char **argv) {
     Records.push_back(Rec);
   }
 
-  // Persistent analysis cache: the full pipeline (parse, automaton +
+  // Persistent report cache: the full pipeline (parse, automaton +
   // table, state-item graph, conflict reports) cold against an empty
-  // cache directory, then warm against the populated one. The warm run
-  // serves every artifact from disk, so it measures deserialization +
-  // validation instead of search.
+  // cache directory, then warm against the populated one. Both runs
+  // build the automaton, table and graph; the warm run serves the report
+  // set from its `.rep` blob, so it measures the build plus the blob read
+  // instead of search. One cache probe per run: the `.rep` read.
   std::printf("\nPersistent cache (cold vs. warm, full pipeline)\n");
   std::printf("%-22s %6s %12s %12s %9s\n", "grammar", "#conf", "cold(ms)",
               "warm(ms)", "speedup");
@@ -209,9 +210,7 @@ int main(int argc, char **argv) {
       std::optional<Grammar> G = parseGrammarText(E->Text, &Err);
       if (!G)
         return;
-      cache::AnalysisCache Cache(CacheDir);
-      cache::AnalysisSession S(std::move(*G), AutomatonKind::Lalr1, &Cache);
-      (S.analysisProbe().hit() ? HitSlot : MissSlot) += 1;
+      cache::AnalysisSession S(std::move(*G), AutomatonKind::Lalr1, nullptr);
 
       FinderOptions Opts;
       Opts.ConflictTimeLimitSeconds = 5.0 * Scale;
@@ -220,9 +219,7 @@ int main(int argc, char **argv) {
       Opts.Jobs = 1;
       CounterexampleFinder Finder(S.table(), Opts);
       Conflicts = Finder.examineAll().size();
-      const CacheActivity &A = Finder.cacheActivity();
-      (A.GraphFromCache ? HitSlot : MissSlot) += 1;
-      (A.ReportsFromCache ? HitSlot : MissSlot) += 1;
+      (Finder.cacheActivity().ReportsFromCache ? HitSlot : MissSlot) += 1;
     };
 
     Stopwatch ColdClock;

@@ -3,12 +3,12 @@
 // Part of lalrcex.
 //
 // Analyzes a whole directory of grammar files (or the built-in corpus)
-// with the persistent analysis cache: grammars are sharded across a
-// worker pool, each worker running the full pipeline — automaton + table
-// (restored via cache::AnalysisSession when warm), state-item graph, and
-// conflict reports (FinderOptions::CachePath) — and rendering one report
-// file per grammar. A second run against the same cache directory serves
-// every artifact warm and must produce byte-identical report files; the
+// with the persistent report cache: grammars are sharded across a worker
+// pool, each worker running the full pipeline — automaton + table
+// (cache::AnalysisSession), state-item graph, and conflict reports
+// (FinderOptions::CachePath) — and rendering one report file per grammar.
+// A second run against the same cache directory serves every report set
+// from its `.rep` blob and must produce byte-identical report files; the
 // CI cache-smoke job diffs the two output directories and compares the
 // TOTAL_MS lines.
 //
@@ -37,8 +37,9 @@
 //                       previous generation's when the structural delta
 //                       permits) and run the finder against -cache, then
 //                       run the whole pipeline cold without either;
-//                       byte-compare the rendered reports AND the
-//                       serialized automatons, and print per-edit wall
+//                       byte-compare the rendered reports, compare the
+//                       two legs' grammar fingerprints and structural
+//                       automaton hashes, and print per-edit wall
 //                       time, a parse/automaton/search breakdown, the
 //                       matched-state and conflict-reuse counts.
 //                       Unless -cumulative is given explicitly, the
@@ -54,13 +55,13 @@
 //                       directory down to n MiB (oldest blobs first)
 //
 // Output: one summary line per grammar, a final "TOTAL_MS <ms>" line, and
-// bench/out/BENCH_batch_analyze.json (schema 8) with per-grammar
-// cold/warm wall times and cache hit/miss counts (plus metrics under
+// bench/out/BENCH_batch_analyze.json (schema 9) with per-grammar
+// cold/warm wall times and `.rep` hit/miss counts (plus metrics under
 // -metrics; plus per-edit records with conflicts_reused /
 // conflicts_recomputed / conflicts_remapped / states_reused /
 // states_rebuilt under -edit-loop). -edit-loop exits nonzero on any
-// incremental-vs-cold byte mismatch — of the rendered reports or of the
-// serialized session automaton — making it a standalone differential
+// incremental-vs-cold mismatch — of the rendered report bytes or of the
+// session automaton's fingerprints — making it a standalone differential
 // harness.
 //
 //===----------------------------------------------------------------------===//
@@ -136,7 +137,7 @@ struct JobResult {
   size_t Conflicts = 0;
   double WallMs = 0;
   bool Warm = false; // report set came from the cache
-  long CacheHits = 0;
+  long CacheHits = 0; // `.rep` probes: one per grammar with -cache
   long CacheMisses = 0;
   std::string Rendered; // concatenated reports (deterministic bytes)
   /// Per-grammar metrics (only under -metrics): the snapshot for the
@@ -153,15 +154,6 @@ std::string fileStem(const std::string &Name) {
     if (C == '/' || C == ':' || C == '\\')
       C = '_';
   return Out;
-}
-
-void countProbe(JobResult &R, const cache::CacheProbe &P) {
-  if (P.Outcome == cache::CacheOutcome::Disabled)
-    return;
-  if (P.hit())
-    ++R.CacheHits;
-  else
-    ++R.CacheMisses;
 }
 
 JobResult analyzeOne(const Job &J, const FinderOptions &BaseOpts,
@@ -196,11 +188,7 @@ JobResult analyzeOne(const Job &J, const FinderOptions &BaseOpts,
   }
   std::optional<Grammar> G = std::move(Parsed.G);
 
-  cache::AnalysisCache Cache(CacheDir);
-  cache::AnalysisSession Session(std::move(*G), Kind,
-                                 CacheDir.empty() ? nullptr : &Cache,
-                                 Metrics);
-  countProbe(R, Session.analysisProbe());
+  cache::AnalysisSession Session(std::move(*G), Kind, nullptr, Metrics);
 
   FinderOptions Opts = BaseOpts;
   Opts.CachePath = CacheDir;
@@ -209,12 +197,9 @@ JobResult analyzeOne(const Job &J, const FinderOptions &BaseOpts,
   CounterexampleFinder Finder(Session.table(), Opts);
   std::vector<ConflictReport> Reports = Finder.examineAll();
 
-  const CacheActivity &Activity = Finder.cacheActivity();
-  if (!CacheDir.empty()) {
-    ++(Activity.GraphFromCache ? R.CacheHits : R.CacheMisses);
-    ++(Activity.ReportsFromCache ? R.CacheHits : R.CacheMisses);
-  }
-  R.Warm = Activity.ReportsFromCache;
+  R.Warm = Finder.cacheActivity().ReportsFromCache;
+  if (!CacheDir.empty())
+    ++(R.Warm ? R.CacheHits : R.CacheMisses);
 
   std::string Out;
   Out += "== " + J.Name + ": " + std::to_string(Reports.size()) +
@@ -250,11 +235,17 @@ struct EditRunResult {
   size_t Remapped = 0;
   size_t Recomputed = 0;
   std::string Rendered;
-  /// serializeAnalysis of the run's parse table: the automaton-level
-  /// equivalence witness (the incremental leg's session machine must be
-  /// byte-identical to the cold leg's).
-  std::string AnalysisBytes;
+  /// The automaton-level equivalence witness: the incremental leg's
+  /// session grammar and automaton must fingerprint exactly as the cold
+  /// leg's (the parse table is a function of the two).
+  Fingerprint128 GrammarKey, AutomatonKey;
 };
+
+void fingerprintRun(EditRunResult &R, const ParseTable &T) {
+  const Automaton &M = T.automaton();
+  R.GrammarKey = cache::grammarFingerprint(M.grammar(), M.kind());
+  R.AutomatonKey = cache::automatonStructuralHash(M);
+}
 
 /// The cold reference leg: full rebuild, no cache of any kind.
 EditRunResult runColdPipeline(Grammar G, const FinderOptions &BaseOpts,
@@ -277,7 +268,7 @@ EditRunResult runColdPipeline(Grammar G, const FinderOptions &BaseOpts,
   R.Recomputed = Reports.size();
   R.WallMs = Timer.seconds() * 1000.0;
   R.SearchMs = R.WallMs - R.AutomatonMs;
-  R.AnalysisBytes = cache::serializeAnalysis(Session.table());
+  fingerprintRun(R, Session.table());
   return R;
 }
 
@@ -309,16 +300,17 @@ EditRunResult runIncrPipeline(IncrementalSession &Sess,
   R.Recomputed = Finder.cacheActivity().ConflictsRecomputed;
   R.SearchMs = Timer.seconds() * 1000.0;
   R.WallMs = R.AutomatonMs + R.SearchMs;
-  R.AnalysisBytes = cache::serializeAnalysis(Sess.table());
+  fingerprintRun(R, Sess.table());
   return R;
 }
 
 /// The replay loop: per grammar, a baseline run plus \p EditCount seeded
 /// random edits over one persistent IncrementalSession; after each, the
 /// incremental run (session automaton + conflict cache against
-/// \p CacheDir) is byte-compared against a cold run at both levels —
-/// rendered reports and serialized automaton — a standing differential
-/// harness for the whole incremental layer. \returns the mismatch count.
+/// \p CacheDir) is compared against a cold run at both levels — rendered
+/// report bytes and the automaton's fingerprints — a standing
+/// differential harness for the whole incremental layer. \returns the
+/// mismatch count.
 size_t runEditLoop(const std::vector<Job> &Work, const FinderOptions &Opts,
                    AutomatonKind Kind, const std::string &CacheDir,
                    unsigned EditCount, uint64_t Seed,
@@ -374,7 +366,8 @@ size_t runEditLoop(const std::vector<Job> &Work, const FinderOptions &Opts,
       EditRunResult Cold = runColdPipeline(std::move(*Edited), Opts, Kind);
 
       bool SameReports = Incr.Rendered == Cold.Rendered;
-      bool SameAutomaton = Incr.AnalysisBytes == Cold.AnalysisBytes;
+      bool SameAutomaton = Incr.GrammarKey == Cold.GrammarKey &&
+                           Incr.AutomatonKey == Cold.AutomatonKey;
       if (!SameReports || !SameAutomaton)
         ++Mismatches;
       size_t Served = Incr.Reused + Incr.Remapped;

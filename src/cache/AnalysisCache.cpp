@@ -3,7 +3,7 @@
 // Part of lalrcex.
 //
 // Layout of every blob: a 44-byte header (8-byte magic, u32 version salt,
-// 16-byte primary key, 16-byte secondary key — zero except for report
+// 16-byte primary key, 16-byte secondary key — zero except for `.rep`
 // blobs), a kind-specific payload, and a trailing 16-byte checksum
 // (Fingerprint128 of all preceding bytes). Loads verify checksum, magic,
 // salt, and key before parsing, then range-check every decoded field;
@@ -17,7 +17,6 @@
 
 #include "cache/Serialization.h"
 #include "support/FaultInjection.h"
-#include "support/Metrics.h"
 
 #include <algorithm>
 #include <cstring>
@@ -221,8 +220,6 @@ ConflictKeyContext::conflictFingerprint(const Conflict &C) const {
 
 namespace {
 
-constexpr char MagicAnalysis[8] = {'L', 'C', 'E', 'X', 'A', 'R', 'T', '1'};
-constexpr char MagicGraph[8] = {'L', 'C', 'E', 'X', 'S', 'I', 'G', '1'};
 constexpr char MagicReports[8] = {'L', 'C', 'E', 'X', 'R', 'E', 'P', '1'};
 constexpr char MagicConflict[8] = {'L', 'C', 'E', 'X', 'C', 'R', 'P', '1'};
 
@@ -281,29 +278,6 @@ CacheProbe corrupt(const BlobReader &R) {
   return {CacheOutcome::Corrupt, R.error()};
 }
 
-void writeIndexSet(BlobWriter &W, const IndexSet &S) {
-  W.u32(S.count());
-  S.forEach([&](unsigned E) { W.u32(E); });
-}
-
-IndexSet readIndexSet(BlobReader &R, unsigned Universe) {
-  IndexSet S(Universe);
-  uint32_t N = R.u32();
-  if (N > Universe) {
-    R.fail("index set larger than universe");
-    return S;
-  }
-  for (uint32_t I = 0; I != N && !R.failed(); ++I) {
-    uint32_t E = R.u32();
-    if (E >= Universe) {
-      R.fail("index set element outside universe");
-      return S;
-    }
-    S.insert(E);
-  }
-  return S;
-}
-
 void writeItem(BlobWriter &W, const Item &I) {
   W.u32(I.Prod);
   W.u32(I.Dot);
@@ -334,215 +308,15 @@ Symbol readSymbol(BlobReader &R, const Grammar &G) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Private-member access for restores
+// Conflict-report blobs
 //===----------------------------------------------------------------------===//
-
-namespace lalrcex {
-namespace cache {
-
-/// The one friend the artifact classes grant the cache layer: reads the
-/// private tables for serialization and fills them on restore.
-struct ArtifactAccess {
-  static std::unique_ptr<Automaton> restoreAutomaton(
-      const Grammar &G, const GrammarAnalysis &A, AutomatonKind Kind,
-      std::vector<Automaton::State> States) {
-    std::unique_ptr<Automaton> M(
-        new Automaton(G, A, Kind, Automaton::RestoreTag{}));
-    M->States = std::move(States);
-    return M;
-  }
-
-  static const std::vector<Action> &actions(const ParseTable &T) {
-    return T.Actions;
-  }
-
-  static std::unique_ptr<ParseTable>
-  restoreTable(const Automaton &M, std::vector<Action> Actions,
-               std::vector<Conflict> Conflicts) {
-    std::unique_ptr<ParseTable> T(
-        new ParseTable(M, ParseTable::RestoreTag{}));
-    T->Actions = std::move(Actions);
-    T->Conflicts = std::move(Conflicts);
-    return T;
-  }
-
-  static void serializeGraphTables(BlobWriter &W,
-                                   const StateItemGraph &Graph) {
-    W.u32(uint32_t(Graph.Nodes.size()));
-    for (const auto &N : Graph.Nodes) {
-      W.u32(N.State);
-      W.u32(N.ItemIndex);
-      writeItem(W, N.Itm);
-    }
-    W.u32(uint32_t(Graph.StateOffset.size()));
-    for (unsigned O : Graph.StateOffset)
-      W.u32(O);
-    for (StateItemGraph::NodeId N : Graph.Fwd)
-      W.u32(N);
-    for (const StateItemGraph::Csr *C :
-         {&Graph.ProdSteps, &Graph.RevTransitions, &Graph.RevProdSteps}) {
-      W.u32(uint32_t(C->Begin.size()));
-      for (uint32_t B : C->Begin)
-        W.u32(B);
-      W.u32(uint32_t(C->Data.size()));
-      for (StateItemGraph::NodeId V : C->Data)
-        W.u32(V);
-    }
-  }
-
-  static std::optional<StateItemGraph>
-  deserializeGraphTables(BlobReader &R, const Automaton &M) {
-    const Grammar &G = M.grammar();
-    StateItemGraph Graph(M, StateItemGraph::RestoreTag{});
-
-    uint32_t NumNodes = R.u32();
-    if (R.failed() || NumNodes > R.remaining())
-      return std::nullopt; // each node needs >= 1 byte; cap preallocation
-    Graph.Nodes.reserve(NumNodes);
-    for (uint32_t I = 0; I != NumNodes && !R.failed(); ++I) {
-      StateItemGraph::NodeData N;
-      N.State = R.u32();
-      N.ItemIndex = R.u32();
-      N.Itm = readItem(R, G);
-      if (R.failed())
-        break;
-      if (N.State >= M.numStates() ||
-          N.ItemIndex >= M.state(N.State).Items.size() ||
-          M.state(N.State).Items[N.ItemIndex] != N.Itm) {
-        R.fail("graph node disagrees with automaton");
-        break;
-      }
-      Graph.Nodes.push_back(N);
-    }
-
-    // Node ids are fixed by the automaton: state S's items, in order,
-    // starting at the sum of the item counts of the states before it. An
-    // offset table or node list that disagrees would send nodeFor() and
-    // every accessor after it outside the tables.
-    uint32_t NumOffsets = R.u32();
-    if (!R.failed() && NumOffsets != M.numStates() + 1)
-      R.fail("state offset table has wrong size");
-    size_t Expected = 0;
-    for (uint32_t S = 0; S != NumOffsets && !R.failed(); ++S) {
-      uint32_t O = R.u32();
-      if (R.failed())
-        break;
-      if (O != Expected) {
-        R.fail("state offset disagrees with automaton");
-        break;
-      }
-      Graph.StateOffset.push_back(O);
-      if (S != M.numStates())
-        Expected += M.state(S).Items.size();
-    }
-    if (!R.failed() && Expected != NumNodes)
-      R.fail("node count disagrees with automaton");
-    for (uint32_t I = 0; I != NumNodes && !R.failed(); ++I) {
-      const StateItemGraph::NodeData &N = Graph.Nodes[I];
-      if (Graph.StateOffset[N.State] + N.ItemIndex != I)
-        R.fail("graph node out of state order");
-    }
-
-    for (uint32_t I = 0; I != NumNodes && !R.failed(); ++I) {
-      uint32_t N = R.u32();
-      if (N != StateItemGraph::InvalidNode && N >= NumNodes)
-        R.fail("forward transition out of range");
-      else
-        Graph.Fwd.push_back(N);
-    }
-
-    for (StateItemGraph::Csr *C :
-         {&Graph.ProdSteps, &Graph.RevTransitions, &Graph.RevProdSteps}) {
-      uint32_t N = R.u32();
-      if (!R.failed() && N != NumNodes + 1)
-        R.fail("adjacency offset table has wrong size");
-      uint32_t Prev = 0;
-      for (uint32_t I = 0; I != N && !R.failed(); ++I) {
-        uint32_t O = R.u32();
-        if (I == 0 ? O != 0 : O < Prev)
-          R.fail("adjacency offsets not prefix sums");
-        else
-          C->Begin.push_back(Prev = O);
-      }
-      uint32_t Len = R.u32();
-      if (!R.failed() && (Len > R.remaining() / 4 || Len != Prev))
-        R.fail("adjacency data length mismatch");
-      for (uint32_t I = 0; I != Len && !R.failed(); ++I) {
-        uint32_t Node = R.u32();
-        if (Node >= NumNodes)
-          R.fail("adjacency target out of range");
-        else
-          C->Data.push_back(Node);
-      }
-    }
-
-    if (R.failed())
-      return std::nullopt;
-    // Tables validated against the automaton: derive the pooled node
-    // lookahead ids exactly as the build path does (ids are in-memory
-    // only; blobs stay structural, so fingerprints are unaffected).
-    Graph.internNodeLookaheads();
-    return Graph;
-  }
-};
-
-} // namespace cache
-} // namespace lalrcex
-
-//===----------------------------------------------------------------------===//
-// Automaton + parse table blobs
-//===----------------------------------------------------------------------===//
-
-std::string lalrcex::cache::serializeAnalysis(const ParseTable &T,
-                                              uint32_t VersionSalt) {
-  const Automaton &M = T.automaton();
-  const Grammar &G = M.grammar();
-  BlobWriter W;
-  writeHeader(W, MagicAnalysis, VersionSalt,
-              grammarFingerprint(G, M.kind(), VersionSalt),
-              Fingerprint128{});
-
-  W.u32(uint32_t(M.kind()));
-  W.u32(M.numStates());
-  for (unsigned S = 0; S != M.numStates(); ++S) {
-    const Automaton::State &St = M.state(S);
-    W.u32(uint32_t(St.Items.size()));
-    W.u32(St.NumKernel);
-    for (const Item &I : St.Items)
-      writeItem(W, I);
-    for (const IndexSet &L : St.Lookaheads)
-      writeIndexSet(W, L);
-    W.u32(uint32_t(St.Transitions.size()));
-    for (const auto &[Sym, Target] : St.Transitions) {
-      W.u32(uint32_t(Sym.id()));
-      W.u32(Target);
-    }
-  }
-
-  const std::vector<Action> &Actions = ArtifactAccess::actions(T);
-  W.u64(Actions.size());
-  for (const Action &A : Actions) {
-    W.u8(A.K);
-    W.u32(A.Target);
-  }
-  const std::vector<Conflict> &Conflicts = T.conflicts();
-  W.u32(uint32_t(Conflicts.size()));
-  for (const Conflict &C : Conflicts) {
-    W.u8(C.K);
-    W.u32(C.State);
-    W.u32(uint32_t(C.Token.id()));
-    W.u32(C.ReduceProd);
-    W.u32(C.OtherProd);
-    writeItem(W, C.ShiftItm);
-    W.u8(C.R);
-  }
-  return sealed(std::move(W));
-}
 
 namespace {
 
-bool readConflict(BlobReader &R, const Grammar &G, unsigned NumStates,
-                  Conflict &C) {
+/// Reads a conflict record. Its state number refers to an automaton the
+/// reader cannot see; it is left unchecked (the renderer only prints it)
+/// and everything grammar-relative is range-checked exactly.
+bool readConflict(BlobReader &R, const Grammar &G, Conflict &C) {
   C.K = Conflict::Kind(R.u8());
   C.State = R.u32();
   Symbol Token = readSymbol(R, G);
@@ -553,7 +327,7 @@ bool readConflict(BlobReader &R, const Grammar &G, unsigned NumStates,
   if (R.failed())
     return false;
   if (C.K > Conflict::ReduceReduce || Res > Conflict::PrecError ||
-      C.State >= NumStates || !G.isTerminal(Token) ||
+      !G.isTerminal(Token) ||
       C.ReduceProd >= G.numProductions() ||
       C.OtherProd >= G.numProductions()) {
     R.fail("conflict record out of range");
@@ -563,216 +337,6 @@ bool readConflict(BlobReader &R, const Grammar &G, unsigned NumStates,
   C.R = Conflict::Resolution(Res);
   return true;
 }
-
-/// The automaton shape every consumer (the state-item graph build, the
-/// searches) relies on, checked on restored states whose fields are each
-/// in range but may not fit together: transitions sorted by symbol (the
-/// lookup is a binary search), kernels sorted and closure items unique
-/// dot-0 items, every item's dot symbol has a transition whose target
-/// kernel holds the advanced item, and every nonterminal after a dot has
-/// all its dot-0 items in the state. \returns null when consistent.
-const char *automatonShapeError(const Grammar &G,
-                                const std::vector<Automaton::State> &States) {
-  std::vector<uint32_t> DotZeroStamp(G.numProductions(), 0);
-  for (uint32_t S = 0; S != States.size(); ++S) {
-    const Automaton::State &St = States[S];
-    const uint32_t Stamp = S + 1;
-    for (size_t T = 1; T < St.Transitions.size(); ++T)
-      if (!(St.Transitions[T - 1].first < St.Transitions[T].first))
-        return "transitions not sorted by symbol";
-    for (unsigned I = 0; I != St.Items.size(); ++I) {
-      const Item &Itm = St.Items[I];
-      if (I < St.NumKernel) {
-        if (I > 0 && !(St.Items[I - 1] < Itm))
-          return "kernel items not sorted";
-      } else if (Itm.Dot != 0 || DotZeroStamp[Itm.Prod] == Stamp) {
-        return "closure item not a unique dot-0 item";
-      }
-      if (Itm.Dot == 0)
-        DotZeroStamp[Itm.Prod] = Stamp;
-    }
-    for (const Item &Itm : St.Items) {
-      Symbol Next = Itm.afterDot(G);
-      if (!Next.valid())
-        continue;
-      auto T = std::lower_bound(
-          St.Transitions.begin(), St.Transitions.end(), Next,
-          [](const std::pair<Symbol, unsigned> &E, Symbol X) {
-            return E.first < X;
-          });
-      if (T == St.Transitions.end() || T->first != Next)
-        return "item's dot symbol has no transition";
-      const Automaton::State &To = States[T->second];
-      auto KernelEnd = To.Items.begin() + To.NumKernel;
-      auto It = std::lower_bound(To.Items.begin(), KernelEnd, Itm.advanced());
-      if (It == KernelEnd || *It != Itm.advanced())
-        return "advanced item missing from the target kernel";
-      if (G.isNonterminal(Next))
-        for (unsigned P : G.productionsOf(Next))
-          if (DotZeroStamp[P] != Stamp)
-            return "closure item missing from state";
-    }
-  }
-  return nullptr;
-}
-
-} // namespace
-
-CacheProbe lalrcex::cache::deserializeAnalysis(
-    const std::string &Blob, const Grammar &G, const GrammarAnalysis &A,
-    AutomatonKind Kind, RestoredAnalysis &Out, uint32_t VersionSalt) {
-  BlobReader R(Blob);
-  CacheProbe Open =
-      openBlob(Blob, R, MagicAnalysis, VersionSalt,
-               grammarFingerprint(G, Kind, VersionSalt), Fingerprint128{});
-  if (!Open.hit())
-    return Open;
-
-  if (AutomatonKind(R.u32()) != Kind)
-    return {CacheOutcome::KeyMismatch, "automaton kind differs"};
-
-  uint32_t NumStates = R.u32();
-  if (R.failed() || NumStates > R.remaining())
-    return {CacheOutcome::Corrupt, "state count exceeds blob"};
-  std::vector<Automaton::State> States;
-  States.reserve(NumStates);
-  for (uint32_t S = 0; S != NumStates; ++S) {
-    Automaton::State St;
-    uint32_t NumItems = R.u32();
-    St.NumKernel = R.u32();
-    if (R.failed() || NumItems > R.remaining() / 8 ||
-        St.NumKernel > NumItems) {
-      R.fail("state item count out of range");
-      break;
-    }
-    St.Items.reserve(NumItems);
-    for (uint32_t I = 0; I != NumItems && !R.failed(); ++I)
-      St.Items.push_back(readItem(R, G));
-    St.Lookaheads.reserve(NumItems);
-    for (uint32_t I = 0; I != NumItems && !R.failed(); ++I)
-      St.Lookaheads.push_back(readIndexSet(R, G.numTerminals()));
-    uint32_t NumTrans = R.u32();
-    if (R.failed() || NumTrans > R.remaining() / 8) {
-      R.fail("transition count out of range");
-      break;
-    }
-    for (uint32_t T = 0; T != NumTrans && !R.failed(); ++T) {
-      Symbol Sym = readSymbol(R, G);
-      uint32_t Target = R.u32();
-      if (Target >= NumStates) {
-        R.fail("transition target out of range");
-        break;
-      }
-      St.Transitions.emplace_back(Sym, Target);
-    }
-    if (R.failed())
-      break;
-    States.push_back(std::move(St));
-  }
-  if (R.failed())
-    return corrupt(R);
-
-  uint64_t NumActions = R.u64();
-  if (R.failed() ||
-      NumActions != uint64_t(NumStates) * G.numTerminals() ||
-      NumActions > R.remaining() / 5)
-    return {CacheOutcome::Corrupt, "action table has wrong size"};
-  std::vector<Action> Actions;
-  Actions.reserve(size_t(NumActions));
-  for (uint64_t I = 0; I != NumActions && !R.failed(); ++I) {
-    Action Act;
-    Act.K = Action::Kind(R.u8());
-    Act.Target = R.u32();
-    bool Ok = true;
-    switch (Act.K) {
-    case Action::Error:
-    case Action::Accept:
-      break;
-    case Action::Shift:
-      Ok = Act.Target < NumStates;
-      break;
-    case Action::Reduce:
-      Ok = Act.Target < G.numProductions();
-      break;
-    default:
-      Ok = false;
-    }
-    if (!Ok) {
-      R.fail("action out of range");
-      break;
-    }
-    Actions.push_back(Act);
-  }
-
-  uint32_t NumConflicts = R.u32();
-  if (!R.failed() && NumConflicts > R.remaining() / 22)
-    R.fail("conflict count exceeds blob");
-  std::vector<Conflict> Conflicts;
-  if (!R.failed())
-    Conflicts.reserve(NumConflicts);
-  for (uint32_t I = 0; I != NumConflicts && !R.failed(); ++I) {
-    Conflict C;
-    if (readConflict(R, G, NumStates, C))
-      Conflicts.push_back(C);
-  }
-  if (R.failed() || R.remaining() != 16)
-    return R.failed() ? corrupt(R)
-                      : CacheProbe{CacheOutcome::Corrupt,
-                                   "trailing bytes after payload"};
-  if (const char *Error = automatonShapeError(G, States))
-    return {CacheOutcome::Corrupt, Error};
-
-  Out.M = ArtifactAccess::restoreAutomaton(G, A, Kind, std::move(States));
-  Out.T = ArtifactAccess::restoreTable(*Out.M, std::move(Actions),
-                                       std::move(Conflicts));
-  return {CacheOutcome::Hit, ""};
-}
-
-//===----------------------------------------------------------------------===//
-// State-item graph blobs
-//===----------------------------------------------------------------------===//
-
-std::string lalrcex::cache::serializeGraph(const StateItemGraph &Graph,
-                                           uint32_t VersionSalt) {
-  const Automaton &M = Graph.automaton();
-  BlobWriter W;
-  writeHeader(W, MagicGraph, VersionSalt,
-              grammarFingerprint(M.grammar(), M.kind(), VersionSalt),
-              Fingerprint128{});
-  ArtifactAccess::serializeGraphTables(W, Graph);
-  return sealed(std::move(W));
-}
-
-CacheProbe lalrcex::cache::deserializeGraph(const std::string &Blob,
-                                            const Automaton &M,
-                                            std::optional<StateItemGraph> &Out,
-                                            uint32_t VersionSalt) {
-  BlobReader R(Blob);
-  CacheProbe Open = openBlob(
-      Blob, R, MagicGraph, VersionSalt,
-      grammarFingerprint(M.grammar(), M.kind(), VersionSalt),
-      Fingerprint128{});
-  if (!Open.hit())
-    return Open;
-
-  // StateItemGraph holds a reference member (not assignable), so the
-  // parsed value moves into Out via emplace rather than operator=.
-  std::optional<StateItemGraph> Parsed =
-      ArtifactAccess::deserializeGraphTables(R, M);
-  if (!Parsed)
-    return R.failed() ? corrupt(R)
-                      : CacheProbe{CacheOutcome::Corrupt, "malformed graph"};
-  if (R.remaining() != 16)
-    return {CacheOutcome::Corrupt, "trailing bytes after payload"};
-  Out.emplace(std::move(*Parsed));
-  return {CacheOutcome::Hit, ""};
-}
-
-//===----------------------------------------------------------------------===//
-// Conflict-report blobs
-//===----------------------------------------------------------------------===//
-
-namespace {
 
 void writeDerivation(BlobWriter &W, const DerivPtr &D) {
   if (D->isDot()) {
@@ -904,10 +468,7 @@ void writeReport(BlobWriter &W, const ConflictReport &Rep) {
 }
 
 bool readReport(BlobReader &R, const Grammar &G, ConflictReport &Rep) {
-  // Conflict records in reports reference automaton state numbers the
-  // reader cannot see; bound them loosely (the renderer only prints the
-  // number) and range-check everything grammar-relative exactly.
-  if (!readConflict(R, G, ~0u, Rep.TheConflict))
+  if (!readConflict(R, G, Rep.TheConflict))
     return false;
 
   uint8_t Status = R.u8();
@@ -984,8 +545,13 @@ CacheProbe lalrcex::cache::deserializeReports(
   if (!Open.hit())
     return Open;
 
+  // Every report encodes at least MinReportBytes (writeReport: the 26-byte
+  // conflict record, then status, shift item, seconds, configurations,
+  // peak bytes and three presence flags), so a count the remaining bytes
+  // cannot hold is rejected before it sizes the vector.
+  constexpr size_t MinReportBytes = 26 + 36;
   uint32_t N = R.u32();
-  if (R.failed() || N > R.remaining())
+  if (R.failed() || N > R.remaining() / MinReportBytes)
     return {CacheOutcome::Corrupt, "report count exceeds blob"};
   std::vector<ConflictReport> Reports(N);
   for (uint32_t I = 0; I != N; ++I)
@@ -1071,12 +637,9 @@ CacheProbe lalrcex::cache::deserializeConflictReport(
 //===----------------------------------------------------------------------===//
 
 std::string AnalysisCache::blobPath(const Grammar &G, AutomatonKind Kind,
-                                    const char *Extension,
-                                    const FinderOptions *Opts) const {
-  std::string Name = grammarFingerprint(G, Kind, Salt).hex();
-  if (Opts)
-    Name += "-" + optionsFingerprint(*Opts, Salt).hex();
-  return Dir + "/" + Name + "." + Extension;
+                                    const FinderOptions &Opts) const {
+  return Dir + "/" + grammarFingerprint(G, Kind, Salt).hex() + "-" +
+         optionsFingerprint(Opts, Salt).hex() + ".rep";
 }
 
 CacheProbe AnalysisCache::readBlob(const std::string &Path,
@@ -1134,43 +697,11 @@ CacheProbe AnalysisCache::writeBlob(const std::string &Path,
   return {CacheOutcome::Stored, ""};
 }
 
-CacheProbe AnalysisCache::loadAnalysis(const Grammar &G,
-                                       const GrammarAnalysis &A,
-                                       AutomatonKind Kind,
-                                       RestoredAnalysis &Out) const {
-  std::string Blob;
-  CacheProbe P = readBlob(blobPath(G, Kind, "art"), Blob);
-  if (!P.hit())
-    return P;
-  return deserializeAnalysis(Blob, G, A, Kind, Out, Salt);
-}
-
-CacheProbe AnalysisCache::storeAnalysis(const ParseTable &T) const {
-  const Automaton &M = T.automaton();
-  return writeBlob(blobPath(M.grammar(), M.kind(), "art"),
-                   serializeAnalysis(T, Salt));
-}
-
-CacheProbe AnalysisCache::loadGraph(const Automaton &M,
-                                    std::optional<StateItemGraph> &Out) const {
-  std::string Blob;
-  CacheProbe P = readBlob(blobPath(M.grammar(), M.kind(), "sig"), Blob);
-  if (!P.hit())
-    return P;
-  return deserializeGraph(Blob, M, Out, Salt);
-}
-
-CacheProbe AnalysisCache::storeGraph(const StateItemGraph &Graph) const {
-  const Automaton &M = Graph.automaton();
-  return writeBlob(blobPath(M.grammar(), M.kind(), "sig"),
-                   serializeGraph(Graph, Salt));
-}
-
 CacheProbe AnalysisCache::loadReports(const Grammar &G, AutomatonKind Kind,
                                       const FinderOptions &Opts,
                                       std::vector<ConflictReport> &Out) const {
   std::string Blob;
-  CacheProbe P = readBlob(blobPath(G, Kind, "rep", &Opts), Blob);
+  CacheProbe P = readBlob(blobPath(G, Kind, Opts), Blob);
   if (!P.hit())
     return P;
   return deserializeReports(Blob, G, Kind, Opts, Out, Salt);
@@ -1180,7 +711,7 @@ CacheProbe
 AnalysisCache::storeReports(const Grammar &G, AutomatonKind Kind,
                             const FinderOptions &Opts,
                             const std::vector<ConflictReport> &Reports) const {
-  return writeBlob(blobPath(G, Kind, "rep", &Opts),
+  return writeBlob(blobPath(G, Kind, Opts),
                    serializeReports(G, Kind, Opts, Reports, Salt));
 }
 
@@ -1278,39 +809,14 @@ AnalysisCache::GcStats AnalysisCache::collectGarbage(uint64_t MaxBytes) const {
 //===----------------------------------------------------------------------===//
 
 AnalysisSession::AnalysisSession(Grammar InG, AutomatonKind Kind,
-                                 const AnalysisCache *Cache,
+                                 const AnalysisCache *,
                                  MetricsRegistry *Metrics,
                                  TraceRecorder *Trace)
     : G(std::move(InG)), A(G, Metrics, Trace) {
-  if (Cache) {
-    RestoredAnalysis Restored;
-    {
-      ScopedTimer LoadTimer(Metrics, metric::TimeCacheLoadNs);
-      Probe = Cache->loadAnalysis(G, A, Kind, Restored);
-    }
-    if (Probe.hit()) {
-      if (Metrics)
-        Metrics->add(metric::CacheHits);
-      M = std::move(Restored.M);
-      T = std::move(Restored.T);
-      return;
-    }
-    if (Metrics) {
-      Metrics->add(metric::CacheMisses);
-      if (Probe.degraded())
-        Metrics->add(metric::CacheDegradations);
-    }
-  }
   AutomatonOptions MOpts;
   MOpts.Kind = Kind;
   MOpts.Metrics = Metrics;
   MOpts.Trace = Trace;
   M = std::make_unique<Automaton>(G, A, MOpts);
   T = std::make_unique<ParseTable>(*M);
-  if (Cache) {
-    ScopedTimer StoreTimer(Metrics, metric::TimeCacheStoreNs);
-    Cache->storeAnalysis(*T);
-    if (Metrics)
-      Metrics->add(metric::CacheStores);
-  }
 }

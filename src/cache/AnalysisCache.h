@@ -5,22 +5,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A content-addressed persistent cache for the expensive per-grammar
-/// artifacts: the LALR automaton + ACTION/GOTO table, the state-item
-/// graph, and complete conflict-report sets. A grammar author's workflow
-/// is iterative — re-run the analyzer after every small edit — and this
-/// layer makes the "nothing changed" (or "only this grammar changed")
-/// hot path near-free.
+/// A content-addressed persistent cache for complete conflict-report sets
+/// and for single conflict reports. A grammar author's workflow is
+/// iterative — re-run the analyzer after every small edit — and this layer
+/// makes the "nothing changed" (or "only this grammar changed") hot path
+/// skip the searches, which is where a run spends its time. The automaton,
+/// parse table and state-item graph are always built from the grammar:
+/// building them is cheaper than reading and validating a stored copy
+/// (DESIGN.md §5d).
 ///
 /// Addressing. Every blob file is named by a stable 128-bit fingerprint
 /// (support/Hash.h) of its inputs:
 ///
-///   <gfp>.art  automaton + parse table   gfp = grammarFingerprint():
+///   <gfp>-<ofp>.rep  conflict reports    gfp = grammarFingerprint():
 ///              symbols, productions, precedence/associativity, %expect,
-///              automaton kind, and a format-version salt
-///   <gfp>.sig  state-item graph          same key
-///   <gfp>-<ofp>.rep  conflict reports    ofp = optionsFingerprint():
-///              every FinderOptions field that can change report content
+///              automaton kind, and a format-version salt;
+///              ofp = optionsFingerprint(): every FinderOptions field that
+///              can change report content
 ///   <cfp>.crep  one conflict report      cfp = conflictFingerprint():
 ///              per-conflict key over (automaton structure, options, the
 ///              conflict record, the id-bound hash of its supporting
@@ -73,7 +74,6 @@
 #include "support/Hash.h"
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,8 +119,9 @@ struct CacheProbe {
   }
 };
 
-/// Stable fingerprint of everything the automaton/table/graph artifacts
-/// depend on (see file comment). \p VersionSalt defaults to the current
+/// Stable fingerprint of the grammar as a whole-set report blob depends on
+/// it: every input of the automaton, the parse table and its conflict
+/// resolution (see file comment). \p VersionSalt defaults to the current
 /// format version; tests override it to prove version bumps invalidate.
 Fingerprint128 grammarFingerprint(const Grammar &G, AutomatonKind Kind,
                                   uint32_t VersionSalt = FormatVersion);
@@ -171,38 +172,11 @@ private:
   Fingerprint128 Base;
 };
 
-/// An automaton + parse table reconstructed from a blob. The table
-/// borrows the automaton, so they travel together.
-struct RestoredAnalysis {
-  std::unique_ptr<Automaton> M;
-  std::unique_ptr<ParseTable> T;
-};
-
 //===----------------------------------------------------------------------===//
 // In-memory (de)serialization. The round-trip tests hit these directly;
 // AnalysisCache adds the file naming, checksum-at-rest, and atomic-rename
 // layer on top.
 //===----------------------------------------------------------------------===//
-
-/// Serializes automaton + table into a complete blob (header + payload +
-/// checksum) keyed by \p VersionSalt's grammar fingerprint.
-std::string serializeAnalysis(const ParseTable &T,
-                              uint32_t VersionSalt = FormatVersion);
-
-/// Reconstructs automaton + table from \p Blob. \p G and \p A must be the
-/// grammar the blob was keyed by (the caller looked the blob up by
-/// fingerprint); both must outlive the result.
-CacheProbe deserializeAnalysis(const std::string &Blob, const Grammar &G,
-                               const GrammarAnalysis &A, AutomatonKind Kind,
-                               RestoredAnalysis &Out,
-                               uint32_t VersionSalt = FormatVersion);
-
-std::string serializeGraph(const StateItemGraph &Graph,
-                           uint32_t VersionSalt = FormatVersion);
-
-CacheProbe deserializeGraph(const std::string &Blob, const Automaton &M,
-                            std::optional<StateItemGraph> &Out,
-                            uint32_t VersionSalt = FormatVersion);
 
 std::string serializeReports(const Grammar &G, AutomatonKind Kind,
                              const FinderOptions &Opts,
@@ -256,14 +230,6 @@ public:
 
   const std::string &directory() const { return Dir; }
 
-  CacheProbe loadAnalysis(const Grammar &G, const GrammarAnalysis &A,
-                          AutomatonKind Kind, RestoredAnalysis &Out) const;
-  CacheProbe storeAnalysis(const ParseTable &T) const;
-
-  CacheProbe loadGraph(const Automaton &M,
-                       std::optional<StateItemGraph> &Out) const;
-  CacheProbe storeGraph(const StateItemGraph &Graph) const;
-
   CacheProbe loadReports(const Grammar &G, AutomatonKind Kind,
                          const FinderOptions &Opts,
                          std::vector<ConflictReport> &Out) const;
@@ -284,12 +250,10 @@ public:
                                  const std::vector<uint32_t> *Touched =
                                      nullptr) const;
 
-  /// The file path a blob kind lives at, for tests that corrupt blobs
-  /// deliberately. \p Extension is "art", "sig", or "rep" (the latter
-  /// needs \p Opts).
+  /// The file path of the `.rep` blob for (\p G, \p Kind, \p Opts), for
+  /// tests that corrupt blobs deliberately.
   std::string blobPath(const Grammar &G, AutomatonKind Kind,
-                       const char *Extension,
-                       const FinderOptions *Opts = nullptr) const;
+                       const FinderOptions &Opts) const;
 
   /// The file path of the `.crep` blob for per-conflict key \p Key.
   std::string conflictBlobPath(Fingerprint128 Key) const;
@@ -324,17 +288,15 @@ private:
 // Batch-driver convenience.
 //===----------------------------------------------------------------------===//
 
-/// Owns one grammar's full analysis pipeline up to the parse table,
-/// restoring the structural artifacts from \p Cache when possible and
-/// storing them after a cold build. GrammarAnalysis is always recomputed:
-/// it is a cheap fixpoint, and reconstructing it keeps the blob format
-/// small and the restore path simple.
+/// Owns one grammar's full analysis pipeline up to the parse table: the
+/// grammar analysis, the automaton and the table, always built from the
+/// grammar. Report reuse happens in the finder (FinderOptions::CachePath).
 class AnalysisSession {
 public:
-  /// \p Cache may be null (caching disabled). \p Metrics and \p Trace are
-  /// optional observability sinks threaded into the grammar analysis and
-  /// automaton construction (plus cache.* load/store accounting); they
-  /// never affect the artifacts or the cache key.
+  /// \p Cache is unused: nothing up to the parse table is cached any more.
+  /// The parameter remains so existing callers that pass one still
+  /// compile. \p Metrics and \p Trace are optional observability sinks
+  /// threaded into the grammar analysis and automaton construction.
   AnalysisSession(Grammar G, AutomatonKind Kind, const AnalysisCache *Cache,
                   MetricsRegistry *Metrics = nullptr,
                   TraceRecorder *Trace = nullptr);
@@ -344,17 +306,11 @@ public:
   const Automaton &automaton() const { return *M; }
   const ParseTable &table() const { return *T; }
 
-  /// True when automaton + table were restored rather than built.
-  bool analysisFromCache() const { return Probe.hit(); }
-  /// How the artifact load concluded (Disabled when no cache was given).
-  const CacheProbe &analysisProbe() const { return Probe; }
-
 private:
   Grammar G;
   GrammarAnalysis A;
   std::unique_ptr<Automaton> M;
   std::unique_ptr<ParseTable> T;
-  CacheProbe Probe;
 };
 
 } // namespace cache

@@ -88,58 +88,21 @@ void noteCacheProbe(CacheActivity &Activity, const cache::CacheProbe &P) {
 
 } // namespace
 
-StateItemGraph CounterexampleFinder::buildOrRestoreGraph(
-    const ParseTable &Table, const FinderOptions &Opts,
-    CacheActivity &Activity) {
-  MetricsRegistry *M = Opts.Metrics;
-  if (Opts.CachePath.empty())
-    return StateItemGraph(Table.automaton(), M, Opts.Trace);
-  cache::AnalysisCache Cache(Opts.CachePath);
-  std::optional<StateItemGraph> Restored;
-  cache::CacheProbe P;
-  {
-    ScopedTimer LoadTimer(M, metric::TimeCacheLoadNs);
-    P = Cache.loadGraph(Table.automaton(), Restored);
-  }
-  if (P.hit()) {
-    if (M)
-      M->add(metric::CacheHits);
-    Activity.GraphFromCache = true;
-    return std::move(*Restored);
-  }
-  if (M) {
-    M->add(metric::CacheMisses);
-    if (P.degraded())
-      M->add(metric::CacheDegradations);
-  }
-  noteCacheProbe(Activity, P);
-  StateItemGraph Built(Table.automaton(), M, Opts.Trace);
-  {
-    ScopedTimer StoreTimer(M, metric::TimeCacheStoreNs);
-    Cache.storeGraph(Built);
-  }
-  if (M)
-    M->add(metric::CacheStores);
-  return Built;
-}
-
 std::optional<StateItemGraph>
 CounterexampleFinder::makeOwnedGraph(const ParseTable &Table,
-                                     const FinderOptions &Opts,
-                                     CacheActivity &Activity) {
-  // An incremental handoff lends the session's graph — already built
-  // for exactly this table's automaton — so the finder neither rebuilds
-  // nor restores one.
+                                     const FinderOptions &Opts) {
+  // An incremental handoff lends the session's graph, already built for
+  // exactly this table's automaton.
   if (Opts.Incremental && Opts.Incremental->Graph &&
       &Opts.Incremental->Graph->automaton() == &Table.automaton())
     return std::nullopt;
-  return buildOrRestoreGraph(Table, Opts, Activity);
+  return StateItemGraph(Table.automaton(), Opts.Metrics, Opts.Trace);
 }
 
 CounterexampleFinder::CounterexampleFinder(const ParseTable &Table,
                                            FinderOptions Opts)
     : Table(Table), G(Table.automaton().grammar()),
-      OwnedGraph(makeOwnedGraph(Table, Opts, Cache)),
+      OwnedGraph(makeOwnedGraph(Table, Opts)),
       Graph(OwnedGraph ? *OwnedGraph : *Opts.Incremental->Graph),
       Nonunifying(Graph), Unifying(Graph), Opts(Opts),
       Cumulative(cumulativeLimits(Opts), Opts.Cancellation) {

@@ -77,18 +77,18 @@ struct FinderOptions {
   /// dominance-check counts) into ConflictReport::Lss. Observability
   /// only: never changes reports or rendering.
   bool CollectLssStats = false;
-  /// Directory of the persistent analysis cache (cache/AnalysisCache.h);
-  /// empty disables caching. The constructor restores the state-item
-  /// graph from it and examineAll() serves warm report sets that are
-  /// byte-identical to a cold run; damaged or stale blobs degrade to a
-  /// cold recompute recorded in cacheActivity(), never a crash. Not part
-  /// of the cache key: two finders differing only in CachePath (or Jobs)
-  /// produce identical reports.
+  /// Directory of the persistent report cache (cache/AnalysisCache.h);
+  /// empty disables caching. examineAll() serves warm report sets (`.rep`)
+  /// and single conflict reports (`.crep`) from it, byte-identical to a
+  /// cold run; damaged or stale blobs degrade to a cold recompute recorded
+  /// in cacheActivity(), never a crash. The state-item graph is always
+  /// built. Not part of the cache key: two finders differing only in
+  /// CachePath (or Jobs) produce identical reports.
   std::string CachePath;
   /// Incremental handoff from an IncrementalSession, or null
   /// (the default, a standalone run). When set with a usable generation
   /// pair, the finder (a) borrows the session's already-built state-item
-  /// graph instead of building or restoring its own, and (b) extends the
+  /// graph instead of building its own, and (b) extends the
   /// fine-grained warm path: a conflict whose per-conflict key misses
   /// (every structural edit moves it) is probed under its *previous*
   /// generation key and re-served remapped when the stored touched set
@@ -167,11 +167,9 @@ struct ConflictReport {
   std::optional<LssStats> Lss;
 };
 
-/// What the persistent analysis cache did for one finder; all-false when
-/// FinderOptions::CachePath is empty.
+/// What the persistent report cache did in one finder's examineAll();
+/// all-false when FinderOptions::CachePath is empty.
 struct CacheActivity {
-  /// The state-item graph was restored instead of rebuilt.
-  bool GraphFromCache = false;
   /// The last examineAll() returned a cached report set verbatim.
   bool ReportsFromCache = false;
   /// Conflict-level reuse in the last examineAll(): conflicts whose
@@ -193,8 +191,8 @@ struct CacheActivity {
   /// covers all conflicts when the fine-grained layer was eligible.
   size_t ConflictsRemapped = 0;
   /// First damaged/unreadable blob encountered (stage "cache-load");
-  /// the affected artifact was recomputed cold. A plain miss is not a
-  /// degradation and is not recorded.
+  /// the affected report set or conflict was recomputed cold. A plain
+  /// miss is not a degradation and is not recorded.
   std::optional<FailureReason> Degradation;
 };
 
@@ -207,8 +205,8 @@ public:
   const StateItemGraph &graph() const { return Graph; }
   const FinderOptions &options() const { return Opts; }
 
-  /// How FinderOptions::CachePath participated so far (graph restore at
-  /// construction, report reuse per examineAll call, degradations).
+  /// How FinderOptions::CachePath participated so far (report reuse per
+  /// examineAll call, degradations).
   const CacheActivity &cacheActivity() const { return Cache; }
 
   /// Explains a single conflict. Never throws: every failure mode
@@ -251,24 +249,13 @@ private:
                                       FailureReason::Kind K,
                                       const char *Stage, std::string Detail);
 
-  /// Restores the state-item graph from the cache when possible (storing
-  /// it after a cold build), recording hits and degradations in
-  /// \p Activity. Declared here so the Graph member can be initialized
-  /// through it without the header depending on cache/AnalysisCache.h.
-  static StateItemGraph buildOrRestoreGraph(const ParseTable &Table,
-                                            const FinderOptions &Opts,
-                                            CacheActivity &Activity);
-
-  /// OwnedGraph's initializer: the built-or-restored graph, or nullopt
-  /// when FinderOptions::Incremental supplies an external one.
+  /// OwnedGraph's initializer: a freshly built graph, or nullopt when
+  /// FinderOptions::Incremental supplies an external one.
   static std::optional<StateItemGraph>
-  makeOwnedGraph(const ParseTable &Table, const FinderOptions &Opts,
-                 CacheActivity &Activity);
+  makeOwnedGraph(const ParseTable &Table, const FinderOptions &Opts);
 
   const ParseTable &Table;
   const Grammar &G;
-  /// Declared before Graph: buildOrRestoreGraph fills it during Graph's
-  /// initialization.
   CacheActivity Cache;
   /// The finder's own graph, absent when an IncrementalSession lends one
   /// through FinderOptions::Incremental (the session's graph is already

@@ -114,7 +114,12 @@ StateItemGraph::StateItemGraph(const Automaton &M, MetricsRegistry *Metrics,
       for (NodeId Step : ProdSteps.row(N))
         Edge(N, Step);
   });
-  internNodeLookaheads();
+  // Intern every node's lookahead set, then freeze the pool.
+  NodeLookIds.reserve(NumNodes);
+  for (const NodeData &D : Nodes)
+    NodeLookIds.push_back(
+        LaPool.intern(M.state(D.State).Lookaheads[D.ItemIndex]));
+  LaPool.freeze();
 
   if (Metrics) {
     Metrics->add(metric::GraphBuilds);
@@ -122,15 +127,6 @@ StateItemGraph::StateItemGraph(const Automaton &M, MetricsRegistry *Metrics,
     Metrics->add(metric::GraphEdges,
                  ProdSteps.Data.size() + RevTransitions.Data.size());
   }
-}
-
-void StateItemGraph::internNodeLookaheads() {
-  NodeLookIds.clear();
-  NodeLookIds.reserve(Nodes.size());
-  for (const NodeData &D : Nodes)
-    NodeLookIds.push_back(
-        LaPool.intern(M.state(D.State).Lookaheads[D.ItemIndex]));
-  LaPool.freeze();
 }
 
 StateItemGraph::NodeId StateItemGraph::nodeFor(unsigned State,

@@ -31,10 +31,6 @@
 
 namespace lalrcex {
 
-namespace cache {
-struct ArtifactAccess;
-}
-
 class TraceRecorder;
 
 /// Records the set of graph nodes a search *reads* — every accessor the
@@ -211,7 +207,7 @@ private:
   /// Compressed-sparse-row adjacency: row N is Data[Begin[N], Begin[N + 1]).
   /// One allocation per edge kind instead of one vector per node, so the
   /// search's hottest loops walk cache-dense spans instead of chasing
-  /// vector headers. The two arrays are also the graph blob's layout.
+  /// vector headers.
   struct Csr {
     std::vector<uint32_t> Begin; // NumNodes + 1 prefix sums
     std::vector<NodeId> Data;
@@ -221,18 +217,6 @@ private:
     }
   };
 
-  /// Cache restore: an empty shell whose tables the cache subsystem
-  /// fills from a validated blob (see Automaton::RestoreTag). The restore
-  /// path calls internNodeLookaheads() once the tables are validated.
-  friend struct cache::ArtifactAccess;
-  struct RestoreTag {};
-  StateItemGraph(const Automaton &M, RestoreTag)
-      : M(M), LaPool(TerminalSetPool::overlay(M.analysis().pool())) {}
-
-  /// Interns every node's lookahead set into LaPool and freezes it; the
-  /// last construction step on both the build and cache-restore paths.
-  void internNodeLookaheads();
-
   const Automaton &M;
   std::vector<NodeData> Nodes;
   std::vector<unsigned> StateOffset; // state -> first node id
@@ -240,8 +224,8 @@ private:
   Csr ProdSteps;
   Csr RevTransitions;
   Csr RevProdSteps;
-  /// Overlay of the analysis pool holding node lookahead ids; frozen by
-  /// internNodeLookaheads so concurrent searches can overlay it again.
+  /// Overlay of the analysis pool holding node lookahead ids; frozen at
+  /// the end of construction so concurrent searches can overlay it again.
   TerminalSetPool LaPool;
   std::vector<TerminalSetPool::SetId> NodeLookIds;
 };

@@ -38,10 +38,6 @@
 
 namespace lalrcex {
 
-namespace cache {
-struct ArtifactAccess;
-}
-
 class MetricsRegistry;
 class TraceRecorder;
 
@@ -120,15 +116,6 @@ public:
   const IndexSet &lookahead(unsigned StateIndex, const Item &I) const;
 
 private:
-  /// Cache restore: constructs an empty shell whose States the cache
-  /// subsystem fills from a validated blob, skipping all three build
-  /// phases. Only reachable through the persistent analysis cache.
-  friend struct cache::ArtifactAccess;
-  struct RestoreTag {};
-  Automaton(const Grammar &G, const GrammarAnalysis &Analysis,
-            AutomatonKind Kind, RestoreTag)
-      : G(G), Analysis(Analysis), Kind(Kind) {}
-
   /// Work done by one lookahead pass, for the automaton.* metrics.
   struct LookaheadWork {
     unsigned NtTransitions = 0; ///< nonterminal transitions (p, A)

@@ -120,12 +120,6 @@ public:
   std::string checkExpectations() const;
 
 private:
-  /// Cache restore: an empty shell whose Actions/Conflicts the cache
-  /// subsystem fills from a validated blob (see Automaton::RestoreTag).
-  friend struct cache::ArtifactAccess;
-  struct RestoreTag {};
-  ParseTable(const Automaton &M, RestoreTag) : M(M) {}
-
   /// Builds state \p S's ACTION row in place and appends its conflicts
   /// to \p Out. The R/R dedup scan only consults conflicts of the same
   /// state, so running the states in order yields (state, token) order.

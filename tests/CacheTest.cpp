@@ -5,10 +5,11 @@
 // The cache subsystem's contract, tested from the bottom up: fingerprint
 // stability and sensitivity (precedence flips, production reorders,
 // renames, format-version bumps all invalidate), save -> load -> save
-// byte-identity for all four blob kinds, warm report sets byte-identical
-// to cold across job counts, and graceful degradation — corrupt,
-// truncated, mis-keyed, and version-mismatched blobs all fall back to a
-// cold recompute with a structured probe/FailureReason, never a crash.
+// byte-identity for both blob kinds, warm report sets byte-identical to
+// cold across job counts, and graceful degradation — corrupt, truncated,
+// mis-keyed, and version-mismatched blobs all fall back to a cold
+// recompute with a structured probe/FailureReason, never a crash, and
+// never at the cost of unbounded memory.
 // The conflict-granularity sections extend the same contract to `.crep`
 // blobs (damage to one conflict's blob degrades only that conflict; a
 // partially populated cache round-trips byte-identically) and to the
@@ -23,6 +24,8 @@
 #include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
@@ -79,6 +82,22 @@ void resealChecksum(std::string &Blob) {
     Blob[Blob.size() - 16 + I] = char((Sum.Lo >> (8 * I)) & 0xFF);
     Blob[Blob.size() - 8 + I] = char((Sum.Hi >> (8 * I)) & 0xFF);
   }
+}
+
+/// \p B's whole-set `.rep` blob under \p Opts, from a cacheless run.
+std::string reportBlob(const BuiltGrammar &B, const FinderOptions &Opts) {
+  CounterexampleFinder Finder(B.T, Opts);
+  return serializeReports(B.G, AutomatonKind::Lalr1, Opts,
+                          Finder.examineAll());
+}
+
+/// \p Rs as \p Finder renders them.
+std::vector<std::string> renderAll(const CounterexampleFinder &Finder,
+                                   const std::vector<ConflictReport> &Rs) {
+  std::vector<std::string> Out;
+  for (const ConflictReport &R : Rs)
+    Out.push_back(Finder.render(R));
+  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -176,56 +195,6 @@ TEST(OptionsFingerprintTest, BudgetsKeyedJobsAndCachePathNot) {
 // Round trips
 //===----------------------------------------------------------------------===//
 
-TEST(CacheRoundTripTest, AnalysisSaveLoadSaveByteIdentical) {
-  // Both automaton kinds: the reader's shape checks must accept every
-  // automaton the builders produce.
-  for (const char *Name : {"figure1", "figure3", "expr_prec_unresolved",
-                           "SQL.1", "stackovf10"}) {
-    for (AutomatonKind Kind :
-         {AutomatonKind::Lalr1, AutomatonKind::Canonical}) {
-      Grammar G = loadCorpusGrammar(Name);
-      GrammarAnalysis A(G);
-      Automaton M(G, A, Kind);
-      ParseTable T(M);
-      std::string Blob = serializeAnalysis(T);
-
-      RestoredAnalysis Restored;
-      CacheProbe P = deserializeAnalysis(Blob, G, A, Kind, Restored);
-      ASSERT_TRUE(P.hit()) << Name << ": " << P.Detail;
-      ASSERT_TRUE(Restored.M && Restored.T);
-
-      // Semantic equality...
-      ASSERT_EQ(Restored.M->numStates(), M.numStates()) << Name;
-      for (unsigned S = 0; S != M.numStates(); ++S) {
-        EXPECT_EQ(Restored.M->state(S).Items, M.state(S).Items);
-        EXPECT_EQ(Restored.M->state(S).Lookaheads, M.state(S).Lookaheads);
-        EXPECT_EQ(Restored.M->state(S).Transitions, M.state(S).Transitions);
-      }
-      EXPECT_EQ(Restored.T->reportedConflicts().size(),
-                T.reportedConflicts().size())
-          << Name;
-      // ...and canonical bytes: re-serializing the restored objects must
-      // reproduce the blob exactly.
-      EXPECT_EQ(serializeAnalysis(*Restored.T), Blob) << Name;
-    }
-  }
-}
-
-TEST(CacheRoundTripTest, GraphSaveLoadSaveByteIdentical) {
-  for (const char *Name : {"figure1", "xi", "Pascal.3"}) {
-    BuiltGrammar B = BuiltGrammar::fromCorpus(Name);
-    StateItemGraph Graph(B.M);
-    std::string Blob = serializeGraph(Graph);
-
-    std::optional<StateItemGraph> Restored;
-    CacheProbe P = deserializeGraph(Blob, B.M, Restored);
-    ASSERT_TRUE(P.hit()) << Name << ": " << P.Detail;
-    ASSERT_TRUE(Restored);
-    ASSERT_EQ(Restored->numNodes(), Graph.numNodes()) << Name;
-    EXPECT_EQ(serializeGraph(*Restored), Blob) << Name;
-  }
-}
-
 TEST(CacheRoundTripTest, ReportsSaveLoadSaveByteIdentical) {
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
   FinderOptions Opts = deterministicOptions();
@@ -283,14 +252,16 @@ TEST(CacheRoundTripTest, WarmReportsByteIdenticalAcrossJobs) {
 
 TEST(CacheValidationTest, VersionSaltMismatchDetected) {
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure3");
-  std::string Blob = serializeAnalysis(B.T, FormatVersion);
-  RestoredAnalysis Out;
-  CacheProbe P = deserializeAnalysis(Blob, B.G, B.A, AutomatonKind::Lalr1,
-                                     Out, FormatVersion + 1);
-  // The foreign salt changes the expected fingerprint too, so either
+  FinderOptions Opts = deterministicOptions();
+  std::string Blob = reportBlob(B, Opts);
+  std::vector<ConflictReport> Out;
+  CacheProbe P = deserializeReports(Blob, B.G, AutomatonKind::Lalr1, Opts,
+                                    Out, FormatVersion + 1);
+  // The foreign salt changes the expected fingerprints too, so either
   // rejection is acceptable; it must not be a hit.
   EXPECT_FALSE(P.hit());
   EXPECT_TRUE(P.degraded());
+  EXPECT_TRUE(Out.empty());
 }
 
 TEST(CacheValidationTest, KeyMismatchDetected) {
@@ -298,116 +269,93 @@ TEST(CacheValidationTest, KeyMismatchDetected) {
   // embedded key disagrees with the expected fingerprint.
   BuiltGrammar A = BuiltGrammar::fromCorpus("figure1");
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure3");
-  std::string Blob = serializeAnalysis(A.T);
-  RestoredAnalysis Out;
+  FinderOptions Opts = deterministicOptions();
+  std::string Blob = reportBlob(A, Opts);
+  std::vector<ConflictReport> Out;
   CacheProbe P =
-      deserializeAnalysis(Blob, B.G, B.A, AutomatonKind::Lalr1, Out);
+      deserializeReports(Blob, B.G, AutomatonKind::Lalr1, Opts, Out);
   EXPECT_EQ(P.Outcome, CacheOutcome::KeyMismatch);
+  EXPECT_TRUE(Out.empty());
 }
 
 TEST(CacheValidationTest, EveryBitFlipIsRejected) {
-  // Flip one bit at a sample of offsets across an analysis blob: the
+  // Flip one bit at a sample of offsets across a report blob: the
   // trailing checksum (or, for flips inside the checksum itself, the
   // recomputed sum) must reject every single one — and never crash.
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure3");
-  std::string Blob = serializeAnalysis(B.T);
+  FinderOptions Opts = deterministicOptions();
+  std::string Blob = reportBlob(B, Opts);
   for (size_t Off = 0; Off < Blob.size(); Off += 7) {
     std::string Bad = Blob;
     Bad[Off] = char(Bad[Off] ^ 0x40);
-    RestoredAnalysis Out;
+    std::vector<ConflictReport> Out;
     CacheProbe P =
-        deserializeAnalysis(Bad, B.G, B.A, AutomatonKind::Lalr1, Out);
+        deserializeReports(Bad, B.G, AutomatonKind::Lalr1, Opts, Out);
     EXPECT_FALSE(P.hit()) << "offset " << Off;
   }
 }
 
 TEST(CacheValidationTest, TruncationIsRejected) {
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure3");
-  std::string Blob = serializeGraph(StateItemGraph(B.M));
+  FinderOptions Opts = deterministicOptions();
+  std::string Blob = reportBlob(B, Opts);
   for (size_t Len : {size_t(0), size_t(7), size_t(43), Blob.size() / 2,
                      Blob.size() - 1}) {
-    std::optional<StateItemGraph> Out;
-    CacheProbe P = deserializeGraph(Blob.substr(0, Len), B.M, Out);
+    std::vector<ConflictReport> Out;
+    CacheProbe P = deserializeReports(Blob.substr(0, Len), B.G,
+                                      AutomatonKind::Lalr1, Opts, Out);
     EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << "length " << Len;
-    EXPECT_FALSE(Out) << "length " << Len;
+    EXPECT_TRUE(Out.empty()) << "length " << Len;
   }
-}
-
-TEST(CacheValidationTest, StateOffsetsDisagreeingWithAutomatonAreCorrupt) {
-  // A graph blob whose checksum is intact but whose state offset table
-  // disagrees with the automaton: every offset after state 0's is pushed
-  // to the end of the node table. Accepted, nodeFor() would hand out node
-  // ids past the tables for every state but 0.
-  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
-  StateItemGraph Graph(B.M);
-  std::string Blob = serializeGraph(Graph);
-
-  // Header (magic, salt, two keys) and node count, then 16 bytes per node
-  // (state, item index, production, dot), then the offset table's size.
-  const size_t OffsetTable = 44 + 4 + 16 * size_t(Graph.numNodes()) + 4;
-  for (unsigned S = 1; S <= B.M.numStates(); ++S)
-    putU32(Blob, OffsetTable + 4 * S, Graph.numNodes());
-  resealChecksum(Blob);
-
-  std::optional<StateItemGraph> Out;
-  CacheProbe P = deserializeGraph(Blob, B.M, Out);
-  EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
-  EXPECT_FALSE(Out);
-}
-
-TEST(CacheValidationTest, ItemWithoutTransitionIsCorrupt) {
-  // An analysis blob whose checksum is intact and whose every field is in
-  // range, but whose state 0 kernel item is replaced by an item whose dot
-  // symbol has no transition out of state 0. Accepted, building the
-  // state-item graph over the restored automaton would follow the missing
-  // transition outside the state table.
-  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
-  std::string Blob = serializeAnalysis(B.T);
-
-  Item Stray;
-  bool Found = false;
-  for (unsigned P = 0; P != B.G.numProductions() && !Found; ++P) {
-    const Production &Prod = B.G.production(P);
-    for (unsigned D = 0; D != Prod.Rhs.size() && !Found; ++D) {
-      if (B.M.transition(0, Prod.Rhs[D]) < 0) {
-        Stray = Item(P, D);
-        Found = true;
-      }
-    }
-  }
-  ASSERT_TRUE(Found);
-  // Header, automaton kind, state count, then state 0's item and kernel
-  // counts before its first item.
-  const size_t FirstItem = 44 + 4 + 4 + 4 + 4;
-  putU32(Blob, FirstItem, Stray.Prod);
-  putU32(Blob, FirstItem + 4, Stray.Dot);
-  resealChecksum(Blob);
-
-  RestoredAnalysis Out;
-  CacheProbe P =
-      deserializeAnalysis(Blob, B.G, B.A, AutomatonKind::Lalr1, Out);
-  EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
-  EXPECT_FALSE(Out.M);
 }
 
 TEST(CacheValidationTest, ConflictCountPastBlobEndIsCorrupt) {
-  // An analysis blob whose conflict count claims far more records than
-  // the blob holds. The reader must reject it before sizing anything by
-  // the count: reserving 2^32 - 1 conflicts used to throw bad_alloc out
-  // of the reader.
+  // A report blob whose count claims far more reports than the blob
+  // holds. The reader must reject it before sizing anything by the
+  // count.
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
-  std::string Blob = serializeAnalysis(B.T);
-  // The conflict table closes the payload: its count, then 26 bytes per
-  // record (kind, state, token, two productions, shift item, resolution).
-  const size_t Count = Blob.size() - 16 - 26 * B.T.conflicts().size() - 4;
-  putU32(Blob, Count, 0xFFFFFFFFu);
+  FinderOptions Opts = deterministicOptions();
+  std::string Blob = reportBlob(B, Opts);
+  // The report count opens the payload, right after the 44-byte header.
+  putU32(Blob, 44, 0xFFFFFFFFu);
   resealChecksum(Blob);
 
-  RestoredAnalysis Out;
+  std::vector<ConflictReport> Out;
   CacheProbe P =
-      deserializeAnalysis(Blob, B.G, B.A, AutomatonKind::Lalr1, Out);
+      deserializeReports(Blob, B.G, AutomatonKind::Lalr1, Opts, Out);
   EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
-  EXPECT_FALSE(Out.M);
+  EXPECT_TRUE(Out.empty());
+}
+
+TEST(CacheValidationTest, ReportCountBoundedByRecordSize) {
+  // A well-sealed report blob whose count equals its payload size in
+  // bytes. Every report takes at least 62 bytes, so the count cannot be
+  // right. A bound by the byte count alone would value-initialize one
+  // ConflictReport per payload byte (hundreds of MB here) before the
+  // reader noticed the truncation.
+  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
+  FinderOptions Opts = deterministicOptions();
+  const std::string Real =
+      serializeReports(B.G, AutomatonKind::Lalr1, Opts, {});
+  const uint32_t Payload = 2u << 20;
+  std::string Blob = Real.substr(0, 44) + std::string(4 + Payload, '\0') +
+                     std::string(16, '\0');
+  putU32(Blob, 44, Payload);
+  resealChecksum(Blob);
+
+  auto peakRssKb = [] {
+    struct rusage U;
+    getrusage(RUSAGE_SELF, &U);
+    return long(U.ru_maxrss);
+  };
+  long Before = peakRssKb();
+  std::vector<ConflictReport> Out;
+  CacheProbe P =
+      deserializeReports(Blob, B.G, AutomatonKind::Lalr1, Opts, Out);
+  long GrowthKb = peakRssKb() - Before;
+  EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
+  EXPECT_TRUE(Out.empty());
+  EXPECT_LT(GrowthKb, 64 * 1024) << "peak RSS grew by " << GrowthKb << " kB";
 }
 
 //===----------------------------------------------------------------------===//
@@ -415,28 +363,38 @@ TEST(CacheValidationTest, ConflictCountPastBlobEndIsCorrupt) {
 //===----------------------------------------------------------------------===//
 
 TEST(AnalysisCacheTest, SessionColdThenWarm) {
+  // The batch pipeline: AnalysisSession builds automaton + table, and the
+  // finder serves the second run's report set from its `.rep` blob.
   std::string Dir = tempCacheDir("session");
   AnalysisCache Cache(Dir);
+  FinderOptions Opts = deterministicOptions();
+  Opts.CachePath = Dir;
 
   AnalysisSession Cold(loadCorpusGrammar("SQL.2"), AutomatonKind::Lalr1,
                        &Cache);
-  EXPECT_FALSE(Cold.analysisFromCache());
-  EXPECT_EQ(Cold.analysisProbe().Outcome, CacheOutcome::Miss);
+  CounterexampleFinder ColdFinder(Cold.table(), Opts);
+  std::vector<ConflictReport> ColdReports = ColdFinder.examineAll();
+  ASSERT_FALSE(ColdReports.empty());
+  EXPECT_FALSE(ColdFinder.cacheActivity().ReportsFromCache);
+  EXPECT_FALSE(ColdFinder.cacheActivity().Degradation);
 
   AnalysisSession Warm(loadCorpusGrammar("SQL.2"), AutomatonKind::Lalr1,
                        &Cache);
-  EXPECT_TRUE(Warm.analysisFromCache());
-  ASSERT_EQ(Warm.automaton().numStates(), Cold.automaton().numStates());
-  for (unsigned S = 0; S != Cold.automaton().numStates(); ++S)
-    EXPECT_EQ(Warm.automaton().state(S).Items,
-              Cold.automaton().state(S).Items);
-  EXPECT_EQ(serializeAnalysis(Warm.table()), serializeAnalysis(Cold.table()));
+  CounterexampleFinder WarmFinder(Warm.table(), Opts);
+  std::vector<ConflictReport> WarmReports = WarmFinder.examineAll();
+  EXPECT_TRUE(WarmFinder.cacheActivity().ReportsFromCache);
+  EXPECT_EQ(serializeReports(Warm.grammar(), AutomatonKind::Lalr1, Opts,
+                             WarmReports),
+            serializeReports(Cold.grammar(), AutomatonKind::Lalr1, Opts,
+                             ColdReports));
 
-  // A null cache means plain construction, probe Disabled.
+  // Report blobs are all the cache holds, and the session ignores its
+  // cache argument: built without one, the table is the same.
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    EXPECT_EQ(E.path().extension(), ".rep") << E.path();
   AnalysisSession Plain(loadCorpusGrammar("SQL.2"), AutomatonKind::Lalr1,
                         nullptr);
-  EXPECT_EQ(Plain.analysisProbe().Outcome, CacheOutcome::Disabled);
-  EXPECT_EQ(Plain.automaton().numStates(), Cold.automaton().numStates());
+  expectSameTable(Plain.table(), Warm.table(), "SQL.2");
   std::filesystem::remove_all(Dir);
 }
 
@@ -445,41 +403,99 @@ TEST(AnalysisCacheTest, GrammarEditInvalidates) {
   // misses; the stale blob is never consulted.
   std::string Dir = tempCacheDir("edit");
   AnalysisCache Cache(Dir);
-  std::optional<Grammar> G1 = parseGrammarText("%%\ns : s a | b ;\n");
-  ASSERT_TRUE(G1);
-  AnalysisSession S1(std::move(*G1), AutomatonKind::Lalr1, &Cache);
-  EXPECT_EQ(S1.analysisProbe().Outcome, CacheOutcome::Miss);
+  FinderOptions Opts = deterministicOptions();
+  Opts.CachePath = Dir;
+  BuiltGrammar B1 = BuiltGrammar::fromText("%%\ne : e PLUS e | x ;\n");
+  CounterexampleFinder F1(B1.T, Opts);
+  F1.examineAll();
+  ASSERT_TRUE(std::filesystem::exists(
+      Cache.blobPath(B1.G, AutomatonKind::Lalr1, Opts)));
 
-  std::optional<Grammar> G2 = parseGrammarText("%%\ns : s a | b | c ;\n");
-  ASSERT_TRUE(G2);
-  AnalysisSession S2(std::move(*G2), AutomatonKind::Lalr1, &Cache);
-  EXPECT_EQ(S2.analysisProbe().Outcome, CacheOutcome::Miss);
+  BuiltGrammar B2 =
+      BuiltGrammar::fromText("%%\ne : e PLUS e | e TIMES e | x ;\n");
+  std::vector<ConflictReport> Loaded;
+  EXPECT_EQ(Cache.loadReports(B2.G, AutomatonKind::Lalr1, Opts, Loaded)
+                .Outcome,
+            CacheOutcome::Miss);
+  CounterexampleFinder F2(B2.T, Opts);
+  std::vector<ConflictReport> Reports = F2.examineAll();
+  EXPECT_FALSE(F2.cacheActivity().ReportsFromCache);
+  EXPECT_FALSE(F2.cacheActivity().Degradation);
+  FinderOptions NoCache = Opts;
+  NoCache.CachePath.clear();
+  CounterexampleFinder Plain(B2.T, NoCache);
+  EXPECT_EQ(renderAll(F2, Reports), renderAll(Plain, Plain.examineAll()));
   std::filesystem::remove_all(Dir);
 }
 
 TEST(AnalysisCacheTest, CorruptBlobDegradesToColdRecompute) {
   std::string Dir = tempCacheDir("corrupt");
   AnalysisCache Cache(Dir);
-  Grammar G = loadCorpusGrammar("figure1");
-  AnalysisSession Cold(loadCorpusGrammar("figure1"), AutomatonKind::Lalr1,
-                       &Cache);
-  ASSERT_FALSE(Cold.analysisFromCache());
+  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
+  FinderOptions Opts = deterministicOptions();
+  Opts.CachePath = Dir;
+  CounterexampleFinder Cold(B.T, Opts);
+  std::vector<ConflictReport> ColdReports = Cold.examineAll();
+  ASSERT_FALSE(Cold.cacheActivity().ReportsFromCache);
 
   // Flip one payload byte in the stored blob.
-  std::string Path = Cache.blobPath(G, AutomatonKind::Lalr1, "art");
+  std::string Path = Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts);
   std::string Blob = readFile(Path);
   ASSERT_GT(Blob.size(), 60u);
   Blob[50] = char(Blob[50] ^ 0xFF);
   writeFile(Path, Blob);
 
-  AnalysisSession Recovered(loadCorpusGrammar("figure1"),
-                            AutomatonKind::Lalr1, &Cache);
-  EXPECT_FALSE(Recovered.analysisFromCache());
-  EXPECT_EQ(Recovered.analysisProbe().Outcome, CacheOutcome::Corrupt);
-  EXPECT_TRUE(Recovered.analysisProbe().degraded());
+  std::vector<ConflictReport> Loaded;
+  CacheProbe P = Cache.loadReports(B.G, AutomatonKind::Lalr1, Opts, Loaded);
+  EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt);
+  EXPECT_TRUE(P.degraded());
+  EXPECT_TRUE(Loaded.empty());
+
   // The recompute is correct despite the damaged blob.
-  EXPECT_EQ(Recovered.automaton().numStates(),
-            Cold.automaton().numStates());
+  CounterexampleFinder Recovered(B.T, Opts);
+  std::vector<ConflictReport> Reports = Recovered.examineAll();
+  EXPECT_FALSE(Recovered.cacheActivity().ReportsFromCache);
+  ASSERT_TRUE(Recovered.cacheActivity().Degradation);
+  EXPECT_EQ(renderAll(Recovered, Reports), renderAll(Cold, ColdReports));
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(AnalysisCacheTest, LeftoverArtifactBlobsAreNeverRead) {
+  // A directory last written by a build that also stored automaton
+  // (`.art`) and state-item graph (`.sig`) blobs: those files are never
+  // opened, so even garbage in them costs nothing, and GC evicts them
+  // like any other blob.
+  std::string Dir = tempCacheDir("leftover");
+  std::filesystem::create_directories(Dir);
+  AnalysisCache Cache(Dir);
+  AnalysisSession Session(loadCorpusGrammar("figure1"),
+                          AutomatonKind::Lalr1, &Cache);
+  const std::string Stem =
+      Dir + "/" +
+      grammarFingerprint(Session.grammar(), AutomatonKind::Lalr1).hex();
+  writeFile(Stem + ".art", std::string(300, 'a'));
+  writeFile(Stem + ".sig", std::string(300, 's'));
+
+  FinderOptions Opts = deterministicOptions();
+  Opts.CachePath = Dir;
+  CounterexampleFinder Cold(Session.table(), Opts);
+  std::vector<ConflictReport> ColdReports = Cold.examineAll();
+  EXPECT_FALSE(Cold.cacheActivity().ReportsFromCache);
+  EXPECT_FALSE(Cold.cacheActivity().Degradation);
+  FinderOptions NoCache = Opts;
+  NoCache.CachePath.clear();
+  CounterexampleFinder Plain(Session.table(), NoCache);
+  EXPECT_EQ(renderAll(Cold, ColdReports),
+            renderAll(Plain, Plain.examineAll()));
+
+  CounterexampleFinder Warm(Session.table(), Opts);
+  Warm.examineAll();
+  EXPECT_TRUE(Warm.cacheActivity().ReportsFromCache);
+  EXPECT_FALSE(Warm.cacheActivity().Degradation);
+
+  Cache.collectGarbage(0);
+  EXPECT_FALSE(std::filesystem::exists(Stem + ".art"));
+  EXPECT_FALSE(std::filesystem::exists(Stem + ".sig"));
   std::filesystem::remove_all(Dir);
 }
 
@@ -498,7 +514,7 @@ TEST(AnalysisCacheTest, FinderRecordsCacheDegradation) {
   // reports untouched by the damage.
   AnalysisCache Cache(Dir);
   std::string RepPath =
-      Cache.blobPath(B.G, AutomatonKind::Lalr1, "rep", &Opts);
+      Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts);
   std::string Blob = readFile(RepPath);
   writeFile(RepPath, Blob.substr(0, Blob.size() / 2));
 
@@ -534,15 +550,17 @@ TEST(AnalysisCacheTest, CancelledRunsAreNotStored) {
 
   AnalysisCache Cache(Dir);
   EXPECT_FALSE(std::filesystem::exists(
-      Cache.blobPath(B.G, AutomatonKind::Lalr1, "rep", &Opts)));
+      Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts)));
   std::filesystem::remove_all(Dir);
 }
 
 TEST(AnalysisCacheTest, RandomGrammarsRoundTripThroughDisk) {
-  // The fuzz corpus through the full disk layer: store, reload, compare
-  // canonical bytes.
+  // The fuzz corpus through the full disk layer: store each grammar's
+  // report set, reload it, compare canonical bytes.
   std::string Dir = tempCacheDir("random_disk");
   AnalysisCache Cache(Dir);
+  FinderOptions Opts = deterministicOptions();
+  Opts.MaxConfigurations = 5'000;
   for (uint64_t Seed = 0; Seed != 12; ++Seed) {
     std::string Text = lalrcex::testing::randomGrammarText(
         Seed, 4 + unsigned(Seed % 5), 4);
@@ -553,11 +571,18 @@ TEST(AnalysisCacheTest, RandomGrammarsRoundTripThroughDisk) {
       continue;
     Automaton M(*G, A);
     ParseTable T(M);
-    ASSERT_EQ(Cache.storeAnalysis(T).Outcome, CacheOutcome::Stored) << Text;
-    RestoredAnalysis Out;
-    CacheProbe P = Cache.loadAnalysis(*G, A, AutomatonKind::Lalr1, Out);
+    CounterexampleFinder Finder(T, Opts);
+    std::vector<ConflictReport> Reports = Finder.examineAll();
+    ASSERT_EQ(
+        Cache.storeReports(*G, AutomatonKind::Lalr1, Opts, Reports).Outcome,
+        CacheOutcome::Stored)
+        << Text;
+    std::vector<ConflictReport> Out;
+    CacheProbe P = Cache.loadReports(*G, AutomatonKind::Lalr1, Opts, Out);
     ASSERT_TRUE(P.hit()) << Text << P.Detail;
-    EXPECT_EQ(serializeAnalysis(*Out.T), serializeAnalysis(T)) << Text;
+    EXPECT_EQ(serializeReports(*G, AutomatonKind::Lalr1, Opts, Out),
+              serializeReports(*G, AutomatonKind::Lalr1, Opts, Reports))
+        << Text;
   }
   std::filesystem::remove_all(Dir);
 }
@@ -671,8 +696,7 @@ TEST(ConflictBlobTest, DamageDegradesOnlyThatConflict) {
   AnalysisCache Cache(Dir);
   ConflictKeyContext Ctx(B.M, Opts);
   std::vector<Conflict> Conflicts = B.T.reportedConflicts();
-  std::string RepPath = Cache.blobPath(B.G, AutomatonKind::Lalr1, "rep",
-                                       &Opts);
+  std::string RepPath = Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts);
 
   // Bit-flip one conflict's blob. The whole-set blob is removed first so
   // the fine-grained path actually runs.
@@ -734,7 +758,7 @@ TEST(ConflictBlobTest, PartiallyPopulatedCacheRoundTrips) {
   ConflictKeyContext Ctx(B.M, Opts);
   std::vector<Conflict> Conflicts = B.T.reportedConflicts();
   ASSERT_TRUE(std::filesystem::remove(
-      Cache.blobPath(B.G, AutomatonKind::Lalr1, "rep", &Opts)));
+      Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts)));
   ASSERT_TRUE(std::filesystem::remove(
       Cache.conflictBlobPath(Ctx.conflictFingerprint(Conflicts[1]))));
 
@@ -778,7 +802,7 @@ TEST(ConflictBlobTest, FiniteCumulativeBudgetDisablesReuse) {
 
   AnalysisCache Cache(Dir);
   ASSERT_TRUE(std::filesystem::remove(
-      Cache.blobPath(B.G, AutomatonKind::Lalr1, "rep", &Opts)));
+      Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts)));
   CounterexampleFinder Again(B.T, Opts);
   std::vector<ConflictReport> AgainReports = Again.examineAll();
   EXPECT_FALSE(Again.cacheActivity().ReportsFromCache);
@@ -870,24 +894,29 @@ TEST(AnalysisCacheGcTest, EvictedBlobsMissAndRepopulate) {
 #if defined(LALRCEX_FAULT_INJECTION)
 TEST(AnalysisCacheTest, InjectedCorruptionForcesColdRecompute) {
   std::string Dir = tempCacheDir("fault");
-  AnalysisCache Cache(Dir);
-  AnalysisSession Cold(loadCorpusGrammar("figure3"), AutomatonKind::Lalr1,
-                       &Cache);
-  ASSERT_FALSE(Cold.analysisFromCache());
+  BuiltGrammar B = BuiltGrammar::fromCorpus("figure3");
+  FinderOptions Opts = deterministicOptions();
+  Opts.CachePath = Dir;
+  CounterexampleFinder Cold(B.T, Opts);
+  std::vector<ConflictReport> ColdReports = Cold.examineAll();
+  ASSERT_FALSE(Cold.cacheActivity().ReportsFromCache);
 
-  // With the one-shot CacheCorrupt fault armed, the next blob read is
-  // treated as corrupt even though the file on disk is intact...
+  // With the one-shot CacheCorrupt fault armed, the next blob read (the
+  // finder's `.rep` probe) is treated as corrupt even though the file on
+  // disk is intact...
   faults::ScopedFault Armed(faults::Kind::CacheCorrupt);
-  AnalysisSession Faulted(loadCorpusGrammar("figure3"),
-                          AutomatonKind::Lalr1, &Cache);
-  EXPECT_FALSE(Faulted.analysisFromCache());
-  EXPECT_EQ(Faulted.analysisProbe().Outcome, CacheOutcome::Corrupt);
-  EXPECT_EQ(Faulted.automaton().numStates(), Cold.automaton().numStates());
+  CounterexampleFinder Faulted(B.T, Opts);
+  std::vector<ConflictReport> Reports = Faulted.examineAll();
+  EXPECT_FALSE(Faulted.cacheActivity().ReportsFromCache);
+  ASSERT_TRUE(Faulted.cacheActivity().Degradation);
+  EXPECT_NE(Faulted.cacheActivity().Degradation->Detail.find("corrupt"),
+            std::string::npos);
+  EXPECT_EQ(renderAll(Faulted, Reports), renderAll(Cold, ColdReports));
 
   // ...and the fault is one-shot: the run after it is warm again.
-  AnalysisSession Warm(loadCorpusGrammar("figure3"), AutomatonKind::Lalr1,
-                       &Cache);
-  EXPECT_TRUE(Warm.analysisFromCache());
+  CounterexampleFinder Warm(B.T, Opts);
+  Warm.examineAll();
+  EXPECT_TRUE(Warm.cacheActivity().ReportsFromCache);
   std::filesystem::remove_all(Dir);
 }
 #endif // LALRCEX_FAULT_INJECTION

@@ -36,27 +36,91 @@ struct BuiltGrammar {
   }
 };
 
+/// Asserts two automatons over the same grammar are equal state for
+/// state: kind, items, kernel sizes, transitions, and every lookahead set.
+inline void expectSameAutomaton(const Automaton &MA, const Automaton &MB,
+                                const std::string &Context) {
+  const Grammar &G = MA.grammar();
+  ASSERT_EQ(MA.kind(), MB.kind()) << Context;
+  ASSERT_EQ(MA.numStates(), MB.numStates()) << Context;
+  for (unsigned S = 0; S != MA.numStates(); ++S) {
+    const Automaton::State &SA = MA.state(S), &SB = MB.state(S);
+    ASSERT_EQ(SA.Items, SB.Items) << Context << " state " << S;
+    ASSERT_EQ(SA.NumKernel, SB.NumKernel) << Context << " state " << S;
+    ASSERT_EQ(SA.Transitions, SB.Transitions) << Context << " state " << S;
+    ASSERT_EQ(SA.Lookaheads.size(), SB.Lookaheads.size())
+        << Context << " state " << S;
+    for (size_t I = 0; I != SA.Lookaheads.size(); ++I)
+      ASSERT_EQ(SA.Lookaheads[I], SB.Lookaheads[I])
+          << Context << " state " << S << " item "
+          << G.productionString(SA.Items[I].Prod, int(SA.Items[I].Dot));
+  }
+}
+
 /// Builds \p G twice — default options and the reference IndexSet
-/// fixpoints (PooledSets off) — and asserts equal machines: states, items,
-/// kernel sizes, transitions, and every lookahead set.
+/// fixpoints (PooledSets off) — and asserts equal machines.
 inline void expectAutomatonMatchesReference(const Grammar &G,
                                             const GrammarAnalysis &A,
                                             AutomatonKind Kind,
                                             const std::string &Context) {
   Automaton MP(G, A, AutomatonOptions{Kind, /*PooledSets=*/true});
   Automaton MB(G, A, AutomatonOptions{Kind, /*PooledSets=*/false});
-  ASSERT_EQ(MP.numStates(), MB.numStates()) << Context;
-  for (unsigned S = 0; S != MP.numStates(); ++S) {
-    const Automaton::State &SP = MP.state(S), &SB = MB.state(S);
-    ASSERT_EQ(SP.Items, SB.Items) << Context << " state " << S;
-    ASSERT_EQ(SP.NumKernel, SB.NumKernel) << Context << " state " << S;
-    ASSERT_EQ(SP.Transitions, SB.Transitions) << Context << " state " << S;
-    ASSERT_EQ(SP.Lookaheads.size(), SB.Lookaheads.size())
-        << Context << " state " << S;
-    for (size_t I = 0; I != SP.Lookaheads.size(); ++I)
-      ASSERT_EQ(SP.Lookaheads[I], SB.Lookaheads[I])
-          << Context << " state " << S << " item "
-          << G.productionString(SP.Items[I].Prod, int(SP.Items[I].Dot));
+  expectSameAutomaton(MP, MB, Context);
+}
+
+/// Asserts two parse tables are equal: their automatons (as above), every
+/// ACTION cell, and the conflict list in order.
+inline void expectSameTable(const ParseTable &TA, const ParseTable &TB,
+                            const std::string &Context) {
+  ASSERT_NO_FATAL_FAILURE(
+      expectSameAutomaton(TA.automaton(), TB.automaton(), Context));
+  const Automaton &M = TA.automaton();
+  for (unsigned S = 0; S != M.numStates(); ++S) {
+    for (unsigned T = 0; T != M.grammar().numTerminals(); ++T) {
+      Action AA = TA.action(S, Symbol(int32_t(T))),
+             AB = TB.action(S, Symbol(int32_t(T)));
+      ASSERT_EQ(AA.K, AB.K) << Context << " state " << S << " terminal " << T;
+      ASSERT_EQ(AA.Target, AB.Target)
+          << Context << " state " << S << " terminal " << T;
+    }
+  }
+  const std::vector<Conflict> &CA = TA.conflicts(), &CB = TB.conflicts();
+  ASSERT_EQ(CA.size(), CB.size()) << Context;
+  for (size_t I = 0; I != CA.size(); ++I) {
+    const Conflict &A = CA[I], &B = CB[I];
+    ASSERT_TRUE(A.K == B.K && A.State == B.State && A.Token == B.Token &&
+                A.ReduceProd == B.ReduceProd && A.OtherProd == B.OtherProd &&
+                A.ShiftItm == B.ShiftItm && A.R == B.R)
+        << Context << " conflict " << I << ": "
+        << A.describe(M.grammar()) << " vs " << B.describe(M.grammar());
+  }
+}
+
+/// Asserts two state-item graphs are equal node for node: state, item,
+/// lookahead set, forward transition, and the three adjacency rows in
+/// order.
+inline void expectSameGraph(const StateItemGraph &GA,
+                            const StateItemGraph &GB,
+                            const std::string &Context) {
+  using NodeId = StateItemGraph::NodeId;
+  auto rowOf = [](StateItemGraph::NodeRange R) {
+    return std::vector<NodeId>(R.begin(), R.end());
+  };
+  ASSERT_EQ(GA.numNodes(), GB.numNodes()) << Context;
+  for (NodeId N = 0; N != GA.numNodes(); ++N) {
+    ASSERT_EQ(GA.stateOf(N), GB.stateOf(N)) << Context << " node " << N;
+    ASSERT_EQ(GA.itemOf(N), GB.itemOf(N)) << Context << " node " << N;
+    ASSERT_EQ(GA.lookahead(N), GB.lookahead(N)) << Context << " node " << N;
+    ASSERT_EQ(GA.forwardTransition(N), GB.forwardTransition(N))
+        << Context << " node " << N;
+    ASSERT_EQ(rowOf(GA.productionSteps(N)), rowOf(GB.productionSteps(N)))
+        << Context << " node " << N;
+    ASSERT_EQ(rowOf(GA.reverseTransitions(N)),
+              rowOf(GB.reverseTransitions(N)))
+        << Context << " node " << N;
+    ASSERT_EQ(rowOf(GA.reverseProductionSteps(N)),
+              rowOf(GB.reverseProductionSteps(N)))
+        << Context << " node " << N;
   }
 }
 

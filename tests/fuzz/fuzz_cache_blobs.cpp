@@ -2,17 +2,16 @@
 //
 // Part of lalrcex.
 //
-// Fuzzes the four cache blob readers against the contract in
+// Fuzzes the two cache blob readers against the contract in
 // cache/AnalysisCache.h: blobs are untrusted input, so for ANY byte
 // sequence a reader must return a probe (never throw, crash, or hang),
-// and a Hit must be usable downstream — a restored automaton carries a
-// StateItemGraph build, every accessor of a restored graph answers with
-// ids in range on every node, and every restored report renders.
+// and a Hit must be usable downstream — every restored report renders,
+// and a restored touched set is strictly ascending.
 //
-// Input layout: the first byte selects the reader (low two bits:
-// deserializeAnalysis, deserializeGraph, deserializeReports,
-// deserializeConflictReport; for conflict reports the remaining bits pick
-// which figure1 conflict the blob is probed for). The rest is the blob.
+// Input layout: the first byte selects the reader (low bit:
+// deserializeReports, deserializeConflictReport; for conflict reports the
+// remaining bits pick which figure1 conflict the blob is probed for). The
+// rest is the blob.
 // Every read happens against figure1. Before each read the harness
 // re-seals the trailing 16-byte checksum over the bytes before it, so
 // mutations reach the field decoders instead of stopping at the checksum.
@@ -53,8 +52,6 @@ void check(bool Cond, const char *What) {
 }
 
 enum Reader : unsigned {
-  ReadAnalysis,
-  ReadGraph,
   ReadReports,
   ReadConflictReport,
 };
@@ -106,44 +103,6 @@ void reseal(std::string &Blob) {
   }
 }
 
-/// Every accessor on every node; every node id handed back is in range.
-void useGraph(const StateItemGraph &Graph) {
-  const unsigned N = Graph.numNodes();
-  const Automaton &M = Graph.automaton();
-  const Grammar &G = Graph.grammar();
-  auto inRange = [N](StateItemGraph::NodeRange Row) {
-    for (StateItemGraph::NodeId Id : Row)
-      if (Id >= N)
-        return false;
-    return true;
-  };
-  for (StateItemGraph::NodeId Id = 0; Id != N; ++Id) {
-    unsigned State = Graph.stateOf(Id);
-    check(State < M.numStates(), "node state in range");
-    const Item &Itm = Graph.itemOf(Id);
-    check(Itm.Prod < G.numProductions() &&
-              Itm.Dot <= G.production(Itm.Prod).Rhs.size(),
-          "node item in range");
-    (void)Graph.lookahead(Id).count();
-    (void)Graph.pool().count(Graph.lookaheadId(Id));
-    StateItemGraph::NodeId Fwd = Graph.forwardTransition(Id);
-    check(Fwd == StateItemGraph::InvalidNode || Fwd < N,
-          "forward transition in range");
-    if (!Itm.atEnd(G))
-      (void)Graph.transitionSymbol(Id);
-    check(inRange(Graph.productionSteps(Id)), "production steps in range");
-    check(inRange(Graph.reverseTransitions(Id)),
-          "reverse transitions in range");
-    check(inRange(Graph.reverseProductionSteps(Id)),
-          "reverse production steps in range");
-    StateItemGraph::NodeId Self = Graph.nodeFor(State, Itm);
-    check(Self == StateItemGraph::InvalidNode || Self < N,
-          "nodeFor in range");
-    (void)Graph.describe(Id);
-    check(Graph.nodesReaching(Id).size() == N, "reachability per node");
-  }
-}
-
 /// The property under test. Separated from the libFuzzer entry point so
 /// the standalone driver can reuse it verbatim.
 void checkOneInput(const uint8_t *Data, size_t Size) {
@@ -154,28 +113,7 @@ void checkOneInput(const uint8_t *Data, size_t Size) {
   std::string Blob(reinterpret_cast<const char *>(Data + 1), Size - 1);
   reseal(Blob);
 
-  switch (Selector & 3) {
-  case ReadAnalysis: {
-    RestoredAnalysis Out;
-    CacheProbe P =
-        deserializeAnalysis(Blob, F.G, F.A, AutomatonKind::Lalr1, Out);
-    if (!P.hit())
-      break;
-    check(Out.M && Out.T, "an analysis hit carries automaton and table");
-    StateItemGraph Graph(*Out.M);
-    useGraph(Graph);
-    for (const Conflict &C : Out.T->reportedConflicts())
-      (void)C.describe(F.G);
-    break;
-  }
-  case ReadGraph: {
-    std::optional<StateItemGraph> Out;
-    CacheProbe P = deserializeGraph(Blob, F.M, Out);
-    check(P.hit() == Out.has_value(), "a graph comes back exactly on a hit");
-    if (Out)
-      useGraph(*Out);
-    break;
-  }
+  switch (Selector & 1) {
   case ReadReports: {
     std::vector<ConflictReport> Out;
     CacheProbe P =
@@ -186,7 +124,7 @@ void checkOneInput(const uint8_t *Data, size_t Size) {
     break;
   }
   case ReadConflictReport: {
-    size_t K = (Selector >> 2) % F.Conflicts.size();
+    size_t K = (Selector >> 1) % F.Conflicts.size();
     ConflictReport Out;
     std::vector<uint32_t> Touched;
     CacheProbe P = deserializeConflictReport(
@@ -209,8 +147,6 @@ std::vector<std::string> seedInputs() {
   auto add = [&Seeds](unsigned Selector, const std::string &Blob) {
     Seeds.push_back(std::string(1, char(Selector)) + Blob);
   };
-  add(ReadAnalysis, serializeAnalysis(F.T));
-  add(ReadGraph, serializeGraph(F.Graph));
   CounterexampleFinder Finder(F.T, F.Opts);
   std::vector<ConflictReport> Reports;
   for (size_t K = 0; K != F.Conflicts.size(); ++K) {
@@ -220,7 +156,7 @@ std::vector<std::string> seedInputs() {
       Reports.push_back(Finder.examine(F.Conflicts[K]));
     }
     std::vector<uint32_t> Touched = Rec.sortedNodes();
-    add(ReadConflictReport | unsigned(K << 2),
+    add(ReadConflictReport | unsigned(K << 1),
         serializeConflictReport(F.Keys[K], Reports.back(), FormatVersion,
                                 &Touched));
   }
