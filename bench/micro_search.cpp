@@ -158,8 +158,10 @@ BenchRecord searchRecord(const char *Name, const char *Grammar,
 /// grammar: the pooled rewrite ("lss-pooled") vs. the retained reference
 /// BFS ("lss-reference"). The two rows share a grammar and step count, so
 /// baseline comparisons divide their wall_ms_serial fields directly; the
-/// CI perf smoke checks lss-pooled against bench/baselines.
-void lssRecords(const char *Grammar, std::vector<BenchRecord> &Records) {
+/// CI perf smoke checks lss-pooled against bench/baselines. \returns false,
+/// adding no rows, when the two searches' step totals differ: timing a
+/// search that finds other paths would gate nothing.
+bool lssRecords(const char *Grammar, std::vector<BenchRecord> &Records) {
   auto B = buildEntry(*findCorpusEntry(Grammar));
   StateItemGraph Graph(B->M);
   std::vector<std::pair<StateItemGraph::NodeId, Symbol>> Conflicts;
@@ -184,11 +186,13 @@ void lssRecords(const char *Grammar, std::vector<BenchRecord> &Records) {
       RefSteps += Path ? Path->Steps.size() : 0;
     }
   });
-  if (PooledSteps != RefSteps)
+  if (PooledSteps != RefSteps) {
     std::fprintf(stderr,
-                 "warning: pooled/reference LSS step totals differ on %s "
+                 "error: pooled/reference LSS step totals differ on %s "
                  "(%zu vs %zu)\n",
                  Grammar, PooledSteps, RefSteps);
+    return false;
+  }
 
   BenchRecord Pooled;
   Pooled.Name = "lss-pooled";
@@ -205,6 +209,7 @@ void lssRecords(const char *Grammar, std::vector<BenchRecord> &Records) {
   Ref.WallMsSerial = RefMs;
   Ref.Configurations = RefSteps;
   Records.push_back(Ref);
+  return true;
 }
 
 /// The metrics-overhead pair: examineAll serially with the registry off
@@ -293,10 +298,9 @@ int main(int argc, char **argv) {
       searchRecord("unifying-challenging", "figure1", "digit"));
   Records.push_back(examineAllRecord("C.1", 4));
   metricsOverheadRecords("C.1", Records);
-  lssRecords("figure1", Records);
-  lssRecords("Pascal.1", Records);
-  lssRecords("C.1", Records);
-  lssRecords("Java.1", Records);
+  for (const char *Grammar : {"figure1", "Pascal.1", "C.1", "Java.1"})
+    if (!lssRecords(Grammar, Records))
+      return 1;
   writeBenchRecords("micro_search", Records);
   return 0;
 }

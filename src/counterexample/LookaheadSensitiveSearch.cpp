@@ -106,6 +106,13 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
   // far. A candidate covered by any admitted set is pruned; DESIGN.md §5e
   // proves the surviving BFS still finds the reference path exactly.
   //
+  // A production-step family — the dot-0 nodes (s, A -> .g) of one state
+  // and nonterminal, i.e. one productionSteps() row — shares the frontier
+  // of its row's first node. Nothing but production steps leads into a
+  // dot-0 node (S' -> .S is never a step target), and every step into
+  // (s, A) offers the same set to each relevant member, so the members'
+  // frontiers would stay identical: one probe answers for all of them.
+  //
   // SoA layout: each node's admitted ids live contiguously in one shared
   // slab, addressed by a 12-byte {Begin, Count, Cap} descriptor. Scanning
   // a frontier is a dense streak of SetIds instead of a pointer chase
@@ -132,24 +139,20 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
   std::vector<int32_t> Buckets[2];
   std::vector<int32_t> *CurB = &Buckets[0], *NextB = &Buckets[1];
 
-  auto enqueue = [&](StateItemGraph::NodeId Node, TerminalSetPool::SetId L,
-                     int32_t Parent, LssStep::Kind Kind) {
-    NodeFrontier &F = Frontier[Node];
-    uint64_t *Mask = &UnionMask[size_t(Node) * MaskWords];
+  // Adds L to Key's frontier unless an admitted set covers it; \returns
+  // whether L was admitted.
+  auto admit = [&](StateItemGraph::NodeId Key, TerminalSetPool::SetId L) {
+    NodeFrontier &F = Frontier[Key];
+    uint64_t *Mask = &UnionMask[size_t(Key) * MaskWords];
     if (F.Count != 0 && Pool.coveredByWords(L, Mask)) {
-      if (Pool.count(L) <= 1) {
-        // Exact via the mask: each element of L sits in some admitted
-        // set, and a set of at most one element needs only one of them.
-        ++Pruned;
-        return;
-      }
+      // Exact via the mask: each element of L sits in some admitted
+      // set, and a set of at most one element needs only one of them.
+      if (Pool.count(L) <= 1)
+        return false;
       const TerminalSetPool::SetId *Seen = Slab.data() + F.Begin;
-      for (uint32_t I = 0; I != F.Count; ++I) {
-        if (Pool.containsAll(Seen[I], L)) {
-          ++Pruned;
-          return;
-        }
-      }
+      for (uint32_t I = 0; I != F.Count; ++I)
+        if (Pool.containsAll(Seen[I], L))
+          return false;
     }
     // L is new and maximal; admitted sets it covers are now redundant
     // (anything they would prune, L prunes too). The mask needs no
@@ -175,12 +178,17 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
     }
     Slab[F.Begin + F.Count++] = L;
     Pool.addToWords(L, Mask);
+    return true;
+  };
+  auto push = [&](StateItemGraph::NodeId Node, TerminalSetPool::SetId L,
+                  int32_t Parent, LssStep::Kind Kind) {
     Vertices.push_back(PooledVertex{Node, L, Parent, Kind});
     NextB->push_back(int32_t(Vertices.size()) - 1);
     ++Enqueued;
   };
 
-  enqueue(StartNode, Pool.singleton(G.eof().id()), -1, LssStep::Start);
+  // No edge enters the start item, so its frontier is never probed.
+  push(StartNode, Pool.singleton(G.eof().id()), -1, LssStep::Start);
   std::swap(CurB, NextB); // the start vertex is depth 0
 
   int32_t Goal = -1;
@@ -206,30 +214,42 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
       // Transition edge: the precise lookahead set is preserved (and so
       // is its id — no copy).
       StateItemGraph::NodeId Succ = Graph.forwardTransition(N);
-      if (Succ != StateItemGraph::InvalidNode && Relevant[Succ])
-        enqueue(Succ, L, VI, LssStep::Transition);
+      if (Succ != StateItemGraph::InvalidNode && Relevant[Succ]) {
+        if (admit(Succ, L))
+          push(Succ, L, VI, LssStep::Transition);
+        else
+          ++Pruned;
+      }
 
       // Production-step edges: L becomes followL(item) (paper §4), one
-      // memoized table lookup plus at most one cached union.
+      // memoized table lookup plus at most one cached union, probed once
+      // against the family's frontier, which its row's first node keys.
       const Item &Itm = Graph.itemOf(N);
       Symbol Next = Itm.afterDot(G);
       if (Next.valid() && G.isNonterminal(Next)) {
-        // Pull the successors' mask rows toward the cache while the
+        StateItemGraph::NodeRange Steps = Graph.productionSteps(N);
+        size_t Members = 0;
+        for (StateItemGraph::NodeId Step : Steps)
+          Members += Relevant[Step];
+        // Pull the family's mask row toward the cache while the
         // follow-set lookup (and possibly a cached union) is in flight;
-        // enqueue's first real work on each row is the coveredByWords
-        // probe against exactly these words.
-        for (StateItemGraph::NodeId Step : Graph.productionSteps(N))
-          if (Relevant[Step])
-            __builtin_prefetch(&UnionMask[size_t(Step) * MaskWords]);
+        // admit's first real work is the coveredByWords probe against
+        // exactly these words.
+        if (Members != 0)
+          __builtin_prefetch(&UnionMask[size_t(*Steps.begin()) * MaskWords]);
         TerminalSetPool::SetId Follow =
             Analysis.firstOfSequenceId(Itm.Prod, Itm.Dot + 1);
         if (Analysis.suffixNullable(Itm.Prod, Itm.Dot + 1))
           Follow = Pool.unionSets(Follow, L);
-        for (StateItemGraph::NodeId Step : Graph.productionSteps(N)) {
-          if (!Relevant[Step])
-            continue;
-          enqueue(Step, Follow, VI, LssStep::Production);
+        if (Members == 0)
+          continue;
+        if (!admit(*Steps.begin(), Follow)) {
+          Pruned += Members;
+          continue;
         }
+        for (StateItemGraph::NodeId Step : Steps)
+          if (Relevant[Step])
+            push(Step, Follow, VI, LssStep::Production);
       }
     }
     CurB->clear();

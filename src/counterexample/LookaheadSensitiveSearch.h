@@ -23,6 +23,16 @@
 /// same node already covers its lookahead set — see DESIGN.md §5e for the
 /// proof this preserves the exact path the plain BFS finds), and followL
 /// is one cached union over the analysis's memoized suffix-FIRST tables.
+///
+///   - Family-shared frontiers: the dot-0 nodes (s, A -> .g) of one state
+///     and nonterminal — one productionSteps() row — share one frontier
+///     and union mask, keyed by the row's first node, so a production
+///     step probes once for the whole row. Only production steps reach a
+///     dot-0 node, and each offers the same set to every relevant member,
+///     so their frontiers would be identical anyway: the search admits
+///     the same vertices in the same order, and of the LssStats counters
+///     only SubsetChecks moves.
+///
 /// The pre-pool BFS is retained as shortestLookaheadSensitivePathReference
 /// for the equivalence tests and the pooled-vs-baseline benchmarks.
 ///

@@ -436,11 +436,11 @@ TEST(CounterexampleTest, ExamineAllDeterministicAcrossJobCounts) {
   }
 }
 
-TEST(CounterexampleTest, ExamineAllDeterministicAcrossInnerJobCounts) {
+TEST(CounterexampleTest, ExamineAllDeterministicAcrossRunsAndJobCounts) {
   // Each unifying search runs serially on whichever conflict worker picks
-  // it up (the name predates that), so repeated runs at any worker count
-  // — including more workers than conflicts — must leave the report
-  // sequence bit-identical to the first serial run.
+  // it up, so repeated runs at any worker count — including more workers
+  // than conflicts — must leave the report sequence bit-identical to the
+  // first serial run.
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
   FinderOptions Base;
   Base.ConflictTimeLimitSeconds = 0;

@@ -6,8 +6,9 @@
 // hash-consed lookahead sets) must return the exact path — node for node,
 // edge kind for edge kind, lookahead set for lookahead set — that the
 // retained reference BFS returns. DESIGN.md §5e proves this; the suite
-// checks it over the worked corpus grammars and a random-grammar sweep,
-// with the §6 reachability pruning both on and off. The automaton those
+// checks it over the worked corpus grammars, the imported ansi_c.y and
+// sql.y, and a random-grammar sweep, with the §6 reachability pruning
+// both on and off, and pins the search's work on sql.y. The automaton those
 // searches run on is checked the same way: the DeRemer–Pennello
 // lookahead pass against the Dragon Book 4.63 reference, over the whole
 // corpus, the example grammars and random grammars.
@@ -31,13 +32,13 @@ using lalrcex::testing::randomGrammarText;
 
 namespace {
 
-/// Runs both implementations on every reported conflict of \p T and
-/// asserts step-for-step equality.
+/// Runs both implementations on each of \p Conflicts and asserts
+/// step-for-step equality.
 void expectEquivalentPaths(const Grammar &G, const Automaton &M,
-                           const ParseTable &T,
+                           const std::vector<Conflict> &Conflicts,
                            const std::string &Context) {
   StateItemGraph Graph(M);
-  for (const Conflict &C : T.reportedConflicts()) {
+  for (const Conflict &C : Conflicts) {
     StateItemGraph::NodeId Node = Graph.nodeFor(C.State, C.reduceItem(G));
     for (bool Prune : {true, false}) {
       LssStats Stats;
@@ -81,7 +82,7 @@ TEST_P(LssCorpusEquivalenceTest, PooledMatchesReference) {
   GrammarAnalysis A(*G);
   Automaton M(*G, A);
   ParseTable T(M);
-  expectEquivalentPaths(*G, M, T, E->Name);
+  expectEquivalentPaths(*G, M, T.reportedConflicts(), E->Name);
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, LssCorpusEquivalenceTest,
@@ -101,11 +102,90 @@ TEST_P(LssRandomEquivalenceTest, PooledMatchesReference) {
     GTEST_SKIP() << "start symbol unproductive for this seed";
   Automaton M(*G, A);
   ParseTable T(M);
-  expectEquivalentPaths(*G, M, T, Text);
+  expectEquivalentPaths(*G, M, T.reportedConflicts(), Text);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LssRandomEquivalenceTest,
                          ::testing::Range(0, 40));
+
+/// The text of one of the imported grammars in examples/grammars (empty
+/// when the file is missing).
+std::string exampleGrammarText(const std::string &Name) {
+  std::ifstream In(std::string(LALRCEX_EXAMPLE_GRAMMARS) + "/" + Name,
+                   std::ios::binary);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+/// The imported grammars' production-step families are far larger than
+/// the corpus's, so they check that a family's shared frontier answers
+/// exactly for every member: every conflict of ansi_c.y, and sql.y's two
+/// reduce/reduce conflicts (states #417 and #529), whose paths take
+/// production steps into expr's 56-member family. The reference BFS
+/// takes about 3 s per sql.y shift/reduce conflict, so those five stay
+/// out of the suite.
+TEST(LssExampleEquivalenceTest, AnsiCMatchesReference) {
+  GrammarParseResult R = parseGrammar(exampleGrammarText("ansi_c.y"));
+  ASSERT_TRUE(R.ok());
+  BuiltGrammar B(std::move(*R.G));
+  ASSERT_FALSE(B.T.reportedConflicts().empty());
+  expectEquivalentPaths(B.G, B.M, B.T.reportedConflicts(), "ansi_c.y");
+}
+
+TEST(LssExampleEquivalenceTest, SqlReduceReduceMatchesReference) {
+  GrammarParseResult R = parseGrammar(exampleGrammarText("sql.y"));
+  ASSERT_TRUE(R.ok());
+  BuiltGrammar B(std::move(*R.G));
+  std::vector<Conflict> ReduceReduce;
+  for (const Conflict &C : B.T.reportedConflicts())
+    if (C.K == Conflict::ReduceReduce)
+      ReduceReduce.push_back(C);
+  ASSERT_EQ(ReduceReduce.size(), 2u);
+  EXPECT_EQ(ReduceReduce[0].State, 417u);
+  EXPECT_EQ(ReduceReduce[1].State, 529u);
+  expectEquivalentPaths(B.G, B.M, ReduceReduce, "sql.y");
+}
+
+/// The search's work on sql.y's 7 reported conflicts, pinned per conflict.
+/// A family's shared frontier must admit and prune exactly the vertices
+/// that one frontier per member would (these counts), and only save
+/// subset probes: one frontier per member makes 163,509,666 of them.
+TEST(LssWorkTest, SqlFamiliesKeepWorkAndShareProbes) {
+  GrammarParseResult R = parseGrammar(exampleGrammarText("sql.y"));
+  ASSERT_TRUE(R.ok());
+  BuiltGrammar B(std::move(*R.G));
+  StateItemGraph Graph(B.M);
+  struct Work {
+    unsigned State;
+    size_t Expanded, Enqueued, DominancePruned, PathLength;
+  };
+  const Work Expected[] = {
+      {417, 61418, 86766, 1577937, 14},   {529, 92301, 107161, 1978504, 15},
+      {621, 225596, 233107, 4847435, 25}, {684, 233110, 239253, 5004967, 26},
+      {685, 233111, 239253, 5004968, 26}, {690, 233108, 239252, 5004966, 26},
+      {791, 244034, 247277, 5216532, 28},
+  };
+  const std::vector<Conflict> &Conflicts = B.T.reportedConflicts();
+  ASSERT_EQ(Conflicts.size(), std::size(Expected));
+  size_t SubsetChecks = 0;
+  for (size_t I = 0; I != Conflicts.size(); ++I) {
+    const Conflict &C = Conflicts[I];
+    const Work &W = Expected[I];
+    ASSERT_EQ(C.State, W.State);
+    LssStats Stats;
+    std::optional<LssPath> Path = shortestLookaheadSensitivePath(
+        Graph, Graph.nodeFor(C.State, C.reduceItem(B.G)), C.Token,
+        /*PruneToReaching=*/true, /*Guard=*/nullptr, &Stats);
+    ASSERT_TRUE(Path) << "state " << C.State;
+    EXPECT_EQ(Stats.Expanded, W.Expanded) << "state " << C.State;
+    EXPECT_EQ(Stats.Enqueued, W.Enqueued) << "state " << C.State;
+    EXPECT_EQ(Stats.DominancePruned, W.DominancePruned) << "state " << C.State;
+    EXPECT_EQ(Path->Steps.size(), W.PathLength) << "state " << C.State;
+    SubsetChecks += Stats.SubsetChecks;
+  }
+  EXPECT_LE(SubsetChecks, size_t(25'000'000));
+}
 
 /// Every corpus entry, then the example grammar files.
 std::vector<std::string> grammarNames() {
@@ -128,12 +208,8 @@ TEST_P(DeRemerPennelloVsDragon463Test, LookaheadsMatch) {
   if (const CorpusEntry *E = findCorpusEntry(GetParam())) {
     Text = E->Text;
   } else {
-    std::ifstream In(std::string(LALRCEX_EXAMPLE_GRAMMARS) + "/" + GetParam(),
-                     std::ios::binary);
-    ASSERT_TRUE(In) << GetParam();
-    std::stringstream Buf;
-    Buf << In.rdbuf();
-    Text = Buf.str();
+    Text = exampleGrammarText(GetParam());
+    ASSERT_FALSE(Text.empty()) << GetParam();
   }
   GrammarParseResult R = parseGrammar(Text);
   ASSERT_TRUE(R.ok()) << GetParam();
