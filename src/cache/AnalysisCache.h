@@ -84,7 +84,10 @@ namespace cache {
 /// salts every fingerprint, so stale blobs miss instead of misparsing.
 /// v2: `.crep` blobs carry the search's graph-node touched set (the
 /// verification input for post-edit conflict-report remapping).
-constexpr uint32_t FormatVersion = 2;
+/// v3: the unifying search charges 48 bytes per item-sequence entry and
+/// 40 per alias, and creates one entry per prepend, so cached PeakBytes
+/// and MemoryLimit verdicts computed under the old charges are stale.
+constexpr uint32_t FormatVersion = 3;
 
 /// How a cache probe concluded.
 enum class CacheOutcome : uint8_t {

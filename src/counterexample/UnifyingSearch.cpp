@@ -5,12 +5,15 @@
 // Search-core data layout (see DESIGN.md "Parallelism and search-core
 // data structures"):
 //
-//   - Item sequences are hash-consed persistent stacks interned in an
-//     arena: a configuration holds a 32-bit stack id, successors share
-//     tails with their parent instead of deep-copying vectors, and the
-//     visited-set key is two stack ids plus a flag byte (canonical ids
-//     make equality O(1)).
-//   - The stack intern table and the visited set are open-addressing
+//   - Item sequences are interned in an arena (ItemStackArena.h): a
+//     configuration holds a 32-bit sequence id, and each arena entry adds
+//     one node at the back (push) or the front (prepend) of the sequence
+//     it links to, so either end costs one intern probe and successors
+//     share structure with their parent. Entries are interned by a
+//     polynomial content hash, so equal sequences get one id however
+//     they were built, and the visited-set key is two ids plus a flag
+//     byte with O(1) equality.
+//   - The sequence intern table and the visited set are open-addressing
 //     indexes whose 4-byte slots hold only ids; a probe reads the key
 //     back from the arena entry or pool configuration the id names, so
 //     a probe allocates nothing; only growth, at load 1/2, does.
@@ -31,6 +34,7 @@
 
 #include "counterexample/UnifyingSearch.h"
 
+#include "counterexample/ItemStackArena.h"
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
 
@@ -41,7 +45,7 @@ using namespace lalrcex;
 
 namespace {
 
-using NodeId = StateItemGraph::NodeId;
+using namespace unifying_detail;
 
 // Action costs. Shifts, reverse shifts, and reductions are cheap;
 // production steps are discouraged (they grow the example), and repeating
@@ -56,166 +60,6 @@ constexpr int RevTransitionCost = 1;
 constexpr int ProductionCost = 5;
 constexpr int RevProductionCost = 3;
 constexpr int ReduceCost = 1;
-
-/// Sentinel id for an empty persistent chain/stack.
-constexpr uint32_t NilChain = ~uint32_t(0);
-
-/// Open-addressing index over ids whose keys live in the caller's own
-/// storage. A slot holds only an id; probes compare keys by reading them
-/// back through the id, and growth re-hashes ids the same way. Linear
-/// probing over a power-of-two capacity, growth at load 1/2, no erase.
-class IdIndex {
-public:
-  static constexpr uint32_t Empty = ~uint32_t(0);
-
-  /// The slot holding the id for which \p Matches(Id) is true, or else the
-  /// empty slot where that key's id belongs. \p HashOf(Id) is the hash of
-  /// a stored id's key; every stored id's key must be readable. Growth
-  /// happens here, before the probe, so an empty result slot stays valid
-  /// for one publish().
-  template <typename MatchFn, typename HashFn>
-  uint32_t &probe(uint64_t Hash, MatchFn Matches, HashFn HashOf) {
-    if (2 * (Count + 1) > Slots.size())
-      grow(HashOf);
-    size_t Mask = Slots.size() - 1;
-    for (size_t I = size_t(Hash) & Mask;; I = (I + 1) & Mask)
-      if (Slots[I] == Empty || Matches(Slots[I]))
-        return Slots[I];
-  }
-
-  /// Stores \p Id in the empty \p Slot that probe() returned.
-  void publish(uint32_t &Slot, uint32_t Id) {
-    Slot = Id;
-    ++Count;
-  }
-
-private:
-  template <typename HashFn> void grow(HashFn HashOf) {
-    std::vector<uint32_t> Old(std::max<size_t>(64, 2 * Slots.size()), Empty);
-    Old.swap(Slots);
-    size_t Mask = Slots.size() - 1;
-    for (uint32_t Id : Old) {
-      if (Id == Empty)
-        continue;
-      size_t I = size_t(HashOf(Id)) & Mask;
-      while (Slots[I] != Empty)
-        I = (I + 1) & Mask;
-      Slots[I] = Id;
-    }
-  }
-
-  std::vector<uint32_t> Slots;
-  size_t Count = 0;
-};
-
-/// Mixes a 64-bit key so the low bits IdIndex masks depend on all of it.
-uint64_t mixKey(uint64_t K) {
-  uint64_t H = K * 0x9e3779b97f4a7c15ULL;
-  return H ^ (H >> 32);
-}
-
-/// Hash-consed persistent stacks of state-item nodes. Each entry extends a
-/// parent stack by one node; interning (parent, node) pairs makes ids
-/// canonical, so two configurations with equal item sequences always hold
-/// the same id and the visited set can compare 32-bit ids instead of
-/// vectors. Pushes are O(1); sequences share tails structurally.
-class ItemStackArena {
-public:
-  explicit ItemStackArena(ResourceGuard &Guard) : Guard(Guard) {}
-
-  /// The stack \p Parent extended by \p N on top (the sequence back).
-  uint32_t push(uint32_t Parent, NodeId N) {
-    uint32_t &Slot = Intern.probe(
-        hashOf(Parent, N),
-        [&](uint32_t Id) {
-          return Entries[Id].Parent == Parent && Entries[Id].Node == N;
-        },
-        [&](uint32_t Id) {
-          return hashOf(Entries[Id].Parent, Entries[Id].Node);
-        });
-    if (Slot != IdIndex::Empty)
-      return Slot;
-    Entry E;
-    E.Parent = Parent;
-    E.Node = N;
-    if (Parent == NilChain) {
-      E.Root = uint32_t(Entries.size());
-      E.Depth = 1;
-    } else {
-      E.Root = Entries[Parent].Root;
-      E.Depth = Entries[Parent].Depth + 1;
-    }
-    // The key is stored before its id is published, so an allocation
-    // failure here cannot leave the index naming a missing entry.
-    Entries.push_back(E);
-    Intern.publish(Slot, uint32_t(Entries.size() - 1));
-    Guard.chargeBytes(sizeof(Entry) + InternSlotBytes);
-    return Slot;
-  }
-
-  NodeId top(uint32_t Id) const { return Entries[Id].Node; }
-  uint32_t depth(uint32_t Id) const {
-    return Id == NilChain ? 0 : Entries[Id].Depth;
-  }
-  /// The sequence front (the bottom of the stack), in O(1).
-  NodeId front(uint32_t Id) const { return Entries[Entries[Id].Root].Node; }
-
-  /// The node \p K levels below the top (K = 0 is the top itself).
-  NodeId fromTop(uint32_t Id, unsigned K) const {
-    while (K--)
-      Id = Entries[Id].Parent;
-    return Entries[Id].Node;
-  }
-
-  /// The stack with the top \p K nodes removed.
-  uint32_t popN(uint32_t Id, unsigned K) const {
-    while (K--)
-      Id = Entries[Id].Parent;
-    return Id;
-  }
-
-  bool contains(uint32_t Id, NodeId N) const {
-    for (; Id != NilChain; Id = Entries[Id].Parent)
-      if (Entries[Id].Node == N)
-        return true;
-    return false;
-  }
-
-  /// The sequence with \p N prepended below the whole stack. O(depth):
-  /// every prefix is re-interned, but repeated prepends of the same
-  /// (sequence, node) pair hit the intern table and allocate nothing.
-  uint32_t prepend(uint32_t Id, NodeId N) {
-    Scratch.clear();
-    for (uint32_t I = Id; I != NilChain; I = Entries[I].Parent)
-      Scratch.push_back(Entries[I].Node); // top .. front
-    uint32_t Out = push(NilChain, N);
-    for (size_t I = Scratch.size(); I--;)
-      Out = push(Out, Scratch[I]);
-    return Out;
-  }
-
-private:
-  struct Entry {
-    uint32_t Parent;
-    uint32_t Root;
-    NodeId Node;
-    uint32_t Depth;
-  };
-  // The accounting charge for an entry's intern slot. It is an upper bound
-  // on what the id slots cost (4 bytes at load 1/4 to 1/2, so 8 to 16
-  // bytes per entry) and is kept at its old value so that PeakBytes and
-  // memory-limit trips do not move.
-  static constexpr size_t InternSlotBytes = 3 * sizeof(uint64_t);
-
-  static uint64_t hashOf(uint32_t Parent, NodeId N) {
-    return mixKey((uint64_t(Parent) << 32) | N);
-  }
-
-  ResourceGuard &Guard;
-  std::vector<Entry> Entries;
-  IdIndex Intern; // entry ids, keyed by (Parent, Node) of Entries[id]
-  std::vector<NodeId> Scratch;
-};
 
 /// Persistent chains of derivation handles. Unlike item stacks these are
 /// not interned (ledgers are never used as keys); a chain id plus the
@@ -253,8 +97,9 @@ struct SideRef {
   uint32_t Items = NilChain;
   uint32_t Front = NilChain;
   uint32_t Back = NilChain;
-  uint16_t Reals = 0; // derivations excluding dot markers
+  uint32_t Reals = 0; // derivations excluding dot markers
 };
+static_assert(sizeof(SideRef) == 16);
 
 /// A product-parser search configuration (paper Fig. 8). Trivially
 /// copyable: 40 bytes of ids and flags, all heavy state lives in arenas.
@@ -263,6 +108,7 @@ struct Config {
   int Cost = 0;
   uint8_t Flags = 0;
 };
+static_assert(sizeof(Config) == 40);
 
 constexpr uint8_t FlagReduce1 = 1;
 constexpr uint8_t FlagReduce2 = 2;
@@ -324,16 +170,20 @@ private:
   int Cur = 0; // current minimum cost (monotone)
 };
 
-/// Flushes a queue's lifetime push/pop totals into the metrics registry
-/// when searchImpl exits, including via SearchError / bad_alloc.
-struct QueueMetricsFlusher {
+/// Flushes a search's lifetime queue and item-sequence totals into the
+/// metrics registry when searchImpl exits, including via SearchError /
+/// bad_alloc.
+struct SearchMetricsFlusher {
   const BucketQueue &Queue;
+  const ItemStackArena &Items;
   MetricsRegistry *Metrics;
-  ~QueueMetricsFlusher() {
+  ~SearchMetricsFlusher() {
     if (!Metrics)
       return;
     Metrics->add(metric::UnifyingQueuePushes, Queue.pushes());
     Metrics->add(metric::UnifyingQueuePops, Queue.pops());
+    Metrics->add(metric::UnifyingSequenceEntries, Items.entries());
+    Metrics->add(metric::UnifyingSequenceCompares, Items.compares());
   }
 };
 
@@ -354,9 +204,10 @@ struct Candidate {
   bool ShiftsConflict = false; ///< SharedShift consumes the conflict term
   NodeId A = 0, B = 0;
   int CostDelta = 0;
-  uint32_t Prod = 0;  ///< Reduce: production index
-  uint16_t PopLen = 0; ///< Reduce: right-hand-side length
+  uint32_t Prod = 0;   ///< Reduce: production index
+  uint32_t PopLen = 0; ///< Reduce: right-hand-side length
 };
+static_assert(sizeof(Candidate) == 24);
 
 } // namespace
 
@@ -470,7 +321,7 @@ void UnifyingSearch::searchImpl(
   BucketQueue Queue(size_t(std::max(
       {ShiftCost, RevTransitionCost, ReduceCost, RevProductionCost,
        ProductionCost + DupCost, Opts.ExtendedSearch ? ExtRevCost : 0})));
-  QueueMetricsFlusher Flusher{Queue, Opts.Metrics};
+  SearchMetricsFlusher Flusher{Queue, IA, Opts.Metrics};
 
   // One leaf per symbol: derivation trees are immutable, so every shift
   // of the same symbol can share one leaf instead of allocating anew.
@@ -535,12 +386,9 @@ void UnifyingSearch::searchImpl(
   // configuration's enqueue, or by a throw that ends the search.
   //
   // AdmitBytes is the accounting charge per admitted configuration: the
-  // pool slot plus a fixed visited-set charge (a 12-byte key and three
-  // pointers of node overhead). It is an upper bound on the 8 to 16 bytes
-  // per configuration that id slots cost, and is kept at its old value so
-  // that PeakBytes and memory-limit trips do not move.
-  constexpr size_t AdmitBytes =
-      sizeof(Config) + 3 * sizeof(uint32_t) + 3 * sizeof(void *);
+  // pool slot plus a fixed 36-byte visited-set charge, an upper bound on
+  // the 8 to 16 bytes per configuration that its id slot costs.
+  constexpr size_t AdmitBytes = sizeof(Config) + 36;
   auto admit = [&](uint32_t I1, uint32_t I2, uint8_t Flags) {
     uint32_t &Slot = Visited.probe(
         visitHash(I1, I2, Flags),
@@ -644,7 +492,7 @@ void UnifyingSearch::searchImpl(
       D.First = First;
       D.A = Goto;
       D.Prod = Itm.Prod;
-      D.PopLen = uint16_t(L);
+      D.PopLen = L;
       D.CostDelta = ReduceCost;
       Out.push_back(D);
       return true;

@@ -42,6 +42,8 @@ const char *const CounterNames[metric::NumCounters] = {
     "unifying.found",
     "unifying.exhausted",
     "unifying.budget_stops",
+    "unifying.sequence_entries",
+    "unifying.sequence_compares",
     "search.tasks_stolen",
     "search.bucket_barriers",
     "nonunifying.builds",

@@ -57,6 +57,8 @@ enum Counter : unsigned {
   UnifyingFound,
   UnifyingExhausted,
   UnifyingBudgetStops,
+  UnifyingSequenceEntries,  ///< item-sequence arena entries created
+  UnifyingSequenceCompares, ///< intern hash matches settled by contents
   SearchTasksStolen,    ///< never incremented: the search is serial
   SearchBucketBarriers, ///< never incremented: the search is serial
   NonunifyingBuilds,

@@ -3,17 +3,25 @@
 // Part of lalrcex.
 //
 // Unit tests targeting the product-parser search directly: option limits,
-// the shortest-path restriction, dot placement, and stage behavior.
+// the shortest-path restriction, dot placement, stage behavior, and the
+// item-sequence arena against a vector model.
 //
 //===----------------------------------------------------------------------===//
 
 #include "counterexample/UnifyingSearch.h"
 
+#include "counterexample/ItemStackArena.h"
+#include "support/Metrics.h"
+
 #include "TestUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <fstream>
+#include <map>
+#include <random>
 #include <sstream>
 #include <thread>
 
@@ -291,10 +299,13 @@ std::optional<Grammar> loadExampleGrammar(const std::string &Name) {
 TEST(UnifyingSearchTest, PinnedWorkAndPeakBytes) {
   // The exact work and accounted bytes of four searches on deterministic
   // budgets (no wall clock): a Found, an Exhausted, and two step-limited
-  // searches. Any change to the exploration order, to which keys the
-  // intern table and visited set treat as present, or to the byte
-  // charges moves these numbers, and with them every cached report's
-  // Configurations and PeakBytes lines.
+  // searches. The configuration counts and examples move only when the
+  // exploration order or the set of keys the visited set treats as equal
+  // changes, and every rendered report shows them. PeakBytes moves with
+  // the byte charges (48 bytes per item-sequence entry, 40 per alias, 76
+  // per admitted configuration) and with the number of entries and aliases
+  // a search creates; it is cached in .rep/.crep blobs, and a byte budget
+  // stops a search at it.
   auto Run = [](const ConflictFixture &S, size_t MaxConfigurations) {
     UnifyingOptions Opts;
     Opts.TimeLimitSeconds = 0;
@@ -309,7 +320,7 @@ TEST(UnifyingSearchTest, PinnedWorkAndPeakBytes) {
     UnifyingResult R = Run(S, DefaultSteps);
     ASSERT_EQ(R.Status, UnifyingStatus::Found);
     EXPECT_EQ(R.ConfigurationsExplored, 9161u);
-    EXPECT_EQ(R.PeakBytes, 1555908u);
+    EXPECT_EQ(R.PeakBytes, 1473156u);
     ASSERT_TRUE(R.Example);
     EXPECT_EQ(R.Example->exampleString1(S.B.G),
               "expr '?' arr '[' expr ']' ':=' num \xE2\x80\xA2 digit digit "
@@ -320,7 +331,7 @@ TEST(UnifyingSearchTest, PinnedWorkAndPeakBytes) {
     UnifyingResult R = Run(S, DefaultSteps);
     EXPECT_EQ(R.Status, UnifyingStatus::Exhausted);
     EXPECT_EQ(R.ConfigurationsExplored, 26u);
-    EXPECT_EQ(R.PeakBytes, 3912u);
+    EXPECT_EQ(R.PeakBytes, 4112u);
   }
   {
     ConflictFixture S("stackovf10", "plus");
@@ -328,7 +339,7 @@ TEST(UnifyingSearchTest, PinnedWorkAndPeakBytes) {
     UnifyingResult R = Run(S, 5000);
     EXPECT_EQ(R.Status, UnifyingStatus::LimitHit);
     EXPECT_EQ(R.ConfigurationsExplored, 5000u);
-    EXPECT_EQ(R.PeakBytes, 4640164u);
+    EXPECT_EQ(R.PeakBytes, 3146988u);
   }
   {
     std::optional<Grammar> Sql = loadExampleGrammar("sql.y");
@@ -338,7 +349,161 @@ TEST(UnifyingSearchTest, PinnedWorkAndPeakBytes) {
     UnifyingResult R = Run(S, 2000);
     EXPECT_EQ(R.Status, UnifyingStatus::LimitHit);
     EXPECT_EQ(R.ConfigurationsExplored, 2000u);
-    EXPECT_EQ(R.PeakBytes, 1076940u);
+    EXPECT_EQ(R.PeakBytes, 417956u);
+  }
+}
+
+TEST(UnifyingSearchTest, PinnedSequenceCounters) {
+  // The item-sequence arena's work in two searches on deterministic
+  // budgets: one entry per distinct sequence interned, and the hash
+  // matches whose build had not been seen before and so needed a content
+  // compare (sequences that prepends and pushes reach in either order).
+  auto Counters = [](const ConflictFixture &S, size_t MaxConfigurations) {
+    MetricsRegistry Metrics;
+    UnifyingOptions Opts;
+    Opts.TimeLimitSeconds = 0;
+    Opts.MaxConfigurations = MaxConfigurations;
+    Opts.Metrics = &Metrics;
+    UnifyingSearch(S.Graph).search(S.ReduceNode, S.OtherNodes, S.C.Token,
+                                   &*S.Path, Opts);
+    MetricsSnapshot Snap = Metrics.snapshot();
+    return std::make_pair(
+        Snap.counter(metric::UnifyingSequenceEntries),
+        Snap.counter(metric::UnifyingSequenceCompares));
+  };
+  {
+    std::optional<Grammar> Sql = loadExampleGrammar("sql.y");
+    ASSERT_TRUE(Sql);
+    ConflictFixture S(std::move(*Sql), "ON");
+    EXPECT_EQ(S.C.State, 621u);
+    EXPECT_EQ(Counters(S, 2000), std::make_pair(uint64_t(2552), uint64_t(2)));
+  }
+  {
+    ConflictFixture S("figure1", "digit");
+    EXPECT_EQ(Counters(S, UnifyingOptions().MaxConfigurations),
+              std::make_pair(uint64_t(3336), uint64_t(8)));
+  }
+}
+
+TEST(UnifyingSearchTest, LongProductionAmbiguityIsFound) {
+  // s derives A^70000 B through `x B` and through `y`. Preparing x's
+  // reduction prepends 70,000 reverse transitions to each side, and the
+  // reduction then pops a 70,000-symbol right-hand side, a length that
+  // does not fit in 16 bits. The 70,001-symbol sentence gets no Earley
+  // check; the well-formedness check counts every node's children.
+  std::string As;
+  for (unsigned I = 0; I != 70000; ++I)
+    As += " A";
+  std::optional<Grammar> G =
+      parseGrammar("%%\ns : x B | y ;\nx :" + As + " ;\ny :" + As + " B ;\n")
+          .G;
+  ASSERT_TRUE(G);
+  ConflictFixture S(std::move(*G), "B");
+  UnifyingOptions Opts;
+  Opts.TimeLimitSeconds = 0;
+  Opts.MaxConfigurations = 100000;
+  Opts.MemoryLimitBytes = size_t(512) << 20;
+  UnifyingResult R = UnifyingSearch(S.Graph).search(
+      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
+  ASSERT_EQ(R.Status, UnifyingStatus::Found);
+  ASSERT_TRUE(R.Example);
+  EXPECT_EQ(S.B.G.name(R.Example->Root), "s");
+  EXPECT_EQ(yieldOf(R.Example->Derivs1).size(), 70001u);
+  expectCounterexampleWellFormed(S.B.G, *R.Example, S.C.Token);
+}
+
+TEST(UnifyingSearchTest, ItemStackArenaMatchesVectorModel) {
+  // Random pushes, prepends and pops, checked against std::vector: every
+  // id reads back its model's nodes, equal contents share one id however
+  // they were built, and different contents never share one.
+  using namespace unifying_detail;
+  constexpr NodeId Alphabet = 3; // small, so equal contents recur often
+  ResourceGuard Guard;
+  ItemStackArena A(Guard);
+  std::map<std::vector<NodeId>, uint32_t> IdOf;
+  std::map<uint32_t, std::vector<NodeId>> ContentsOf;
+  auto Check = [&](uint32_t Id, const std::vector<NodeId> &M) {
+    ASSERT_EQ(A.depth(Id), M.size());
+    EXPECT_EQ(IdOf.emplace(M, Id).first->second, Id)
+        << "equal contents got two ids";
+    EXPECT_EQ(ContentsOf.emplace(Id, M).first->second, M)
+        << "one id names two contents";
+    if (M.empty())
+      return;
+    EXPECT_EQ(A.top(Id), M.back());
+    EXPECT_EQ(A.front(Id), M.front());
+    for (unsigned K = 0; K != M.size(); ++K)
+      ASSERT_EQ(A.fromTop(Id, K), M[M.size() - 1 - K]) << "K = " << K;
+    for (NodeId N = 0; N != Alphabet; ++N)
+      EXPECT_EQ(A.contains(Id, N),
+                std::find(M.begin(), M.end(), N) != M.end());
+  };
+
+  // The two build orders of one sequence.
+  uint32_t S = A.push(A.push(NilChain, 0), 1);
+  uint32_t Left = A.push(A.prepend(S, 2), 0);
+  uint32_t Right = A.prepend(A.push(S, 0), 2);
+  EXPECT_EQ(Left, Right);
+  Check(Left, {2, 0, 1, 0});
+  EXPECT_EQ(A.prepend(NilChain, 1), A.push(NilChain, 1));
+
+  std::vector<std::pair<uint32_t, std::vector<NodeId>>> Seqs{{NilChain, {}}};
+  std::mt19937 Rng(7);
+  for (unsigned Op = 0; Op != 20000; ++Op) {
+    auto [Id, M] = Seqs[Rng() % Seqs.size()];
+    NodeId N = NodeId(Rng() % Alphabet);
+    switch (M.size() >= 12 ? 2 : Rng() % 3) {
+    case 0:
+      Id = A.push(Id, N);
+      M.push_back(N);
+      break;
+    case 1:
+      Id = A.prepend(Id, N);
+      M.insert(M.begin(), N);
+      break;
+    default: {
+      unsigned K = unsigned(Rng() % (M.size() + 1));
+      Id = A.popN(Id, K);
+      M.resize(M.size() - K);
+      break;
+    }
+    }
+    Check(Id, M);
+    if (HasFatalFailure())
+      return;
+    Seqs.emplace_back(Id, std::move(M));
+  }
+  // Pops re-link older entries; no id may change its contents.
+  for (const auto &[Id, M] : Seqs) {
+    Check(Id, M);
+    if (HasFatalFailure())
+      return;
+  }
+  EXPECT_GT(A.compares(), 0u);
+}
+
+TEST(UnifyingSearchTest, ItemStackArenaHashCollisionGetsItsOwnId) {
+  // A Thue-Morse word of length 2^11 and its complement have the same
+  // polynomial hash modulo 2^64 for every odd base, and the same depth:
+  // the second one's probe meets the first one's slot, and only the
+  // content compare keeps them apart.
+  using namespace unifying_detail;
+  ResourceGuard Guard;
+  ItemStackArena A(Guard);
+  constexpr unsigned Len = 1u << 11;
+  auto Parity = [](unsigned I) { return NodeId(std::popcount(I) & 1); };
+  uint32_t Word = NilChain, Complement = NilChain;
+  for (unsigned I = 0; I != Len; ++I)
+    Word = A.push(Word, 10 + Parity(I));
+  size_t ComparesBefore = A.compares();
+  for (unsigned I = 0; I != Len; ++I)
+    Complement = A.push(Complement, 11 - Parity(I));
+  EXPECT_GT(A.compares(), ComparesBefore);
+  EXPECT_NE(Word, Complement);
+  EXPECT_EQ(A.entries(), 2 * size_t(Len));
+  for (unsigned K = 0; K != Len; ++K) {
+    ASSERT_EQ(A.fromTop(Word, K), 10 + Parity(Len - 1 - K));
+    ASSERT_EQ(A.fromTop(Complement, K), 11 - Parity(Len - 1 - K));
   }
 }
 
