@@ -25,7 +25,7 @@
 ///         "wall_ms_parallel": <examineAll wall ms with Jobs = jobs>,
 ///         "wall_ms_cold": <wall ms with an empty analysis cache>,
 ///         "wall_ms_warm": <wall ms re-run against the populated cache>,
-///         "cache_hits": <whole-set `.rep` hits, one probe per grammar>,
+///         "cache_hits": <grammars served wholly from their `.rep` blob>,
 ///         "cache_misses": <`.rep` misses/degradations>,
 ///         "conflicts_reused": <conflict reports re-served fine-grained>,
 ///         "conflicts_recomputed": <conflicts examined cold>,

@@ -8,9 +8,9 @@
 // (cache::AnalysisSession), state-item graph, and conflict reports
 // (FinderOptions::CachePath) — and rendering one report file per grammar.
 // A second run against the same cache directory serves every report set
-// from its `.rep` blob and must produce byte-identical report files; the
-// CI cache-smoke job diffs the two output directories and compares the
-// TOTAL_MS lines.
+// from its structure's `.rep` blob and must produce byte-identical report
+// files; the CI cache-smoke job diffs the two output directories and
+// compares the TOTAL_MS lines.
 //
 //   batch_analyze [options] <source>...
 //     <source>          each positional argument is a grammar file, a
@@ -137,7 +137,7 @@ struct JobResult {
   size_t Conflicts = 0;
   double WallMs = 0;
   bool Warm = false; // report set came from the cache
-  long CacheHits = 0; // `.rep` probes: one per grammar with -cache
+  long CacheHits = 0; // one per grammar with -cache: all served from `.rep`
   long CacheMisses = 0;
   std::string Rendered; // concatenated reports (deterministic bytes)
   /// Per-grammar metrics (only under -metrics): the snapshot for the

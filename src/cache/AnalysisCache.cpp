@@ -2,14 +2,15 @@
 //
 // Part of lalrcex.
 //
-// Layout of every blob: a 44-byte header (8-byte magic, u32 version salt,
-// 16-byte primary key, 16-byte secondary key — zero except for `.rep`
-// blobs), a kind-specific payload, and a trailing 16-byte checksum
+// Layout of a report blob: a 28-byte header (8-byte magic, u32 version
+// salt, 16-byte key), a u32 entry count, the entries (a report, then its
+// touched set as a u32 count and strictly ascending u32 node ids) strictly
+// ascending by conflict record, and a trailing 16-byte checksum
 // (Fingerprint128 of all preceding bytes). Loads verify checksum, magic,
 // salt, and key before parsing, then range-check every decoded field;
-// deserializers report both syntactic and semantic damage through the
-// reader's sticky failure, so a single check at the end of each section
-// decides Corrupt.
+// the reader reports both syntactic and semantic damage through its
+// sticky failure, so a single check at the end of each section decides
+// Corrupt.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #include <fstream>
 #include <functional>
 #include <thread>
+#include <tuple>
 
 using namespace lalrcex;
 using namespace lalrcex::cache;
@@ -46,8 +48,6 @@ const char *lalrcex::cache::toString(CacheOutcome O) {
     return "io-error";
   case CacheOutcome::Stored:
     return "stored";
-  case CacheOutcome::NotStored:
-    return "not-stored";
   }
   return "unknown";
 }
@@ -114,14 +114,13 @@ Fingerprint128 lalrcex::cache::optionsFingerprint(const FinderOptions &Opts,
   return H.finish();
 }
 
-Fingerprint128 lalrcex::cache::automatonStructuralHash(const Automaton &M) {
-  const Grammar &G = M.grammar();
-  StableHasher H;
-  H.addString("lalrcex-automaton-structure");
+namespace {
 
-  // Grammar shape by id only: no names, no precedence, no %expect. Two
-  // grammars with the same shape produce byte-identical search behaviour
-  // per conflict, which is exactly the equivalence this hash must induce.
+/// The grammar's shape by id: terminal and symbol counts, then every
+/// production's lhs and rhs ids. No names, no precedence, no %expect; the
+/// augmented production S' -> S is production 0, so the start symbol is
+/// in it too.
+void addGrammarShape(StableHasher &H, const Grammar &G) {
   H.addU32(G.numTerminals());
   H.addU32(G.numSymbols());
   H.addU32(G.numProductions());
@@ -132,6 +131,26 @@ Fingerprint128 lalrcex::cache::automatonStructuralHash(const Automaton &M) {
     for (Symbol S : Prod.Rhs)
       H.addU32(uint32_t(S.id()));
   }
+}
+
+/// Every field of a conflict record, in entry order: the one list both
+/// the blob key's record fold and conflictRecordLess are built from.
+auto recordFields(const Conflict &C) {
+  return std::make_tuple(C.State, C.Token.id(), C.K, C.ReduceProd,
+                         C.OtherProd, C.ShiftItm.Prod, C.ShiftItm.Dot, C.R);
+}
+
+void addConflictRecord(StableHasher &H, const Conflict &C) {
+  std::apply([&](auto... Field) { (H.addU32(uint32_t(Field)), ...); },
+             recordFields(C));
+}
+
+} // namespace
+
+Fingerprint128 lalrcex::cache::automatonStructuralHash(const Automaton &M) {
+  StableHasher H;
+  H.addString("lalrcex-automaton-structure");
+  addGrammarShape(H, M.grammar());
 
   H.addU32(uint32_t(M.kind()));
   H.addU32(M.numStates());
@@ -156,62 +175,48 @@ Fingerprint128 lalrcex::cache::automatonStructuralHash(const Automaton &M) {
   return H.finish();
 }
 
-ConflictKeyContext::ConflictKeyContext(const Automaton &InM,
-                                       const FinderOptions &Opts,
-                                       uint32_t VersionSalt)
-    : M(InM), Slices(InM.grammar()) {
+bool lalrcex::cache::cumulativeBudgetCouples(const FinderOptions &Opts) {
+  return Opts.CumulativeMaxConfigurations != ResourceLimits::Unlimited ||
+         Opts.CumulativeTimeLimitSeconds != 0;
+}
+
+bool lalrcex::cache::conflictRecordLess(const Conflict &A, const Conflict &B) {
+  return recordFields(A) < recordFields(B);
+}
+
+Fingerprint128 lalrcex::cache::reportBlobKey(
+    const Grammar &G, AutomatonKind Kind, const FinderOptions &Opts,
+    const std::vector<Conflict> &Reported, uint32_t VersionSalt) {
   StableHasher H;
-  H.addString("lalrcex-conflict-base");
+  H.addString("lalrcex-report-blob");
   H.addU32(VersionSalt);
   Fingerprint128 O = optionsFingerprint(Opts, VersionSalt);
   H.addU64(O.Lo);
   H.addU64(O.Hi);
-  Fingerprint128 A = automatonStructuralHash(M);
-  H.addU64(A.Lo);
-  H.addU64(A.Hi);
-  Base = H.finish();
-}
-
-std::vector<Symbol> ConflictKeyContext::sliceRoots(const Conflict &C) const {
-  const Grammar &G = M.grammar();
-  std::vector<Symbol> Roots;
-  for (const Item &I : M.state(C.State).Items) {
-    const Production &Prod = G.production(I.Prod);
-    Roots.push_back(Prod.Lhs);
-    for (Symbol S : Prod.Rhs)
-      if (G.isNonterminal(S))
-        Roots.push_back(S);
+  // The automaton is a function of the kind and the shape, and every
+  // search over it of the options and its conflict record, so this key
+  // groups conflicts exactly as a key over the whole automaton would.
+  H.addU32(uint32_t(Kind));
+  addGrammarShape(H, G);
+  if (cumulativeBudgetCouples(Opts)) {
+    H.addU32(uint32_t(Reported.size()));
+    for (const Conflict &C : Reported)
+      addConflictRecord(H, C);
   }
-  std::sort(Roots.begin(), Roots.end(),
-            [](Symbol A, Symbol B) { return A.id() < B.id(); });
-  Roots.erase(std::unique(Roots.begin(), Roots.end()), Roots.end());
-  return Roots;
+  return H.finish();
 }
 
-Fingerprint128
-ConflictKeyContext::conflictFingerprint(const Conflict &C) const {
-  StableHasher H;
-  H.addString("lalrcex-conflict");
-  H.addU64(Base.Lo);
-  H.addU64(Base.Hi);
-  // The full conflict record: the same state can host several conflicts,
-  // and a precedence edit may re-report a conflict with a different
-  // resolution.
-  H.addU8(uint8_t(C.K));
-  H.addU32(C.State);
-  H.addU32(uint32_t(C.Token.id()));
-  H.addU32(C.ReduceProd);
-  H.addU32(C.OtherProd);
-  H.addU32(C.ShiftItm.Prod);
-  H.addU32(C.ShiftItm.Dot);
-  H.addU8(uint8_t(C.R));
-  // The supporting slice (redundant relative to the base's global hash,
-  // but it makes the key self-describing per the sub-fingerprint design
-  // and keeps room for future slice-relative keying).
-  Fingerprint128 S = Slices.idBoundSliceHash(sliceRoots(C));
-  H.addU64(S.Lo);
-  H.addU64(S.Hi);
-  return H.finish();
+const StoredReport *
+lalrcex::cache::findStoredReport(const std::vector<StoredReport> &Entries,
+                                 const Conflict &C) {
+  auto It = std::lower_bound(Entries.begin(), Entries.end(), C,
+                             [](const StoredReport &E, const Conflict &C) {
+                               return conflictRecordLess(E.Report.TheConflict,
+                                                         C);
+                             });
+  if (It == Entries.end() || conflictRecordLess(C, It->Report.TheConflict))
+    return nullptr;
+  return &*It;
 }
 
 //===----------------------------------------------------------------------===//
@@ -220,17 +225,13 @@ ConflictKeyContext::conflictFingerprint(const Conflict &C) const {
 
 namespace {
 
-constexpr char MagicReports[8] = {'L', 'C', 'E', 'X', 'R', 'E', 'P', '1'};
-constexpr char MagicConflict[8] = {'L', 'C', 'E', 'X', 'C', 'R', 'P', '1'};
+constexpr char Magic[8] = {'L', 'C', 'E', 'X', 'R', 'E', 'P', '1'};
 
-void writeHeader(BlobWriter &W, const char (&Magic)[8], uint32_t Salt,
-                 Fingerprint128 Primary, Fingerprint128 Secondary) {
+void writeHeader(BlobWriter &W, uint32_t Salt, Fingerprint128 Key) {
   W.bytes(Magic, 8);
   W.u32(Salt);
-  W.u64(Primary.Lo);
-  W.u64(Primary.Hi);
-  W.u64(Secondary.Lo);
-  W.u64(Secondary.Hi);
+  W.u64(Key.Lo);
+  W.u64(Key.Hi);
 }
 
 std::string sealed(BlobWriter &&W) {
@@ -246,10 +247,9 @@ std::string sealed(BlobWriter &&W) {
 /// Verifies checksum + header and positions \p R (created by the caller
 /// over the whole blob) at the payload. Returns a non-Hit probe on any
 /// mismatch; Hit means "go parse the payload".
-CacheProbe openBlob(const std::string &Blob, BlobReader &R,
-                    const char (&Magic)[8], uint32_t Salt,
-                    Fingerprint128 Primary, Fingerprint128 Secondary) {
-  constexpr size_t HeaderSize = 8 + 4 + 16 + 16;
+CacheProbe openBlob(const std::string &Blob, BlobReader &R, uint32_t Salt,
+                    Fingerprint128 Key) {
+  constexpr size_t HeaderSize = 8 + 4 + 16;
   constexpr size_t ChecksumSize = 16;
   if (Blob.size() < HeaderSize + ChecksumSize)
     return {CacheOutcome::Corrupt, "blob shorter than header"};
@@ -267,9 +267,8 @@ CacheProbe openBlob(const std::string &Blob, BlobReader &R,
     return {CacheOutcome::Corrupt, "bad magic"};
   if (R.u32() != Salt)
     return {CacheOutcome::VersionMismatch, "format version differs"};
-  Fingerprint128 Key{R.u64(), R.u64()};
-  Fingerprint128 Key2{R.u64(), R.u64()};
-  if (Key != Primary || Key2 != Secondary)
+  Fingerprint128 FileKey{R.u64(), R.u64()};
+  if (FileKey != Key)
     return {CacheOutcome::KeyMismatch, "blob keyed for other content"};
   return {CacheOutcome::Hit, ""};
 }
@@ -308,7 +307,7 @@ Symbol readSymbol(BlobReader &R, const Grammar &G) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Conflict-report blobs
+// Report blobs
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -521,114 +520,77 @@ bool readReport(BlobReader &R, const Grammar &G, ConflictReport &Rep) {
 
 } // namespace
 
-std::string lalrcex::cache::serializeReports(
-    const Grammar &G, AutomatonKind Kind, const FinderOptions &Opts,
-    const std::vector<ConflictReport> &Reports, uint32_t VersionSalt) {
-  BlobWriter W;
-  writeHeader(W, MagicReports, VersionSalt,
-              grammarFingerprint(G, Kind, VersionSalt),
-              optionsFingerprint(Opts, VersionSalt));
-  W.u32(uint32_t(Reports.size()));
-  for (const ConflictReport &Rep : Reports)
-    writeReport(W, Rep);
-  return sealed(std::move(W));
-}
-
-CacheProbe lalrcex::cache::deserializeReports(
-    const std::string &Blob, const Grammar &G, AutomatonKind Kind,
-    const FinderOptions &Opts, std::vector<ConflictReport> &Out,
+std::string lalrcex::cache::serializeReportBlob(
+    Fingerprint128 Key, const std::vector<StoredReport> &Entries,
     uint32_t VersionSalt) {
-  BlobReader R(Blob);
-  CacheProbe Open = openBlob(Blob, R, MagicReports, VersionSalt,
-                             grammarFingerprint(G, Kind, VersionSalt),
-                             optionsFingerprint(Opts, VersionSalt));
-  if (!Open.hit())
-    return Open;
+  std::vector<const StoredReport *> Sorted;
+  Sorted.reserve(Entries.size());
+  for (const StoredReport &E : Entries)
+    Sorted.push_back(&E);
+  std::sort(Sorted.begin(), Sorted.end(),
+            [](const StoredReport *A, const StoredReport *B) {
+              return conflictRecordLess(A->Report.TheConflict,
+                                        B->Report.TheConflict);
+            });
 
-  // Every report encodes at least MinReportBytes (writeReport: the 26-byte
-  // conflict record, then status, shift item, seconds, configurations,
-  // peak bytes and three presence flags), so a count the remaining bytes
-  // cannot hold is rejected before it sizes the vector.
-  constexpr size_t MinReportBytes = 26 + 36;
-  uint32_t N = R.u32();
-  if (R.failed() || N > R.remaining() / MinReportBytes)
-    return {CacheOutcome::Corrupt, "report count exceeds blob"};
-  std::vector<ConflictReport> Reports(N);
-  for (uint32_t I = 0; I != N; ++I)
-    if (!readReport(R, G, Reports[I]))
-      return corrupt(R);
-  if (R.remaining() != 16)
-    return {CacheOutcome::Corrupt, "trailing bytes after payload"};
-  Out = std::move(Reports);
-  return {CacheOutcome::Hit, ""};
-}
-
-std::string lalrcex::cache::serializeConflictReport(
-    Fingerprint128 Key, const ConflictReport &Rep, uint32_t VersionSalt,
-    const std::vector<uint32_t> *Touched) {
   BlobWriter W;
-  writeHeader(W, MagicConflict, VersionSalt, Key, Fingerprint128{});
-  writeReport(W, Rep);
-  // v2 trailer: the search's graph-node read set, when one was recorded.
-  // Ascending and duplicate-free (GraphTouchRecorder::sortedNodes), which
-  // the reader enforces as the canonical form.
-  W.u8(Touched != nullptr);
-  if (Touched) {
-    W.u32(uint32_t(Touched->size()));
-    for (uint32_t N : *Touched)
+  writeHeader(W, VersionSalt, Key);
+  W.u32(uint32_t(Sorted.size()));
+  for (const StoredReport *E : Sorted) {
+    writeReport(W, E->Report);
+    W.u32(uint32_t(E->Touched.size()));
+    for (uint32_t N : E->Touched)
       W.u32(N);
   }
   return sealed(std::move(W));
 }
 
-CacheProbe lalrcex::cache::deserializeConflictReport(
+CacheProbe lalrcex::cache::deserializeReportBlob(
     const std::string &Blob, Fingerprint128 Key, const Grammar &G,
-    const Conflict &Expected, ConflictReport &Out, uint32_t VersionSalt,
-    std::vector<uint32_t> *TouchedOut) {
+    std::vector<StoredReport> &Out, uint32_t VersionSalt) {
   BlobReader R(Blob);
-  CacheProbe Open =
-      openBlob(Blob, R, MagicConflict, VersionSalt, Key, Fingerprint128{});
+  CacheProbe Open = openBlob(Blob, R, VersionSalt, Key);
   if (!Open.hit())
     return Open;
 
-  ConflictReport Rep;
-  if (!readReport(R, G, Rep))
-    return corrupt(R);
-
-  std::vector<uint32_t> Touched;
-  if (R.u8()) {
-    uint32_t N = R.u32();
-    if (R.failed() || N > R.remaining() / 4)
+  // Every entry encodes at least MinEntryBytes (writeReport: the 26-byte
+  // conflict record, then status, shift item, seconds, configurations,
+  // peak bytes and three presence flags; then the touched-set count), so
+  // a count the remaining bytes cannot hold is rejected before it sizes
+  // the vector.
+  constexpr size_t MinEntryBytes = 26 + 36 + 4;
+  uint32_t N = R.u32();
+  if (R.failed() || N > R.remaining() / MinEntryBytes)
+    return {CacheOutcome::Corrupt, "entry count exceeds blob"};
+  std::vector<StoredReport> Entries(N);
+  for (uint32_t I = 0; I != N; ++I) {
+    StoredReport &E = Entries[I];
+    if (!readReport(R, G, E.Report))
+      return corrupt(R);
+    // Strictly ascending records: lookups bisect, and no record can
+    // appear twice with two different reports.
+    if (I != 0 && !conflictRecordLess(Entries[I - 1].Report.TheConflict,
+                                      E.Report.TheConflict))
+      return {CacheOutcome::Corrupt, "entries not ascending"};
+    uint32_t T = R.u32();
+    if (R.failed() || T > R.remaining() / 4)
       return {CacheOutcome::Corrupt, "touched set exceeds blob"};
-    Touched.reserve(N);
-    for (uint32_t I = 0; I != N; ++I) {
+    E.Touched.reserve(T);
+    for (uint32_t J = 0; J != T; ++J) {
       uint32_t Node = R.u32();
       // Node ids are graph-relative and the graph is not at hand here;
       // the remap layer bounds-checks them against the old graph. Enforce
       // only the canonical strictly-ascending order.
-      if (!Touched.empty() && Node <= Touched.back())
+      if (!E.Touched.empty() && Node <= E.Touched.back())
         return {CacheOutcome::Corrupt, "touched set not ascending"};
-      Touched.push_back(Node);
+      E.Touched.push_back(Node);
     }
   }
   if (R.failed())
     return corrupt(R);
   if (R.remaining() != 16)
     return {CacheOutcome::Corrupt, "trailing bytes after payload"};
-
-  // The content address is a hash; the payload must actually describe the
-  // conflict being probed for, or a collision would serve a wrong report.
-  const Conflict &C = Rep.TheConflict;
-  if (C.K != Expected.K || C.State != Expected.State ||
-      C.Token != Expected.Token || C.ReduceProd != Expected.ReduceProd ||
-      C.OtherProd != Expected.OtherProd ||
-      C.ShiftItm != Expected.ShiftItm || C.R != Expected.R)
-    return {CacheOutcome::KeyMismatch,
-            "blob's conflict record disagrees with probe"};
-
-  Out = std::move(Rep);
-  if (TouchedOut)
-    *TouchedOut = std::move(Touched);
+  Out = std::move(Entries);
   return {CacheOutcome::Hit, ""};
 }
 
@@ -636,10 +598,8 @@ CacheProbe lalrcex::cache::deserializeConflictReport(
 // File layer
 //===----------------------------------------------------------------------===//
 
-std::string AnalysisCache::blobPath(const Grammar &G, AutomatonKind Kind,
-                                    const FinderOptions &Opts) const {
-  return Dir + "/" + grammarFingerprint(G, Kind, Salt).hex() + "-" +
-         optionsFingerprint(Opts, Salt).hex() + ".rep";
+std::string AnalysisCache::blobPath(Fingerprint128 Key) const {
+  return Dir + "/" + Key.hex() + ".rep";
 }
 
 CacheProbe AnalysisCache::readBlob(const std::string &Path,
@@ -671,8 +631,8 @@ CacheProbe AnalysisCache::writeBlob(const std::string &Path,
   if (Ec)
     return {CacheOutcome::IoError, "cannot create " + Dir};
   // Publish atomically: a temp file unique to this thread, then rename.
-  // Concurrent writers of the same key race benignly — both bodies are
-  // byte-identical by construction.
+  // Concurrent writers of the same key race benignly (see the class
+  // comment): the last rename wins, and every published body is whole.
   std::string Tmp =
       Path + ".tmp." +
       std::to_string(uint64_t(
@@ -697,47 +657,19 @@ CacheProbe AnalysisCache::writeBlob(const std::string &Path,
   return {CacheOutcome::Stored, ""};
 }
 
-CacheProbe AnalysisCache::loadReports(const Grammar &G, AutomatonKind Kind,
-                                      const FinderOptions &Opts,
-                                      std::vector<ConflictReport> &Out) const {
+CacheProbe AnalysisCache::load(Fingerprint128 Key, const Grammar &G,
+                               std::vector<StoredReport> &Out) const {
   std::string Blob;
-  CacheProbe P = readBlob(blobPath(G, Kind, Opts), Blob);
+  CacheProbe P = readBlob(blobPath(Key), Blob);
   if (!P.hit())
     return P;
-  return deserializeReports(Blob, G, Kind, Opts, Out, Salt);
+  return deserializeReportBlob(Blob, Key, G, Out, Salt);
 }
 
 CacheProbe
-AnalysisCache::storeReports(const Grammar &G, AutomatonKind Kind,
-                            const FinderOptions &Opts,
-                            const std::vector<ConflictReport> &Reports) const {
-  return writeBlob(blobPath(G, Kind, Opts),
-                   serializeReports(G, Kind, Opts, Reports, Salt));
-}
-
-std::string AnalysisCache::conflictBlobPath(Fingerprint128 Key) const {
-  return Dir + "/" + Key.hex() + ".crep";
-}
-
-CacheProbe
-AnalysisCache::loadConflictReport(Fingerprint128 Key, const Grammar &G,
-                                  const Conflict &Expected,
-                                  ConflictReport &Out,
-                                  std::vector<uint32_t> *TouchedOut) const {
-  std::string Blob;
-  CacheProbe P = readBlob(conflictBlobPath(Key), Blob);
-  if (!P.hit())
-    return P;
-  return deserializeConflictReport(Blob, Key, G, Expected, Out, Salt,
-                                   TouchedOut);
-}
-
-CacheProbe
-AnalysisCache::storeConflictReport(Fingerprint128 Key,
-                                   const ConflictReport &Rep,
-                                   const std::vector<uint32_t> *Touched) const {
-  return writeBlob(conflictBlobPath(Key),
-                   serializeConflictReport(Key, Rep, Salt, Touched));
+AnalysisCache::store(Fingerprint128 Key,
+                     const std::vector<StoredReport> &Entries) const {
+  return writeBlob(blobPath(Key), serializeReportBlob(Key, Entries, Salt));
 }
 
 AnalysisCache::GcStats AnalysisCache::collectGarbage(uint64_t MaxBytes) const {

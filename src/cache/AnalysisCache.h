@@ -5,64 +5,58 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A content-addressed persistent cache for complete conflict-report sets
-/// and for single conflict reports. A grammar author's workflow is
-/// iterative — re-run the analyzer after every small edit — and this layer
-/// makes the "nothing changed" (or "only this grammar changed") hot path
-/// skip the searches, which is where a run spends its time. The automaton,
-/// parse table and state-item graph are always built from the grammar:
-/// building them is cheaper than reading and validating a stored copy
-/// (DESIGN.md §5d).
+/// A content-addressed persistent cache for conflict reports. A grammar
+/// author's workflow is iterative — re-run the analyzer after every small
+/// edit — and this layer makes the "nothing changed" (or "only this part
+/// changed") hot path skip the searches, which is where a run spends its
+/// time. The automaton, parse table and state-item graph are always built
+/// from the grammar: building them is cheaper than reading and validating
+/// a stored copy (DESIGN.md §5d).
 ///
-/// Addressing. Every blob file is named by a stable 128-bit fingerprint
-/// (support/Hash.h) of its inputs:
+/// Addressing. The cache holds one blob per (options, grammar structure):
 ///
-///   <gfp>-<ofp>.rep  conflict reports    gfp = grammarFingerprint():
-///              symbols, productions, precedence/associativity, %expect,
-///              automaton kind, and a format-version salt;
-///              ofp = optionsFingerprint(): every FinderOptions field that
-///              can change report content
-///   <cfp>.crep  one conflict report      cfp = conflictFingerprint():
-///              per-conflict key over (automaton structure, options, the
-///              conflict record, the id-bound hash of its supporting
-///              grammar slice) — see ConflictKeyContext
+///   <key>.rep   key = reportBlobKey(): the format-version salt,
+///               optionsFingerprint() (every FinderOptions field that can
+///               change report content), the automaton kind, and the
+///               grammar's shape by id (terminal and symbol counts, every
+///               production's lhs and rhs ids)
 ///
-/// Invalidation is therefore structural: editing the grammar (reordering
-/// productions, flipping a precedence declaration, renaming a symbol)
-/// changes the fingerprint and the next run simply misses and recomputes;
-/// nothing is ever updated in place. Bumping FormatVersion re-salts every
-/// fingerprint, orphaning all old blobs at once.
+/// The blob holds every report stored for that structure, sorted by
+/// conflict record, each with the graph nodes its search read. A report
+/// depends only on the options and its conflict record within one
+/// automaton (the paper explains each conflict on its own), and the
+/// automaton is a function of the shape and the kind. So names,
+/// precedence and %expect stay out of the key: names are re-rendered from
+/// the live grammar, and precedence only selects which conflicts are
+/// reported, with which resolution — and the full record is what an entry
+/// is looked up by. After a rename or a precedence edit every
+/// still-reported conflict is found in the same blob; after a rule edit
+/// the shape moves, the key misses, and the run recomputes (or, with an
+/// IncrementalSession handoff, remaps from the previous structure's blob)
+/// — never a stale report. A finite cumulative budget couples the
+/// conflicts of one run (later ones see what earlier ones consumed), so
+/// the key then also folds the ordered list of reported conflict records
+/// and a blob is served only whole.
 ///
-/// Conflict-level reuse. The whole-set keys above move on *any* grammar
-/// edit; `.crep` blobs are the fine-grained layer under incremental
-/// re-analysis. Their key deliberately excludes symbol names, precedence
-/// tables, and %expect: a conflict report's content is a pure function of
-/// automaton structure (names are re-rendered from the live grammar;
-/// precedence only selects *which* conflicts get reported, and the full
-/// conflict record is in the key). After a rename or precedence edit the
-/// automaton structure is unchanged, so every still-reported conflict's
-/// key matches and its report is re-served; after a rule edit the
-/// production indexing shifts, every key misses, and the run falls back
-/// to a cold recompute — never a stale report. The per-conflict keys form
-/// the sub-fingerprint index: no directory or manifest is needed, the
-/// content address *is* the index. Reuse is only eligible when no finite
-/// cumulative budget is configured: a binding cumulative budget couples
-/// conflicts (later ones see what earlier ones consumed), so per-conflict
-/// reports stop being pure functions of their key and the finder skips
-/// this layer rather than risk diverging from a cold recompute.
+/// Invalidation is therefore structural: nothing is ever updated in
+/// place, and bumping FormatVersion re-salts every key, orphaning all old
+/// blobs at once.
 ///
-/// Housekeeping. Orphaned old-fingerprint blobs accumulate as grammars
-/// are edited; collectGarbage() bounds the directory to a byte budget by
-/// evicting oldest-first (and sweeping stray temp files).
+/// Housekeeping. Orphaned blobs accumulate as grammars are edited;
+/// collectGarbage() bounds the directory to a byte budget by evicting
+/// oldest-first (and sweeping stray temp files). Files of older layouts
+/// (`.crep`, `.art`, `.sig`) are never opened and are evicted like any
+/// other file.
 ///
 /// Robustness. Blobs are untrusted input. Every file carries a magic tag,
 /// the version salt, its own key, and a trailing checksum of all prior
 /// bytes; loads verify all four and then bounds-check and range-check
-/// every field while reconstructing (cache/Serialization.h). Any
-/// mismatch — truncation, bit rot, a hostile file — degrades to a cold
-/// recompute reported through the existing FailureReason machinery, never
-/// a crash. Stores write to a temp file and rename, so concurrent batch
-/// workers and crashed runs can never publish a half-written blob.
+/// every field while reconstructing (cache/Serialization.h), including
+/// the entry order. Any mismatch — truncation, bit rot, a hostile file —
+/// degrades to a cold recompute of that structure's conflicts, reported
+/// through the existing FailureReason machinery, never a crash. Stores
+/// write to a temp file and rename, so concurrent batch workers and
+/// crashed runs can never publish a half-written blob.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,7 +64,6 @@
 #define LALRCEX_CACHE_ANALYSISCACHE_H
 
 #include "counterexample/CounterexampleFinder.h"
-#include "grammar/SubGrammar.h"
 #include "support/Hash.h"
 
 #include <memory>
@@ -87,19 +80,21 @@ namespace cache {
 /// v3: the unifying search charges 48 bytes per item-sequence entry and
 /// 40 per alias, and creates one entry per prepend, so cached PeakBytes
 /// and MemoryLimit verdicts computed under the old charges are stale.
-constexpr uint32_t FormatVersion = 3;
+/// v4: one `.rep` blob per (options, grammar structure) holds every
+/// stored report with its touched set; the exact-grammar `.rep` and the
+/// per-conflict `.crep` blobs are gone.
+constexpr uint32_t FormatVersion = 4;
 
 /// How a cache probe concluded.
 enum class CacheOutcome : uint8_t {
   Hit,             ///< blob found, verified, and reconstructed
   Disabled,        ///< no cache directory configured
-  Miss,            ///< no blob for this fingerprint (a cold key)
+  Miss,            ///< no blob for this key
   VersionMismatch, ///< blob written under a different FormatVersion
   KeyMismatch,     ///< blob's embedded key disagrees with its file name
   Corrupt,         ///< checksum, bounds, or semantic validation failed
   IoError,         ///< file unreadable / unwritable
   Stored,          ///< (store probes) blob written successfully
-  NotStored,       ///< (store probes) skipped, e.g. a cancelled run
 };
 
 /// Short name for diagnostics ("hit", "corrupt", ...).
@@ -122,10 +117,12 @@ struct CacheProbe {
   }
 };
 
-/// Stable fingerprint of the grammar as a whole-set report blob depends on
-/// it: every input of the automaton, the parse table and its conflict
-/// resolution (see file comment). \p VersionSalt defaults to the current
-/// format version; tests override it to prove version bumps invalidate.
+/// Stable fingerprint of the grammar as a whole: every input of the
+/// automaton, the parse table and its conflict resolution — symbols and
+/// their names, productions in order, precedence, %expect — plus the
+/// automaton kind and a format-version salt. No blob is keyed by it;
+/// batch_analyze's edit loop compares it between its incremental and cold
+/// legs. \p VersionSalt defaults to the current format version.
 Fingerprint128 grammarFingerprint(const Grammar &G, AutomatonKind Kind,
                                   uint32_t VersionSalt = FormatVersion);
 
@@ -136,44 +133,47 @@ Fingerprint128 grammarFingerprint(const Grammar &G, AutomatonKind Kind,
 Fingerprint128 optionsFingerprint(const FinderOptions &Opts,
                                   uint32_t VersionSalt = FormatVersion);
 
-/// Stable hash of the automaton as the searches see it: symbol/production
-/// shape by id, states (items, lookaheads, transitions). Deliberately
-/// excludes names, precedence, %expect, and resolved actions — two
-/// grammars differing only in those have identical search behaviour per
-/// conflict, which is what makes conflict-level reuse sound. Pins the id
-/// universe for ConflictKeyContext.
+/// Stable hash of the automaton as the searches see it: the grammar's
+/// shape by id (as in reportBlobKey) plus every state's items,
+/// lookaheads and transitions. Excludes names, precedence, %expect, and
+/// resolved actions. batch_analyze's edit loop compares it between its
+/// incremental and cold legs.
 Fingerprint128 automatonStructuralHash(const Automaton &M);
 
-/// Precomputed state for per-conflict cache keys over one automaton:
-/// a base fingerprint (format salt, automaton kind, options, structural
-/// automaton hash) plus a SubGrammarIndex for supporting-slice hashes.
-/// conflictFingerprint(C) keys the `.crep` blob for conflict \p C as
-/// (base, conflict record, id-bound hash of the slice reachable from the
-/// nonterminals of C's state's items).
-class ConflictKeyContext {
-public:
-  ConflictKeyContext(const Automaton &M, const FinderOptions &Opts,
-                     uint32_t VersionSalt = FormatVersion);
+/// True when \p Opts sets a finite cumulative budget. Such a budget
+/// couples the conflicts of one run — each conflict's effective budget
+/// depends on what the conflicts before it consumed — so a report is no
+/// longer a function of its own conflict record alone.
+bool cumulativeBudgetCouples(const FinderOptions &Opts);
 
-  const Automaton &automaton() const { return M; }
-  Fingerprint128 base() const { return Base; }
+/// Orders conflict records by every field (state, token, kind,
+/// productions, shift item, resolution): the order of a report blob's
+/// entries.
+bool conflictRecordLess(const Conflict &A, const Conflict &B);
 
-  /// The `.crep` key for \p C, which must be a conflict of this context's
-  /// automaton.
-  Fingerprint128 conflictFingerprint(const Conflict &C) const;
+/// The key of the report blob for \p G's structure under \p Opts (see
+/// file comment). When cumulativeBudgetCouples(\p Opts), the ordered list
+/// \p Reported — the run's reported conflicts — is folded in too; it is
+/// ignored otherwise.
+Fingerprint128 reportBlobKey(const Grammar &G, AutomatonKind Kind,
+                             const FinderOptions &Opts,
+                             const std::vector<Conflict> &Reported,
+                             uint32_t VersionSalt = FormatVersion);
 
-  /// The nonterminals rooting \p C's supporting slice: every nonterminal
-  /// appearing in (either side of) a production of some item of C's
-  /// state, ascending id order.
-  std::vector<Symbol> sliceRoots(const Conflict &C) const;
-
-  const SubGrammarIndex &slices() const { return Slices; }
-
-private:
-  const Automaton &M;
-  SubGrammarIndex Slices;
-  Fingerprint128 Base;
+/// One stored report and the state-item-graph nodes its search read
+/// (GraphTouchRecorder::sortedNodes, strictly ascending). A later run
+/// remaps the report across a grammar edit only when that set verifies
+/// node for node (IncrementalSession.h); an empty set (none recorded) is
+/// served on exact lookups only.
+struct StoredReport {
+  ConflictReport Report;
+  std::vector<uint32_t> Touched;
 };
+
+/// The entry of \p Entries (sorted by conflictRecordLess, as a loaded
+/// blob is) whose conflict record equals \p C, or null.
+const StoredReport *findStoredReport(const std::vector<StoredReport> &Entries,
+                                     const Conflict &C);
 
 //===----------------------------------------------------------------------===//
 // In-memory (de)serialization. The round-trip tests hit these directly;
@@ -181,41 +181,22 @@ private:
 // layer on top.
 //===----------------------------------------------------------------------===//
 
-std::string serializeReports(const Grammar &G, AutomatonKind Kind,
-                             const FinderOptions &Opts,
-                             const std::vector<ConflictReport> &Reports,
-                             uint32_t VersionSalt = FormatVersion);
+/// Serializes \p Entries as the report blob keyed by \p Key, in
+/// conflict-record order whatever their order in \p Entries. Their
+/// records must be distinct: the reader rejects a blob that repeats one.
+std::string serializeReportBlob(Fingerprint128 Key,
+                                const std::vector<StoredReport> &Entries,
+                                uint32_t VersionSalt = FormatVersion);
 
-CacheProbe deserializeReports(const std::string &Blob, const Grammar &G,
-                              AutomatonKind Kind, const FinderOptions &Opts,
-                              std::vector<ConflictReport> &Out,
-                              uint32_t VersionSalt = FormatVersion);
-
-/// Serializes one conflict report into a `.crep` blob keyed by \p Key
-/// (a ConflictKeyContext::conflictFingerprint). \p Touched, when
-/// non-null, is the sorted set of state-item-graph nodes the search read
-/// while producing \p Rep (GraphTouchRecorder::sortedNodes); it rides in
-/// the blob so a later run can verify the read set survived a grammar
-/// edit and re-serve the report remapped. Blobs without a touched set
-/// are served on exact-key hits only.
-std::string serializeConflictReport(
-    Fingerprint128 Key, const ConflictReport &Rep,
-    uint32_t VersionSalt = FormatVersion,
-    const std::vector<uint32_t> *Touched = nullptr);
-
-/// Reconstructs one conflict report. Besides the usual header/checksum
-/// verification, the payload's conflict record must equal \p Expected —
-/// the live conflict the caller is keying for — so a fingerprint
-/// collision degrades to KeyMismatch (a recompute), never a wrong report.
-/// \p TouchedOut, when non-null, receives the blob's touched set (empty
-/// when the blob was stored without one).
-CacheProbe deserializeConflictReport(const std::string &Blob,
-                                     Fingerprint128 Key, const Grammar &G,
-                                     const Conflict &Expected,
-                                     ConflictReport &Out,
-                                     uint32_t VersionSalt = FormatVersion,
-                                     std::vector<uint32_t> *TouchedOut =
-                                         nullptr);
+/// Reconstructs a report blob's entries, every field validated against
+/// \p G. Besides the header and checksum, the reader requires the entry
+/// count to fit the bytes that follow it, the entries to be strictly
+/// ascending by conflict record, each touched set to be strictly
+/// ascending, and no trailing bytes. \p Out is assigned only on a hit.
+CacheProbe deserializeReportBlob(const std::string &Blob, Fingerprint128 Key,
+                                 const Grammar &G,
+                                 std::vector<StoredReport> &Out,
+                                 uint32_t VersionSalt = FormatVersion);
 
 //===----------------------------------------------------------------------===//
 // The on-disk cache.
@@ -224,7 +205,11 @@ CacheProbe deserializeConflictReport(const std::string &Blob,
 /// One content-addressed cache directory (created on first store).
 /// Stateless between calls; any number of AnalysisCache objects — across
 /// threads and processes — may share a directory, because files are only
-/// ever published complete via rename and never modified in place.
+/// ever published complete via rename and never modified in place. Two
+/// writers of one key race benignly: each merges what it loaded with what
+/// it computed and publishes a complete blob, so the rename that lands
+/// last wins and the other writer's new entries are lost — a later run
+/// misses on them and recomputes, never reads a torn or wrong report.
 class AnalysisCache {
 public:
   explicit AnalysisCache(std::string Dir,
@@ -233,33 +218,15 @@ public:
 
   const std::string &directory() const { return Dir; }
 
-  CacheProbe loadReports(const Grammar &G, AutomatonKind Kind,
-                         const FinderOptions &Opts,
-                         std::vector<ConflictReport> &Out) const;
-  CacheProbe storeReports(const Grammar &G, AutomatonKind Kind,
-                          const FinderOptions &Opts,
-                          const std::vector<ConflictReport> &Reports) const;
+  /// Loads the report blob keyed by \p Key (a reportBlobKey) into \p Out.
+  CacheProbe load(Fingerprint128 Key, const Grammar &G,
+                  std::vector<StoredReport> &Out) const;
+  /// Publishes \p Entries as the report blob keyed by \p Key.
+  CacheProbe store(Fingerprint128 Key,
+                   const std::vector<StoredReport> &Entries) const;
 
-  /// Loads the `.crep` blob for per-conflict key \p Key; \p Expected is
-  /// the live conflict being probed for (see deserializeConflictReport).
-  /// \p TouchedOut, when non-null, receives the stored touched set.
-  CacheProbe loadConflictReport(Fingerprint128 Key, const Grammar &G,
-                                const Conflict &Expected,
-                                ConflictReport &Out,
-                                std::vector<uint32_t> *TouchedOut =
-                                    nullptr) const;
-  CacheProbe storeConflictReport(Fingerprint128 Key,
-                                 const ConflictReport &Rep,
-                                 const std::vector<uint32_t> *Touched =
-                                     nullptr) const;
-
-  /// The file path of the `.rep` blob for (\p G, \p Kind, \p Opts), for
-  /// tests that corrupt blobs deliberately.
-  std::string blobPath(const Grammar &G, AutomatonKind Kind,
-                       const FinderOptions &Opts) const;
-
-  /// The file path of the `.crep` blob for per-conflict key \p Key.
-  std::string conflictBlobPath(Fingerprint128 Key) const;
+  /// The file path of the report blob keyed by \p Key.
+  std::string blobPath(Fingerprint128 Key) const;
 
   /// What one collectGarbage() pass saw and removed.
   struct GcStats {

@@ -21,6 +21,7 @@
 
 #include <algorithm>
 #include <new>
+#include <numeric>
 #include <system_error>
 #include <thread>
 
@@ -383,139 +384,127 @@ std::vector<ConflictReport> CounterexampleFinder::examineAll() {
   // cancellation tripped earlier still applies.
   Cumulative.reset(cumulativeLimits(Opts), Opts.Cancellation);
 
-  // Warm path: a cached report set for this exact (grammar, automaton
-  // kind, options) key is returned verbatim — including the cold run's
-  // timing fields — so warm output is byte-identical to cold output.
-  AutomatonKind Kind = Table.automaton().kind();
   Cache.ReportsFromCache = false;
   Cache.ConflictsReused = 0;
   Cache.ConflictsRecomputed = 0;
   Cache.ConflictsRemapped = 0;
-  if (!Opts.CachePath.empty()) {
-    cache::AnalysisCache ReportCache(Opts.CachePath);
-    std::vector<ConflictReport> Cached;
-    cache::CacheProbe P;
-    {
-      ScopedTimer LoadTimer(M, metric::TimeCacheLoadNs);
-      P = ReportCache.loadReports(G, Kind, Opts, Cached);
-    }
-    if (P.hit()) {
-      if (M)
-        M->add(metric::CacheHits);
-      Cache.ReportsFromCache = true;
-      return Cached;
-    }
-    if (M) {
-      M->add(metric::CacheMisses);
-      if (P.degraded())
-        M->add(metric::CacheDegradations);
-    }
-    noteCacheProbe(Cache, P);
-  }
-
   std::vector<Conflict> Reported = Table.reportedConflicts(Cumulative);
   std::vector<ConflictReport> Out(Reported.size());
+  std::vector<size_t> Pending(Reported.size());
+  std::iota(Pending.begin(), Pending.end(), size_t(0));
 
-  // Fine-grained warm path: the whole-set key moved (any grammar edit
-  // moves it), but individual conflicts may be unchanged — their
-  // per-conflict key is over automaton structure, not names/precedence,
-  // so it survives edits that leave the conflict's supporting slice
-  // intact. Probe serially on the calling thread: probes are cheap file
-  // reads, and a deterministic probe order keeps reuse accounting
-  // identical across job counts. Misses fall through to Pending, the
-  // cold recompute set.
+  // Warm path: the report blob of this grammar structure under these
+  // options (cache/AnalysisCache.h) serves every conflict it holds
+  // verbatim — including the cold run's timing fields — so warm output is
+  // byte-identical to cold output. Lookups run serially on the calling
+  // thread, so reuse accounting is identical across job counts. Misses
+  // fall through to Pending, the cold recompute set.
   //
-  // Eligibility: a finite *cumulative* budget couples conflicts — each
-  // conflict's effective step budget depends on how much the ones before
-  // it consumed — so a report is only a pure function of (automaton
-  // structure, options, conflict) when the cumulative budget cannot
-  // bind. Reusing under a finite cumulative budget could diverge from a
-  // cold recompute, so the fine-grained layer switches off entirely
-  // there (the whole-set warm path above is unaffected: its blob is the
-  // verbatim output of one complete run under identical options).
-  const bool FineGrained =
-      !Opts.CachePath.empty() && !Reported.empty() &&
-      Opts.CumulativeMaxConfigurations == ResourceLimits::Unlimited &&
-      Opts.CumulativeTimeLimitSeconds == 0;
-  std::vector<size_t> Pending;
-  Pending.reserve(Reported.size());
-  std::vector<Fingerprint128> Keys;
-  // Remapped conflicts (index, translated touched set), re-published under
-  // their current-generation key after the run.
+  // A finite *cumulative* budget couples conflicts — each conflict's
+  // effective step budget depends on how much the ones before it
+  // consumed — so a report is then a function of the whole run, not of
+  // its own record. The blob key folds the reported conflict list in that
+  // case, and the blob is served only whole; remaps are off.
+  const bool UseCache = !Opts.CachePath.empty();
+  const bool Coupled = cache::cumulativeBudgetCouples(Opts);
+  cache::AnalysisCache ReportCache(Opts.CachePath);
+  Fingerprint128 Key;
+  // What the blob held, then (after the run) the merged entries to store.
+  std::vector<cache::StoredReport> Stored;
+  // Remapped conflicts (index, translated touched set), stored with the
+  // recomputed ones after the run.
   std::vector<std::pair<size_t, std::vector<uint32_t>>> Remapped;
-  if (FineGrained) {
-    cache::AnalysisCache ConflictCache(Opts.CachePath);
-    cache::ConflictKeyContext Ctx(Table.automaton(), Opts);
-    // Incremental remap layer: on a direct miss, probe the conflict under
-    // its *previous* generation's key (every structural edit moves the
-    // key — it hashes automaton structure by raw state/production ids)
-    // and re-serve the old blob with all ids rewritten, provided the
-    // recorded graph-read set verifies node-for-node under the edit's
-    // maps (IncrementalSession.h). The old key context is built lazily:
-    // most runs have no handoff.
+  auto noteProbe = [&](const cache::CacheProbe &P) {
+    if (P.degraded() && M)
+      M->add(metric::CacheDegradations);
+    noteCacheProbe(Cache, P);
+  };
+  if (UseCache) {
+    ScopedTimer LoadTimer(M, metric::TimeCacheLoadNs);
+    AutomatonKind Kind = Table.automaton().kind();
+    Key = cache::reportBlobKey(G, Kind, Opts, Reported);
+    cache::CacheProbe P = ReportCache.load(Key, G, Stored);
+    noteProbe(P);
+    size_t Missed = 0;
+    for (size_t I : Pending) {
+      if (const cache::StoredReport *S =
+              cache::findStoredReport(Stored, Reported[I]))
+        Out[I] = S->Report;
+      else
+        Pending[Missed++] = I;
+    }
+    if (!Coupled || Missed == 0) {
+      Pending.resize(Missed);
+    } else {
+      // Served only whole: recompute every conflict, in conflict order.
+      Stored.clear();
+      std::iota(Pending.begin(), Pending.end(), size_t(0));
+    }
+    Cache.ConflictsReused = Reported.size() - Pending.size();
+    Cache.ReportsFromCache = P.hit() && Pending.empty();
+
+    // Incremental remap layer: a structural edit moves the key, so a
+    // conflict that missed is looked up, under the edit's maps, in the
+    // previous structure's blob, and re-served with all ids rewritten
+    // when the recorded graph-read set verifies node for node under those
+    // maps (IncrementalSession.h). Each miss that stays pending is
+    // counted under the first check it failed.
     const IncrementalHandoff *H =
-        Opts.Incremental && Opts.Incremental->Graph &&
+        !Coupled && Opts.Incremental && Opts.Incremental->Graph &&
                 &Opts.Incremental->Graph->automaton() == &Table.automaton()
             ? Opts.Incremental
             : nullptr;
-    std::optional<cache::ConflictKeyContext> OldCtx;
-    Keys.resize(Reported.size());
-    ScopedTimer LoadTimer(M, metric::TimeCacheLoadNs);
-    for (size_t I = 0, E = Reported.size(); I != E; ++I) {
-      Keys[I] = Ctx.conflictFingerprint(Reported[I]);
-      ConflictReport Rep;
-      cache::CacheProbe CP =
-          ConflictCache.loadConflictReport(Keys[I], G, Reported[I], Rep);
-      if (CP.hit()) {
-        Out[I] = std::move(Rep);
-        ++Cache.ConflictsReused;
-        continue;
-      }
-      if (CP.degraded() && M)
-        M->add(metric::CacheDegradations);
-      noteCacheProbe(Cache, CP);
-      if (H) {
+    if (H && !Pending.empty()) {
+      std::vector<cache::StoredReport> Old;
+      noteProbe(ReportCache.load(
+          cache::reportBlobKey(*H->PrevG, H->PrevTable->automaton().kind(),
+                               Opts, {}),
+          *H->PrevG, Old));
+      uint64_t Unmapped = 0, Absent = 0, Unverified = 0, Refused = 0;
+      size_t Kept = 0;
+      for (size_t I : Pending) {
         Conflict OldC;
-        if (H->mapConflictToOld(Reported[I], OldC)) {
-          if (!OldCtx)
-            OldCtx.emplace(H->PrevTable->automaton(), Opts);
-          ConflictReport OldRep;
-          std::vector<uint32_t> OldTouched;
-          cache::CacheProbe OP = ConflictCache.loadConflictReport(
-              OldCtx->conflictFingerprint(OldC), *H->PrevG, OldC, OldRep,
-              &OldTouched);
-          if (OP.degraded() && M)
-            M->add(metric::CacheDegradations);
-          noteCacheProbe(Cache, OP);
-          std::vector<uint32_t> NewTouched;
-          if (OP.hit() && H->verifyTouched(OldC.Token, OldTouched, &NewTouched) &&
-              H->remapReport(OldRep, OldC, Reported[I], Out[I])) {
-            ++Cache.ConflictsRemapped;
-            Remapped.emplace_back(I, std::move(NewTouched));
-            continue;
-          }
+        const cache::StoredReport *OldE = nullptr;
+        std::vector<uint32_t> NewTouched;
+        if (!H->mapConflictToOld(Reported[I], OldC))
+          ++Unmapped;
+        else if (!(OldE = cache::findStoredReport(Old, OldC)))
+          ++Absent;
+        else if (!H->verifyTouched(OldC.Token, OldE->Touched, &NewTouched))
+          ++Unverified;
+        else if (!H->remapReport(OldE->Report, OldC, Reported[I], Out[I]))
+          ++Refused;
+        else {
+          Remapped.emplace_back(I, std::move(NewTouched));
+          continue;
         }
+        Pending[Kept++] = I;
       }
-      Pending.push_back(I);
+      Pending.resize(Kept);
+      Cache.ConflictsRemapped = Remapped.size();
+      if (M) {
+        M->add(metric::CacheRemapUnmapped, Unmapped);
+        M->add(metric::CacheRemapAbsent, Absent);
+        M->add(metric::CacheRemapUnverified, Unverified);
+        M->add(metric::CacheRemapRefused, Refused);
+      }
     }
     Cache.ConflictsRecomputed = Pending.size();
     if (M) {
+      M->add(Cache.ReportsFromCache ? metric::CacheHits : metric::CacheMisses);
       M->add(metric::CacheConflictsReused, Cache.ConflictsReused);
       M->add(metric::CacheConflictsRemapped, Cache.ConflictsRemapped);
       M->add(metric::CacheConflictsRecomputed, Pending.size());
     }
-  } else {
-    for (size_t I = 0, E = Reported.size(); I != E; ++I)
-      Pending.push_back(I);
   }
 
   unsigned Jobs = resolveJobs(Opts.Jobs);
   if (size_t(Jobs) > Pending.size())
     Jobs = unsigned(Pending.size());
-  // Graph-read recording for v2 per-conflict blobs (the remap layer's
-  // verification set): one recorder per conflict, active on the thread
-  // that examines it, which is the only thread its searches run on.
-  const bool RecordTouch = FineGrained;
+  // Graph-read recording for the stored entries' touched sets (the remap
+  // layer's verification set): one recorder per conflict, active on the
+  // thread that examines it, which is the only thread its searches run on.
+  const bool RecordTouch = UseCache && !Coupled;
   std::vector<std::vector<uint32_t>> PendingTouched(
       RecordTouch ? Pending.size() : 0);
   auto examineRecorded = [&](size_t K) {
@@ -580,32 +569,24 @@ std::vector<ConflictReport> CounterexampleFinder::examineAll() {
       T.join();
   }
 
-  // Publish the report set unless cancellation truncated it: a cancelled
-  // run's reports are a function of *when* the token tripped, not of the
-  // (grammar, options) key, so caching them would serve nondeterministic
-  // bytes to later runs. Recomputed conflicts also publish their
-  // per-conflict blob under the same rule, seeding fine-grained reuse
-  // for post-edit runs.
-  if (!Opts.CachePath.empty() &&
+  // Store the merged blob — what was loaded, plus this run's recomputed
+  // and remapped entries — when something is new, unless cancellation
+  // truncated the run: a cancelled run's reports are a function of *when*
+  // the token tripped, not of the key, so caching them would serve
+  // nondeterministic bytes to later runs.
+  if (UseCache && !Cache.ReportsFromCache &&
       std::none_of(Out.begin(), Out.end(), [](const ConflictReport &R) {
         return R.Status == CounterexampleStatus::Cancelled;
       })) {
     ScopedTimer StoreTimer(M, metric::TimeCacheStoreNs);
-    cache::AnalysisCache Store(Opts.CachePath);
-    Store.storeReports(G, Kind, Opts, Out);
-    if (FineGrained) {
-      for (size_t K = 0, E = Pending.size(); K != E; ++K) {
-        const std::vector<uint32_t> *T =
-            RecordTouch && !PendingTouched[K].empty() ? &PendingTouched[K]
-                                                      : nullptr;
-        Store.storeConflictReport(Keys[Pending[K]], Out[Pending[K]], T);
-      }
-      // Re-home remapped reports under their current-generation key with
-      // the translated touched set, so the next edit probes one
-      // generation back, never two.
-      for (const auto &R : Remapped)
-        Store.storeConflictReport(Keys[R.first], Out[R.first], &R.second);
-    }
+    Stored.reserve(Stored.size() + Pending.size() + Remapped.size());
+    for (size_t K = 0, E = Pending.size(); K != E; ++K)
+      Stored.push_back({Out[Pending[K]], RecordTouch
+                                             ? std::move(PendingTouched[K])
+                                             : std::vector<uint32_t>()});
+    for (auto &[I, Touched] : Remapped)
+      Stored.push_back({Out[I], std::move(Touched)});
+    ReportCache.store(Key, Stored);
     if (M)
       M->add(metric::CacheStores);
   }

@@ -78,23 +78,25 @@ struct FinderOptions {
   /// only: never changes reports or rendering.
   bool CollectLssStats = false;
   /// Directory of the persistent report cache (cache/AnalysisCache.h);
-  /// empty disables caching. examineAll() serves warm report sets (`.rep`)
-  /// and single conflict reports (`.crep`) from it, byte-identical to a
-  /// cold run; damaged or stale blobs degrade to a cold recompute recorded
-  /// in cacheActivity(), never a crash. The state-item graph is always
-  /// built. Not part of the cache key: two finders differing only in
-  /// CachePath (or Jobs) produce identical reports.
+  /// empty disables caching. examineAll() reads one blob per (options,
+  /// grammar structure), serves every reported conflict it holds
+  /// byte-identical to a cold run, and stores the merged blob when it
+  /// computed something new; damaged or stale blobs degrade to a cold
+  /// recompute recorded in cacheActivity(), never a crash. The state-item
+  /// graph is always built. Not part of the cache key: two finders
+  /// differing only in CachePath (or Jobs) produce identical reports.
   std::string CachePath;
   /// Incremental handoff from an IncrementalSession, or null
   /// (the default, a standalone run). When set with a usable generation
   /// pair, the finder (a) borrows the session's already-built state-item
-  /// graph instead of building its own, and (b) extends the
-  /// fine-grained warm path: a conflict whose per-conflict key misses
-  /// (every structural edit moves it) is probed under its *previous*
-  /// generation key and re-served remapped when the stored touched set
-  /// verifies — see IncrementalSession.h. Like CachePath, never part of
-  /// the cache key; remapped reports are byte-identical to recomputes.
-  /// The handoff (and the session behind it) must outlive the finder.
+  /// graph instead of building its own, and (b) extends the warm path: a
+  /// conflict missing from its blob (a structural edit moves the key) is
+  /// looked up in the *previous* generation's blob and re-served remapped
+  /// when the stored touched set verifies — see IncrementalSession.h.
+  /// Like CachePath, never part of the cache key; remapped reports are
+  /// byte-identical to recomputes. Ignored under a finite cumulative
+  /// budget. The handoff (and the session behind it) must outlive the
+  /// finder.
   const IncrementalHandoff *Incremental = nullptr;
   /// Pipeline-wide metrics sink (support/Metrics.h). When null (the
   /// default) every instrumentation site reduces to a pointer test and no
@@ -170,28 +172,25 @@ struct ConflictReport {
 /// What the persistent report cache did in one finder's examineAll();
 /// all-false when FinderOptions::CachePath is empty.
 struct CacheActivity {
-  /// The last examineAll() returned a cached report set verbatim.
+  /// The last examineAll() found its blob and served every reported
+  /// conflict verbatim from it (also with zero conflicts: a conflict-free
+  /// grammar stores an empty blob). Such a run stores nothing.
   bool ReportsFromCache = false;
-  /// Conflict-level reuse in the last examineAll(): conflicts whose
-  /// report was re-served from a per-conflict blob (the whole-set key
-  /// missed but the conflict's fine-grained key hit), and conflicts that
-  /// were examined cold. Reused + Recomputed always equals the reported
-  /// conflict count when the whole-set key missed and the fine-grained
-  /// layer was eligible; both stay 0 on a whole-set hit, and when a
-  /// finite *cumulative* budget disables conflict-level reuse (a binding
-  /// cumulative budget couples conflicts, so per-conflict reports would
-  /// no longer be pure functions of their key).
+  /// How the last examineAll() produced each reported conflict's report:
+  /// served from the blob of this grammar structure, remapped from the
+  /// previous generation's blob (always 0 without
+  /// FinderOptions::Incremental), or examined cold. With a cache
+  /// directory, Reused + Remapped + Recomputed equals the reported
+  /// conflict count on every run. Under a finite *cumulative* budget a
+  /// blob is served only whole, so Reused is 0 or every conflict.
   size_t ConflictsReused = 0;
   size_t ConflictsRecomputed = 0;
-  /// Conflicts re-served through the incremental remap layer in the last
-  /// examineAll(): their fine-grained key missed (a structural edit moved
-  /// it) but the previous generation's blob was found, its touched set
-  /// verified, and the report rewritten under the edit's id maps. Always
-  /// 0 without FinderOptions::Incremental. Reused + Remapped + Recomputed
-  /// covers all conflicts when the fine-grained layer was eligible.
+  /// Remapped reports: their key missed (a structural edit moved it), but
+  /// the previous generation's entry was found, its touched set verified,
+  /// and the report rewritten under the edit's id maps.
   size_t ConflictsRemapped = 0;
   /// First damaged/unreadable blob encountered (stage "cache-load");
-  /// the affected report set or conflict was recomputed cold. A plain
+  /// the conflicts it would have served were recomputed cold. A plain
   /// miss is not a degradation and is not recorded.
   std::optional<FailureReason> Degradation;
 };

@@ -400,8 +400,8 @@ bool IncrementalHandoff::remapReport(const ConflictReport &OldRep,
   } else if (!(OldRep.ShiftItem == Item())) {
     return false;
   }
-  // Timings and effort are copied verbatim, exactly as the whole-set warm
-  // path re-serves a cold run's timing fields.
+  // Timings and effort are copied verbatim, exactly as the warm path
+  // re-serves a cold run's timing fields.
   Rep.Seconds = OldRep.Seconds;
   Rep.Configurations = OldRep.Configurations;
   Rep.PeakBytes = OldRep.PeakBytes;

@@ -17,11 +17,12 @@
 ///     map, is interned, and each new kernel is looked up. A new state
 ///     and an old state correspond exactly when their kernels do.
 ///
-/// **Conflict-report remapping.** After a structural edit every
-/// per-conflict `.crep` key misses (the key hashes automaton structure by
-/// raw ids). The IncrementalHandoff exposes the delta and the state maps
-/// to the finder, which then probes the *old* key and re-serves the old
-/// report with all ids rewritten — but only after verifying, node by
+/// **Conflict-report remapping.** After a structural edit the report
+/// blob's key misses (it hashes the grammar's shape by raw ids). The
+/// IncrementalHandoff exposes the delta and the state maps to the finder,
+/// which then looks the conflict's old record up in the previous
+/// structure's blob and re-serves the old report with all ids rewritten
+/// — but only after verifying, node by
 /// node, that every graph node the original search *read* (the touched
 /// set recorded into the blob, see GraphTouchRecorder) still exists with
 /// identical item, lookahead set, and adjacency rows under the maps. The

@@ -36,8 +36,8 @@ class TraceRecorder;
 /// Records the set of graph nodes a search *reads* — every accessor the
 /// searches reach the graph through marks the node it was asked about.
 /// The finder activates one recorder per examined conflict (thread-local,
-/// so concurrent outer workers record independently) and persists the
-/// touched set into the conflict's `.crep` blob; after a structural
+/// so concurrent outer workers record independently) and stores the
+/// touched set beside the conflict's report in the cache; after a structural
 /// grammar edit, a stored report may be re-served exactly when every
 /// touched node still exists with identical item, lookaheads, and
 /// adjacency rows under the edit's id maps — the search, being

@@ -78,7 +78,7 @@ GuardStop ResourceGuard::trip(GuardStop S) {
   return Stop.load(std::memory_order_acquire);
 }
 
-GuardStop ResourceGuard::poll(size_t StepsNow) {
+GuardStop ResourceGuard::poll([[maybe_unused]] size_t StepsNow) {
   GuardStop S = Stop.load(std::memory_order_acquire);
   if (S != GuardStop::None)
     return S;

@@ -59,6 +59,10 @@ const char *const CounterNames[metric::NumCounters] = {
     "cache.conflicts_reused",
     "cache.conflicts_recomputed",
     "cache.conflicts_remapped",
+    "cache.remap_unmapped",
+    "cache.remap_absent",
+    "cache.remap_unverified",
+    "cache.remap_refused",
     "examine.runs",
     "examine.conflicts",
     "examine.worker_failures",

@@ -74,6 +74,12 @@ enum Counter : unsigned {
   CacheConflictsReused,
   CacheConflictsRecomputed,
   CacheConflictsRemapped,
+  /// Why a conflict that missed its blob was not remapped under an
+  /// incremental handoff; each such miss counts under exactly one:
+  CacheRemapUnmapped,   ///< no previous-generation conflict record
+  CacheRemapAbsent,     ///< the previous blob holds no entry for it
+  CacheRemapUnverified, ///< its touched set failed verifyTouched
+  CacheRemapRefused,    ///< remapReport could not rewrite the report
   ExamineRuns,
   ExamineConflicts,
   ExamineWorkerFailures,

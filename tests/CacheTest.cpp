@@ -3,24 +3,26 @@
 // Part of lalrcex.
 //
 // The cache subsystem's contract, tested from the bottom up: fingerprint
-// stability and sensitivity (precedence flips, production reorders,
-// renames, format-version bumps all invalidate), save -> load -> save
-// byte-identity for both blob kinds, warm report sets byte-identical to
-// cold across job counts, and graceful degradation — corrupt, truncated,
-// mis-keyed, and version-mismatched blobs all fall back to a cold
-// recompute with a structured probe/FailureReason, never a crash, and
-// never at the cost of unbounded memory.
-// The conflict-granularity sections extend the same contract to `.crep`
-// blobs (damage to one conflict's blob degrades only that conflict; a
-// partially populated cache round-trips byte-identically) and to the
-// collectGarbage() size cap (oldest-first whole-blob eviction, temp-file
-// sweep; an evicted blob is a plain miss, never a degradation).
+// stability and sensitivity, the report blob key (it moves with options,
+// salt, kind and any production edit, not with names, precedence or
+// %expect), save -> load -> save byte-identity, warm report sets
+// byte-identical to cold across job counts, and graceful degradation —
+// corrupt, truncated, mis-keyed, mis-ordered and version-mismatched blobs
+// all fall back to a cold recompute with a structured probe/FailureReason,
+// never a crash, and never at the cost of unbounded memory. The finder
+// sections check one blob per grammar structure (a precedence variant's
+// blob serves the conflicts it holds; a finite cumulative budget serves a
+// blob only whole) and the collectGarbage() size cap (oldest-first
+// whole-blob eviction, temp-file sweep; an evicted blob is a plain miss,
+// never a degradation).
 //
 //===----------------------------------------------------------------------===//
 
 #include "RandomGrammar.h"
 #include "TestUtil.h"
 #include "cache/AnalysisCache.h"
+#include "counterexample/IncrementalSession.h"
+#include "grammar/GrammarEdit.h"
 #include "support/FaultInjection.h"
 
 #include <gtest/gtest.h>
@@ -84,11 +86,32 @@ void resealChecksum(std::string &Blob) {
   }
 }
 
-/// \p B's whole-set `.rep` blob under \p Opts, from a cacheless run.
+/// The key of \p B's report blob under \p Opts.
+Fingerprint128 blobKey(const BuiltGrammar &B, const FinderOptions &Opts) {
+  return reportBlobKey(B.G, AutomatonKind::Lalr1, Opts,
+                       B.T.reportedConflicts());
+}
+
+/// \p Reports as blob entries, without touched sets.
+std::vector<StoredReport> entriesOf(const std::vector<ConflictReport> &Reports) {
+  std::vector<StoredReport> Entries;
+  for (const ConflictReport &R : Reports)
+    Entries.push_back({R, {}});
+  return Entries;
+}
+
+/// \p B's report blob under \p Opts, from a cacheless run.
 std::string reportBlob(const BuiltGrammar &B, const FinderOptions &Opts) {
   CounterexampleFinder Finder(B.T, Opts);
-  return serializeReports(B.G, AutomatonKind::Lalr1, Opts,
-                          Finder.examineAll());
+  return serializeReportBlob(blobKey(B, Opts), entriesOf(Finder.examineAll()));
+}
+
+/// The files in cache directory \p Dir.
+size_t fileCount(const std::string &Dir) {
+  size_t N = 0;
+  for (const auto &E : std::filesystem::directory_iterator(Dir))
+    N += E.is_regular_file();
+  return N;
 }
 
 /// \p Rs as \p Finder renders them.
@@ -202,19 +225,21 @@ TEST(CacheRoundTripTest, ReportsSaveLoadSaveByteIdentical) {
   std::vector<ConflictReport> Cold = Finder.examineAll();
   ASSERT_FALSE(Cold.empty());
 
-  std::string Blob = serializeReports(B.G, AutomatonKind::Lalr1, Opts, Cold);
-  std::vector<ConflictReport> Loaded;
-  CacheProbe P =
-      deserializeReports(Blob, B.G, AutomatonKind::Lalr1, Opts, Loaded);
+  Fingerprint128 Key = blobKey(B, Opts);
+  std::string Blob = serializeReportBlob(Key, entriesOf(Cold));
+  std::vector<StoredReport> Loaded;
+  CacheProbe P = deserializeReportBlob(Blob, Key, B.G, Loaded);
   ASSERT_TRUE(P.hit()) << P.Detail;
   ASSERT_EQ(Loaded.size(), Cold.size());
-  EXPECT_EQ(serializeReports(B.G, AutomatonKind::Lalr1, Opts, Loaded), Blob);
+  EXPECT_EQ(serializeReportBlob(Key, Loaded), Blob);
 
   // Loaded reports render identically (timing fields travel verbatim).
-  for (size_t I = 0; I != Cold.size(); ++I) {
-    EXPECT_EQ(Finder.render(Loaded[I]), Finder.render(Cold[I]));
-    EXPECT_EQ(Loaded[I].Seconds, Cold[I].Seconds);
-    EXPECT_EQ(Loaded[I].Configurations, Cold[I].Configurations);
+  for (const ConflictReport &R : Cold) {
+    const StoredReport *E = findStoredReport(Loaded, R.TheConflict);
+    ASSERT_TRUE(E);
+    EXPECT_EQ(Finder.render(E->Report), Finder.render(R));
+    EXPECT_EQ(E->Report.Seconds, R.Seconds);
+    EXPECT_EQ(E->Report.Configurations, R.Configurations);
   }
 }
 
@@ -228,8 +253,7 @@ TEST(CacheRoundTripTest, WarmReportsByteIdenticalAcrossJobs) {
   CounterexampleFinder ColdFinder(B.T, Cold);
   std::vector<ConflictReport> ColdReports = ColdFinder.examineAll();
   ASSERT_FALSE(ColdFinder.cacheActivity().ReportsFromCache);
-  std::string ColdBytes =
-      serializeReports(B.G, AutomatonKind::Lalr1, Cold, ColdReports);
+  std::string ColdBytes = reportBytes(ColdReports);
 
   for (unsigned Jobs : {1u, 4u}) {
     FinderOptions Warm = Cold;
@@ -238,10 +262,7 @@ TEST(CacheRoundTripTest, WarmReportsByteIdenticalAcrossJobs) {
     std::vector<ConflictReport> WarmReports = WarmFinder.examineAll();
     EXPECT_TRUE(WarmFinder.cacheActivity().ReportsFromCache)
         << "Jobs=" << Jobs;
-    EXPECT_EQ(
-        serializeReports(B.G, AutomatonKind::Lalr1, Warm, WarmReports),
-        ColdBytes)
-        << "Jobs=" << Jobs;
+    EXPECT_EQ(reportBytes(WarmReports), ColdBytes) << "Jobs=" << Jobs;
   }
   std::filesystem::remove_all(Dir);
 }
@@ -254,26 +275,23 @@ TEST(CacheValidationTest, VersionSaltMismatchDetected) {
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure3");
   FinderOptions Opts = deterministicOptions();
   std::string Blob = reportBlob(B, Opts);
-  std::vector<ConflictReport> Out;
-  CacheProbe P = deserializeReports(Blob, B.G, AutomatonKind::Lalr1, Opts,
-                                    Out, FormatVersion + 1);
-  // The foreign salt changes the expected fingerprints too, so either
-  // rejection is acceptable; it must not be a hit.
-  EXPECT_FALSE(P.hit());
+  std::vector<StoredReport> Out;
+  CacheProbe P = deserializeReportBlob(Blob, blobKey(B, Opts), B.G, Out,
+                                       FormatVersion + 1);
+  EXPECT_EQ(P.Outcome, CacheOutcome::VersionMismatch);
   EXPECT_TRUE(P.degraded());
   EXPECT_TRUE(Out.empty());
 }
 
 TEST(CacheValidationTest, KeyMismatchDetected) {
   // A blob written for one grammar presented as another grammar's: the
-  // embedded key disagrees with the expected fingerprint.
+  // embedded key disagrees with the expected one.
   BuiltGrammar A = BuiltGrammar::fromCorpus("figure1");
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure3");
   FinderOptions Opts = deterministicOptions();
   std::string Blob = reportBlob(A, Opts);
-  std::vector<ConflictReport> Out;
-  CacheProbe P =
-      deserializeReports(Blob, B.G, AutomatonKind::Lalr1, Opts, Out);
+  std::vector<StoredReport> Out;
+  CacheProbe P = deserializeReportBlob(Blob, blobKey(B, Opts), B.G, Out);
   EXPECT_EQ(P.Outcome, CacheOutcome::KeyMismatch);
   EXPECT_TRUE(Out.empty());
 }
@@ -288,9 +306,8 @@ TEST(CacheValidationTest, EveryBitFlipIsRejected) {
   for (size_t Off = 0; Off < Blob.size(); Off += 7) {
     std::string Bad = Blob;
     Bad[Off] = char(Bad[Off] ^ 0x40);
-    std::vector<ConflictReport> Out;
-    CacheProbe P =
-        deserializeReports(Bad, B.G, AutomatonKind::Lalr1, Opts, Out);
+    std::vector<StoredReport> Out;
+    CacheProbe P = deserializeReportBlob(Bad, blobKey(B, Opts), B.G, Out);
     EXPECT_FALSE(P.hit()) << "offset " << Off;
   }
 }
@@ -299,48 +316,47 @@ TEST(CacheValidationTest, TruncationIsRejected) {
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure3");
   FinderOptions Opts = deterministicOptions();
   std::string Blob = reportBlob(B, Opts);
-  for (size_t Len : {size_t(0), size_t(7), size_t(43), Blob.size() / 2,
+  for (size_t Len : {size_t(0), size_t(7), size_t(27), Blob.size() / 2,
                      Blob.size() - 1}) {
-    std::vector<ConflictReport> Out;
-    CacheProbe P = deserializeReports(Blob.substr(0, Len), B.G,
-                                      AutomatonKind::Lalr1, Opts, Out);
+    std::vector<StoredReport> Out;
+    CacheProbe P = deserializeReportBlob(Blob.substr(0, Len),
+                                         blobKey(B, Opts), B.G, Out);
     EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << "length " << Len;
     EXPECT_TRUE(Out.empty()) << "length " << Len;
   }
 }
 
 TEST(CacheValidationTest, ConflictCountPastBlobEndIsCorrupt) {
-  // A report blob whose count claims far more reports than the blob
+  // A report blob whose count claims far more entries than the blob
   // holds. The reader must reject it before sizing anything by the
   // count.
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
   FinderOptions Opts = deterministicOptions();
   std::string Blob = reportBlob(B, Opts);
-  // The report count opens the payload, right after the 44-byte header.
-  putU32(Blob, 44, 0xFFFFFFFFu);
+  // The entry count opens the payload, right after the 28-byte header.
+  putU32(Blob, 28, 0xFFFFFFFFu);
   resealChecksum(Blob);
 
-  std::vector<ConflictReport> Out;
-  CacheProbe P =
-      deserializeReports(Blob, B.G, AutomatonKind::Lalr1, Opts, Out);
+  std::vector<StoredReport> Out;
+  CacheProbe P = deserializeReportBlob(Blob, blobKey(B, Opts), B.G, Out);
   EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
   EXPECT_TRUE(Out.empty());
 }
 
 TEST(CacheValidationTest, ReportCountBoundedByRecordSize) {
   // A well-sealed report blob whose count equals its payload size in
-  // bytes. Every report takes at least 62 bytes, so the count cannot be
+  // bytes. Every entry takes at least 66 bytes, so the count cannot be
   // right. A bound by the byte count alone would value-initialize one
-  // ConflictReport per payload byte (hundreds of MB here) before the
-  // reader noticed the truncation.
+  // entry per payload byte (hundreds of MB here) before the reader
+  // noticed the truncation.
   BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
   FinderOptions Opts = deterministicOptions();
-  const std::string Real =
-      serializeReports(B.G, AutomatonKind::Lalr1, Opts, {});
+  Fingerprint128 Key = blobKey(B, Opts);
+  const std::string Real = serializeReportBlob(Key, {});
   const uint32_t Payload = 2u << 20;
-  std::string Blob = Real.substr(0, 44) + std::string(4 + Payload, '\0') +
+  std::string Blob = Real.substr(0, 28) + std::string(4 + Payload, '\0') +
                      std::string(16, '\0');
-  putU32(Blob, 44, Payload);
+  putU32(Blob, 28, Payload);
   resealChecksum(Blob);
 
   auto peakRssKb = [] {
@@ -349,13 +365,48 @@ TEST(CacheValidationTest, ReportCountBoundedByRecordSize) {
     return long(U.ru_maxrss);
   };
   long Before = peakRssKb();
-  std::vector<ConflictReport> Out;
-  CacheProbe P =
-      deserializeReports(Blob, B.G, AutomatonKind::Lalr1, Opts, Out);
+  std::vector<StoredReport> Out;
+  CacheProbe P = deserializeReportBlob(Blob, Key, B.G, Out);
   long GrowthKb = peakRssKb() - Before;
   EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
   EXPECT_TRUE(Out.empty());
   EXPECT_LT(GrowthKb, 64 * 1024) << "peak RSS grew by " << GrowthKb << " kB";
+}
+
+TEST(CacheValidationTest, EntriesMustAscendStrictly) {
+  // Two well-sealed blobs whose entries are each valid on their own: one
+  // lists two records in descending order, the other one record twice.
+  // Lookups bisect and a record must never carry two reports, so both
+  // are corrupt.
+  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
+  FinderOptions Opts = deterministicOptions();
+  CounterexampleFinder Finder(B.T, Opts);
+  std::vector<ConflictReport> Reports = Finder.examineAll();
+  ASSERT_GE(Reports.size(), 2u);
+  std::sort(Reports.begin(), Reports.end(),
+            [](const ConflictReport &X, const ConflictReport &Y) {
+              return conflictRecordLess(X.TheConflict, Y.TheConflict);
+            });
+  Fingerprint128 Key = blobKey(B, Opts);
+  // One entry's bytes: a single-entry blob minus header, count, checksum.
+  auto entryBytes = [&](const ConflictReport &R) {
+    std::string One = serializeReportBlob(Key, entriesOf({R}));
+    return One.substr(32, One.size() - 48);
+  };
+  const std::string Header = serializeReportBlob(Key, {}).substr(0, 28);
+  for (const auto &[First, Second] :
+       {std::pair(&Reports[1], &Reports[0]),
+        std::pair(&Reports[0], &Reports[0])}) {
+    std::string Blob = Header + std::string(4, '\0') + entryBytes(*First) +
+                       entryBytes(*Second) + std::string(16, '\0');
+    putU32(Blob, 28, 2);
+    resealChecksum(Blob);
+    std::vector<StoredReport> Out;
+    CacheProbe P = deserializeReportBlob(Blob, Key, B.G, Out);
+    EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt) << P.Detail;
+    EXPECT_EQ(P.Detail, "entries not ascending");
+    EXPECT_TRUE(Out.empty());
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -383,10 +434,8 @@ TEST(AnalysisCacheTest, SessionColdThenWarm) {
   CounterexampleFinder WarmFinder(Warm.table(), Opts);
   std::vector<ConflictReport> WarmReports = WarmFinder.examineAll();
   EXPECT_TRUE(WarmFinder.cacheActivity().ReportsFromCache);
-  EXPECT_EQ(serializeReports(Warm.grammar(), AutomatonKind::Lalr1, Opts,
-                             WarmReports),
-            serializeReports(Cold.grammar(), AutomatonKind::Lalr1, Opts,
-                             ColdReports));
+  EXPECT_EQ(WarmFinder.cacheActivity().ConflictsReused, WarmReports.size());
+  EXPECT_EQ(reportBytes(WarmReports), reportBytes(ColdReports));
 
   // Report blobs are all the cache holds, and the session ignores its
   // cache argument: built without one, the table is the same.
@@ -399,8 +448,8 @@ TEST(AnalysisCacheTest, SessionColdThenWarm) {
 }
 
 TEST(AnalysisCacheTest, GrammarEditInvalidates) {
-  // Content addressing: after any grammar edit the new fingerprint simply
-  // misses; the stale blob is never consulted.
+  // Content addressing: after a rule edit the new key simply misses; the
+  // stale blob is never consulted.
   std::string Dir = tempCacheDir("edit");
   AnalysisCache Cache(Dir);
   FinderOptions Opts = deterministicOptions();
@@ -408,19 +457,18 @@ TEST(AnalysisCacheTest, GrammarEditInvalidates) {
   BuiltGrammar B1 = BuiltGrammar::fromText("%%\ne : e PLUS e | x ;\n");
   CounterexampleFinder F1(B1.T, Opts);
   F1.examineAll();
-  ASSERT_TRUE(std::filesystem::exists(
-      Cache.blobPath(B1.G, AutomatonKind::Lalr1, Opts)));
+  ASSERT_TRUE(std::filesystem::exists(Cache.blobPath(blobKey(B1, Opts))));
 
   BuiltGrammar B2 =
       BuiltGrammar::fromText("%%\ne : e PLUS e | e TIMES e | x ;\n");
-  std::vector<ConflictReport> Loaded;
-  EXPECT_EQ(Cache.loadReports(B2.G, AutomatonKind::Lalr1, Opts, Loaded)
-                .Outcome,
+  std::vector<StoredReport> Loaded;
+  EXPECT_EQ(Cache.load(blobKey(B2, Opts), B2.G, Loaded).Outcome,
             CacheOutcome::Miss);
   CounterexampleFinder F2(B2.T, Opts);
   std::vector<ConflictReport> Reports = F2.examineAll();
   EXPECT_FALSE(F2.cacheActivity().ReportsFromCache);
   EXPECT_FALSE(F2.cacheActivity().Degradation);
+  EXPECT_EQ(F2.cacheActivity().ConflictsRecomputed, Reports.size());
   FinderOptions NoCache = Opts;
   NoCache.CachePath.clear();
   CounterexampleFinder Plain(B2.T, NoCache);
@@ -439,14 +487,14 @@ TEST(AnalysisCacheTest, CorruptBlobDegradesToColdRecompute) {
   ASSERT_FALSE(Cold.cacheActivity().ReportsFromCache);
 
   // Flip one payload byte in the stored blob.
-  std::string Path = Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts);
+  std::string Path = Cache.blobPath(blobKey(B, Opts));
   std::string Blob = readFile(Path);
   ASSERT_GT(Blob.size(), 60u);
   Blob[50] = char(Blob[50] ^ 0xFF);
   writeFile(Path, Blob);
 
-  std::vector<ConflictReport> Loaded;
-  CacheProbe P = Cache.loadReports(B.G, AutomatonKind::Lalr1, Opts, Loaded);
+  std::vector<StoredReport> Loaded;
+  CacheProbe P = Cache.load(blobKey(B, Opts), B.G, Loaded);
   EXPECT_EQ(P.Outcome, CacheOutcome::Corrupt);
   EXPECT_TRUE(P.degraded());
   EXPECT_TRUE(Loaded.empty());
@@ -455,16 +503,17 @@ TEST(AnalysisCacheTest, CorruptBlobDegradesToColdRecompute) {
   CounterexampleFinder Recovered(B.T, Opts);
   std::vector<ConflictReport> Reports = Recovered.examineAll();
   EXPECT_FALSE(Recovered.cacheActivity().ReportsFromCache);
+  EXPECT_EQ(Recovered.cacheActivity().ConflictsRecomputed, Reports.size());
   ASSERT_TRUE(Recovered.cacheActivity().Degradation);
   EXPECT_EQ(renderAll(Recovered, Reports), renderAll(Cold, ColdReports));
   std::filesystem::remove_all(Dir);
 }
 
 TEST(AnalysisCacheTest, LeftoverArtifactBlobsAreNeverRead) {
-  // A directory last written by a build that also stored automaton
-  // (`.art`) and state-item graph (`.sig`) blobs: those files are never
-  // opened, so even garbage in them costs nothing, and GC evicts them
-  // like any other blob.
+  // A directory last written by builds that also stored automaton
+  // (`.art`), state-item graph (`.sig`) and per-conflict (`.crep`) blobs:
+  // those files are never opened, so even garbage in them costs nothing,
+  // and GC evicts them like any other blob.
   std::string Dir = tempCacheDir("leftover");
   std::filesystem::create_directories(Dir);
   AnalysisCache Cache(Dir);
@@ -475,6 +524,7 @@ TEST(AnalysisCacheTest, LeftoverArtifactBlobsAreNeverRead) {
       grammarFingerprint(Session.grammar(), AutomatonKind::Lalr1).hex();
   writeFile(Stem + ".art", std::string(300, 'a'));
   writeFile(Stem + ".sig", std::string(300, 's'));
+  writeFile(Stem + ".crep", std::string(300, 'c'));
 
   FinderOptions Opts = deterministicOptions();
   Opts.CachePath = Dir;
@@ -496,6 +546,7 @@ TEST(AnalysisCacheTest, LeftoverArtifactBlobsAreNeverRead) {
   Cache.collectGarbage(0);
   EXPECT_FALSE(std::filesystem::exists(Stem + ".art"));
   EXPECT_FALSE(std::filesystem::exists(Stem + ".sig"));
+  EXPECT_FALSE(std::filesystem::exists(Stem + ".crep"));
   std::filesystem::remove_all(Dir);
 }
 
@@ -513,8 +564,7 @@ TEST(AnalysisCacheTest, FinderRecordsCacheDegradation) {
   // examineAll, record a structured cache-load degradation, and leave the
   // reports untouched by the damage.
   AnalysisCache Cache(Dir);
-  std::string RepPath =
-      Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts);
+  std::string RepPath = Cache.blobPath(blobKey(B, Opts));
   std::string Blob = readFile(RepPath);
   writeFile(RepPath, Blob.substr(0, Blob.size() / 2));
 
@@ -549,8 +599,8 @@ TEST(AnalysisCacheTest, CancelledRunsAreNotStored) {
   EXPECT_EQ(Reports[0].Status, CounterexampleStatus::Cancelled);
 
   AnalysisCache Cache(Dir);
-  EXPECT_FALSE(std::filesystem::exists(
-      Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts)));
+  EXPECT_FALSE(std::filesystem::exists(Cache.blobPath(blobKey(B, Opts))));
+  EXPECT_FALSE(std::filesystem::exists(Dir) && fileCount(Dir) != 0);
   std::filesystem::remove_all(Dir);
 }
 
@@ -573,28 +623,92 @@ TEST(AnalysisCacheTest, RandomGrammarsRoundTripThroughDisk) {
     ParseTable T(M);
     CounterexampleFinder Finder(T, Opts);
     std::vector<ConflictReport> Reports = Finder.examineAll();
-    ASSERT_EQ(
-        Cache.storeReports(*G, AutomatonKind::Lalr1, Opts, Reports).Outcome,
-        CacheOutcome::Stored)
+    Fingerprint128 Key = reportBlobKey(*G, AutomatonKind::Lalr1, Opts,
+                                       T.reportedConflicts());
+    ASSERT_EQ(Cache.store(Key, entriesOf(Reports)).Outcome,
+              CacheOutcome::Stored)
         << Text;
-    std::vector<ConflictReport> Out;
-    CacheProbe P = Cache.loadReports(*G, AutomatonKind::Lalr1, Opts, Out);
+    std::vector<StoredReport> Out;
+    CacheProbe P = Cache.load(Key, *G, Out);
     ASSERT_TRUE(P.hit()) << Text << P.Detail;
-    EXPECT_EQ(serializeReports(*G, AutomatonKind::Lalr1, Opts, Out),
-              serializeReports(*G, AutomatonKind::Lalr1, Opts, Reports))
+    EXPECT_EQ(serializeReportBlob(Key, Out),
+              serializeReportBlob(Key, entriesOf(Reports)))
         << Text;
   }
   std::filesystem::remove_all(Dir);
 }
 
+TEST(AnalysisCacheTest, OneBlobPerStructure) {
+  // One grammar structure, one file: a cold run leaves a single blob, a
+  // rename is served whole from it without rewriting it, and a
+  // structural edit through an IncrementalSession handoff adds exactly
+  // one blob for its new structure, reading the first one untouched.
+  std::string Dir = tempCacheDir("one_blob");
+  FinderOptions Opts;
+  Opts.ConflictTimeLimitSeconds = 0;
+  Opts.CumulativeTimeLimitSeconds = 0;
+  Opts.MaxConfigurations = 50'000;
+  Opts.CachePath = Dir;
+
+  Grammar G = loadCorpusGrammar("SQL.3");
+  EditableGrammar Model = EditableGrammar::fromGrammar(G);
+  IncrementalSession Sess(G);
+  auto run = [&](const IncrementalHandoff *H) {
+    FinderOptions O = Opts;
+    O.Incremental = H;
+    CounterexampleFinder Finder(Sess.table(), O);
+    size_t N = Finder.examineAll().size();
+    return std::make_pair(N, Finder.cacheActivity());
+  };
+
+  auto [N, Cold] = run(nullptr);
+  ASSERT_GE(N, 2u);
+  EXPECT_EQ(Cold.ConflictsRecomputed, N);
+  ASSERT_EQ(fileCount(Dir), 1u);
+  const std::filesystem::path Blob =
+      std::filesystem::directory_iterator(Dir)->path();
+  const std::string Bytes = readFile(Blob.string());
+  // Backdated, so a rewrite with identical bytes still shows.
+  const auto Stamp =
+      std::filesystem::last_write_time(Blob) - std::chrono::hours(1);
+  std::filesystem::last_write_time(Blob, Stamp);
+
+  EditRng Rng(5);
+  ASSERT_TRUE(applyRandomEdit(Model, Rng, {EditKind::RenameNonterminal}));
+  std::optional<Grammar> Renamed = Model.build();
+  ASSERT_TRUE(Renamed);
+  Sess.advance(*Renamed);
+  auto [NR, Rename] = run(Sess.handoff());
+  EXPECT_EQ(NR, N);
+  EXPECT_TRUE(Rename.ReportsFromCache);
+  EXPECT_EQ(Rename.ConflictsReused, N);
+  EXPECT_EQ(fileCount(Dir), 1u);
+  EXPECT_EQ(readFile(Blob.string()), Bytes);
+  EXPECT_EQ(std::filesystem::last_write_time(Blob), Stamp);
+
+  ASSERT_TRUE(applyRandomEdit(Model, Rng, {EditKind::AddAlternative}));
+  std::optional<Grammar> Edited = Model.build();
+  ASSERT_TRUE(Edited);
+  Sess.advance(*Edited);
+  ASSERT_TRUE(Sess.handoff());
+  auto [NE, Edit] = run(Sess.handoff());
+  EXPECT_FALSE(Edit.ReportsFromCache);
+  EXPECT_EQ(Edit.ConflictsReused + Edit.ConflictsRemapped +
+                Edit.ConflictsRecomputed,
+            NE);
+  EXPECT_EQ(fileCount(Dir), 2u);
+  EXPECT_EQ(readFile(Blob.string()), Bytes);
+  EXPECT_EQ(std::filesystem::last_write_time(Blob), Stamp);
+  std::filesystem::remove_all(Dir);
+}
+
 //===----------------------------------------------------------------------===//
-// Conflict-granularity blobs
+// One blob per grammar structure
 //===----------------------------------------------------------------------===//
 
-/// Reuse-eligible deterministic budgets: the fine-grained layer switches
-/// itself off under a finite cumulative budget (cross-conflict budget
-/// coupling breaks report purity), so these tests cap only the
-/// per-conflict step count.
+/// Reuse-eligible deterministic budgets: a finite cumulative budget
+/// couples conflicts (a blob is then served only whole), so these tests
+/// cap only the per-conflict step count.
 FinderOptions fineGrainedOptions() {
   FinderOptions Opts;
   Opts.ConflictTimeLimitSeconds = 0;
@@ -603,214 +717,216 @@ FinderOptions fineGrainedOptions() {
   return Opts;
 }
 
-/// serializeReports bytes with the wall-clock Seconds field zeroed on
-/// every report — the only field that may differ between a cold
-/// recompute and a re-served report of the same conflict.
-std::string reportBytesNoTiming(const BuiltGrammar &B,
-                                const FinderOptions &Opts,
-                                std::vector<ConflictReport> Reports) {
+/// reportBytes with the wall-clock Seconds field zeroed on every report —
+/// the only field that may differ between a cold recompute and a
+/// re-served report of the same conflict.
+std::string reportBytesNoTiming(std::vector<ConflictReport> Reports) {
   for (ConflictReport &R : Reports)
     R.Seconds = 0;
-  return serializeReports(B.G, AutomatonKind::Lalr1, Opts, Reports);
+  return reportBytes(Reports);
 }
+
+/// An expression grammar and its precedence variant: one structure
+/// (every symbol declared up front, so the ids agree), but `%left PLUS`
+/// settles the conflict of `e PLUS e` on PLUS, so the variant reports a
+/// strict subset of the base's conflicts.
+const char *const ExprBase =
+    "%token PLUS TIMES x\n%%\ne : e PLUS e | e TIMES e | x ;\n";
+const char *const ExprLeftPlus =
+    "%token PLUS TIMES x\n%left PLUS\n%%\ne : e PLUS e | e TIMES e | x ;\n";
 
 TEST(ConflictBlobTest, SaveLoadSaveByteIdentical) {
   BuiltGrammar B = BuiltGrammar::fromCorpus("SQL.3");
   FinderOptions Opts = fineGrainedOptions();
   CounterexampleFinder Finder(B.T, Opts);
-  std::vector<ConflictReport> Reports = Finder.examineAll();
   std::vector<Conflict> Conflicts = B.T.reportedConflicts();
   ASSERT_GE(Conflicts.size(), 2u);
-  ASSERT_EQ(Reports.size(), Conflicts.size());
 
-  ConflictKeyContext Ctx(B.M, Opts);
+  // Every conflict but the second, each with its search's touched set.
+  StateItemGraph Graph(B.M);
+  std::vector<StoredReport> Entries;
   for (size_t I = 0; I != Conflicts.size(); ++I) {
-    Fingerprint128 Key = Ctx.conflictFingerprint(Conflicts[I]);
-    std::string Blob = serializeConflictReport(Key, Reports[I]);
-    ConflictReport Out;
-    CacheProbe P =
-        deserializeConflictReport(Blob, Key, B.G, Conflicts[I], Out);
-    ASSERT_TRUE(P.hit()) << P.Detail;
-    EXPECT_EQ(serializeConflictReport(Key, Out), Blob);
-    EXPECT_EQ(Finder.render(Out), Finder.render(Reports[I]));
-    EXPECT_EQ(Out.Seconds, Reports[I].Seconds);
+    if (I == 1)
+      continue;
+    GraphTouchRecorder Rec(Graph.numNodes());
+    StoredReport E;
+    {
+      ScopedGraphTouchRecorder Scope(&Rec);
+      E.Report = Finder.examine(Conflicts[I]);
+    }
+    E.Touched = Rec.sortedNodes();
+    Entries.push_back(std::move(E));
   }
 
-  // A blob presented for a different live conflict is rejected even
-  // under its own key: the embedded conflict record disagrees, so a
-  // fingerprint collision can never serve a wrong report.
-  Fingerprint128 K0 = Ctx.conflictFingerprint(Conflicts[0]);
-  std::string Blob = serializeConflictReport(K0, Reports[0]);
-  ConflictReport Out;
-  CacheProbe P = deserializeConflictReport(Blob, K0, B.G, Conflicts[1], Out);
-  EXPECT_EQ(P.Outcome, CacheOutcome::KeyMismatch);
+  Fingerprint128 Key = blobKey(B, Opts);
+  std::string Blob = serializeReportBlob(Key, Entries);
+  std::vector<StoredReport> Out;
+  CacheProbe P = deserializeReportBlob(Blob, Key, B.G, Out);
+  ASSERT_TRUE(P.hit()) << P.Detail;
+  ASSERT_EQ(Out.size(), Entries.size());
+  EXPECT_EQ(serializeReportBlob(Key, Out), Blob);
+  for (const StoredReport &E : Entries) {
+    const StoredReport *L = findStoredReport(Out, E.Report.TheConflict);
+    ASSERT_TRUE(L);
+    EXPECT_EQ(Finder.render(L->Report), Finder.render(E.Report));
+    EXPECT_EQ(L->Report.Seconds, E.Report.Seconds);
+    EXPECT_FALSE(L->Touched.empty());
+    EXPECT_EQ(L->Touched, E.Touched);
+  }
+
+  // A record absent from the set misses: the blob never serves one
+  // conflict's report for another.
+  EXPECT_EQ(findStoredReport(Out, Conflicts[1]), nullptr);
 }
 
 TEST(ConflictBlobTest, KeySensitivity) {
-  BuiltGrammar B = BuiltGrammar::fromCorpus("SQL.3");
+  BuiltGrammar B = BuiltGrammar::fromText(ExprBase);
   FinderOptions Opts = fineGrainedOptions();
-  ConflictKeyContext Ctx(B.M, Opts);
   std::vector<Conflict> Conflicts = B.T.reportedConflicts();
   ASSERT_GE(Conflicts.size(), 2u);
+  const Fingerprint128 K = blobKey(B, Opts);
+  EXPECT_EQ(blobKey(B, Opts), K);
 
-  // Distinct conflicts get distinct keys (the conflict record is in the
-  // key), and the same conflict keys identically across contexts.
-  std::vector<std::string> Hexes;
-  for (const Conflict &C : Conflicts)
-    Hexes.push_back(Ctx.conflictFingerprint(C).hex());
-  std::sort(Hexes.begin(), Hexes.end());
-  EXPECT_EQ(std::unique(Hexes.begin(), Hexes.end()) - Hexes.begin(),
-            long(Conflicts.size()));
-  ConflictKeyContext Again(B.M, Opts);
-  EXPECT_EQ(Again.conflictFingerprint(Conflicts[0]),
-            Ctx.conflictFingerprint(Conflicts[0]));
-
-  // Report-content options fold into the key; Jobs must not (reports
-  // are byte-identical across job counts), and the version salt must.
+  // Report-content options, the version salt and the automaton kind fold
+  // into the key; Jobs must not (reports are byte-identical across job
+  // counts).
   FinderOptions Budget = Opts;
   Budget.MaxConfigurations += 1;
-  EXPECT_NE(ConflictKeyContext(B.M, Budget).conflictFingerprint(Conflicts[0]),
-            Ctx.conflictFingerprint(Conflicts[0]));
+  EXPECT_NE(blobKey(B, Budget), K);
   FinderOptions Jobs = Opts;
   Jobs.Jobs = 7;
-  EXPECT_EQ(ConflictKeyContext(B.M, Jobs).conflictFingerprint(Conflicts[0]),
-            Ctx.conflictFingerprint(Conflicts[0]));
-  EXPECT_NE(ConflictKeyContext(B.M, Opts, FormatVersion + 1)
-                .conflictFingerprint(Conflicts[0]),
-            Ctx.conflictFingerprint(Conflicts[0]));
-}
+  EXPECT_EQ(blobKey(B, Jobs), K);
+  EXPECT_NE(reportBlobKey(B.G, AutomatonKind::Lalr1, Opts, Conflicts,
+                          FormatVersion + 1),
+            K);
+  EXPECT_NE(reportBlobKey(B.G, AutomatonKind::Canonical, Opts, Conflicts), K);
 
-TEST(ConflictBlobTest, DamageDegradesOnlyThatConflict) {
-  std::string Dir = tempCacheDir("crep_damage");
-  BuiltGrammar B = BuiltGrammar::fromCorpus("SQL.3");
-  FinderOptions Opts = fineGrainedOptions();
-  Opts.CachePath = Dir;
+  // Names, precedence and %expect leave the structure as it is; any
+  // production edit moves it.
+  for (const char *Same :
+       {"%token PLUS TIMES x\n%%\nexpr : expr PLUS expr | expr TIMES expr "
+        "| x ;\n",
+        "%token ADD TIMES x\n%%\ne : e ADD e | e TIMES e | x ;\n",
+        ExprLeftPlus, "%token PLUS TIMES x\n%expect 4\n%%\ne : e PLUS e "
+                      "| e TIMES e | x ;\n"})
+    EXPECT_EQ(blobKey(BuiltGrammar::fromText(Same), Opts), K) << Same;
+  for (const char *Moved :
+       {"%token PLUS TIMES x\n%%\ne : e PLUS e | e TIMES e | x | e x ;\n",
+        "%token PLUS TIMES x\n%%\ne : e TIMES e | e PLUS e | x ;\n",
+        "%token PLUS TIMES x\n%%\ne : e PLUS e | e TIMES x | x ;\n"})
+    EXPECT_NE(blobKey(BuiltGrammar::fromText(Moved), Opts), K) << Moved;
 
-  CounterexampleFinder Cold(B.T, Opts);
-  std::vector<ConflictReport> ColdReports = Cold.examineAll();
-  const size_t N = ColdReports.size();
-  ASSERT_GE(N, 2u);
-  EXPECT_EQ(Cold.cacheActivity().ConflictsReused, 0u);
-  EXPECT_EQ(Cold.cacheActivity().ConflictsRecomputed, N);
-
-  AnalysisCache Cache(Dir);
-  ConflictKeyContext Ctx(B.M, Opts);
-  std::vector<Conflict> Conflicts = B.T.reportedConflicts();
-  std::string RepPath = Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts);
-
-  // Bit-flip one conflict's blob. The whole-set blob is removed first so
-  // the fine-grained path actually runs.
-  ASSERT_TRUE(std::filesystem::remove(RepPath));
-  std::string CrepPath =
-      Cache.conflictBlobPath(Ctx.conflictFingerprint(Conflicts[0]));
-  std::string Blob = readFile(CrepPath);
-  ASSERT_GT(Blob.size(), 60u);
-  Blob[50] = char(Blob[50] ^ 0x20);
-  writeFile(CrepPath, Blob);
-
-  CounterexampleFinder Warm(B.T, Opts);
-  std::vector<ConflictReport> WarmReports = Warm.examineAll();
-  EXPECT_FALSE(Warm.cacheActivity().ReportsFromCache);
-  EXPECT_EQ(Warm.cacheActivity().ConflictsReused, N - 1);
-  EXPECT_EQ(Warm.cacheActivity().ConflictsRecomputed, 1u);
-  ASSERT_TRUE(Warm.cacheActivity().Degradation);
-  EXPECT_EQ(Warm.cacheActivity().Degradation->Stage, "cache-load");
-  EXPECT_EQ(Warm.cacheActivity().Degradation->K,
-            FailureReason::InternalError);
-  ASSERT_EQ(WarmReports.size(), N);
-  EXPECT_EQ(reportBytesNoTiming(B, Opts, WarmReports),
-            reportBytesNoTiming(B, Opts, ColdReports));
-
-  // Truncating a different conflict's blob likewise degrades only that
-  // conflict (the damaged blob was healed by the recompute above, and
-  // the whole-set blob was re-published, so remove it again).
-  ASSERT_TRUE(std::filesystem::remove(RepPath));
-  std::string Crep1 =
-      Cache.conflictBlobPath(Ctx.conflictFingerprint(Conflicts[1]));
-  std::string Blob1 = readFile(Crep1);
-  writeFile(Crep1, Blob1.substr(0, Blob1.size() / 2));
-
-  CounterexampleFinder Trunc(B.T, Opts);
-  std::vector<ConflictReport> TruncReports = Trunc.examineAll();
-  EXPECT_EQ(Trunc.cacheActivity().ConflictsReused, N - 1);
-  EXPECT_EQ(Trunc.cacheActivity().ConflictsRecomputed, 1u);
-  ASSERT_TRUE(Trunc.cacheActivity().Degradation);
-  EXPECT_EQ(reportBytesNoTiming(B, Opts, TruncReports),
-            reportBytesNoTiming(B, Opts, ColdReports));
-  std::filesystem::remove_all(Dir);
+  // Under a finite cumulative budget the reported conflict list folds in
+  // too; otherwise it is ignored.
+  std::vector<Conflict> Fewer(Conflicts.begin(), Conflicts.end() - 1);
+  EXPECT_EQ(reportBlobKey(B.G, AutomatonKind::Lalr1, Opts, Fewer), K);
+  FinderOptions Coupled = Opts;
+  Coupled.CumulativeMaxConfigurations = 200'000;
+  EXPECT_NE(reportBlobKey(B.G, AutomatonKind::Lalr1, Coupled, Fewer),
+            reportBlobKey(B.G, AutomatonKind::Lalr1, Coupled, Conflicts));
 }
 
 TEST(ConflictBlobTest, PartiallyPopulatedCacheRoundTrips) {
-  // A missing `.crep` (e.g. a GC eviction) is a plain miss: the conflict
-  // is recomputed, nothing is recorded as a degradation, and the
-  // assembled report set is byte-identical to the cold one.
-  std::string Dir = tempCacheDir("crep_partial");
-  BuiltGrammar B = BuiltGrammar::fromCorpus("SQL.3");
+  // A precedence variant of one structure reports a subset of its
+  // conflicts and shares its blob: the base then serves the conflicts the
+  // variant stored, recomputes the rest without a degradation, and
+  // assembles a report set byte-identical to a cold run; the merged blob
+  // makes the run after that a full hit.
+  std::string Dir = tempCacheDir("blob_partial");
   FinderOptions Opts = fineGrainedOptions();
   Opts.CachePath = Dir;
+  BuiltGrammar Base = BuiltGrammar::fromText(ExprBase);
+  BuiltGrammar Variant = BuiltGrammar::fromText(ExprLeftPlus);
+  ASSERT_EQ(blobKey(Base, Opts), blobKey(Variant, Opts));
 
-  CounterexampleFinder Cold(B.T, Opts);
-  std::vector<ConflictReport> ColdReports = Cold.examineAll();
-  const size_t N = ColdReports.size();
-  ASSERT_GE(N, 2u);
+  CounterexampleFinder First(Variant.T, Opts);
+  const size_t Held = First.examineAll().size();
+  const size_t N = Base.T.reportedConflicts().size();
+  ASSERT_GT(Held, 0u);
+  ASSERT_LT(Held, N);
 
-  AnalysisCache Cache(Dir);
-  ConflictKeyContext Ctx(B.M, Opts);
-  std::vector<Conflict> Conflicts = B.T.reportedConflicts();
-  ASSERT_TRUE(std::filesystem::remove(
-      Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts)));
-  ASSERT_TRUE(std::filesystem::remove(
-      Cache.conflictBlobPath(Ctx.conflictFingerprint(Conflicts[1]))));
-
-  CounterexampleFinder Partial(B.T, Opts);
+  CounterexampleFinder Partial(Base.T, Opts);
   std::vector<ConflictReport> Reports = Partial.examineAll();
-  EXPECT_EQ(Partial.cacheActivity().ConflictsReused, N - 1);
-  EXPECT_EQ(Partial.cacheActivity().ConflictsRecomputed, 1u);
+  EXPECT_FALSE(Partial.cacheActivity().ReportsFromCache);
+  EXPECT_EQ(Partial.cacheActivity().ConflictsReused, Held);
+  EXPECT_EQ(Partial.cacheActivity().ConflictsRecomputed, N - Held);
   EXPECT_FALSE(Partial.cacheActivity().Degradation);
-  EXPECT_EQ(reportBytesNoTiming(B, Opts, Reports),
-            reportBytesNoTiming(B, Opts, ColdReports));
+  FinderOptions NoCache = Opts;
+  NoCache.CachePath.clear();
+  CounterexampleFinder Plain(Base.T, NoCache);
+  EXPECT_EQ(reportBytesNoTiming(Reports),
+            reportBytesNoTiming(Plain.examineAll()));
 
-  // The recompute re-published everything: the next run is a whole-set
-  // hit again.
-  CounterexampleFinder Healed(B.T, Opts);
+  CounterexampleFinder Healed(Base.T, Opts);
   Healed.examineAll();
   EXPECT_TRUE(Healed.cacheActivity().ReportsFromCache);
+  EXPECT_EQ(Healed.cacheActivity().ConflictsReused, N);
+  EXPECT_EQ(fileCount(Dir), 1u);
   std::filesystem::remove_all(Dir);
 }
 
 TEST(ConflictBlobTest, FiniteCumulativeBudgetDisablesReuse) {
   // With a finite cumulative budget each conflict's effective budget
-  // depends on its predecessors, so per-conflict reports are not pure
-  // functions of their key: the fine-grained layer must switch off —
-  // counters stay zero and no `.crep` blob is ever published. The
-  // whole-set blob (one complete run's verbatim output) still works.
-  std::string Dir = tempCacheDir("crep_cumulative");
-  BuiltGrammar B = BuiltGrammar::fromCorpus("SQL.3");
+  // depends on its predecessors, so a report is not a function of its
+  // own record: the key folds the reported conflict list, and a blob is
+  // served only whole. The precedence variant's blob therefore serves
+  // the base nothing, and the base renders exactly like a cacheless run.
+  std::string Dir = tempCacheDir("blob_cumulative");
   FinderOptions Opts = deterministicOptions(); // finite cumulative cap
   Opts.CachePath = Dir;
+  BuiltGrammar Base = BuiltGrammar::fromText(ExprBase);
+  BuiltGrammar Variant = BuiltGrammar::fromText(ExprLeftPlus);
 
-  CounterexampleFinder Cold(B.T, Opts);
-  std::vector<ConflictReport> ColdReports = Cold.examineAll();
-  ASSERT_GE(ColdReports.size(), 2u);
-  EXPECT_EQ(Cold.cacheActivity().ConflictsReused, 0u);
-  EXPECT_EQ(Cold.cacheActivity().ConflictsRecomputed, 0u);
-  size_t Creps = 0;
-  for (const auto &E : std::filesystem::directory_iterator(Dir))
-    if (E.path().extension() == ".crep")
-      ++Creps;
-  EXPECT_EQ(Creps, 0u);
+  CounterexampleFinder First(Variant.T, Opts);
+  ASSERT_GT(First.examineAll().size(), 0u);
 
-  AnalysisCache Cache(Dir);
-  ASSERT_TRUE(std::filesystem::remove(
-      Cache.blobPath(B.G, AutomatonKind::Lalr1, Opts)));
-  CounterexampleFinder Again(B.T, Opts);
-  std::vector<ConflictReport> AgainReports = Again.examineAll();
+  CounterexampleFinder Again(Base.T, Opts);
+  std::vector<ConflictReport> Reports = Again.examineAll();
+  const size_t N = Reports.size();
+  ASSERT_GE(N, 3u);
   EXPECT_FALSE(Again.cacheActivity().ReportsFromCache);
   EXPECT_EQ(Again.cacheActivity().ConflictsReused, 0u);
-  EXPECT_EQ(Again.cacheActivity().ConflictsRecomputed, 0u);
-  ASSERT_EQ(AgainReports.size(), ColdReports.size());
-  for (size_t I = 0; I != AgainReports.size(); ++I)
-    EXPECT_EQ(Again.render(AgainReports[I]), Cold.render(ColdReports[I]));
+  EXPECT_EQ(Again.cacheActivity().ConflictsRemapped, 0u);
+  EXPECT_EQ(Again.cacheActivity().ConflictsRecomputed, N);
+  FinderOptions NoCache = Opts;
+  NoCache.CachePath.clear();
+  CounterexampleFinder Plain(Base.T, NoCache);
+  const std::vector<ConflictReport> PlainReports = Plain.examineAll();
+  EXPECT_EQ(renderAll(Again, Reports), renderAll(Plain, PlainReports));
+  EXPECT_EQ(reportBytesNoTiming(Reports), reportBytesNoTiming(PlainReports));
+
+  // The base's own blob is then served whole...
+  CounterexampleFinder Warm(Base.T, Opts);
+  Warm.examineAll();
+  EXPECT_TRUE(Warm.cacheActivity().ReportsFromCache);
+  EXPECT_EQ(Warm.cacheActivity().ConflictsReused, N);
+  EXPECT_EQ(fileCount(Dir), 2u);
+
+  // ...or not at all: a well-formed blob under the base's key that lacks
+  // one of its conflicts serves none of the others. Every planted report
+  // carries a sentinel configuration count, so a served one shows in the
+  // report bytes; each run recomputes every conflict once, in order.
+  AnalysisCache Cache(Dir);
+  for (size_t Drop : {N - 1, size_t(1)}) {
+    SCOPED_TRACE("without conflict #" + std::to_string(Drop));
+    std::vector<ConflictReport> Planted;
+    for (size_t I = 0; I != N; ++I) {
+      if (I == Drop)
+        continue;
+      Planted.push_back(Reports[I]);
+      Planted.back().Configurations = 987'654'321;
+    }
+    ASSERT_EQ(Cache.store(blobKey(Base, Opts), entriesOf(Planted)).Outcome,
+              CacheOutcome::Stored);
+    CounterexampleFinder Cut(Base.T, Opts);
+    std::vector<ConflictReport> CutReports = Cut.examineAll();
+    EXPECT_FALSE(Cut.cacheActivity().ReportsFromCache);
+    EXPECT_EQ(Cut.cacheActivity().ConflictsReused, 0u);
+    EXPECT_EQ(Cut.cacheActivity().ConflictsRecomputed, N);
+    EXPECT_FALSE(Cut.cacheActivity().Degradation);
+    EXPECT_EQ(reportBytesNoTiming(CutReports),
+              reportBytesNoTiming(PlainReports));
+  }
   std::filesystem::remove_all(Dir);
 }
 
@@ -882,8 +998,8 @@ TEST(AnalysisCacheGcTest, EvictedBlobsMissAndRepopulate) {
   EXPECT_FALSE(Re.cacheActivity().Degradation);
   EXPECT_EQ(Re.cacheActivity().ConflictsReused, 0u);
   EXPECT_EQ(Re.cacheActivity().ConflictsRecomputed, Reports.size());
-  EXPECT_EQ(reportBytesNoTiming(B, Opts, Reports),
-            reportBytesNoTiming(B, Opts, ColdReports));
+  EXPECT_EQ(reportBytesNoTiming(Reports),
+            reportBytesNoTiming(ColdReports));
 
   CounterexampleFinder Warm(B.T, Opts);
   Warm.examineAll();

@@ -8,26 +8,26 @@
 // nonterminal, toggle precedence, toggle %expect, toggle a whole
 // fresh-nonterminal block) and after every edit check that the
 // incremental run is byte-identical to a cold recompute, at Jobs = 1 and
-// Jobs = 4, and that the reuse counters are exactly the per-conflict
-// key-set intersection with everything the cache has seen.
+// Jobs = 4, and that the reuse counters are exactly the (blob key,
+// conflict record) intersection with everything the cache has seen.
 //
 // The incremental leg holds an IncrementalSession across the edit
-// stream, so it exercises the session and both reuse grains at once:
+// stream, so it exercises the session and both reuse paths at once:
 //
 //   - the session's generation (built cold, states kernel-matched to the
 //     previous one) — asserted equal to a cold build, field by field
 //     (TestUtil.h's expectSameTable/expectSameGraph), after every edit;
-//   - *direct* per-conflict cache hits — keys that survived the edit
-//     verbatim;
-//   - *remapped* hits — keys that moved, re-served from the previous
-//     generation's blob after touched-set verification through the
-//     session's state maps.
+//   - *direct* hits — conflicts whose record is in the blob of the
+//     edited grammar's structure;
+//   - *remapped* hits — conflicts that missed, re-served from the
+//     previous generation's blob after touched-set verification through
+//     the session's state maps; every other miss is counted under
+//     exactly one cache.remap_* refusal reason.
 //
 // Budgets are deterministic (step caps only, no wall-clock deadlines,
 // unlimited cumulative budget): report bytes are then a pure function of
-// (automaton structure, options, conflict), which is the soundness
-// premise of conflict-level reuse, so any divergence is a real bug, not
-// noise.
+// (grammar structure, options, conflict), which is the soundness premise
+// of conflict-level reuse, so any divergence is a real bug, not noise.
 //
 //===----------------------------------------------------------------------===//
 
@@ -36,6 +36,7 @@
 #include "cache/AnalysisCache.h"
 #include "counterexample/IncrementalSession.h"
 #include "grammar/GrammarEdit.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -55,7 +56,7 @@ std::string tempCacheDir(const std::string &Name) {
 
 /// Deterministic and reuse-eligible: per-conflict step caps only. A
 /// finite cumulative budget would both add cross-conflict coupling and
-/// switch the fine-grained layer off (see cache/AnalysisCache.h).
+/// serve blobs only whole, with remaps off (see cache/AnalysisCache.h).
 FinderOptions oracleOptions(size_t MaxConfigs) {
   FinderOptions Opts;
   Opts.ConflictTimeLimitSeconds = 0;
@@ -66,27 +67,40 @@ FinderOptions oracleOptions(size_t MaxConfigs) {
 
 /// One full examineAll run plus everything the oracle compares.
 struct RunResult {
-  /// serializeReports bytes with every report's wall-clock Seconds
-  /// zeroed: the one field that legitimately differs between a cold
-  /// recompute and a re-served report of the same conflict.
+  /// reportBytes with every report's wall-clock Seconds zeroed: the one
+  /// field that legitimately differs between a cold recompute and a
+  /// re-served report of the same conflict.
   std::string Bytes;
   /// Rendered report text (renders no timings).
   std::string Rendered;
   size_t Reused = 0;
   size_t Remapped = 0;
   size_t Recomputed = 0;
-  bool WholeSetHit = false;
+  /// The cache.remap_* counters: why each miss was not remapped.
+  uint64_t RemapRefusals = 0;
   size_t NumConflicts = 0;
-  /// Per-conflict cache keys of this grammar's reported conflicts.
-  std::vector<std::string> Keys;
+  /// (blob key, conflict record) of this grammar's reported conflicts.
+  std::vector<std::pair<std::string, Conflict>> Keys;
+};
+
+/// Orders (blob key, conflict record) pairs: blob key, then record.
+struct KeyLess {
+  bool operator()(const std::pair<std::string, Conflict> &A,
+                  const std::pair<std::string, Conflict> &B) const {
+    if (A.first != B.first)
+      return A.first < B.first;
+    return conflictRecordLess(A.second, B.second);
+  }
 };
 
 RunResult runWith(const Grammar &G, const ParseTable &T, FinderOptions Opts,
                   const std::string &CacheDir, unsigned Jobs,
                   const IncrementalHandoff *H) {
+  MetricsRegistry Metrics;
   Opts.CachePath = CacheDir;
   Opts.Jobs = Jobs;
   Opts.Incremental = H;
+  Opts.Metrics = &Metrics;
   CounterexampleFinder Finder(T, Opts);
   std::vector<ConflictReport> Reports = Finder.examineAll();
 
@@ -94,19 +108,25 @@ RunResult runWith(const Grammar &G, const ParseTable &T, FinderOptions Opts,
   R.Reused = Finder.cacheActivity().ConflictsReused;
   R.Remapped = Finder.cacheActivity().ConflictsRemapped;
   R.Recomputed = Finder.cacheActivity().ConflictsRecomputed;
-  R.WholeSetHit = Finder.cacheActivity().ReportsFromCache;
+  MetricsSnapshot Snap = Metrics.snapshot();
+  for (metric::Counter C :
+       {metric::CacheRemapUnmapped, metric::CacheRemapAbsent,
+        metric::CacheRemapUnverified, metric::CacheRemapRefused})
+    R.RemapRefusals += Snap.counter(C);
   R.NumConflicts = Reports.size();
 
   std::vector<ConflictReport> Zeroed = Reports;
   for (ConflictReport &Rep : Zeroed)
     Rep.Seconds = 0;
-  R.Bytes = serializeReports(G, T.automaton().kind(), Opts, Zeroed);
+  R.Bytes = reportBytes(Zeroed);
   for (const ConflictReport &Rep : Reports)
     R.Rendered += Finder.render(Rep);
 
-  ConflictKeyContext Ctx(T.automaton(), Opts);
-  for (const Conflict &C : T.reportedConflicts())
-    R.Keys.push_back(Ctx.conflictFingerprint(C).hex());
+  std::vector<Conflict> Reported = T.reportedConflicts();
+  std::string Key =
+      reportBlobKey(G, T.automaton().kind(), Opts, Reported).hex();
+  for (const Conflict &C : Reported)
+    R.Keys.emplace_back(Key, C);
   return R;
 }
 
@@ -136,7 +156,7 @@ void runOracle(const Grammar &Initial, uint64_t Seed, unsigned NumEdits,
 
   // Prime both cache directories with the pre-edit grammar; the first
   // run of a fresh cache reuses nothing and recomputes everything.
-  std::set<std::string> Seen;
+  std::set<std::pair<std::string, Conflict>, KeyLess> Seen;
   {
     RunResult PrimeA = runWith(SessA.grammar(), SessA.table(), Opts, DirA,
                                1, nullptr);
@@ -146,8 +166,7 @@ void runOracle(const Grammar &Initial, uint64_t Seed, unsigned NumEdits,
       EXPECT_EQ(Prime->Reused, 0u);
       EXPECT_EQ(Prime->Remapped, 0u);
       EXPECT_EQ(Prime->Recomputed, Prime->NumConflicts);
-      for (const std::string &K : Prime->Keys)
-        Seen.insert(K);
+      Seen.insert(Prime->Keys.begin(), Prime->Keys.end());
     }
   }
 
@@ -178,11 +197,12 @@ void runOracle(const Grammar &Initial, uint64_t Seed, unsigned NumEdits,
     EXPECT_EQ(Cold.Recomputed, 0u); // cacheless runs count nothing
 
     // The exact expectation for *direct* hits, from the key layer
-    // itself: a conflict's key hits iff it is already in the cache,
-    // i.e. appeared in any earlier run of this edit history. Remapped
-    // hits come on top of these, out of the missed remainder.
+    // itself: a conflict hits iff its (blob key, record) pair is already
+    // in the cache, i.e. appeared in any earlier run of this edit
+    // history. Remapped hits come on top of these, out of the missed
+    // remainder.
     size_t ExpectReused = 0;
-    for (const std::string &K : Cold.Keys)
+    for (const auto &K : Cold.Keys)
       if (Seen.count(K))
         ++ExpectReused;
 
@@ -195,24 +215,19 @@ void runOracle(const Grammar &Initial, uint64_t Seed, unsigned NumEdits,
       // Byte-identity with the cold recompute, and identical rendering.
       EXPECT_EQ(Incr.Bytes, Cold.Bytes);
       EXPECT_EQ(Incr.Rendered, Cold.Rendered);
-      if (Incr.WholeSetHit) {
-        // This edit recreated a previously seen grammar (e.g. %expect
-        // toggled back): the whole-set key hit and the fine-grained
-        // layer never ran.
-        EXPECT_EQ(Incr.Reused, 0u);
-        EXPECT_EQ(Incr.Remapped, 0u);
-        EXPECT_EQ(Incr.Recomputed, 0u);
-      } else {
-        EXPECT_EQ(Incr.Reused, ExpectReused);
-        // Reused + Remapped + Recomputed covers every conflict.
-        EXPECT_EQ(Incr.Recomputed,
-                  Incr.NumConflicts - Incr.Reused - Incr.Remapped);
-      }
+      EXPECT_EQ(Incr.Reused, ExpectReused);
+      // Reused + Remapped + Recomputed covers every conflict.
+      EXPECT_EQ(Incr.Recomputed,
+                Incr.NumConflicts - Incr.Reused - Incr.Remapped);
+      // With a handoff, every recompute has exactly one refusal reason.
+      if (Sess.handoff())
+        EXPECT_EQ(Incr.RemapRefusals, Incr.Recomputed);
+      else
+        EXPECT_EQ(Incr.RemapRefusals, 0u);
       if (TotalRemapped)
         *TotalRemapped += Incr.Remapped;
     }
-    for (const std::string &K : Cold.Keys)
-      Seen.insert(K);
+    Seen.insert(Cold.Keys.begin(), Cold.Keys.end());
   }
 
   std::filesystem::remove_all(DirA);

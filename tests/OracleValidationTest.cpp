@@ -18,7 +18,6 @@
 
 #include "RandomGrammar.h"
 #include "TestUtil.h"
-#include "cache/AnalysisCache.h"
 #include "earley/DerivationCounter.h"
 
 #include <gtest/gtest.h>
@@ -164,8 +163,7 @@ TEST_P(OracleCacheEqualityTest, WarmReportsByteIdenticalToCold) {
   CounterexampleFinder Cold(T, Opts);
   std::vector<ConflictReport> ColdReports = Cold.examineAll();
   ASSERT_FALSE(Cold.cacheActivity().ReportsFromCache);
-  std::string ColdBytes = cache::serializeReports(*G, AutomatonKind::Lalr1,
-                                                  Opts, ColdReports);
+  std::string ColdBytes = reportBytes(ColdReports);
 
   for (unsigned Jobs : {1u, 4u}) {
     FinderOptions WarmOpts = Opts;
@@ -174,9 +172,7 @@ TEST_P(OracleCacheEqualityTest, WarmReportsByteIdenticalToCold) {
     std::vector<ConflictReport> WarmReports = Warm.examineAll();
     EXPECT_TRUE(Warm.cacheActivity().ReportsFromCache)
         << Text << "Jobs=" << Jobs;
-    EXPECT_EQ(cache::serializeReports(*G, AutomatonKind::Lalr1, WarmOpts,
-                                      WarmReports),
-              ColdBytes)
+    EXPECT_EQ(reportBytes(WarmReports), ColdBytes)
         << Text << "warm bytes diverge at Jobs=" << Jobs;
   }
   std::filesystem::remove_all(Dir);

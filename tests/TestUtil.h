@@ -7,6 +7,7 @@
 #ifndef LALRCEX_TESTS_TESTUTIL_H
 #define LALRCEX_TESTS_TESTUTIL_H
 
+#include "cache/AnalysisCache.h"
 #include "corpus/Corpus.h"
 #include "counterexample/CounterexampleFinder.h"
 #include "grammar/GrammarParser.h"
@@ -35,6 +36,16 @@ struct BuiltGrammar {
     return BuiltGrammar(std::move(*G));
   }
 };
+
+/// Bytes of \p Reports for byte-identity checks, in report order: each
+/// report as the one-entry report blob it would be stored as, under a
+/// zero key and without a touched set.
+inline std::string reportBytes(const std::vector<ConflictReport> &Reports) {
+  std::string Bytes;
+  for (const ConflictReport &R : Reports)
+    Bytes += cache::serializeReportBlob(Fingerprint128{}, {{R, {}}});
+  return Bytes;
+}
 
 /// Asserts two automatons over the same grammar are equal state for
 /// state: kind, items, kernel sizes, transitions, and every lookahead set.

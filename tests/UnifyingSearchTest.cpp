@@ -304,7 +304,7 @@ TEST(UnifyingSearchTest, PinnedWorkAndPeakBytes) {
   // changes, and every rendered report shows them. PeakBytes moves with
   // the byte charges (48 bytes per item-sequence entry, 40 per alias, 76
   // per admitted configuration) and with the number of entries and aliases
-  // a search creates; it is cached in .rep/.crep blobs, and a byte budget
+  // a search creates; it is cached in .rep blobs, and a byte budget
   // stops a search at it.
   auto Run = [](const ConflictFixture &S, size_t MaxConfigurations) {
     UnifyingOptions Opts;

@@ -2,29 +2,30 @@
 //
 // Part of lalrcex.
 //
-// Fuzzes the two cache blob readers against the contract in
+// Fuzzes the cache's report blob reader against the contract in
 // cache/AnalysisCache.h: blobs are untrusted input, so for ANY byte
-// sequence a reader must return a probe (never throw, crash, or hang),
+// sequence the reader must return a probe (never throw, crash, or hang),
 // and a Hit must be usable downstream — every restored report renders,
-// and a restored touched set is strictly ascending.
+// entries are strictly ascending by conflict record (so lookups find
+// exactly the stored records), every restored touched set is strictly
+// ascending, and the entries re-serialize into a blob the reader accepts
+// and writes back byte for byte.
 //
-// Input layout: the first byte selects the reader (low bit:
-// deserializeReports, deserializeConflictReport; for conflict reports the
-// remaining bits pick which figure1 conflict the blob is probed for). The
-// rest is the blob.
-// Every read happens against figure1. Before each read the harness
-// re-seals the trailing 16-byte checksum over the bytes before it, so
-// mutations reach the field decoders instead of stopping at the checksum.
+// The input is the blob itself, read against figure1. Before each read
+// the harness re-seals the trailing 16-byte checksum over the bytes
+// before it, so mutations reach the field decoders instead of stopping
+// at the checksum.
 //
 // Two build modes share this file, as with fuzz_grammar_parser.cpp:
 //
 //   * with -DLALRCEX_LIBFUZZER it exports LLVMFuzzerTestOneInput for
 //     coverage-guided fuzzing; when LALRCEX_FUZZ_SEED_DIR names a
-//     directory, LLVMFuzzerInitialize first writes figure1's real blobs
+//     directory, LLVMFuzzerInitialize first writes figure1's real blob
 //     into it so the corpus starts past the header checks;
 //   * otherwise it gets a standalone main() that seeds from figure1's real
-//     blobs, serialized in-process, replays any extra seed files, and then
-//     runs a deterministic mutational loop:
+//     blob (every conflict's report with its search's touched set),
+//     serialized in-process, replays any extra seed files, and then runs
+//     a deterministic mutational loop:
 //
 //       fuzz_cache_blobs [-runs N] [corpus-dir | seed-file]...
 //
@@ -51,11 +52,6 @@ void check(bool Cond, const char *What) {
   std::abort();
 }
 
-enum Reader : unsigned {
-  ReadReports,
-  ReadConflictReport,
-};
-
 /// Deterministic budgets, so the seeded report blobs are repeatable.
 FinderOptions fuzzOptions() {
   FinderOptions Opts;
@@ -65,7 +61,7 @@ FinderOptions fuzzOptions() {
   return Opts;
 }
 
-/// Everything the readers are probed against, built once.
+/// Everything the reader is probed against, built once.
 struct Figure1 {
   Grammar G;
   GrammarAnalysis A;
@@ -75,16 +71,13 @@ struct Figure1 {
   FinderOptions Opts;
   CounterexampleFinder Finder;
   std::vector<Conflict> Conflicts;
-  std::vector<Fingerprint128> Keys; ///< `.crep` key per conflict
+  Fingerprint128 Key; ///< figure1's report blob key
 
   Figure1()
       : G(loadCorpusGrammar("figure1")), A(G), M(G, A), T(M), Graph(M),
         Opts(fuzzOptions()), Finder(T, Opts),
-        Conflicts(T.reportedConflicts()) {
-    ConflictKeyContext Ctx(M, Opts);
-    for (const Conflict &C : Conflicts)
-      Keys.push_back(Ctx.conflictFingerprint(C));
-  }
+        Conflicts(T.reportedConflicts()),
+        Key(reportBlobKey(G, AutomatonKind::Lalr1, Opts, Conflicts)) {}
 };
 
 const Figure1 &figure1() {
@@ -106,63 +99,52 @@ void reseal(std::string &Blob) {
 /// The property under test. Separated from the libFuzzer entry point so
 /// the standalone driver can reuse it verbatim.
 void checkOneInput(const uint8_t *Data, size_t Size) {
-  if (Size == 0)
-    return;
   const Figure1 &F = figure1();
-  const unsigned Selector = Data[0];
-  std::string Blob(reinterpret_cast<const char *>(Data + 1), Size - 1);
+  std::string Blob(reinterpret_cast<const char *>(Data), Size);
   reseal(Blob);
 
-  switch (Selector & 1) {
-  case ReadReports: {
-    std::vector<ConflictReport> Out;
-    CacheProbe P =
-        deserializeReports(Blob, F.G, AutomatonKind::Lalr1, F.Opts, Out);
-    if (P.hit())
-      for (const ConflictReport &R : Out)
-        (void)F.Finder.render(R);
-    break;
+  std::vector<StoredReport> Out;
+  CacheProbe P = deserializeReportBlob(Blob, F.Key, F.G, Out);
+  if (!P.hit())
+    return;
+  for (size_t I = 0; I != Out.size(); ++I) {
+    const StoredReport &E = Out[I];
+    (void)F.Finder.render(E.Report);
+    if (I != 0)
+      check(conflictRecordLess(Out[I - 1].Report.TheConflict,
+                               E.Report.TheConflict),
+            "entries strictly ascending by conflict record");
+    check(findStoredReport(Out, E.Report.TheConflict) == &E,
+          "lookup finds the stored record");
+    for (size_t J = 1; J < E.Touched.size(); ++J)
+      check(E.Touched[J - 1] < E.Touched[J], "touched set strictly ascending");
   }
-  case ReadConflictReport: {
-    size_t K = (Selector >> 1) % F.Conflicts.size();
-    ConflictReport Out;
-    std::vector<uint32_t> Touched;
-    CacheProbe P = deserializeConflictReport(
-        Blob, F.Keys[K], F.G, F.Conflicts[K], Out, FormatVersion, &Touched);
-    if (!P.hit())
-      break;
-    (void)F.Finder.render(Out);
-    for (size_t I = 1; I < Touched.size(); ++I)
-      check(Touched[I - 1] < Touched[I], "touched set strictly ascending");
-    break;
-  }
-  }
+  // The writer and the reader agree: what loaded re-serializes into a
+  // blob that loads back and serializes to the same bytes.
+  std::string Again = serializeReportBlob(F.Key, Out);
+  std::vector<StoredReport> Reloaded;
+  check(deserializeReportBlob(Again, F.Key, F.G, Reloaded).hit() &&
+            serializeReportBlob(F.Key, Reloaded) == Again,
+        "a loaded blob round-trips through the writer");
 }
 
-/// figure1's real blobs, one input per reader (one per conflict for
-/// `.crep` blobs), each prefixed with its selector byte.
+/// figure1's real blob: every conflict's report with its search's touched
+/// set.
 std::vector<std::string> seedInputs() {
   const Figure1 &F = figure1();
-  std::vector<std::string> Seeds;
-  auto add = [&Seeds](unsigned Selector, const std::string &Blob) {
-    Seeds.push_back(std::string(1, char(Selector)) + Blob);
-  };
   CounterexampleFinder Finder(F.T, F.Opts);
-  std::vector<ConflictReport> Reports;
-  for (size_t K = 0; K != F.Conflicts.size(); ++K) {
+  std::vector<StoredReport> Entries;
+  for (const Conflict &C : F.Conflicts) {
     GraphTouchRecorder Rec(F.Graph.numNodes());
+    StoredReport E;
     {
       ScopedGraphTouchRecorder Scope(&Rec);
-      Reports.push_back(Finder.examine(F.Conflicts[K]));
+      E.Report = Finder.examine(C);
     }
-    std::vector<uint32_t> Touched = Rec.sortedNodes();
-    add(ReadConflictReport | unsigned(K << 1),
-        serializeConflictReport(F.Keys[K], Reports.back(), FormatVersion,
-                                &Touched));
+    E.Touched = Rec.sortedNodes();
+    Entries.push_back(std::move(E));
   }
-  add(ReadReports,
-      serializeReports(F.G, AutomatonKind::Lalr1, F.Opts, Reports));
-  return Seeds;
+  return {serializeReportBlob(F.Key, Entries)};
 }
 
 } // namespace
@@ -197,14 +179,13 @@ namespace {
 
 using fuzz::Rng;
 
-/// One random edit of the blob bytes (never the selector byte): byte
-/// flips, boundary values written as little-endian u32s (the readers'
-/// counts and ids), deletions, span duplication, or truncation.
+/// One random edit of the blob bytes: byte flips, boundary values written
+/// as little-endian u32s (the reader's counts and ids), deletions, span
+/// duplication, or truncation.
 std::string mutate(Rng &R, std::string S) {
-  if (S.size() < 2)
+  if (S.empty())
     return S;
-  const size_t Body = S.size() - 1;
-  const size_t At = 1 + R.below(Body);
+  const size_t At = R.below(S.size());
   switch (R.below(5)) {
   case 0:
     S[At] = char(S[At] ^ (1u << R.below(8)));
@@ -223,11 +204,11 @@ std::string mutate(Rng &R, std::string S) {
     break;
   case 3: {
     size_t Len = R.below(S.size() - At) + 1;
-    S.insert(1 + R.below(Body + 1), S.substr(At, Len));
+    S.insert(R.below(S.size() + 1), S.substr(At, Len));
     break;
   }
   case 4:
-    S.resize(1 + R.below(Body + 1));
+    S.resize(R.below(S.size() + 1));
     break;
   }
   return S;
