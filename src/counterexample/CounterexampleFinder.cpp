@@ -447,8 +447,8 @@ std::vector<ConflictReport> CounterexampleFinder::examineAll() {
     // conflict that missed is looked up, under the edit's maps, in the
     // previous structure's blob, and re-served with all ids rewritten
     // when the recorded graph-read set verifies node for node under those
-    // maps (IncrementalSession.h). Each miss that stays pending is
-    // counted under the first check it failed.
+    // maps (RemapVerifier, IncrementalSession.h). Each miss that stays
+    // pending is counted under the first check it failed.
     const IncrementalHandoff *H =
         !Coupled && Opts.Incremental && Opts.Incremental->Graph &&
                 &Opts.Incremental->Graph->automaton() == &Table.automaton()
@@ -460,18 +460,24 @@ std::vector<ConflictReport> CounterexampleFinder::examineAll() {
           cache::reportBlobKey(*H->PrevG, H->PrevTable->automaton().kind(),
                                Opts, {}),
           *H->PrevG, Old));
-      uint64_t Unmapped = 0, Absent = 0, Unverified = 0, Refused = 0;
+      // One verifier serves every probe, so each node, symbol and
+      // terminal check runs at most once per run.
+      RemapVerifier Verifier(*H);
+      uint64_t Unmapped = 0, Absent = 0, Refused = 0;
+      uint64_t Unverified[RemapVerifier::NumVerdicts] = {};
       size_t Kept = 0;
       for (size_t I : Pending) {
         Conflict OldC;
         const cache::StoredReport *OldE = nullptr;
         std::vector<uint32_t> NewTouched;
+        RemapVerifier::Verdict V = RemapVerifier::Verified;
         if (!H->mapConflictToOld(Reported[I], OldC))
           ++Unmapped;
         else if (!(OldE = cache::findStoredReport(Old, OldC)))
           ++Absent;
-        else if (!H->verifyTouched(OldC.Token, OldE->Touched, &NewTouched))
-          ++Unverified;
+        else if ((V = Verifier.verify(OldC.Token, OldE->Touched,
+                                      NewTouched)) != RemapVerifier::Verified)
+          ++Unverified[V];
         else if (!H->remapReport(OldE->Report, OldC, Reported[I], Out[I]))
           ++Refused;
         else {
@@ -485,7 +491,19 @@ std::vector<ConflictReport> CounterexampleFinder::examineAll() {
       if (M) {
         M->add(metric::CacheRemapUnmapped, Unmapped);
         M->add(metric::CacheRemapAbsent, Absent);
-        M->add(metric::CacheRemapUnverified, Unverified);
+        M->add(metric::CacheRemapUnverified,
+               std::accumulate(std::begin(Unverified), std::end(Unverified),
+                               uint64_t(0)));
+        M->add(metric::CacheRemapUnverifiedState,
+               Unverified[RemapVerifier::StateFailed]);
+        M->add(metric::CacheRemapUnverifiedLookahead,
+               Unverified[RemapVerifier::LookaheadFailed]);
+        M->add(metric::CacheRemapUnverifiedRow,
+               Unverified[RemapVerifier::RowFailed]);
+        M->add(metric::CacheRemapUnverifiedFirst,
+               Unverified[RemapVerifier::FirstFailed]);
+        M->add(metric::CacheRemapUnverifiedChoice,
+               Unverified[RemapVerifier::ChoiceFailed]);
         M->add(metric::CacheRemapRefused, Refused);
       }
     }

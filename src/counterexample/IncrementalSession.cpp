@@ -13,168 +13,16 @@
 
 #include "counterexample/IncrementalSession.h"
 
-#include "counterexample/NonunifyingBuilder.h"
 #include "support/Metrics.h"
 
 #include <algorithm>
 #include <cassert>
-#include <optional>
 #include <unordered_map>
 
 using namespace lalrcex;
 
-namespace {
-
-/// Cross-generation certifier for the analysis-side artifacts a search
-/// consults about a symbol. The graph rows pin down every *structural*
-/// read; what remains are GrammarAnalysis queries (FIRST of a suffix,
-/// suffix nullability — all aggregates of per-symbol FIRST/nullable with
-/// terminal ids stable across a valid delta) and the minimal-derivation
-/// completions of NonunifyingBuilder (epsilon derivations and derivations
-/// beginning with the conflict terminal). The former are compared
-/// semantically, set against set; the latter by running the *actual*
-/// choice fixpoints of both generations and demanding the chosen
-/// production (and continuation position) map through the delta,
-/// recursively over the chosen subtrees. Comparing fixpoint results
-/// rather than derivation cones is what lets a conflict survive an edit
-/// elsewhere in a consulted symbol's cone: the edit is harmless exactly
-/// when it changes no answer, and that is what is checked.
-class AnalysisCertifier {
-public:
-  AnalysisCertifier(const Grammar &OldG, const GrammarAnalysis &OldA,
-                    const Grammar &NewG, const GrammarAnalysis &NewA,
-                    const GrammarDelta &Delta, Symbol ConflictTerm)
-      : OldG(OldG), OldA(OldA), NewA(NewA), Delta(Delta), Term(ConflictTerm),
-        OldMin(OldG), NewMin(NewG) {
-    OldMin.beginningWith(OldG, Term, OldBeginCost, OldBest);
-    // The conflict terminal is an old-generation symbol; the new
-    // generation's fixpoint must run on its image. An unmapped terminal
-    // leaves NewBest empty, which fails certifyBegin — and certifyBegin
-    // is only consulted when some touched FIRST set contains Term, whose
-    // translation would already have failed.
-    NewTerm = Delta.mapSymbol(Term);
-    if (NewTerm.valid())
-      NewMin.beginningWith(NewG, NewTerm, NewBeginCost, NewBest);
-    SymOk.assign(OldG.numSymbols(), Unknown);
-    EpsOk.assign(OldG.numSymbols(), Unknown);
-    BeginOk.assign(OldG.numSymbols(), Unknown);
-  }
-
-  /// True when every query the searches can make about \p X answers
-  /// identically across the edit (an old-generation symbol).
-  bool certify(Symbol X) {
-    if (!OldG.isNonterminal(X)) {
-      // A terminal's FIRST is itself and it is never nullable; both are
-      // preserved by any mapping, so a mapped terminal is certified.
-      return Delta.mapSymbol(X).valid();
-    }
-    int8_t &M = SymOk[X.id()];
-    if (M != Unknown)
-      return M == Ok;
-    M = Fail;
-    Symbol Y = Delta.mapSymbol(X);
-    if (!Y.valid())
-      return false;
-    if (OldA.isNullable(X) != NewA.isNullable(Y))
-      return false;
-    if (!firstEqual(OldA.first(X), NewA.first(Y)))
-      return false;
-    if (OldA.isNullable(X) && !certifyEps(X))
-      return false;
-    if (OldA.first(X).contains(unsigned(Term.id())) && !certifyBegin(X))
-      return false;
-    M = Ok;
-    return true;
-  }
-
-private:
-  enum : int8_t { Unknown = 0, Ok = 1, Fail = 2 };
-
-  /// Semantic FIRST-set equality across the edit: elementwise through the
-  /// delta's terminal map (a plain compare until a terminal edit makes
-  /// the universes differ).
-  bool firstEqual(const IndexSet &OldS, const IndexSet &NewS) const {
-    if (Delta.TermMapIdentity)
-      return OldS == NewS;
-    IndexSet Tmp;
-    return Delta.translateTerminalSet(OldS, Tmp) && Tmp == NewS;
-  }
-
-  /// The minimal epsilon derivation of \p X must be the delta image of
-  /// the new generation's: same chosen production, recursively. Memoized;
-  /// sound to fail-closed on revisit since costs strictly decrease into
-  /// children (no cycles in a minimal tree).
-  bool certifyEps(Symbol X) {
-    int8_t &M = EpsOk[X.id()];
-    if (M != Unknown)
-      return M == Ok;
-    M = Fail;
-    Symbol Y = Delta.mapSymbol(X);
-    if (!Y.valid())
-      return false;
-    unsigned P = OldMin.EpsProd[X.id()];
-    unsigned Q = NewMin.EpsProd[Y.id()];
-    if (P == GrammarAnalysis::Infinite || Q == GrammarAnalysis::Infinite)
-      return false;
-    if (Delta.mapProd(P) != int32_t(Q))
-      return false;
-    for (Symbol S : OldG.production(P).Rhs)
-      if (!certifyEps(S))
-        return false;
-    M = Ok;
-    return true;
-  }
-
-  /// Likewise for the minimal derivation of \p X beginning with the
-  /// conflict terminal: mapped production, same continuation position,
-  /// epsilon-certified symbols before it, recursion at it. Symbols after
-  /// the continuation stay unexpanded leaves, which the production map
-  /// already proved rename consistently.
-  bool certifyBegin(Symbol X) {
-    if (!NewTerm.valid())
-      return false; // no new-generation fixpoint to compare against
-    if (X == Term)
-      return true; // the continuation bottomed out on the terminal itself
-    int8_t &M = BeginOk[X.id()];
-    if (M != Unknown)
-      return M == Ok;
-    M = Fail;
-    Symbol Y = Delta.mapSymbol(X);
-    if (!Y.valid())
-      return false;
-    const MinimalDerivationChoices::BeginChoice &C = OldBest[X.id()];
-    const MinimalDerivationChoices::BeginChoice &D = NewBest[Y.id()];
-    if (C.Prod == GrammarAnalysis::Infinite ||
-        D.Prod == GrammarAnalysis::Infinite)
-      return false;
-    if (Delta.mapProd(C.Prod) != int32_t(D.Prod) || C.Pos != D.Pos)
-      return false;
-    const Production &P = OldG.production(C.Prod);
-    for (unsigned J = 0; J != C.Pos; ++J)
-      if (!certifyEps(P.Rhs[J]))
-        return false;
-    if (!certifyBegin(P.Rhs[C.Pos]))
-      return false;
-    M = Ok;
-    return true;
-  }
-
-  const Grammar &OldG;
-  const GrammarAnalysis &OldA;
-  const GrammarAnalysis &NewA;
-  const GrammarDelta &Delta;
-  Symbol Term;
-  Symbol NewTerm;
-  MinimalDerivationChoices OldMin, NewMin;
-  std::vector<unsigned> OldBeginCost, NewBeginCost;
-  std::vector<MinimalDerivationChoices::BeginChoice> OldBest, NewBest;
-  std::vector<int8_t> SymOk, EpsOk, BeginOk;
-};
-
-} // namespace
-
 //===----------------------------------------------------------------------===//
-// IncrementalHandoff: conflict/node mapping
+// IncrementalHandoff: conflict mapping
 //===----------------------------------------------------------------------===//
 
 bool IncrementalHandoff::mapConflictToOld(const Conflict &NewC,
@@ -214,122 +62,269 @@ bool IncrementalHandoff::mapConflictToOld(const Conflict &NewC,
   return true;
 }
 
-StateItemGraph::NodeId
-IncrementalHandoff::mapOldNode(StateItemGraph::NodeId OldN) const {
-  if (OldN >= PrevGraph->numNodes())
-    return StateItemGraph::InvalidNode;
-  unsigned OS = PrevGraph->stateOf(OldN);
-  int NS = (*OldToNewState)[OS];
-  if (NS < 0)
-    return StateItemGraph::InvalidNode;
-  const Item &OI = PrevGraph->itemOf(OldN);
-  int32_t NP = Delta->mapProd(OI.Prod);
-  if (NP < 0)
-    return StateItemGraph::InvalidNode;
-  return Graph->nodeFor(unsigned(NS), Item(uint32_t(NP), OI.Dot));
-}
+//===----------------------------------------------------------------------===//
+// RemapVerifier
+//===----------------------------------------------------------------------===//
+//
+// The graph rows pin down every *structural* read a search makes; what
+// remains are GrammarAnalysis queries (FIRST of a suffix, suffix
+// nullability — all aggregates of per-symbol FIRST/nullable with terminal
+// ids stable across a valid delta) and the minimal-derivation completions
+// of NonunifyingBuilder (epsilon derivations and derivations beginning
+// with the conflict terminal). The former are compared semantically, set
+// against set; the latter by running the *actual* choice fixpoints of
+// both generations and demanding the chosen production (and continuation
+// position) map through the delta, recursively over the chosen subtrees.
+// Comparing fixpoint results rather than derivation cones is what lets a
+// conflict survive an edit elsewhere in a consulted symbol's cone: the
+// edit is harmless exactly when it changes no answer, and that is what is
+// checked.
 
-bool IncrementalHandoff::verifyTouched(
-    Symbol ConflictTerm, const std::vector<uint32_t> &OldTouched,
-    std::vector<uint32_t> *NewTouched) const {
+namespace {
+/// Memo marks: an image not yet looked up, a verdict not yet computed.
+constexpr StateItemGraph::NodeId NotImaged = StateItemGraph::InvalidNode - 1;
+constexpr RemapVerifier::Verdict Unchecked = RemapVerifier::NumVerdicts;
+} // namespace
+
+RemapVerifier::RemapVerifier(const IncrementalHandoff &H)
+    : OldGraph(*H.PrevGraph), NewGraph(*H.Graph), OldG(*H.PrevG),
+      NewG(NewGraph.grammar()), OldA(OldGraph.automaton().analysis()),
+      NewA(NewGraph.automaton().analysis()), Delta(*H.Delta),
+      OldToNewState(*H.OldToNewState), Images(OldGraph.numNodes(), NotImaged),
+      NodeVerdicts(OldGraph.numNodes(), Unchecked),
+      SymbolVerdicts(OldG.numSymbols(), Unchecked),
+      EpsVerdicts(OldG.numSymbols(), Unchecked), OldMin(OldG), NewMin(NewG),
+      Begin(OldG.numSymbols()) {}
+
+RemapVerifier::Verdict
+RemapVerifier::verify(Symbol ConflictTerm,
+                      const std::vector<uint32_t> &OldTouched,
+                      std::vector<uint32_t> &NewTouched) {
   // An empty read set means "recorded nothing", not "read nothing" — a
   // search always reads at least the conflict nodes. Refuse it.
   if (OldTouched.empty())
-    return false;
-
-  // Order-sensitive row comparison: the replayed search iterates rows in
-  // storage order, so a row matches only when the mapped old entries
-  // appear in exactly the new row's order. (Set equality would admit a
-  // reordering that changes search tie-breaking.)
-  auto rowEqual = [&](StateItemGraph::NodeRange OldRow,
-                      StateItemGraph::NodeRange NewRow) {
-    if (OldRow.size() != NewRow.size())
-      return false;
-    const StateItemGraph::NodeId *NI = NewRow.begin();
-    for (StateItemGraph::NodeId O : OldRow) {
-      StateItemGraph::NodeId Mapped = mapOldNode(O);
-      if (Mapped == StateItemGraph::InvalidNode || Mapped != *NI++)
-        return false;
-    }
-    return true;
-  };
-
-  // Built on the first surviving node: two choice fixpoints per
-  // generation, all amortized across the nodes by per-symbol memos.
-  std::optional<AnalysisCertifier> Cert;
+    return StateFailed;
 
   std::vector<uint32_t> Translated;
   Translated.reserve(OldTouched.size());
   for (uint32_t OldN : OldTouched) {
-    if (OldN >= PrevGraph->numNodes())
-      return false;
-    unsigned OS = PrevGraph->stateOf(OldN);
-    int NS = (*OldToNewState)[OS];
-    // A matched state suffices: the lookahead/row/analysis checks below
-    // are the actual proof that the node's content survived.
-    if (NS < 0)
-      return false;
-    const Item &OI = PrevGraph->itemOf(OldN);
-    int32_t NP = Delta->mapProd(OI.Prod);
-    if (NP < 0)
-      return false;
-    StateItemGraph::NodeId NewN =
-        Graph->nodeFor(unsigned(NS), Item(uint32_t(NP), OI.Dot));
-    if (NewN == StateItemGraph::InvalidNode)
-      return false;
-
-    // Lookahead equality through the terminal map: a plain compare until
-    // a terminal edit makes the universes differ, elementwise translation
-    // after (a set containing an unmapped terminal cannot match anything
-    // the new generation computes).
-    if (Delta->TermMapIdentity) {
-      if (!(PrevGraph->lookahead(OldN) == Graph->lookahead(NewN)))
-        return false;
-    } else {
-      IndexSet Tmp;
-      if (!Delta->translateTerminalSet(PrevGraph->lookahead(OldN), Tmp) ||
-          !(Tmp == Graph->lookahead(NewN)))
-        return false;
-    }
-
-    StateItemGraph::NodeId OldF = PrevGraph->forwardTransition(OldN);
-    StateItemGraph::NodeId NewF = Graph->forwardTransition(NewN);
-    if (OldF == StateItemGraph::InvalidNode ||
-        NewF == StateItemGraph::InvalidNode) {
-      if (OldF != NewF)
-        return false;
-    } else if (mapOldNode(OldF) != NewF) {
-      return false;
-    }
-
-    if (!rowEqual(PrevGraph->productionSteps(OldN),
-                  Graph->productionSteps(NewN)) ||
-        !rowEqual(PrevGraph->reverseTransitions(OldN),
-                  Graph->reverseTransitions(NewN)) ||
-        !rowEqual(PrevGraph->reverseProductionSteps(OldN),
-                  Graph->reverseProductionSteps(NewN)))
-      return false;
-
+    if (OldN >= OldGraph.numNodes())
+      return StateFailed;
+    if (Verdict V = checkNode(OldN); V != Verified)
+      return V;
     // Analysis-side certification: every query the searches can make
     // about a symbol of this item's production must answer identically
     // across the edit.
-    if (!Cert)
-      Cert.emplace(*PrevG, PrevGraph->automaton().analysis(),
-                   Graph->grammar(), Graph->automaton().analysis(), *Delta,
-                   ConflictTerm);
-    for (Symbol S : PrevG->production(OI.Prod).Rhs)
-      if (!Cert->certify(S))
-        return false;
-
-    Translated.push_back(NewN);
+    for (Symbol S : OldG.production(OldGraph.itemOf(OldN).Prod).Rhs)
+      if (Verdict V = certify(S, ConflictTerm); V != Verified)
+        return V;
+    Translated.push_back(image(OldN));
   }
 
-  if (NewTouched) {
-    // New node ids need not be ascending even though the old ones were
-    // (an edit can renumber states); restore the canonical order.
-    std::sort(Translated.begin(), Translated.end());
-    *NewTouched = std::move(Translated);
+  // New node ids need not be ascending even though the old ones were (an
+  // edit can renumber states); restore the canonical order.
+  std::sort(Translated.begin(), Translated.end());
+  NewTouched = std::move(Translated);
+  return Verified;
+}
+
+/// The current-generation node for old node \p OldN, or InvalidNode when
+/// its state died, its item's production is unmapped, or the matched
+/// state lacks the mapped item.
+StateItemGraph::NodeId RemapVerifier::image(NodeId OldN) {
+  NodeId &Img = Images[OldN];
+  if (Img == NotImaged) {
+    Img = StateItemGraph::InvalidNode;
+    int NS = OldToNewState[OldGraph.stateOf(OldN)];
+    const Item &OI = OldGraph.itemOf(OldN);
+    int32_t NP = Delta.mapProd(OI.Prod);
+    if (NS >= 0 && NP >= 0)
+      Img = NewGraph.nodeFor(unsigned(NS), Item(uint32_t(NP), OI.Dot));
   }
+  return Img;
+}
+
+/// The structural verdict of old node \p OldN: the first of the state,
+/// lookahead and row checks it fails, or Verified.
+RemapVerifier::Verdict RemapVerifier::checkNode(NodeId OldN) {
+  Verdict &V = NodeVerdicts[OldN];
+  if (V != Unchecked)
+    return V;
+  // A matched state suffices: the lookahead and row checks below are the
+  // actual proof that the node's content survived.
+  NodeId NewN = image(OldN);
+  if (NewN == StateItemGraph::InvalidNode)
+    return V = StateFailed;
+
+  // Lookahead equality through the terminal map: a plain compare until a
+  // terminal edit makes the universes differ, elementwise translation
+  // after (a set containing an unmapped terminal cannot match anything
+  // the new generation computes).
+  if (Delta.TermMapIdentity) {
+    if (!(OldGraph.lookahead(OldN) == NewGraph.lookahead(NewN)))
+      return V = LookaheadFailed;
+  } else {
+    IndexSet Tmp;
+    if (!Delta.translateTerminalSet(OldGraph.lookahead(OldN), Tmp) ||
+        !(Tmp == NewGraph.lookahead(NewN)))
+      return V = LookaheadFailed;
+  }
+
+  NodeId OldF = OldGraph.forwardTransition(OldN);
+  NodeId NewF = NewGraph.forwardTransition(NewN);
+  if (OldF == StateItemGraph::InvalidNode ||
+      NewF == StateItemGraph::InvalidNode) {
+    if (OldF != NewF)
+      return V = RowFailed;
+  } else if (image(OldF) != NewF) {
+    return V = RowFailed;
+  }
+
+  if (!rowEqual(OldGraph.productionSteps(OldN),
+                NewGraph.productionSteps(NewN)) ||
+      !rowEqual(OldGraph.reverseTransitions(OldN),
+                NewGraph.reverseTransitions(NewN)) ||
+      !rowEqual(OldGraph.reverseProductionSteps(OldN),
+                NewGraph.reverseProductionSteps(NewN)))
+    return V = RowFailed;
+  return V = Verified;
+}
+
+/// Order-sensitive row comparison: the replayed search iterates rows in
+/// storage order, so a row matches only when the old entries' images
+/// appear in exactly the new row's order. (Set equality would admit a
+/// reordering that changes search tie-breaking.)
+bool RemapVerifier::rowEqual(StateItemGraph::NodeRange OldRow,
+                             StateItemGraph::NodeRange NewRow) {
+  if (OldRow.size() != NewRow.size())
+    return false;
+  const NodeId *NI = NewRow.begin();
+  for (NodeId O : OldRow) {
+    NodeId Mapped = image(O);
+    if (Mapped == StateItemGraph::InvalidNode || Mapped != *NI++)
+      return false;
+  }
+  return true;
+}
+
+/// Whether every query the searches can make about old symbol \p X, for
+/// a conflict on old terminal \p Term, answers identically across the
+/// edit.
+RemapVerifier::Verdict RemapVerifier::certify(Symbol X, Symbol Term) {
+  if (!OldG.isNonterminal(X)) {
+    // A terminal's FIRST is itself and it is never nullable; both are
+    // preserved by any mapping, so a mapped terminal is certified.
+    return Delta.mapSymbol(X).valid() ? Verified : FirstFailed;
+  }
+  if (Verdict V = certifySymbol(X); V != Verified)
+    return V;
+  if (OldA.first(X).contains(unsigned(Term.id())) &&
+      !certifyBegin(X, Term, beginTables(Term)))
+    return ChoiceFailed;
+  return Verified;
+}
+
+/// The conflict-terminal-independent part of certify() for nonterminal
+/// \p X: mapped, same nullability, same FIRST, same epsilon choices.
+RemapVerifier::Verdict RemapVerifier::certifySymbol(Symbol X) {
+  Verdict &V = SymbolVerdicts[X.id()];
+  if (V != Unchecked)
+    return V;
+  Symbol Y = Delta.mapSymbol(X);
+  if (!Y.valid() || OldA.isNullable(X) != NewA.isNullable(Y) ||
+      !firstEqual(OldA.first(X), NewA.first(Y)))
+    return V = FirstFailed;
+  if (OldA.isNullable(X) && !certifyEps(X))
+    return V = ChoiceFailed;
+  return V = Verified;
+}
+
+/// Semantic FIRST-set equality across the edit: elementwise through the
+/// delta's terminal map (a plain compare until a terminal edit makes the
+/// universes differ).
+bool RemapVerifier::firstEqual(const IndexSet &OldS,
+                               const IndexSet &NewS) const {
+  if (Delta.TermMapIdentity)
+    return OldS == NewS;
+  IndexSet Tmp;
+  return Delta.translateTerminalSet(OldS, Tmp) && Tmp == NewS;
+}
+
+/// The minimal epsilon derivation of \p X must be the delta image of the
+/// new generation's: same chosen production, recursively. Fail-closed on
+/// revisit, which never happens: costs strictly decrease into children (no
+/// cycles in a minimal tree).
+bool RemapVerifier::certifyEps(Symbol X) {
+  Verdict &V = EpsVerdicts[X.id()];
+  if (V != Unchecked)
+    return V == Verified;
+  V = ChoiceFailed;
+  Symbol Y = Delta.mapSymbol(X);
+  if (!Y.valid())
+    return false;
+  unsigned P = OldMin.EpsProd[X.id()];
+  unsigned Q = NewMin.EpsProd[Y.id()];
+  if (P == GrammarAnalysis::Infinite || Q == GrammarAnalysis::Infinite)
+    return false;
+  if (Delta.mapProd(P) != int32_t(Q))
+    return false;
+  for (Symbol S : OldG.production(P).Rhs)
+    if (!certifyEps(S))
+      return false;
+  V = Verified;
+  return true;
+}
+
+RemapVerifier::BeginTables &RemapVerifier::beginTables(Symbol Term) {
+  std::unique_ptr<BeginTables> &B = Begin[Term.id()];
+  if (!B) {
+    B = std::make_unique<BeginTables>();
+    std::vector<unsigned> Cost;
+    OldMin.beginningWith(OldG, Term, Cost, B->OldBest);
+    // The conflict terminal is an old-generation symbol; the new
+    // generation's fixpoint must run on its image. An unmapped terminal
+    // leaves NewBest empty, which fails certifyBegin — and certifyBegin is
+    // only consulted when some touched FIRST set contains Term, whose
+    // translation would already have failed.
+    B->NewTerm = Delta.mapSymbol(Term);
+    if (B->NewTerm.valid())
+      NewMin.beginningWith(NewG, B->NewTerm, Cost, B->NewBest);
+    B->Verdicts.assign(OldG.numSymbols(), Unchecked);
+  }
+  return *B;
+}
+
+/// Likewise for the minimal derivation of \p X beginning with the
+/// conflict terminal \p Term: mapped production, same continuation
+/// position, epsilon-certified symbols before it, recursion at it.
+/// Symbols after the continuation stay unexpanded leaves, which the
+/// production map already proved rename consistently.
+bool RemapVerifier::certifyBegin(Symbol X, Symbol Term, BeginTables &B) {
+  if (!B.NewTerm.valid())
+    return false; // no new-generation fixpoint to compare against
+  if (X == Term)
+    return true; // the continuation bottomed out on the terminal itself
+  Verdict &V = B.Verdicts[X.id()];
+  if (V != Unchecked)
+    return V == Verified;
+  V = ChoiceFailed;
+  Symbol Y = Delta.mapSymbol(X);
+  if (!Y.valid())
+    return false;
+  const MinimalDerivationChoices::BeginChoice &C = B.OldBest[X.id()];
+  const MinimalDerivationChoices::BeginChoice &D = B.NewBest[Y.id()];
+  if (C.Prod == GrammarAnalysis::Infinite ||
+      D.Prod == GrammarAnalysis::Infinite)
+    return false;
+  if (Delta.mapProd(C.Prod) != int32_t(D.Prod) || C.Pos != D.Pos)
+    return false;
+  const Production &P = OldG.production(C.Prod);
+  for (unsigned J = 0; J != C.Pos; ++J)
+    if (!certifyEps(P.Rhs[J]))
+      return false;
+  if (!certifyBegin(P.Rhs[C.Pos], Term, B))
+    return false;
+  V = Verified;
   return true;
 }
 
@@ -342,7 +337,7 @@ namespace {
 /// Rebuilds a derivation tree under the delta's symbol/production maps.
 /// Null when any symbol or production is unmapped. That the mapped tree
 /// is exactly what a recompute over the new grammar would build is the
-/// caller's obligation: remapReport runs only after verifyTouched has
+/// caller's obligation: remapReport runs only after a RemapVerifier has
 /// certified both the graph rows behind the tree's path portion and the
 /// minimal-derivation choices behind its completion subtrees.
 DerivPtr remapDerivation(const GrammarDelta &Delta, const DerivPtr &D) {

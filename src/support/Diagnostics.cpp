@@ -25,14 +25,21 @@ const char *lalrcex::diagSeverityName(DiagSeverity S) {
 
 std::string Diagnostic::header() const {
   std::string Out = "line " + std::to_string(Line);
-  if (Column > 0)
-    Out += ":" + std::to_string(Column);
+  // Appended piece by piece: GCC 12 at -O3 flags the inlined copy of a
+  // `":" + std::to_string(...)` temporary with a false -Wrestrict.
+  if (Column > 0) {
+    Out += ':';
+    Out += std::to_string(Column);
+  }
   Out += ": ";
   Out += diagSeverityName(Severity);
   Out += ": ";
   Out += Message;
-  if (!Code.empty())
-    Out += " [" + Code + "]";
+  if (!Code.empty()) {
+    Out += " [";
+    Out += Code;
+    Out += ']';
+  }
   return Out;
 }
 

@@ -68,6 +68,11 @@ const char *const CounterNames[metric::NumCounters] = {
     "examine.worker_failures",
     "frontend.parse_failures",
     "frontend.parse_warnings",
+    "cache.remap_unverified_state",
+    "cache.remap_unverified_lookahead",
+    "cache.remap_unverified_row",
+    "cache.remap_unverified_first",
+    "cache.remap_unverified_choice",
 };
 
 const char *const GaugeNames[metric::NumGauges] = {

@@ -78,13 +78,22 @@ enum Counter : unsigned {
   /// incremental handoff; each such miss counts under exactly one:
   CacheRemapUnmapped,   ///< no previous-generation conflict record
   CacheRemapAbsent,     ///< the previous blob holds no entry for it
-  CacheRemapUnverified, ///< its touched set failed verifyTouched
+  CacheRemapUnverified, ///< its touched set failed the RemapVerifier
   CacheRemapRefused,    ///< remapReport could not rewrite the report
   ExamineRuns,
   ExamineConflicts,
   ExamineWorkerFailures,
   FrontendParseFailures,
   FrontendParseWarnings,
+  /// cache.remap_unverified split by the first check that failed
+  /// (RemapVerifier::Verdict); each unverified miss counts under one:
+  /// An empty or out-of-range touched set, an unmatched state, an
+  /// unmapped production, or an item missing from the matched state.
+  CacheRemapUnverifiedState,
+  CacheRemapUnverifiedLookahead, ///< a lookahead set differs
+  CacheRemapUnverifiedRow,       ///< the forward target or a row differs
+  CacheRemapUnverifiedFirst,  ///< a symbol unmapped, FIRST/nullable changed
+  CacheRemapUnverifiedChoice, ///< a minimal-derivation choice moved
   NumCounters
 };
 
