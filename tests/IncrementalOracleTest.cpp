@@ -41,6 +41,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -288,6 +289,9 @@ struct RemapVerdicts {
   std::string Edit;
   size_t Reused = 0, Remapped = 0, Recomputed = 0;
   uint64_t Unmapped = 0, Absent = 0, Unverified = 0, Refused = 0;
+  /// Unverified split by the first check that failed: state, lookahead,
+  /// adjacency row, FIRST/nullable, min-derivation choice.
+  std::array<uint64_t, 5> UnverifiedBy{};
 };
 
 TEST(IncrementalOracleTest, PinnedRemapVerdicts) {
@@ -301,7 +305,9 @@ TEST(IncrementalOracleTest, PinnedRemapVerdicts) {
   // every conflict (sql.y's reorder-alternatives and add-nonterminal),
   // edits that fail verification on every conflict, partial remaps with
   // unmapped and absent records, and invalid deltas (remove-terminal),
-  // which offer no handoff and so count no reason.
+  // which offer no handoff and so count no reason. The unverified ones are
+  // pinned by the first check that refused them, so losing any one check
+  // (an adjacency-row comparison, say) moves a count here.
   struct Stream {
     const char *Name;
     std::optional<Grammar> G;
@@ -313,31 +319,37 @@ TEST(IncrementalOracleTest, PinnedRemapVerdicts) {
       {"Java.2",
        loadCorpusGrammar("Java.2"),
        1,
-       {{"add-alternative class_or_interface_type", 0, 232, 50, 10, 0, 40, 0},
-        {"remove-alternative class_declaration", 0, 0, 271, 15, 0, 256, 0},
-        {"reorder-alternatives variable_initializer", 0, 270, 2, 0, 0, 2, 0},
+       {{"add-alternative class_or_interface_type", 0, 232, 50, 10, 0, 40, 0,
+         {0, 4, 34, 0, 2}},
+        {"remove-alternative class_declaration", 0, 0, 271, 15, 0, 256, 0,
+         {24, 0, 232, 0, 0}},
+        {"reorder-alternatives variable_initializer", 0, 270, 2, 0, 0, 2, 0,
+         {0, 0, 0, 0, 2}},
         {"rename-nonterminal expression -> expression_r1", 272, 0, 0, 0, 0,
          0, 0},
         {"toggle-precedence add BOOLEAN", 272, 0, 0, 0, 0, 0, 0},
         {"toggle-expect 2", 272, 0, 0, 0, 0, 0, 0},
-        {"add-nonterminal nt_new1 via dim_expr", 0, 236, 37, 1, 0, 36, 0},
+        {"add-nonterminal nt_new1 via dim_expr", 0, 236, 37, 1, 0, 36, 0,
+         {0, 36, 0, 0, 0}},
         {"add-terminal tk_new1 via if_then_else_statement", 0, 268, 5, 0, 1,
-         4, 0},
+         4, 0, {0, 0, 0, 4, 0}},
         {"remove-terminal CATCH", 0, 0, 272, 0, 0, 0, 0},
         {"rename-terminal SHORT -> SHORT_t1", 272, 0, 0, 0, 0, 0, 0}}});
   Streams.push_back(
       {"sql.y",
        loadExampleGrammar("sql.y"),
        4,
-       {{"add-alternative xfullname", 0, 0, 7, 0, 0, 7, 0},
-        {"remove-alternative conslist_opt", 0, 0, 7, 0, 0, 7, 0},
+       {{"add-alternative xfullname", 0, 0, 7, 0, 0, 7, 0, {0, 0, 0, 7, 0}},
+        {"remove-alternative conslist_opt", 0, 0, 7, 0, 0, 7, 0,
+         {0, 0, 0, 7, 0}},
         {"reorder-alternatives nulls", 0, 7, 0, 0, 0, 0, 0},
         {"rename-nonterminal create_table_args -> create_table_args_r1", 7,
          0, 0, 0, 0, 0, 0},
         {"toggle-precedence add UMINUS", 7, 0, 0, 0, 0, 0, 0},
         {"toggle-expect -1", 7, 0, 0, 0, 0, 0, 0},
         {"add-nonterminal nt_new1 via refact", 0, 7, 0, 0, 0, 0, 0},
-        {"add-terminal tk_new1 via create_table", 0, 0, 7, 0, 0, 7, 0},
+        {"add-terminal tk_new1 via create_table", 0, 0, 7, 0, 0, 7, 0,
+         {0, 0, 0, 7, 0}},
         {"remove-terminal EQ", 0, 0, 7, 0, 0, 0, 0},
         {"rename-terminal BITAND -> BITAND_t1", 7, 0, 0, 0, 0, 0, 0}}});
 
@@ -369,6 +381,11 @@ TEST(IncrementalOracleTest, PinnedRemapVerdicts) {
       V.Absent = Snap.counter(metric::CacheRemapAbsent);
       V.Unverified = Snap.counter(metric::CacheRemapUnverified);
       V.Refused = Snap.counter(metric::CacheRemapRefused);
+      V.UnverifiedBy = {Snap.counter(metric::CacheRemapUnverifiedState),
+                        Snap.counter(metric::CacheRemapUnverifiedLookahead),
+                        Snap.counter(metric::CacheRemapUnverifiedRow),
+                        Snap.counter(metric::CacheRemapUnverifiedFirst),
+                        Snap.counter(metric::CacheRemapUnverifiedChoice)};
       return V;
     };
     // The baseline seeds the cache: every conflict is computed.
@@ -394,6 +411,7 @@ TEST(IncrementalOracleTest, PinnedRemapVerdicts) {
       EXPECT_EQ(Got.Absent, Want.Absent);
       EXPECT_EQ(Got.Unverified, Want.Unverified);
       EXPECT_EQ(Got.Refused, Want.Refused);
+      EXPECT_EQ(Got.UnverifiedBy, Want.UnverifiedBy);
       Sess.advance(Grammar(*S.G));
     }
   }

@@ -21,6 +21,7 @@
 #include "counterexample/LookaheadSensitiveSearch.h"
 #include "grammar/GrammarParser.h"
 #include "lr/ParseTable.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -147,10 +148,55 @@ TEST(LssExampleEquivalenceTest, SqlReduceReduceMatchesReference) {
   expectEquivalentPaths(B.G, B.M, ReduceReduce, "sql.y");
 }
 
-/// The search's work on sql.y's 7 reported conflicts, pinned per conflict.
-/// A family's shared frontier must admit and prune exactly the vertices
-/// that one frontier per member would (these counts), and only save
-/// subset probes: one frontier per member makes 163,509,666 of them.
+/// One search for \p C's reduce item, run under a touch recorder.
+struct RecordedSearch {
+  std::optional<LssPath> Path;
+  std::vector<uint32_t> Touched; ///< ascending
+  LssStats Stats;
+};
+
+RecordedSearch recordedSearch(const StateItemGraph &Graph, const Grammar &G,
+                              const Conflict &C, bool Prune = true) {
+  StateItemGraph::NodeId Node = Graph.nodeFor(C.State, C.reduceItem(G));
+  GraphTouchRecorder Rec(Graph.numNodes());
+  RecordedSearch R;
+  {
+    ScopedGraphTouchRecorder Scope(&Rec);
+    R.Path = shortestLookaheadSensitivePath(Graph, Node, C.Token, Prune,
+                                            /*Guard=*/nullptr, &R.Stats);
+  }
+  R.Touched = Rec.sortedNodes();
+  return R;
+}
+
+/// Feeds \p H one search's answer and reads: the path's nodes, edge kinds
+/// and lookahead sets, then its touched set in ascending order (what the
+/// finder stores beside the report for the remap verifier).
+void hashSearch(StableHasher &H, const RecordedSearch &R) {
+  H.addU8(R.Path.has_value());
+  if (R.Path) {
+    H.addU64(R.Path->Steps.size());
+    for (const LssStep &S : R.Path->Steps) {
+      H.addU32(S.Node);
+      H.addU8(S.EdgeKind);
+      H.addU32(S.Lookaheads.count());
+      S.Lookaheads.forEach([&](unsigned T) { H.addU32(T); });
+    }
+  }
+  H.addU64(R.Touched.size());
+  for (uint32_t N : R.Touched)
+    H.addU32(N);
+}
+
+/// The search's work on sql.y's 7 reported conflicts, pinned per conflict,
+/// with each path and touched set pinned by fingerprint. The reference
+/// BFS takes about 3 s per shift/reduce conflict here, so the
+/// fingerprints are those five paths' only check: a faster search must
+/// leave them, and the path lengths, unchanged. With the §6 pruning on,
+/// the reachability pass reads every relevant node, so the touched set
+/// says little about the search itself; with it off, the touched set is
+/// exactly the nodes the search expanded, so one more fingerprint folds
+/// every unpruned search.
 TEST(LssWorkTest, SqlFamiliesKeepWorkAndShareProbes) {
   GrammarParseResult R = parseGrammar(exampleGrammarText("sql.y"));
   ASSERT_TRUE(R.ok());
@@ -158,33 +204,63 @@ TEST(LssWorkTest, SqlFamiliesKeepWorkAndShareProbes) {
   StateItemGraph Graph(B.M);
   struct Work {
     unsigned State;
-    size_t Expanded, Enqueued, DominancePruned, PathLength;
+    size_t Expanded, Enqueued, DominancePruned, PathLength, TouchedSize;
+    const char *Fingerprint;
   };
   const Work Expected[] = {
-      {417, 61418, 86766, 1577937, 14},   {529, 92301, 107161, 1978504, 15},
-      {621, 225596, 233107, 4847435, 25}, {684, 233110, 239253, 5004967, 26},
-      {685, 233111, 239253, 5004968, 26}, {690, 233108, 239252, 5004966, 26},
-      {791, 244034, 247277, 5216532, 28},
+      {417, 61418, 86766, 1577937, 14, 6940,
+       "31933fb102ffb3293e44af41da5a8edf"},
+      {529, 92301, 107161, 1978504, 15, 6940,
+       "cf93bf2c56c5880d4458dda9ac1b6236"},
+      {621, 225596, 233107, 4847435, 25, 6940,
+       "9475a102899e60be5d1696ab181fed90"},
+      {684, 233110, 239253, 5004967, 26, 6940,
+       "866562e452b53b766efb870dd9efdfa0"},
+      {685, 233111, 239253, 5004968, 26, 6940,
+       "94751d526759cdbb01481d8253a78735"},
+      {690, 233108, 239252, 5004966, 26, 6940,
+       "625169083b66d89534bd34bb4a2f2a5d"},
+      {791, 244034, 247277, 5216532, 28, 6940,
+       "66ca73dbcff411efdedc2b5a51f52e70"},
   };
   const std::vector<Conflict> &Conflicts = B.T.reportedConflicts();
   ASSERT_EQ(Conflicts.size(), std::size(Expected));
   size_t SubsetChecks = 0;
+  StableHasher Unpruned;
   for (size_t I = 0; I != Conflicts.size(); ++I) {
     const Conflict &C = Conflicts[I];
     const Work &W = Expected[I];
     ASSERT_EQ(C.State, W.State);
-    LssStats Stats;
-    std::optional<LssPath> Path = shortestLookaheadSensitivePath(
-        Graph, Graph.nodeFor(C.State, C.reduceItem(B.G)), C.Token,
-        /*PruneToReaching=*/true, /*Guard=*/nullptr, &Stats);
-    ASSERT_TRUE(Path) << "state " << C.State;
-    EXPECT_EQ(Stats.Expanded, W.Expanded) << "state " << C.State;
-    EXPECT_EQ(Stats.Enqueued, W.Enqueued) << "state " << C.State;
-    EXPECT_EQ(Stats.DominancePruned, W.DominancePruned) << "state " << C.State;
-    EXPECT_EQ(Path->Steps.size(), W.PathLength) << "state " << C.State;
-    SubsetChecks += Stats.SubsetChecks;
+    RecordedSearch S = recordedSearch(Graph, B.G, C);
+    ASSERT_TRUE(S.Path) << "state " << C.State;
+    EXPECT_EQ(S.Stats.Expanded, W.Expanded) << "state " << C.State;
+    EXPECT_EQ(S.Stats.Enqueued, W.Enqueued) << "state " << C.State;
+    EXPECT_EQ(S.Stats.DominancePruned, W.DominancePruned)
+        << "state " << C.State;
+    EXPECT_EQ(S.Path->Steps.size(), W.PathLength) << "state " << C.State;
+    EXPECT_EQ(S.Touched.size(), W.TouchedSize) << "state " << C.State;
+    StableHasher H;
+    hashSearch(H, S);
+    EXPECT_EQ(H.finish().hex(), W.Fingerprint) << "state " << C.State;
+    SubsetChecks += S.Stats.SubsetChecks;
+    hashSearch(Unpruned, recordedSearch(Graph, B.G, C, /*Prune=*/false));
   }
   EXPECT_LE(SubsetChecks, size_t(25'000'000));
+  EXPECT_EQ(Unpruned.finish().hex(), "30ec41c974c63049234e0b0589844f28");
+}
+
+/// Java.2's 272 conflicts: every path and touched set, with the pruning on
+/// and off, folded into one fingerprint in conflict order.
+TEST(LssWorkTest, Java2PathsAndTouchedSetsPinned) {
+  BuiltGrammar B = BuiltGrammar::fromCorpus("Java.2");
+  StateItemGraph Graph(B.M);
+  const std::vector<Conflict> &Conflicts = B.T.reportedConflicts();
+  ASSERT_EQ(Conflicts.size(), 272u);
+  StableHasher H;
+  for (const Conflict &C : Conflicts)
+    for (bool Prune : {true, false})
+      hashSearch(H, recordedSearch(Graph, B.G, C, Prune));
+  EXPECT_EQ(H.finish().hex(), "2f4778d62733894990f1b0054cdc64ad");
 }
 
 /// Every corpus entry, then the example grammar files.
