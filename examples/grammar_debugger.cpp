@@ -17,8 +17,8 @@
 //     -jobs <n>           worker threads for conflict examination
 //                         (default: hardware concurrency; 1 = serial)
 //     -lss-stats          print per-conflict lookahead-sensitive search
-//                         stats (pool occupancy, union-cache hit rate,
-//                         dominance-check counts)
+//                         stats (vertices expanded, enqueued, and pruned
+//                         by dominance)
 //     -metrics            print the pipeline metrics registry (per-phase
 //                         wall times, search-effort counters, guard trips)
 //                         after the run
@@ -239,19 +239,10 @@ int main(int argc, char **argv) {
                   R.Failure->Stage.c_str(),
                   R.Failure->Detail.empty() ? "" : ": ",
                   R.Failure->Detail.c_str());
-    if (R.Lss) {
-      const LssStats &S = *R.Lss;
-      double HitRate = S.UnionCalls
-                           ? 100.0 * double(S.UnionCacheHits) /
-                                 double(S.UnionCalls)
-                           : 0.0;
+    if (R.Lss)
       std::printf("  [lss: %zu expanded, %zu enqueued, %zu pruned by "
-                  "dominance (%zu subset checks); pool %zu wide sets / "
-                  "%zu arena bytes; union cache %zu/%zu hits (%.1f%%)]\n",
-                  S.Expanded, S.Enqueued, S.DominancePruned, S.SubsetChecks,
-                  S.PoolWideSets, S.PoolArenaBytes, S.UnionCacheHits,
-                  S.UnionCalls, HitRate);
-    }
+                  "dominance]\n",
+                  R.Lss->Expanded, R.Lss->Enqueued, R.Lss->DominancePruned);
     std::printf("\n");
   }
   std::printf("examined %zu conflicts with %u worker thread(s); "

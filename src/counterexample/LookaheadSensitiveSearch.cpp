@@ -8,12 +8,10 @@
 
 #include "support/FaultInjection.h"
 #include "support/Metrics.h"
-#include "support/TerminalSetPool.h"
 
 #include <algorithm>
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 
 using namespace lalrcex;
 
@@ -26,19 +24,18 @@ std::vector<StateItemGraph::NodeId> LssPath::nodes() const {
 }
 
 //===----------------------------------------------------------------------===//
-// Pooled search
+// One-bit search
 //===----------------------------------------------------------------------===//
 
 namespace {
 
-/// A discovered vertex: a (node, pooled lookahead id) pair linked to its
-/// BFS parent. 16 bytes flat in the vertex arena, vs a node id plus a
-/// heap-allocated bitset copy in the reference implementation.
-struct PooledVertex {
+/// A discovered vertex: a node plus one bit of its precise lookahead set
+/// (whether the conflict terminal is in it), linked to its BFS parent.
+struct BitVertex {
   StateItemGraph::NodeId Node;
-  TerminalSetPool::SetId L;
   int32_t Parent;
   LssStep::Kind EdgeKind;
+  bool HasTerm;
 };
 
 } // namespace
@@ -67,33 +64,19 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
   if (StartNode == StateItemGraph::InvalidNode)
     throw SearchError("lss path: start item missing from start state");
 
-  // Thread-local overlay over the graph's frozen pool; the guard is
-  // charged for everything the search interns.
-  TerminalSetPool Pool = TerminalSetPool::overlay(Graph.pool(), Guard);
-
   size_t Expanded = 0, Enqueued = 0, Pruned = 0;
   auto finish = [&] {
     if (Metrics) {
-      const TerminalSetPool::Stats &PS = Pool.stats();
       Metrics->add(metric::LssSearches);
       Metrics->add(metric::LssExpanded, Expanded);
       Metrics->add(metric::LssEnqueued, Enqueued);
       Metrics->add(metric::LssDominancePruned, Pruned);
-      Metrics->add(metric::LssSubsetChecks, PS.SubsetChecks);
-      Metrics->add(metric::LssUnionCalls, PS.UnionCalls);
-      Metrics->add(metric::LssUnionCacheHits, PS.UnionCacheHits);
-      Metrics->gaugeMax(metric::LssPoolArenaBytes, PS.ArenaBytes);
     }
-    if (!Stats)
-      return;
-    Stats->Expanded = Expanded;
-    Stats->Enqueued = Enqueued;
-    Stats->DominancePruned = Pruned;
-    Stats->SubsetChecks = Pool.stats().SubsetChecks;
-    Stats->PoolWideSets = Pool.stats().WideSets;
-    Stats->PoolArenaBytes = Pool.stats().ArenaBytes;
-    Stats->UnionCalls = Pool.stats().UnionCalls;
-    Stats->UnionCacheHits = Pool.stats().UnionCacheHits;
+    if (Stats) {
+      Stats->Expanded = Expanded;
+      Stats->Enqueued = Enqueued;
+      Stats->DominancePruned = Pruned;
+    }
   };
 
   if (!Relevant[StartNode]) {
@@ -101,176 +84,133 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
     return std::nullopt;
   }
 
-  std::vector<PooledVertex> Vertices;
-  // Per-node dominance frontier: the maximal lookahead ids admitted so
-  // far. A candidate covered by any admitted set is pruned; DESIGN.md §5e
-  // proves the surviving BFS still finds the reference path exactly.
+  // The goal asks only whether the conflict terminal t is in L, and both
+  // edge maps decide t's membership from t's membership alone: a
+  // transition keeps L, and t ∈ followL(A -> a . B b, L) exactly when
+  // t ∈ FIRST(b), or b is nullable and t ∈ L. So a vertex carries one bit
+  // of L, and at one node a vertex with the bit set dominates one without
+  // it. Admitted[Key] records the best bit admitted at a frontier key:
+  // 0 nothing, 1 bit clear, 2 bit set. A candidate is rejected when its
+  // key already holds its bit or the set bit, so each key admits at most
+  // two vertices. DESIGN.md §5e proves this admits exactly the bit
+  // projections of the vertices the set-valued BFS
+  // (shortestLookaheadSensitivePathReference) keeps first at their node,
+  // in the same order and with the same parents, so both return the same
+  // path and expand the same nodes before the goal.
   //
   // A production-step family — the dot-0 nodes (s, A -> .g) of one state
-  // and nonterminal, i.e. one productionSteps() row — shares the frontier
-  // of its row's first node. Nothing but production steps leads into a
-  // dot-0 node (S' -> .S is never a step target), and every step into
-  // (s, A) offers the same set to each relevant member, so the members'
-  // frontiers would stay identical: one probe answers for all of them.
-  //
-  // SoA layout: each node's admitted ids live contiguously in one shared
-  // slab, addressed by a 12-byte {Begin, Count, Cap} descriptor. Scanning
-  // a frontier is a dense streak of SetIds instead of a pointer chase
-  // through per-node heap vectors, and a node outgrowing its segment
-  // relocates to the slab's end with doubled capacity (the abandoned
-  // segment is bounded by geometric growth, like a vector's).
-  struct NodeFrontier {
-    uint32_t Begin = 0, Count = 0, Cap = 0;
-  };
-  std::vector<NodeFrontier> Frontier(Graph.numNodes());
-  std::vector<TerminalSetPool::SetId> Slab;
-  // Per-node union of all admitted elements, as raw words (maskWords()
-  // per node, so the padded-stride kernels apply; padding words stay
-  // zero). L ⊆ some Prev requires L ⊆ union, so a failed mask probe
-  // admits without scanning the frontier; for |L| <= 1 the mask answer
-  // is exact (an element in the union is in some one admitted set). Only
-  // genuinely ambiguous candidates pay the linear containsAll scan.
-  const unsigned MaskWords = Pool.maskWords();
-  std::vector<uint64_t> UnionMask(size_t(Graph.numNodes()) * MaskWords, 0);
-
-  // Unit edge costs make Dial's bucket queue two flat buckets: the depth
-  // being drained and the depth being filled. Draining front-to-back
-  // reproduces the reference BFS's FIFO order exactly.
-  std::vector<int32_t> Buckets[2];
-  std::vector<int32_t> *CurB = &Buckets[0], *NextB = &Buckets[1];
-
-  // Adds L to Key's frontier unless an admitted set covers it; \returns
-  // whether L was admitted.
-  auto admit = [&](StateItemGraph::NodeId Key, TerminalSetPool::SetId L) {
-    NodeFrontier &F = Frontier[Key];
-    uint64_t *Mask = &UnionMask[size_t(Key) * MaskWords];
-    if (F.Count != 0 && Pool.coveredByWords(L, Mask)) {
-      // Exact via the mask: each element of L sits in some admitted
-      // set, and a set of at most one element needs only one of them.
-      if (Pool.count(L) <= 1)
-        return false;
-      const TerminalSetPool::SetId *Seen = Slab.data() + F.Begin;
-      for (uint32_t I = 0; I != F.Count; ++I)
-        if (Pool.containsAll(Seen[I], L))
-          return false;
-    }
-    // L is new and maximal; admitted sets it covers are now redundant
-    // (anything they would prune, L prunes too). The mask needs no
-    // repair: removed sets are subsets of L, which stays admitted.
-    {
-      TerminalSetPool::SetId *Seen = Slab.data() + F.Begin;
-      uint32_t Out = 0;
-      for (uint32_t I = 0; I != F.Count; ++I)
-        if (!Pool.containsAll(L, Seen[I]))
-          Seen[Out++] = Seen[I];
-      F.Count = Out;
-    }
-    if (F.Count == F.Cap) {
-      // Relocate this node's segment to the slab end with doubled
-      // capacity. Copy by index: resize may move the slab.
-      uint32_t NewCap = F.Cap ? F.Cap * 2 : 4;
-      uint32_t NewBegin = uint32_t(Slab.size());
-      Slab.resize(Slab.size() + NewCap);
-      std::copy(Slab.begin() + F.Begin, Slab.begin() + F.Begin + F.Count,
-                Slab.begin() + NewBegin);
-      F.Begin = NewBegin;
-      F.Cap = NewCap;
-    }
-    Slab[F.Begin + F.Count++] = L;
-    Pool.addToWords(L, Mask);
+  // and nonterminal, i.e. one productionSteps() row — is keyed by its
+  // row's first node. Nothing but production steps leads into a dot-0
+  // node (S' -> .S is never a step target), and every step into (s, A)
+  // offers the same bit to each relevant member, so one probe answers for
+  // the whole row.
+  std::vector<uint8_t> Admitted(Graph.numNodes(), 0);
+  auto admit = [&](StateItemGraph::NodeId Key, bool HasTerm) {
+    uint8_t Want = HasTerm ? 2 : 1;
+    if (Admitted[Key] >= Want)
+      return false;
+    Admitted[Key] = Want;
     return true;
   };
-  auto push = [&](StateItemGraph::NodeId Node, TerminalSetPool::SetId L,
-                  int32_t Parent, LssStep::Kind Kind) {
-    Vertices.push_back(PooledVertex{Node, L, Parent, Kind});
-    NextB->push_back(int32_t(Vertices.size()) - 1);
+
+  // Vertices are appended in discovery order, which is the BFS's FIFO
+  // order, so the vertex array is its own queue.
+  std::vector<BitVertex> Vertices;
+  auto push = [&](StateItemGraph::NodeId Node, int32_t Parent,
+                  LssStep::Kind Kind, bool HasTerm) {
+    Vertices.push_back(BitVertex{Node, Parent, Kind, HasTerm});
     ++Enqueued;
   };
 
-  // No edge enters the start item, so its frontier is never probed.
-  push(StartNode, Pool.singleton(G.eof().id()), -1, LssStep::Start);
-  std::swap(CurB, NextB); // the start vertex is depth 0
+  // No edge enters the start item, so its key is never probed.
+  push(StartNode, -1, LssStep::Start, ConflictTerm == G.eof());
 
   int32_t Goal = -1;
-  while (!CurB->empty() && Goal < 0) {
-    for (size_t H = 0; H != CurB->size() && Goal < 0; ++H) {
-      // The BFS is polynomial and fast, but a cancelled or exhausted
-      // guard must still be able to stop it (the "never hang" contract).
-      if (Guard && Guard->step() != GuardStop::None) {
-        finish();
-        return std::nullopt;
-      }
-      int32_t VI = (*CurB)[H];
-      ++Expanded;
-      StateItemGraph::NodeId N = Vertices[VI].Node;
-      TerminalSetPool::SetId L = Vertices[VI].L;
-
-      // Goal test.
-      if (N == ConflictNode && Pool.contains(L, ConflictTerm.id())) {
-        Goal = VI;
-        break;
-      }
-
-      // Transition edge: the precise lookahead set is preserved (and so
-      // is its id — no copy).
-      StateItemGraph::NodeId Succ = Graph.forwardTransition(N);
-      if (Succ != StateItemGraph::InvalidNode && Relevant[Succ]) {
-        if (admit(Succ, L))
-          push(Succ, L, VI, LssStep::Transition);
-        else
-          ++Pruned;
-      }
-
-      // Production-step edges: L becomes followL(item) (paper §4), one
-      // memoized table lookup plus at most one cached union, probed once
-      // against the family's frontier, which its row's first node keys.
-      const Item &Itm = Graph.itemOf(N);
-      Symbol Next = Itm.afterDot(G);
-      if (Next.valid() && G.isNonterminal(Next)) {
-        StateItemGraph::NodeRange Steps = Graph.productionSteps(N);
-        size_t Members = 0;
-        for (StateItemGraph::NodeId Step : Steps)
-          Members += Relevant[Step];
-        // Pull the family's mask row toward the cache while the
-        // follow-set lookup (and possibly a cached union) is in flight;
-        // admit's first real work is the coveredByWords probe against
-        // exactly these words.
-        if (Members != 0)
-          __builtin_prefetch(&UnionMask[size_t(*Steps.begin()) * MaskWords]);
-        TerminalSetPool::SetId Follow =
-            Analysis.firstOfSequenceId(Itm.Prod, Itm.Dot + 1);
-        if (Analysis.suffixNullable(Itm.Prod, Itm.Dot + 1))
-          Follow = Pool.unionSets(Follow, L);
-        if (Members == 0)
-          continue;
-        if (!admit(*Steps.begin(), Follow)) {
-          Pruned += Members;
-          continue;
-        }
-        for (StateItemGraph::NodeId Step : Steps)
-          if (Relevant[Step])
-            push(Step, Follow, VI, LssStep::Production);
-      }
+  for (size_t VI = 0; VI != Vertices.size(); ++VI) {
+    // The BFS is polynomial and fast, but a cancelled guard must still be
+    // able to stop it (the "never hang" contract).
+    if (Guard && Guard->step() != GuardStop::None) {
+      finish();
+      return std::nullopt;
     }
-    CurB->clear();
-    std::swap(CurB, NextB);
+    ++Expanded;
+    const BitVertex V = Vertices[VI];
+
+    // Goal test.
+    if (V.Node == ConflictNode && V.HasTerm) {
+      Goal = int32_t(VI);
+      break;
+    }
+
+    // Transition edge: L, and so its bit, is preserved.
+    StateItemGraph::NodeId Succ = Graph.forwardTransition(V.Node);
+    if (Succ != StateItemGraph::InvalidNode && Relevant[Succ]) {
+      if (admit(Succ, V.HasTerm))
+        push(Succ, int32_t(VI), LssStep::Transition, V.HasTerm);
+      else
+        ++Pruned;
+    }
+
+    // Production-step edges: L becomes followL(item) (paper §4), whose bit
+    // is two memoized table lookups, probed once against the family's key.
+    const Item &Itm = Graph.itemOf(V.Node);
+    Symbol Next = Itm.afterDot(G);
+    if (Next.valid() && G.isNonterminal(Next)) {
+      StateItemGraph::NodeRange Steps = Graph.productionSteps(V.Node);
+      size_t Members = 0;
+      for (StateItemGraph::NodeId Step : Steps)
+        Members += Relevant[Step];
+      if (Members == 0)
+        continue;
+      bool HasTerm =
+          Analysis.suffixCanBeginWith(Itm.Prod, Itm.Dot + 1, ConflictTerm) ||
+          (V.HasTerm && Analysis.suffixNullable(Itm.Prod, Itm.Dot + 1));
+      if (!admit(*Steps.begin(), HasTerm)) {
+        Pruned += Members;
+        continue;
+      }
+      for (StateItemGraph::NodeId Step : Steps)
+        if (Relevant[Step])
+          push(Step, int32_t(VI), LssStep::Production, HasTerm);
+    }
   }
 
   finish();
   if (Goal < 0)
     return std::nullopt;
 
-  LssPath Path;
+  // Rebuild the precise lookahead sets along the path: {$} at the start,
+  // kept by transitions, followL of the previous item after production
+  // steps.
+  std::vector<int32_t> Chain;
   for (int32_t VI = Goal; VI >= 0; VI = Vertices[VI].Parent)
-    Path.Steps.push_back(LssStep{Vertices[VI].Node, Vertices[VI].EdgeKind,
-                                 Pool.materialize(Vertices[VI].L)});
-  std::reverse(Path.Steps.begin(), Path.Steps.end());
+    Chain.push_back(VI);
+  std::reverse(Chain.begin(), Chain.end());
+  LssPath Path;
+  Path.Steps.reserve(Chain.size());
+  for (int32_t VI : Chain) {
+    const BitVertex &V = Vertices[VI];
+    IndexSet L(G.numTerminals());
+    if (V.EdgeKind == LssStep::Start) {
+      L.insert(G.eof().id());
+    } else {
+      const LssStep &Prev = Path.Steps.back();
+      if (V.EdgeKind == LssStep::Transition) {
+        L = Prev.Lookaheads;
+      } else {
+        const Item &Itm = Graph.itemOf(Prev.Node);
+        L = Analysis.firstOfSequence(G.production(Itm.Prod).Rhs, Itm.Dot + 1,
+                                     &Prev.Lookaheads);
+      }
+    }
+    Path.Steps.push_back(LssStep{V.Node, V.EdgeKind, std::move(L)});
+  }
   return Path;
 }
 
 //===----------------------------------------------------------------------===//
-// Reference implementation (pre-pool), retained for equivalence testing
-// and the pooled-vs-baseline benchmark sections.
+// Reference implementation (set-valued BFS), retained as the oracle of the
+// equivalence tests and the benchmarks' baseline.
 //===----------------------------------------------------------------------===//
 
 namespace {

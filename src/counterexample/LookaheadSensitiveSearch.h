@@ -16,25 +16,26 @@
 /// visiting only state-items from which the conflict item is reachable
 /// (the §6 pruning).
 ///
-/// The production implementation runs on hash-consed TerminalSetPool ids:
-/// vertices carry a canonical SetId instead of a copied bitset, the FIFO
-/// is a two-bucket Dial queue over flat arrays, per-node visited sets are
-/// dominance frontiers (a vertex is pruned when an earlier vertex at the
-/// same node already covers its lookahead set — see DESIGN.md §5e for the
-/// proof this preserves the exact path the plain BFS finds), and followL
-/// is one cached union over the analysis's memoized suffix-FIRST tables.
+/// The goal only asks whether the conflict terminal t is in L, and both
+/// edge maps decide t's membership from t's membership alone, so the
+/// production implementation searches (node, bit) pairs, where the bit
+/// says whether t is in L. Each frontier key admits at most two vertices
+/// (bit clear, then bit set; a set bit dominates), the vertex array in
+/// discovery order is the FIFO, and followL's bit is two memoized table
+/// lookups. Once the goal is found, the precise sets are rebuilt along
+/// its parent chain. DESIGN.md §5e proves this returns the exact path,
+/// sets included, that the set-valued BFS returns, and expands the same
+/// nodes before the goal (so the touched sets the cache stores are
+/// unchanged).
 ///
-///   - Family-shared frontiers: the dot-0 nodes (s, A -> .g) of one state
-///     and nonterminal — one productionSteps() row — share one frontier
-///     and union mask, keyed by the row's first node, so a production
-///     step probes once for the whole row. Only production steps reach a
-///     dot-0 node, and each offers the same set to every relevant member,
-///     so their frontiers would be identical anyway: the search admits
-///     the same vertices in the same order, and of the LssStats counters
-///     only SubsetChecks moves.
+///   - Family keys: the dot-0 nodes (s, A -> .g) of one state and
+///     nonterminal — one productionSteps() row — share one frontier key,
+///     the row's first node, so a production step probes once for the
+///     whole row. Only production steps reach a dot-0 node, and each
+///     offers the same bit to every relevant member.
 ///
-/// The pre-pool BFS is retained as shortestLookaheadSensitivePathReference
-/// for the equivalence tests and the pooled-vs-baseline benchmarks.
+/// The set-valued BFS is retained as shortestLookaheadSensitivePathReference,
+/// the oracle of the equivalence tests and the benchmarks' baseline.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -74,18 +75,12 @@ struct LssPath {
 
 /// Observability counters for one lookahead-sensitive search (surfaced by
 /// grammar_debugger -lss-stats and the microbenchmarks). Never affects
-/// the search result. Deprecated in favor of the pipeline-wide
-/// MetricsRegistry (lss.* counters), which reports the same quantities;
-/// retained so -lss-stats and the PR 4 benchmarks keep their exact shape.
+/// the search result. The pipeline-wide MetricsRegistry reports the same
+/// quantities as lss.* counters.
 struct LssStats {
   size_t Expanded = 0;        ///< vertices popped from the queue
   size_t Enqueued = 0;        ///< vertices admitted to the frontier
   size_t DominancePruned = 0; ///< candidates covered by an earlier vertex
-  size_t SubsetChecks = 0;    ///< pooled containsAll dominance probes
-  size_t PoolWideSets = 0;    ///< wide sets interned by this search
-  size_t PoolArenaBytes = 0;  ///< arena bytes owned by this search's pool
-  size_t UnionCalls = 0;      ///< non-trivial pooled unions requested
-  size_t UnionCacheHits = 0;  ///< of which answered from the union cache
 };
 
 /// Finds the shortest lookahead-sensitive path from the start item to
@@ -95,10 +90,9 @@ struct LssStats {
 /// \p PruneToReaching restricts the search to state-items from which the
 /// conflict item is reachable (the paper's §6 optimization); disabling it
 /// exists for the ablation benchmark.
-/// \p Guard, when given, is charged one step per expanded vertex and for
-/// the search pool's memory; if it trips (cancellation, cumulative
-/// budget), the search stops and returns nullopt — callers degrade to a
-/// bare item-pair report.
+/// \p Guard, when given, is charged one step per expanded vertex; if it
+/// trips (cancellation, cumulative budget), the search stops and returns
+/// nullopt — callers degrade to a bare item-pair report.
 /// \p Stats, when given, receives the search's counters.
 /// \p Metrics, when given, receives the same counters as lss.* metrics
 /// plus the search wall time (time.lss_ns).
@@ -111,9 +105,9 @@ shortestLookaheadSensitivePath(const StateItemGraph &Graph,
                                LssStats *Stats = nullptr,
                                MetricsRegistry *Metrics = nullptr);
 
-/// The pre-pool reference implementation (plain BFS, per-vertex IndexSet
-/// copies, exact-equality visited sets). Kept verbatim so the equivalence
-/// test and the pooled-vs-baseline benchmark can compare against it.
+/// The reference implementation (plain set-valued BFS, per-vertex
+/// IndexSet copies, exact-equality visited sets). Kept verbatim so the
+/// equivalence tests and the benchmarks can compare against it.
 std::optional<LssPath>
 shortestLookaheadSensitivePathReference(const StateItemGraph &Graph,
                                         StateItemGraph::NodeId ConflictNode,

@@ -15,8 +15,6 @@
 
 using namespace lalrcex;
 
-thread_local GraphTouchRecorder *GraphTouchRecorder::Active = nullptr;
-
 std::vector<uint32_t> GraphTouchRecorder::sortedNodes() const {
   std::vector<uint32_t> Out = Touched;
   std::sort(Out.begin(), Out.end());
@@ -45,7 +43,7 @@ void transpose(size_t NumNodes, std::vector<uint32_t> &Begin,
 
 StateItemGraph::StateItemGraph(const Automaton &M, MetricsRegistry *Metrics,
                                TraceRecorder *Trace)
-    : M(M), LaPool(TerminalSetPool::overlay(M.analysis().pool())) {
+    : M(M) {
   ScopedTimer Timer(Metrics, metric::TimeGraphBuildNs);
   TraceSpan Span(Trace, "graph-build");
   const Grammar &G = M.grammar();
@@ -114,13 +112,6 @@ StateItemGraph::StateItemGraph(const Automaton &M, MetricsRegistry *Metrics,
       for (NodeId Step : ProdSteps.row(N))
         Edge(N, Step);
   });
-  // Intern every node's lookahead set, then freeze the pool.
-  NodeLookIds.reserve(NumNodes);
-  for (const NodeData &D : Nodes)
-    NodeLookIds.push_back(
-        LaPool.intern(M.state(D.State).Lookaheads[D.ItemIndex]));
-  LaPool.freeze();
-
   if (Metrics) {
     Metrics->add(metric::GraphBuilds);
     Metrics->add(metric::GraphNodes, Nodes.size());

@@ -65,7 +65,10 @@ public:
 
 private:
   friend class ScopedGraphTouchRecorder;
-  static thread_local GraphTouchRecorder *Active;
+  // Constant-initialized, so every access is a plain TLS load: no lazy
+  // TLS-init check in the graph accessors, and nothing for an optimized
+  // sanitizer build to misread.
+  static constinit inline thread_local GraphTouchRecorder *Active = nullptr;
 
   std::vector<bool> Marks;
   std::vector<uint32_t> Touched;
@@ -133,17 +136,6 @@ public:
     recordTouch(N);
     return M.state(Nodes[N].State).Lookaheads[Nodes[N].ItemIndex];
   }
-
-  /// The node's lookahead set as a canonical id in pool(). Searches union
-  /// and compare these without touching the underlying bitsets.
-  TerminalSetPool::SetId lookaheadId(NodeId N) const {
-    recordTouch(N);
-    return NodeLookIds[N];
-  }
-
-  /// Frozen pool holding the analysis's FIRST/suffix-FIRST sets plus every
-  /// node lookahead set; per-search overlays extend it thread-locally.
-  const TerminalSetPool &pool() const { return LaPool; }
 
   /// The node for (\p State, \p I), or InvalidNode if the item is not in
   /// the state.
@@ -224,10 +216,6 @@ private:
   Csr ProdSteps;
   Csr RevTransitions;
   Csr RevProdSteps;
-  /// Overlay of the analysis pool holding node lookahead ids; frozen at
-  /// the end of construction so concurrent searches can overlay it again.
-  TerminalSetPool LaPool;
-  std::vector<TerminalSetPool::SetId> NodeLookIds;
 };
 
 } // namespace lalrcex

@@ -32,9 +32,6 @@ const char *const CounterNames[metric::NumCounters] = {
     "lss.expanded",
     "lss.enqueued",
     "lss.dominance_pruned",
-    "lss.subset_checks",
-    "lss.union_calls",
-    "lss.union_cache_hits",
     "unifying.searches",
     "unifying.configurations",
     "unifying.queue_pushes",
@@ -78,7 +75,6 @@ const char *const CounterNames[metric::NumCounters] = {
 const char *const GaugeNames[metric::NumGauges] = {
     "examine.workers",
     "unifying.peak_bytes",
-    "lss.pool_arena_bytes",
 };
 
 const char *const HistNames[metric::NumHists] = {

@@ -47,9 +47,6 @@ enum Counter : unsigned {
   LssExpanded,
   LssEnqueued,
   LssDominancePruned,
-  LssSubsetChecks,
-  LssUnionCalls,
-  LssUnionCacheHits,
   UnifyingSearches,
   UnifyingConfigurations,
   UnifyingQueuePushes,
@@ -101,7 +98,6 @@ enum Counter : unsigned {
 enum Gauge : unsigned {
   ExamineWorkers,
   UnifyingPeakBytes,
-  LssPoolArenaBytes,
   NumGauges
 };
 

@@ -24,30 +24,11 @@ namespace lalrcex {
 // reinterpret_casts punning wider types onto vector<uint64_t> storage, so
 // the scalar paths were already UB-free. The AVX2 path below only ever
 // touches memory through _mm256_loadu_si256 / _mm256_storeu_si256, the
-// sanctioned unaligned intrinsics, so it is correct even for
-// caller-owned mask buffers with no alignment promise; the pool's own
-// arena is additionally 64-byte aligned (AlignedWordBuffer) so arena rows
-// get aligned-speed loads and never split cache lines.
+// sanctioned unaligned intrinsics, so it is correct even for buffers with
+// no alignment promise (the scratch vector); the pool's own arena is
+// additionally 64-byte aligned (AlignedWordBuffer) so arena rows get
+// aligned-speed loads and never split cache lines.
 namespace setkernel {
-
-bool subsetScalar(const uint64_t *Sub, const uint64_t *Super,
-                  unsigned Words) {
-  // 4-wide accumulation with one branch per block: autovectorizes under
-  // -O2 and keeps the scalar fallback within a few percent of AVX2.
-  uint64_t Stray = 0;
-  unsigned I = 0;
-  for (; I + 4 <= Words; I += 4) {
-    Stray |= Sub[I] & ~Super[I];
-    Stray |= Sub[I + 1] & ~Super[I + 1];
-    Stray |= Sub[I + 2] & ~Super[I + 2];
-    Stray |= Sub[I + 3] & ~Super[I + 3];
-    if (Stray)
-      return false;
-  }
-  for (; I != Words; ++I)
-    Stray |= Sub[I] & ~Super[I];
-  return Stray == 0;
-}
 
 void orIntoScalar(uint64_t *Dst, const uint64_t *Src, unsigned Words) {
   unsigned I = 0;
@@ -70,24 +51,6 @@ const bool HaveAvx2 = detectAvx2();
 
 bool avx2Available() { return HaveAvx2; }
 
-__attribute__((target("avx2"))) static bool
-subsetAvx2Impl(const uint64_t *Sub, const uint64_t *Super, unsigned Words) {
-  unsigned I = 0;
-  for (; I + 4 <= Words; I += 4) {
-    __m256i VSub =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Sub + I));
-    __m256i VSuper =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(Super + I));
-    // testc(Super, Sub) == 1 iff (~Super & Sub) is all zero.
-    if (!_mm256_testc_si256(VSuper, VSub))
-      return false;
-  }
-  uint64_t Stray = 0;
-  for (; I != Words; ++I)
-    Stray |= Sub[I] & ~Super[I];
-  return Stray == 0;
-}
-
 __attribute__((target("avx2"))) static void
 orIntoAvx2Impl(uint64_t *Dst, const uint64_t *Src, unsigned Words) {
   unsigned I = 0;
@@ -103,21 +66,11 @@ orIntoAvx2Impl(uint64_t *Dst, const uint64_t *Src, unsigned Words) {
     Dst[I] |= Src[I];
 }
 
-bool subsetAvx2(const uint64_t *Sub, const uint64_t *Super, unsigned Words) {
-  return HaveAvx2 ? subsetAvx2Impl(Sub, Super, Words)
-                  : subsetScalar(Sub, Super, Words);
-}
-
 void orIntoAvx2(uint64_t *Dst, const uint64_t *Src, unsigned Words) {
   if (HaveAvx2)
     orIntoAvx2Impl(Dst, Src, Words);
   else
     orIntoScalar(Dst, Src, Words);
-}
-
-bool subset(const uint64_t *Sub, const uint64_t *Super, unsigned Words) {
-  return HaveAvx2 ? subsetAvx2Impl(Sub, Super, Words)
-                  : subsetScalar(Sub, Super, Words);
 }
 
 void orInto(uint64_t *Dst, const uint64_t *Src, unsigned Words) {
@@ -131,16 +84,8 @@ void orInto(uint64_t *Dst, const uint64_t *Src, unsigned Words) {
 
 bool avx2Available() { return false; }
 
-bool subsetAvx2(const uint64_t *Sub, const uint64_t *Super, unsigned Words) {
-  return subsetScalar(Sub, Super, Words);
-}
-
 void orIntoAvx2(uint64_t *Dst, const uint64_t *Src, unsigned Words) {
   orIntoScalar(Dst, Src, Words);
-}
-
-bool subset(const uint64_t *Sub, const uint64_t *Super, unsigned Words) {
-  return subsetScalar(Sub, Super, Words);
 }
 
 void orInto(uint64_t *Dst, const uint64_t *Src, unsigned Words) {
@@ -339,54 +284,6 @@ unsigned TerminalSetPool::count(SetId A) const {
   for (unsigned I = 0; I != WordsPerSet; ++I)
     N += __builtin_popcountll(W[I]);
   return N;
-}
-
-bool TerminalSetPool::containsAll(SetId A, SetId B) const {
-  ++Counters.SubsetChecks;
-  if (A == B || B == EmptyId)
-    return true;
-  if (A == EmptyId)
-    return false;
-  if (isInline(B)) {
-    unsigned Lo = B & SlotMask, Hi = (B >> SlotBits) & SlotMask;
-    if (Lo != SlotEmpty && !contains(A, Lo))
-      return false;
-    if (Hi != SlotEmpty && !contains(A, Hi))
-      return false;
-    return true;
-  }
-  // B is wide: with the inline encoding active a wide set always has at
-  // least three elements, so an inline A (at most two) can't cover it.
-  if (isInline(A))
-    return false;
-  const uint64_t *AW = wordsOf(A), *BW = wordsOf(B);
-  return setkernel::subset(BW, AW, StrideWords);
-}
-
-bool TerminalSetPool::coveredByWords(SetId A, const uint64_t *Mask) const {
-  if (isInline(A)) {
-    unsigned Lo = A & SlotMask, Hi = (A >> SlotBits) & SlotMask;
-    if (Lo != SlotEmpty && !((Mask[Lo / 64] >> (Lo % 64)) & 1))
-      return false;
-    if (Hi != SlotEmpty && !((Mask[Hi / 64] >> (Hi % 64)) & 1))
-      return false;
-    return true;
-  }
-  const uint64_t *W = wordsOf(A);
-  return setkernel::subset(W, Mask, StrideWords);
-}
-
-void TerminalSetPool::addToWords(SetId A, uint64_t *Mask) const {
-  if (isInline(A)) {
-    unsigned Lo = A & SlotMask, Hi = (A >> SlotBits) & SlotMask;
-    if (Lo != SlotEmpty)
-      Mask[Lo / 64] |= uint64_t(1) << (Lo % 64);
-    if (Hi != SlotEmpty)
-      Mask[Hi / 64] |= uint64_t(1) << (Hi % 64);
-    return;
-  }
-  const uint64_t *W = wordsOf(A);
-  setkernel::orInto(Mask, W, StrideWords);
 }
 
 TerminalSetPool::SetId TerminalSetPool::unionSets(SetId A, SetId B) {

@@ -17,8 +17,7 @@
 ///   - a "did this union change anything" fixpoint test is `NewId != OldId`,
 ///   - union and with-element results are cached by id pair, so the
 ///     re-merges an LR fixpoint performs over and over collapse into one
-///     hash probe each,
-///   - subset ("dominance") checks run word-parallel over the arena.
+///     hash probe each.
 ///
 /// Sets of at most two elements — the overwhelming majority of lookahead
 /// sets in real grammars — are encoded \e inline in the id itself (tag bit
@@ -51,29 +50,23 @@ namespace lalrcex {
 
 class ResourceGuard;
 
-/// Word-level set kernels shared by the pool and the LSS dominance
-/// frontiers. The portable implementations are written 4-wide and
-/// autovectorize; on x86-64 an AVX2 version is selected once at startup
-/// behind a runtime CPUID check, so the binary needs no -mavx2 baseline.
-/// All loads are unaligned-safe (the pool's arena is 64-byte aligned, but
-/// caller-owned mask buffers need not be).
+/// The word-level union kernel of the pool. The portable implementation
+/// is written 4-wide and autovectorizes; on x86-64 an AVX2 version is
+/// selected once at startup behind a runtime CPUID check, so the binary
+/// needs no -mavx2 baseline. All loads are unaligned-safe.
 namespace setkernel {
 
-/// \returns true iff Sub ⊆ Super over \p Words words (Sub & ~Super == 0).
-bool subsetScalar(const uint64_t *Sub, const uint64_t *Super, unsigned Words);
 /// ORs \p Words words of \p Src into \p Dst.
 void orIntoScalar(uint64_t *Dst, const uint64_t *Src, unsigned Words);
 
-/// Whether the AVX2 variants below run vector code on this machine.
+/// Whether the AVX2 variant below runs vector code on this machine.
 bool avx2Available();
-/// AVX2 kernels; identical results to the scalar versions, falling back
-/// to them when avx2Available() is false. Exposed for the equivalence
-/// tests; hot paths go through the dispatched entry points.
-bool subsetAvx2(const uint64_t *Sub, const uint64_t *Super, unsigned Words);
+/// AVX2 kernel; identical results to the scalar version, falling back to
+/// it when avx2Available() is false. Exposed for the equivalence tests;
+/// hot paths go through the dispatched entry point.
 void orIntoAvx2(uint64_t *Dst, const uint64_t *Src, unsigned Words);
 
-/// Dispatched entry points (resolved once per process).
-bool subset(const uint64_t *Sub, const uint64_t *Super, unsigned Words);
+/// Dispatched entry point (resolved once per process).
 void orInto(uint64_t *Dst, const uint64_t *Src, unsigned Words);
 
 } // namespace setkernel
@@ -187,26 +180,8 @@ public:
 
   bool contains(SetId A, unsigned Element) const;
 
-  /// \returns true if B ⊆ A (word-level when either side is wide).
-  bool containsAll(SetId A, SetId B) const;
-
   /// Meaningful (universe-covering) words per set.
   unsigned wordsPerSet() const { return WordsPerSet; }
-
-  /// Words a raw-mask consumer must allocate per set: the arena stride,
-  /// which pads wide universes up to a multiple of four words so the
-  /// batched kernels never need a scalar tail. Padding words are always
-  /// zero, on both the arena side and (by the caller's contract) the mask
-  /// side, so subset checks over the full stride are exact.
-  unsigned maskWords() const { return StrideWords; }
-
-  /// \returns true if every element of \p A is set in \p Mask, a raw
-  /// maskWords()-word bitmask. Fast-path support for callers keeping
-  /// per-bucket accumulator masks (the LSS dominance frontiers).
-  bool coveredByWords(SetId A, const uint64_t *Mask) const;
-
-  /// ORs \p A's elements into \p Mask (maskWords() words).
-  void addToWords(SetId A, uint64_t *Mask) const;
 
   bool empty(SetId A) const { return A == EmptyId; }
 
@@ -240,7 +215,7 @@ public:
   /// \p UniverseOverride; every element must fit.
   IndexSet materialize(SetId A, unsigned UniverseOverride) const;
 
-  /// Observability for `-lss-stats` and the pool benchmarks.
+  /// Observability for the pool tests.
   struct Stats {
     size_t WideSets = 0;       ///< interned wide sets in this pool layer
     size_t ArenaBytes = 0;     ///< word-arena bytes in this pool layer
@@ -249,7 +224,6 @@ public:
     size_t UnionCacheHits = 0; ///< of which answered from the pair cache
     size_t WithElementCalls = 0;
     size_t WithElementCacheHits = 0;
-    size_t SubsetChecks = 0;   ///< containsAll() calls (dominance probes)
   };
   const Stats &stats() const { return Counters; }
 
@@ -312,8 +286,7 @@ private:
   /// Scratch words for building candidate sets without allocating.
   mutable std::vector<uint64_t> Scratch;
 
-  /// Mutable so const observers (containsAll) can still count probes.
-  mutable Stats Counters;
+  Stats Counters;
 };
 
 } // namespace lalrcex

@@ -1,14 +1,15 @@
-//===- tests/LssEquivalenceTest.cpp - Pooled vs reference LSS --*- C++ -*-===//
+//===- tests/LssEquivalenceTest.cpp - One-bit vs reference LSS -*- C++ -*-===//
 //
 // Part of lalrcex.
 //
-// The pooled lookahead-sensitive search (Dial queue, dominance frontiers,
-// hash-consed lookahead sets) must return the exact path — node for node,
-// edge kind for edge kind, lookahead set for lookahead set — that the
-// retained reference BFS returns. DESIGN.md §5e proves this; the suite
-// checks it over the worked corpus grammars, the imported ansi_c.y and
-// sql.y, and a random-grammar sweep, with the §6 reachability pruning
-// both on and off, and pins the search's work on sql.y. The automaton those
+// The one-bit lookahead-sensitive search (a BFS over (node, conflict
+// terminal in L) pairs, sets rebuilt along the found path) must return the
+// exact path — node for node, edge kind for edge kind, lookahead set for
+// lookahead set — that the retained set-valued reference BFS returns.
+// DESIGN.md §5e proves this; the suite checks it over the worked corpus
+// grammars, the imported ansi_c.y and sql.y, and a random-grammar sweep,
+// with the §6 reachability pruning both on and off, and pins the search's
+// work, paths and touched sets on sql.y and Java.2. The automaton those
 // searches run on is checked the same way: the DeRemer–Pennello
 // lookahead pass against the Dragon Book 4.63 reference, over the whole
 // corpus, the example grammars and random grammars.
@@ -192,7 +193,9 @@ void hashSearch(StableHasher &H, const RecordedSearch &R) {
 /// with each path and touched set pinned by fingerprint. The reference
 /// BFS takes about 3 s per shift/reduce conflict here, so the
 /// fingerprints are those five paths' only check: a faster search must
-/// leave them, and the path lengths, unchanged. With the §6 pruning on,
+/// leave them, and the path lengths, unchanged (they are the set-valued
+/// search's; the one-bit search moved only the work counts). With the §6
+/// pruning on,
 /// the reachability pass reads every relevant node, so the touched set
 /// says little about the search itself; with it off, the touched set is
 /// exactly the nodes the search expanded, so one more fingerprint folds
@@ -208,24 +211,23 @@ TEST(LssWorkTest, SqlFamiliesKeepWorkAndShareProbes) {
     const char *Fingerprint;
   };
   const Work Expected[] = {
-      {417, 61418, 86766, 1577937, 14, 6940,
+      {417, 5763, 6589, 113144, 14, 6940,
        "31933fb102ffb3293e44af41da5a8edf"},
-      {529, 92301, 107161, 1978504, 15, 6940,
+      {529, 6847, 7704, 136870, 15, 6940,
        "cf93bf2c56c5880d4458dda9ac1b6236"},
-      {621, 225596, 233107, 4847435, 25, 6940,
+      {621, 9384, 9747, 186167, 25, 6940,
        "9475a102899e60be5d1696ab181fed90"},
-      {684, 233110, 239253, 5004967, 26, 6940,
+      {684, 9750, 10175, 195666, 26, 6940,
        "866562e452b53b766efb870dd9efdfa0"},
-      {685, 233111, 239253, 5004968, 26, 6940,
+      {685, 9751, 10175, 195667, 26, 6940,
        "94751d526759cdbb01481d8253a78735"},
-      {690, 233108, 239252, 5004966, 26, 6940,
+      {690, 9748, 10174, 195665, 26, 6940,
        "625169083b66d89534bd34bb4a2f2a5d"},
-      {791, 244034, 247277, 5216532, 28, 6940,
+      {791, 10441, 10532, 208516, 28, 6940,
        "66ca73dbcff411efdedc2b5a51f52e70"},
   };
   const std::vector<Conflict> &Conflicts = B.T.reportedConflicts();
   ASSERT_EQ(Conflicts.size(), std::size(Expected));
-  size_t SubsetChecks = 0;
   StableHasher Unpruned;
   for (size_t I = 0; I != Conflicts.size(); ++I) {
     const Conflict &C = Conflicts[I];
@@ -242,10 +244,11 @@ TEST(LssWorkTest, SqlFamiliesKeepWorkAndShareProbes) {
     StableHasher H;
     hashSearch(H, S);
     EXPECT_EQ(H.finish().hex(), W.Fingerprint) << "state " << C.State;
-    SubsetChecks += S.Stats.SubsetChecks;
+    // Each frontier key admits at most two vertices.
+    EXPECT_LE(S.Stats.Expanded, 2 * size_t(Graph.numNodes()))
+        << "state " << C.State;
     hashSearch(Unpruned, recordedSearch(Graph, B.G, C, /*Prune=*/false));
   }
-  EXPECT_LE(SubsetChecks, size_t(25'000'000));
   EXPECT_EQ(Unpruned.finish().hex(), "30ec41c974c63049234e0b0589844f28");
 }
 
