@@ -52,7 +52,7 @@ void BM_ShortestLookaheadSensitivePath(benchmark::State &State) {
 BENCHMARK(BM_ShortestLookaheadSensitivePath);
 
 void BM_ShortestLookaheadSensitivePathReference(benchmark::State &State) {
-  // The retained pre-pool BFS, for pooled-vs-baseline comparison.
+  // The retained set-valued reference BFS, for comparison.
   ConflictSetup S("figure1", "else");
   for (auto _ : State) {
     auto Path = shortestLookaheadSensitivePathReference(
@@ -155,12 +155,14 @@ BenchRecord searchRecord(const char *Name, const char *Grammar,
 }
 
 /// Shortest lookahead-sensitive path over every reported conflict of one
-/// grammar: the pooled rewrite ("lss-pooled") vs. the retained reference
-/// BFS ("lss-reference"). The two rows share a grammar and step count, so
-/// baseline comparisons divide their wall_ms_serial fields directly; the
-/// CI perf smoke checks lss-pooled against bench/baselines. \returns false,
-/// adding no rows, when the two searches' step totals differ: timing a
-/// search that finds other paths would gate nothing.
+/// grammar: the one-bit search ("lss-pooled", the name of the pooled search
+/// it replaced, kept so the committed baselines still match) vs. the
+/// retained set-valued reference BFS ("lss-reference"). The two rows share
+/// a grammar and step count, so baseline comparisons divide their
+/// wall_ms_serial fields directly; the CI perf smoke checks lss-pooled
+/// against bench/baselines. \returns false, adding no rows, when the two
+/// searches' step totals differ: timing a search that finds other paths
+/// would gate nothing.
 bool lssRecords(const char *Grammar, std::vector<BenchRecord> &Records) {
   auto B = buildEntry(*findCorpusEntry(Grammar));
   StateItemGraph Graph(B->M);

@@ -127,8 +127,8 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
 
   int32_t Goal = -1;
   for (size_t VI = 0; VI != Vertices.size(); ++VI) {
-    // The BFS is polynomial and fast, but a cancelled guard must still be
-    // able to stop it (the "never hang" contract).
+    // The BFS is polynomial and fast, but a cancelled or exhausted guard
+    // must still be able to stop it (the "never hang" contract).
     if (Guard && Guard->step() != GuardStop::None) {
       finish();
       return std::nullopt;
@@ -182,28 +182,23 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
   // Rebuild the precise lookahead sets along the path: {$} at the start,
   // kept by transitions, followL of the previous item after production
   // steps.
-  std::vector<int32_t> Chain;
-  for (int32_t VI = Goal; VI >= 0; VI = Vertices[VI].Parent)
-    Chain.push_back(VI);
-  std::reverse(Chain.begin(), Chain.end());
   LssPath Path;
-  Path.Steps.reserve(Chain.size());
-  for (int32_t VI : Chain) {
-    const BitVertex &V = Vertices[VI];
-    IndexSet L(G.numTerminals());
-    if (V.EdgeKind == LssStep::Start) {
-      L.insert(G.eof().id());
+  for (int32_t VI = Goal; VI >= 0; VI = Vertices[VI].Parent)
+    Path.Steps.push_back(
+        LssStep{Vertices[VI].Node, Vertices[VI].EdgeKind, IndexSet()});
+  std::reverse(Path.Steps.begin(), Path.Steps.end());
+  Path.Steps[0].Lookaheads =
+      IndexSet::singleton(G.numTerminals(), G.eof().id());
+  for (size_t I = 1; I != Path.Steps.size(); ++I) {
+    const LssStep &Prev = Path.Steps[I - 1];
+    LssStep &Step = Path.Steps[I];
+    if (Step.EdgeKind == LssStep::Transition) {
+      Step.Lookaheads = Prev.Lookaheads;
     } else {
-      const LssStep &Prev = Path.Steps.back();
-      if (V.EdgeKind == LssStep::Transition) {
-        L = Prev.Lookaheads;
-      } else {
-        const Item &Itm = Graph.itemOf(Prev.Node);
-        L = Analysis.firstOfSequence(G.production(Itm.Prod).Rhs, Itm.Dot + 1,
-                                     &Prev.Lookaheads);
-      }
+      const Item &Itm = Graph.itemOf(Prev.Node);
+      Step.Lookaheads = Analysis.firstOfSequence(G.production(Itm.Prod).Rhs,
+                                                 Itm.Dot + 1, &Prev.Lookaheads);
     }
-    Path.Steps.push_back(LssStep{V.Node, V.EdgeKind, std::move(L)});
   }
   return Path;
 }

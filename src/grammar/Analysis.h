@@ -67,8 +67,9 @@ public:
                             Symbol T, const IndexSet *Tail = nullptr) const;
 
   /// The frozen pool holding every FIRST and suffix-FIRST set, interned
-  /// once at construction. Searches extend it with thread-local overlays
-  /// (TerminalSetPool::overlay) so pooled ids stay valid across layers.
+  /// once at construction. The canonical LR(1) closure fixpoint extends it
+  /// with a thread-local overlay (TerminalSetPool::overlay) so pooled ids
+  /// stay valid across layers.
   const TerminalSetPool &pool() const { return Pool; }
 
   /// Pooled FIRST(\p S).

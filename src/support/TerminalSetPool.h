@@ -7,10 +7,8 @@
 /// \file
 /// A hash-consed, arena-backed pool of immutable terminal sets.
 ///
-/// Lookahead sets are the hottest values in the whole pipeline: the LR
-/// closure fixpoints merge them millions of times, and the
-/// lookahead-sensitive search used to copy one per discovered vertex.
-/// The pool interns every distinct set once and hands out a canonical
+/// Lookahead sets are the hottest values of automaton construction: the
+/// LR closure fixpoints merge them millions of times. The pool interns every distinct set once and hands out a canonical
 /// 32-bit SetId, so
 ///
 ///   - equality is an integer compare (two ids are equal iff the sets are),
@@ -27,7 +25,7 @@
 ///
 /// Pools layer: a frozen base pool (e.g. the grammar analysis's pool of
 /// FIRST/suffix-FIRST sets) can be extended by any number of concurrent
-/// \e overlay pools, one per search or construction pass. An overlay
+/// \e overlay pools, one per construction pass. An overlay
 /// reads the base read-only (thread-safe by construction) and appends its
 /// own sets locally; ids are global across the chain, so a base id can be
 /// unioned with an overlay id freely.

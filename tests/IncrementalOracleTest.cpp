@@ -306,8 +306,9 @@ TEST(IncrementalOracleTest, PinnedRemapVerdicts) {
   // edits that fail verification on every conflict, partial remaps with
   // unmapped and absent records, and invalid deltas (remove-terminal),
   // which offer no handoff and so count no reason. The unverified ones are
-  // pinned by the first check that refused them, so losing any one check
-  // (an adjacency-row comparison, say) moves a count here.
+  // pinned by the first check that refused them, so losing a check that
+  // the totals cannot see (the productionSteps or reverseTransitions row
+  // comparison alone, say) still moves a count here.
   struct Stream {
     const char *Name;
     std::optional<Grammar> G;

@@ -121,7 +121,7 @@ std::string exampleGrammarText(const std::string &Name) {
 }
 
 /// The imported grammars' production-step families are far larger than
-/// the corpus's, so they check that a family's shared frontier answers
+/// the corpus's, so they check that a family's shared frontier key answers
 /// exactly for every member: every conflict of ansi_c.y, and sql.y's two
 /// reduce/reduce conflicts (states #417 and #529), whose paths take
 /// production steps into expr's 56-member family. The reference BFS
@@ -190,16 +190,14 @@ void hashSearch(StableHasher &H, const RecordedSearch &R) {
 }
 
 /// The search's work on sql.y's 7 reported conflicts, pinned per conflict,
-/// with each path and touched set pinned by fingerprint. The reference
-/// BFS takes about 3 s per shift/reduce conflict here, so the
-/// fingerprints are those five paths' only check: a faster search must
-/// leave them, and the path lengths, unchanged (they are the set-valued
-/// search's; the one-bit search moved only the work counts). With the §6
-/// pruning on,
-/// the reachability pass reads every relevant node, so the touched set
-/// says little about the search itself; with it off, the touched set is
-/// exactly the nodes the search expanded, so one more fingerprint folds
-/// every unpruned search.
+/// with each path and touched set pinned by fingerprint (taken from the
+/// set-valued search). The reference BFS takes about 3 s per shift/reduce
+/// conflict here, so the fingerprints are those five paths' only check: a
+/// faster search must leave them, and the path lengths, unchanged. With
+/// the §6 pruning on, the reachability pass reads every relevant node, so
+/// the touched set says little about the search itself; with it off, the
+/// touched set is exactly the nodes the search expanded, so one more
+/// fingerprint folds every unpruned search.
 TEST(LssWorkTest, SqlFamiliesKeepWorkAndShareProbes) {
   GrammarParseResult R = parseGrammar(exampleGrammarText("sql.y"));
   ASSERT_TRUE(R.ok());
