@@ -5,9 +5,9 @@
 // Cross-checks conflict reporting on real grammar files, three ways:
 //
 //   1. the default LALR construction (DeRemer–Pennello lookaheads)
-//      against the baseline IndexSet fixpoints (Dragon 4.63, PooledSets =
-//      false): the two must agree on every reported conflict — state,
-//      token, kind — not just counts;
+//      against the reference IndexSet fixpoints (Dragon 4.63,
+//      ReferenceLookaheads = true): the two must agree on every reported
+//      conflict — state, token, kind — not just counts;
 //   2. the reported counts against the grammar's own %expect/%expect-rr
 //      declarations, when declared;
 //   3. optionally (-canonical) the canonical LR(1) machine: its counts
@@ -142,29 +142,29 @@ int main(int argc, char **argv) {
     const Grammar &G = *Parsed.G;
     GrammarAnalysis A(G);
 
-    AutomatonOptions Pooled;
-    Automaton MPooled(G, A, Pooled);
-    ParseTable TPooled(MPooled);
-    Counts CP = countReported(TPooled);
+    Automaton MLalr(G, A);
+    ParseTable TLalr(MLalr);
+    Counts CP = countReported(TLalr);
 
-    AutomatonOptions Baseline;
-    Baseline.PooledSets = false;
-    Automaton MBase(G, A, Baseline);
-    ParseTable TBase(MBase);
+    AutomatonOptions Reference;
+    Reference.ReferenceLookaheads = true;
+    Automaton MRef(G, A, Reference);
+    ParseTable TRef(MRef);
 
-    // 1. Pooled vs baseline: identical conflict sets, not just counts.
-    if (reportedKeys(TPooled) != reportedKeys(TBase)) {
-      Counts CB = countReported(TBase);
+    // 1. DeRemer–Pennello vs Dragon 4.63: identical conflict sets, not
+    //    just counts.
+    if (reportedKeys(TLalr) != reportedKeys(TRef)) {
+      Counts CR = countReported(TRef);
       std::fprintf(stderr,
-                   "%s: DIVERGENCE: pooled construction reports %u/%u "
-                   "(s/r, r/r) but baseline reports %u/%u or differs in "
-                   "conflict identity\n",
-                   Name.c_str(), CP.Sr, CP.Rr, CB.Sr, CB.Rr);
+                   "%s: DIVERGENCE: DeRemer-Pennello lookaheads report "
+                   "%u/%u (s/r, r/r) but Dragon 4.63 reports %u/%u or "
+                   "differs in conflict identity\n",
+                   Name.c_str(), CP.Sr, CP.Rr, CR.Sr, CR.Rr);
       ++Divergences;
     }
 
     // 2. Declared expectations, when the grammar carries them.
-    std::string Mismatch = TPooled.checkExpectations();
+    std::string Mismatch = TLalr.checkExpectations();
     if (!Mismatch.empty()) {
       std::fprintf(stderr, "%s: DIVERGENCE: %s\n", Name.c_str(),
                    Mismatch.c_str());
@@ -172,7 +172,7 @@ int main(int argc, char **argv) {
     }
 
     std::printf("%-28s %4u prods %5u states  %u s/r %u r/r", Name.c_str(),
-                G.numProductions(), MPooled.numStates(), CP.Sr, CP.Rr);
+                G.numProductions(), MLalr.numStates(), CP.Sr, CP.Rr);
     if (G.expectedShiftReduce() >= 0 || G.expectedReduceReduce() >= 0)
       std::printf("  (declared %d/%d)", G.expectedShiftReduce(),
                   G.expectedReduceReduce());

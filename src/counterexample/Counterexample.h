@@ -38,11 +38,12 @@ struct Counterexample {
   Symbol Root;
 
   /// Nonunifying only: true when both derivations share the prefix up to
-  /// the conflict point (the normal case). False when the conflict is an
-  /// artifact of LALR state merging — no single prefix keeps the conflict
-  /// terminal viable for both items, so each derivation is shown in its
-  /// own lookahead-sensitive context (a canonical LR(1) automaton would
-  /// not have this conflict).
+  /// the conflict point (the normal case). False when no context for the
+  /// second item was found that follows the states of the reduce item's
+  /// shortest lookahead-sensitive path, so each derivation is shown in its
+  /// own lookahead-sensitive context. That search covers one prefix only:
+  /// it does not show that no single context admits both actions, and a
+  /// canonical LR(1) automaton may keep the conflict.
   bool PrefixShared = true;
 
   /// The derivation that uses the conflict's reduce item.

@@ -672,9 +672,10 @@ std::string CounterexampleFinder::render(const ConflictReport &R) const {
       Out += "  No unifying counterexample: the conflict is not an "
              "ambiguity (within the default search)\n";
     if (!Ex.PrefixShared)
-      Out += "  Note: no single context admits both actions; the conflict "
-             "is an artifact of LALR state merging, and each derivation "
-             "below is shown in its own context\n";
+      Out += std::string("  Note: no context for the ") + Action2 +
+             " was found that shares the reduction's shortest "
+             "lookahead-sensitive prefix; each derivation below is shown "
+             "in its own context\n";
     Out += "  First  example: " + Ex.exampleString1(G) + "\n";
     Out += "  Derivation using reduction:\n    " + derivsString(Ex.Derivs1) +
            "\n";

@@ -394,11 +394,12 @@ NonunifyingBuilder::build(const LssPath &Path,
     }
   }
 
-  // No shared prefix keeps the conflict terminal viable for the second
-  // item: the conflict is an artifact of LALR state merging (in a
-  // canonical LR(1) automaton the two contexts would live in different
-  // states). Derive the second item in its own lookahead-sensitive
-  // context instead and mark the prefixes as distinct.
+  // No context following the reduce path's states keeps the conflict
+  // terminal viable for the second item. Another prefix may still admit
+  // both actions (the conflict need not be an artifact of LALR state
+  // merging), but none was found from this path. Derive the second item
+  // in its own lookahead-sensitive context instead and mark the prefixes
+  // as distinct.
   std::optional<LssPath> OtherPath =
       shortestLookaheadSensitivePath(Graph, OtherNode, ConflictTerm);
   if (!OtherPath)

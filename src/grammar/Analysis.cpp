@@ -15,7 +15,7 @@ using namespace lalrcex;
 
 GrammarAnalysis::GrammarAnalysis(const Grammar &G, MetricsRegistry *Metrics,
                                  TraceRecorder *Trace)
-    : G(G), Pool(G.numTerminals()) {
+    : G(G) {
   ScopedTimer Timer(Metrics, metric::TimeAnalysisNs);
   TraceSpan Span(Trace, "analysis");
   unsigned NullablePasses = computeNullable();
@@ -23,7 +23,7 @@ GrammarAnalysis::GrammarAnalysis(const Grammar &G, MetricsRegistry *Metrics,
   unsigned FollowPasses = computeFollow();
   unsigned MinYieldPasses = computeMinYield();
   computeReachable();
-  buildPool();
+  buildSuffixTables();
   if (Metrics) {
     Metrics->add(metric::AnalysisRuns);
     Metrics->add(metric::AnalysisNullablePasses, NullablePasses);
@@ -33,39 +33,35 @@ GrammarAnalysis::GrammarAnalysis(const Grammar &G, MetricsRegistry *Metrics,
   }
 }
 
-void GrammarAnalysis::buildPool() {
-  // Intern every FIRST set and every production-suffix FIRST set once, so
-  // the searches' hot queries become table lookups and pooled-id unions.
-  FirstIds.reserve(G.numSymbols());
-  for (unsigned S = 0; S != G.numSymbols(); ++S)
-    FirstIds.push_back(Pool.intern(First[S]));
-
+void GrammarAnalysis::buildSuffixTables() {
+  // FIRST and nullability of every production suffix, so the searches'
+  // hot queries become table lookups.
   SuffixOffset.assign(G.numProductions(), 0);
   unsigned Total = 0;
   for (unsigned P = 0; P != G.numProductions(); ++P) {
     SuffixOffset[P] = Total;
     Total += unsigned(G.production(P).Rhs.size()) + 1;
   }
-  SuffixFirstIds.assign(Total, Pool.emptySet());
+  SuffixWords = (G.numTerminals() + 63) / 64;
+  SuffixFirst.assign(size_t(Total) * SuffixWords, 0);
   SuffixNullableBits.assign(Total, false);
   for (unsigned P = 0; P != G.numProductions(); ++P) {
     const std::vector<Symbol> &Rhs = G.production(P).Rhs;
     // Fill each row back-to-front so suffix (dot) extends suffix (dot+1)
-    // with one cached union.
+    // with one union.
     unsigned Row = SuffixOffset[P];
     unsigned Len = unsigned(Rhs.size());
     SuffixNullableBits[Row + Len] = true;
     for (unsigned Dot = Len; Dot-- > 0;) {
-      TerminalSetPool::SetId Rest = SuffixFirstIds[Row + Dot + 1];
+      uint64_t *Out = &SuffixFirst[size_t(Row + Dot) * SuffixWords];
+      const uint64_t *Sym = First[Rhs[Dot].id()].words();
       bool SymNullable = Nullable[Rhs[Dot].id()];
-      SuffixFirstIds[Row + Dot] =
-          SymNullable ? Pool.unionSets(FirstIds[Rhs[Dot].id()], Rest)
-                      : FirstIds[Rhs[Dot].id()];
+      for (unsigned W = 0; W != SuffixWords; ++W)
+        Out[W] = SymNullable ? Sym[W] | Out[SuffixWords + W] : Sym[W];
       SuffixNullableBits[Row + Dot] =
           SymNullable && SuffixNullableBits[Row + Dot + 1];
     }
   }
-  Pool.freeze();
 }
 
 unsigned GrammarAnalysis::computeNullable() {

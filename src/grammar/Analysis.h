@@ -17,8 +17,8 @@
 
 #include "grammar/Grammar.h"
 #include "support/IndexSet.h"
-#include "support/TerminalSetPool.h"
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -66,25 +66,6 @@ public:
   bool sequenceCanBeginWith(const std::vector<Symbol> &Syms, size_t From,
                             Symbol T, const IndexSet *Tail = nullptr) const;
 
-  /// The frozen pool holding every FIRST and suffix-FIRST set, interned
-  /// once at construction. The canonical LR(1) closure fixpoint extends it
-  /// with a thread-local overlay (TerminalSetPool::overlay) so pooled ids
-  /// stay valid across layers.
-  const TerminalSetPool &pool() const { return Pool; }
-
-  /// Pooled FIRST(\p S).
-  TerminalSetPool::SetId firstId(Symbol S) const { return FirstIds[S.id()]; }
-
-  /// Pooled FIRST of production \p ProdIndex's right-hand side from
-  /// position \p Dot (no tail). Memoized: this is a table lookup, where
-  /// firstOfSequence rescans the suffix on every call. Combine with
-  /// suffixNullable and a pooled union for the full followL of paper §4:
-  ///   followL = suffix-FIRST ∪ (suffix nullable ? tail : ∅).
-  TerminalSetPool::SetId firstOfSequenceId(unsigned ProdIndex,
-                                           unsigned Dot) const {
-    return SuffixFirstIds[SuffixOffset[ProdIndex] + Dot];
-  }
-
   /// \returns true if every symbol of production \p ProdIndex's right-hand
   /// side from position \p Dot is nullable. Memoized sequenceNullable.
   bool suffixNullable(unsigned ProdIndex, unsigned Dot) const {
@@ -93,11 +74,14 @@ public:
 
   /// Memoized O(1) form of sequenceCanBeginWith for a production suffix:
   /// true if terminal \p T can begin a derivation of Rhs[Dot..] (or the
-  /// suffix is nullable and \p Tail contains T).
+  /// suffix is nullable and \p Tail contains T). The FIRST test is one
+  /// bit of the suffix's row.
   bool suffixCanBeginWith(unsigned ProdIndex, unsigned Dot, Symbol T,
                           const IndexSet *Tail = nullptr) const {
     assert(G.isTerminal(T) && "expected a terminal");
-    if (Pool.contains(firstOfSequenceId(ProdIndex, Dot), T.id()))
+    const uint64_t *Row =
+        &SuffixFirst[size_t(SuffixOffset[ProdIndex] + Dot) * SuffixWords];
+    if ((Row[T.id() / 64] >> (T.id() % 64)) & 1)
       return true;
     return suffixNullable(ProdIndex, Dot) && Tail && Tail->contains(T.id());
   }
@@ -138,7 +122,7 @@ private:
   unsigned computeFollow();
   unsigned computeMinYield();
   void computeReachable();
-  void buildPool();
+  void buildSuffixTables();
 
   const Grammar &G;
   std::vector<bool> Nullable;      // indexed by symbol id
@@ -149,13 +133,12 @@ private:
   std::vector<unsigned> MinProd;   // indexed by nonterminal offset
   std::vector<bool> Reachable;     // indexed by symbol id
 
-  /// Hash-consed terminal sets; frozen once construction finishes.
-  TerminalSetPool Pool;
-  std::vector<TerminalSetPool::SetId> FirstIds; // indexed by symbol id
-  /// Per-(production, dot) memo tables, flattened; production P's row
-  /// starts at SuffixOffset[P] and has rhs-length + 1 entries.
+  /// Per-(production, dot) memo tables, flattened; production P's entries
+  /// start at SuffixOffset[P] and number rhs-length + 1. SuffixFirst holds
+  /// SuffixWords words (one bit per terminal) per entry.
   std::vector<unsigned> SuffixOffset;
-  std::vector<TerminalSetPool::SetId> SuffixFirstIds;
+  unsigned SuffixWords = 0;
+  std::vector<uint64_t> SuffixFirst;
   std::vector<bool> SuffixNullableBits;
 };
 

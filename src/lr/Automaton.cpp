@@ -13,7 +13,6 @@
 #include <cassert>
 #include <deque>
 #include <map>
-#include <optional>
 #include <unordered_map>
 
 using namespace lalrcex;
@@ -178,10 +177,10 @@ Automaton::Automaton(const Grammar &G, const GrammarAnalysis &Analysis,
   TraceSpan Span(Opts.Trace, "automaton");
   LookaheadWork Work;
   if (Kind == AutomatonKind::Canonical) {
-    buildCanonical(Opts.PooledSets);
+    buildCanonical();
   } else {
     Lr0Builder(G).run(States);
-    Work = computeLookaheads(Opts.PooledSets);
+    Work = computeLookaheads(Opts.ReferenceLookaheads);
   }
   if (Opts.Metrics) {
     Opts.Metrics->add(metric::AutomatonBuilds);
@@ -195,7 +194,7 @@ Automaton::Automaton(const Grammar &G, const GrammarAnalysis &Analysis,
   }
 }
 
-void Automaton::buildCanonical(bool PooledSets) {
+void Automaton::buildCanonical() {
   // Canonical LR(1): a state is a kernel of (item, lookahead set) pairs;
   // states with equal kernels but different lookaheads stay distinct.
   using Kernel = std::vector<std::pair<Item, IndexSet>>;
@@ -220,71 +219,14 @@ void Automaton::buildCanonical(bool PooledSets) {
   std::map<Kernel, unsigned, KernelLess> KernelToState;
   std::deque<unsigned> Work;
 
-  // Overlay pool shared by every pooled close() fixpoint of this build.
-  std::optional<TerminalSetPool> Pool;
-  if (PooledSets)
-    Pool.emplace(TerminalSetPool::overlay(Analysis.pool()));
-
   // LR(1) closure of a kernel: item -> merged lookahead set, iterated to
   // an in-set fixpoint; kernel items first, closure items in discovery
   // order.
-  auto close = [this, &Pool](const Kernel &K, State &Out) {
+  auto close = [this](const Kernel &K, State &Out) {
     Out.Items.clear();
     Out.Lookaheads.clear();
     Out.NumKernel = unsigned(K.size());
     std::map<uint64_t, unsigned> Index; // item key -> position
-    if (Pool) {
-      // Pooled form: lookaheads are canonical ids, the changed test is an
-      // id compare, and the fixpoint's re-merges hit the union cache.
-      std::vector<TerminalSetPool::SetId> Ids;
-      for (const auto &[Itm, L] : K) {
-        Index[Itm.key()] = unsigned(Out.Items.size());
-        Out.Items.push_back(Itm);
-        Ids.push_back(Pool->intern(L));
-      }
-      std::deque<unsigned> Pending;
-      for (unsigned I = 0; I != Out.Items.size(); ++I)
-        Pending.push_back(I);
-      std::vector<bool> InPending(Out.Items.size(), true);
-      while (!Pending.empty()) {
-        unsigned I = Pending.front();
-        Pending.pop_front();
-        InPending[I] = false;
-        Symbol Next = Out.Items[I].afterDot(G);
-        if (!Next.valid() || G.isTerminal(Next))
-          continue;
-        unsigned Prod = Out.Items[I].Prod, Dot = Out.Items[I].Dot;
-        TerminalSetPool::SetId Follow =
-            Analysis.firstOfSequenceId(Prod, Dot + 1);
-        if (Analysis.suffixNullable(Prod, Dot + 1))
-          Follow = Pool->unionSets(Follow, Ids[I]);
-        for (unsigned Q : G.productionsOf(Next)) {
-          Item Step(Q, 0);
-          auto [It, Inserted] =
-              Index.emplace(Step.key(), unsigned(Out.Items.size()));
-          if (Inserted) {
-            Out.Items.push_back(Step);
-            Ids.push_back(Follow);
-            Pending.push_back(It->second);
-            InPending.push_back(true);
-            continue;
-          }
-          TerminalSetPool::SetId Merged =
-              Pool->unionSets(Ids[It->second], Follow);
-          if (Merged != Ids[It->second]) {
-            Ids[It->second] = Merged;
-            if (!InPending[It->second]) {
-              Pending.push_back(It->second);
-              InPending[It->second] = true;
-            }
-          }
-        }
-      }
-      Out.Lookaheads.reserve(Ids.size());
-      for (TerminalSetPool::SetId Id : Ids)
-        Out.Lookaheads.push_back(Pool->materialize(Id));
-      return;
-    }
     for (const auto &[Itm, L] : K) {
       Index[Itm.key()] = unsigned(Out.Items.size());
       Out.Items.push_back(Itm);
@@ -542,8 +484,8 @@ void Automaton::computeClosureLookaheads() {
   }
 }
 
-Automaton::LookaheadWork Automaton::computeLookaheads(bool PooledSets) {
-  if (!PooledSets) {
+Automaton::LookaheadWork Automaton::computeLookaheads(bool Reference) {
+  if (Reference) {
     computeKernelLookaheads();
     computeClosureLookaheads();
     return {};

@@ -5,9 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Canonical LR(0) collection with LALR(1) lookahead sets.
+/// Canonical LR(0) collection with LALR(1) lookahead sets, or the
+/// canonical LR(1) collection.
 ///
-/// Construction proceeds in two phases:
+/// LALR(1) construction proceeds in two phases:
 ///   1. the canonical LR(0) collection (states = kernel item sets, plus the
 ///      closure items of each state), interned through a kernel hash table;
 ///   2. LALR(1) lookaheads by DeRemer & Pennello's relational method
@@ -22,7 +23,11 @@
 /// lookahead set that the paper's counterexample algorithms consume. The
 /// Dragon Book's spontaneous-generation / propagation algorithm 4.63 plus
 /// an in-state closure fixpoint computes the same sets and is retained as
-/// the reference (AutomatonOptions::PooledSets off).
+/// the reference (AutomatonOptions::ReferenceLookaheads).
+///
+/// Canonical LR(1) construction interns kernels of (item, lookahead set)
+/// pairs and closes each one with an IndexSet fixpoint over the analysis's
+/// FIRST sets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,13 +61,12 @@ enum class AutomatonKind {
 /// Construction options beyond the machine kind.
 struct AutomatonOptions {
   AutomatonKind Kind = AutomatonKind::Lalr1;
-  /// LALR(1): compute lookaheads by the DeRemer–Pennello relations over
-  /// flat word arrays. Canonical LR(1): run the closure fixpoint on
-  /// hash-consed TerminalSetPool ids. Off selects the reference IndexSet
-  /// fixpoints (Dragon Book algorithm 4.63 plus the in-state closure
-  /// rule for LALR(1)), which produce identical lookahead sets and are
-  /// kept for the equivalence tests and the baseline benchmarks.
-  bool PooledSets = true;
+  /// LALR(1) only: compute lookaheads by the reference IndexSet fixpoints
+  /// (Dragon Book algorithm 4.63 plus the in-state closure rule) instead
+  /// of the DeRemer–Pennello relations over flat word arrays. Both give
+  /// identical lookahead sets; the reference is kept for the equivalence
+  /// tests and the baseline benchmarks. Canonical LR(1) ignores it.
+  bool ReferenceLookaheads = false;
   /// Optional observability sinks: construction wall time, state/item
   /// counts, and the lookahead pass's work — nonterminal transitions and
   /// reads + includes edges (automaton.* metrics) — plus an "automaton"
@@ -94,7 +98,7 @@ public:
   /// outlive the automaton.
   Automaton(const Grammar &G, const GrammarAnalysis &Analysis,
             AutomatonKind Kind = AutomatonKind::Lalr1)
-      : Automaton(G, Analysis, AutomatonOptions{Kind, true}) {}
+      : Automaton(G, Analysis, AutomatonOptions{Kind, false}) {}
 
   Automaton(const Grammar &G, const GrammarAnalysis &Analysis,
             const AutomatonOptions &Opts);
@@ -123,13 +127,13 @@ private:
   };
 
   /// LALR(1) lookaheads of every item by DeRemer–Pennello, or with
-  /// \p PooledSets off by the reference pair below (no work counted).
-  LookaheadWork computeLookaheads(bool PooledSets);
+  /// \p Reference by the reference pair below (no work counted).
+  LookaheadWork computeLookaheads(bool Reference);
   /// The reference pair: Dragon Book 4.63 kernel lookaheads, then the
   /// in-state LR(1) closure fixpoint.
   void computeKernelLookaheads();
   void computeClosureLookaheads();
-  void buildCanonical(bool PooledSets);
+  void buildCanonical();
 
   const Grammar &G;
   const GrammarAnalysis &Analysis;

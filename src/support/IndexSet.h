@@ -151,9 +151,9 @@ public:
   /// Collects the elements into a vector, in increasing order.
   std::vector<unsigned> elements() const;
 
-  /// Raw word storage, for word-level consumers (TerminalSetPool).
+  /// Raw word storage: ceil(universeSize() / 64) words, for word-level
+  /// consumers (GrammarAnalysis's suffix-FIRST rows).
   const uint64_t *words() const { return Words.data(); }
-  size_t wordCount() const { return Words.size(); }
 
   /// A stable hash of the set contents, suitable for unordered containers.
   size_t hash() const {

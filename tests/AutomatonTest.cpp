@@ -221,7 +221,7 @@ p : | d ;
 q : | e ;
 )");
   GrammarAnalysis A(G);
-  expectAutomatonMatchesReference(G, A, AutomatonKind::Lalr1, "reads cycle");
+  expectAutomatonMatchesReference(G, A, "reads cycle");
   Automaton M(G, A);
   const std::vector<std::string> All{"b", "c", "d", "e"};
   for (const char *Nt : {"n", "p", "q"}) {
@@ -248,8 +248,7 @@ U : | u ;
 V : | r ;
 )");
   GrammarAnalysis A(G);
-  expectAutomatonMatchesReference(G, A, AutomatonKind::Lalr1,
-                                  "includes cycle");
+  expectAutomatonMatchesReference(G, A, "includes cycle");
   Automaton M(G, A);
   const std::vector<std::string> All{"$", "r", "t", "u"};
   // A ::= . z sits in state 0 (Follow {$}) and in the state after v.
@@ -273,8 +272,7 @@ A : x ;
 B : x ;
 )");
   GrammarAnalysis A(G);
-  expectAutomatonMatchesReference(G, A, AutomatonKind::Lalr1,
-                                  "merge artifact");
+  expectAutomatonMatchesReference(G, A, "merge artifact");
   Automaton M(G, A);
   const Names Both{{"y", "z"}};
   EXPECT_EQ(lookaheadNames(G, M, Item(productionOf(G, "A", "x"), 1)), Both);
@@ -297,7 +295,7 @@ TEST(AutomatonTest, DeepNullableChainInBothDeclarationOrders) {
     Grammar G = parse(Text);
     GrammarAnalysis A(G);
     std::string Context = Descending ? "descending chain" : "ascending chain";
-    expectAutomatonMatchesReference(G, A, AutomatonKind::Lalr1, Context);
+    expectAutomatonMatchesReference(G, A, Context);
     Automaton M(G, A);
     std::string Last = "a" + std::to_string(Depth - 1);
     EXPECT_EQ(lookaheadNames(G, M, Item(productionOf(G, Last, ""), 0)),

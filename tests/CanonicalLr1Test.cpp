@@ -10,6 +10,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "RandomGrammar.h"
 #include "TestUtil.h"
 #include "earley/DerivationCounter.h"
 #include "parser/LrParser.h"
@@ -87,7 +88,9 @@ B : x ;
   EXPECT_TRUE(ParseTable(Canon).reportedConflicts().empty())
       << "canonical LR(1) must not have the merge artifact";
 
-  // And the LALR counterexample engine flags exactly this situation.
+  // And the LALR counterexample engine shows the two derivations in
+  // separate contexts here (which alone does not prove a merge artifact:
+  // see UnbridgedPrefixIsNotClaimedMergeArtifact).
   ParseTable T(Lalr);
   CounterexampleFinder Finder(T);
   bool SawMergeArtifact = false;
@@ -97,6 +100,63 @@ B : x ;
       SawMergeArtifact = true;
   }
   EXPECT_TRUE(SawMergeArtifact);
+}
+
+TEST(CanonicalLr1Test, UnbridgedPrefixIsNotClaimedMergeArtifact) {
+  // Random grammar 9108: in LALR state 4, n4 ::= • and n4 ::= t1 • both
+  // reduce on t2. The nonunifying builder finds no context for the second
+  // reduction along the first one's shortest lookahead-sensitive path, so
+  // the report shows each derivation in its own context. Yet the prefix
+  // "t1 t1" admits both reductions, and canonical LR(1) keeps the same
+  // conflict in a state with the same core: the report must not call the
+  // conflict an artifact of LALR state merging.
+  BuiltGrammar B = BuiltGrammar::fromText(
+      lalrcex::testing::randomGrammarText(9108, 4 + 9108 % 5, 3 + 9108 % 4));
+  FinderOptions Opts;
+  Opts.ConflictTimeLimitSeconds = 0;
+  Opts.CumulativeTimeLimitSeconds = 0;
+  Opts.MaxConfigurations = 5000;
+  Opts.Jobs = 1;
+  CounterexampleFinder Finder(B.T, Opts);
+  std::vector<const ConflictReport *> Unbridged;
+  std::vector<ConflictReport> Reports = Finder.examineAll();
+  for (const ConflictReport &R : Reports)
+    if (R.Example && !R.Example->Unifying && !R.Example->PrefixShared)
+      Unbridged.push_back(&R);
+  ASSERT_EQ(Unbridged.size(), 1u);
+  const Conflict &C = Unbridged[0]->TheConflict;
+  ASSERT_EQ(C.K, Conflict::ReduceReduce);
+  EXPECT_EQ(C.State, 4u);
+  EXPECT_EQ(B.G.name(C.Token), "t2");
+  EXPECT_EQ(B.G.productionString(C.ReduceProd, 0), "n4 ::= \xE2\x80\xA2");
+  EXPECT_EQ(B.G.productionString(C.OtherProd, 1),
+            "n4 ::= t1 \xE2\x80\xA2");
+
+  std::string Text = Finder.render(*Unbridged[0]);
+  EXPECT_EQ(Text.find("no single context admits both actions"),
+            std::string::npos)
+      << Text;
+  EXPECT_EQ(Text.find("artifact of LALR state merging"), std::string::npos)
+      << Text;
+  EXPECT_NE(Text.find("each derivation below is shown in its own context"),
+            std::string::npos)
+      << Text;
+
+  // Canonical LR(1) keeps the conflict in a state whose core is state 4.
+  const Automaton::State &Lalr4 = B.M.state(C.State);
+  std::vector<Item> Core(Lalr4.Items.begin(),
+                         Lalr4.Items.begin() + Lalr4.NumKernel);
+  CanonicalBuilt Canon(B.G);
+  bool Kept = false;
+  for (const Conflict &CC : Canon.T.reportedConflicts()) {
+    const Automaton::State &S = Canon.M.state(CC.State);
+    if (CC.K == C.K && CC.Token == C.Token && CC.ReduceProd == C.ReduceProd &&
+        CC.OtherProd == C.OtherProd &&
+        std::vector<Item>(S.Items.begin(), S.Items.begin() + S.NumKernel) ==
+            Core)
+      Kept = true;
+  }
+  EXPECT_TRUE(Kept);
 }
 
 TEST(CanonicalLr1Test, CounterexamplesWorkOnCanonicalAutomata) {

@@ -11,8 +11,9 @@
 // with the §6 reachability pruning both on and off, and pins the search's
 // work, paths and touched sets on sql.y and Java.2. The automaton those
 // searches run on is checked the same way: the DeRemer–Pennello
-// lookahead pass against the Dragon Book 4.63 reference, over the whole
-// corpus, the example grammars and random grammars.
+// lookahead pass against the Dragon Book 4.63 reference, and the LALR(1)
+// machine against the canonical LR(1) machine merged by LR(0) core, over
+// the whole corpus, the example grammars and random grammars.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,6 +29,7 @@
 
 #include <fstream>
 #include <sstream>
+#include <unordered_map>
 
 using namespace lalrcex;
 using lalrcex::testing::randomGrammarText;
@@ -274,6 +276,14 @@ std::vector<std::string> grammarNames() {
   return Names;
 }
 
+/// The text of corpus entry or example grammar file \p Name (empty when
+/// neither exists).
+std::string grammarText(const std::string &Name) {
+  if (const CorpusEntry *E = findCorpusEntry(Name))
+    return E->Text;
+  return exampleGrammarText(Name);
+}
+
 /// The DeRemer–Pennello lookahead pass (the LALR(1) default) must give
 /// every item exactly the lookahead set the reference Dragon Book 4.63
 /// propagation plus in-state closure fixpoint gives it.
@@ -281,17 +291,12 @@ class DeRemerPennelloVsDragon463Test
     : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DeRemerPennelloVsDragon463Test, LookaheadsMatch) {
-  std::string Text;
-  if (const CorpusEntry *E = findCorpusEntry(GetParam())) {
-    Text = E->Text;
-  } else {
-    Text = exampleGrammarText(GetParam());
-    ASSERT_FALSE(Text.empty()) << GetParam();
-  }
+  std::string Text = grammarText(GetParam());
+  ASSERT_FALSE(Text.empty()) << GetParam();
   GrammarParseResult R = parseGrammar(Text);
   ASSERT_TRUE(R.ok()) << GetParam();
   GrammarAnalysis A(*R.G);
-  expectAutomatonMatchesReference(*R.G, A, AutomatonKind::Lalr1, GetParam());
+  expectAutomatonMatchesReference(*R.G, A, GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Grammars, DeRemerPennelloVsDragon463Test,
@@ -307,7 +312,7 @@ TEST_P(DeRemerPennelloRandomTest, SmallGrammarsMatchDragon463) {
   std::optional<Grammar> G = parseGrammarText(Text);
   ASSERT_TRUE(G) << Text;
   GrammarAnalysis A(*G);
-  expectAutomatonMatchesReference(*G, A, AutomatonKind::Lalr1, Text);
+  expectAutomatonMatchesReference(*G, A, Text);
 }
 
 /// Larger grammars, each with at least one nullable nonterminal, so
@@ -328,29 +333,99 @@ TEST_P(DeRemerPennelloRandomTest, LargeNullableGrammarsMatchDragon463) {
   for (unsigned S = G->numTerminals(); S != G->numSymbols(); ++S)
     AnyNullable |= A.isNullable(Symbol(int32_t(S)));
   ASSERT_TRUE(AnyNullable) << "seed " << Seed << " has no nullable symbol";
-  expectAutomatonMatchesReference(*G, A, AutomatonKind::Lalr1, Text);
+  expectAutomatonMatchesReference(*G, A, Text);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeRemerPennelloRandomTest,
                          ::testing::Range(0, 40));
 
-/// The canonical LR(1) closure fixpoint on pooled ids must match its
-/// IndexSet baseline (the LALR(1) kind is checked above, against
-/// Dragon 4.63).
-class AutomatonPoolEquivalenceTest
-    : public ::testing::TestWithParam<const char *> {};
+/// LALR(1) is canonical LR(1) with the states of equal LR(0) core merged
+/// and their lookaheads unioned. Checks that definition on \p G: every
+/// canonical state's core is an LALR kernel and every LALR state is some
+/// canonical state's core; a state's items and its transitions (through
+/// the core map) agree with its LALR state's; and every LALR lookahead is
+/// the union of that item's canonical lookaheads.
+void expectLalrIsMergedCanonical(const Grammar &G, const GrammarAnalysis &A,
+                                 const std::string &Context) {
+  Automaton Lalr(G, A, AutomatonKind::Lalr1);
+  Automaton Canon(G, A, AutomatonKind::Canonical);
+  auto kernelOf = [](const Automaton::State &S) {
+    return std::vector<Item>(S.Items.begin(), S.Items.begin() + S.NumKernel);
+  };
+  std::unordered_map<std::vector<Item>, unsigned, KernelHash> LalrState;
+  for (unsigned L = 0; L != Lalr.numStates(); ++L)
+    ASSERT_TRUE(LalrState.emplace(kernelOf(Lalr.state(L)), L).second)
+        << Context << ": LALR state " << L << " repeats a kernel";
 
-TEST_P(AutomatonPoolEquivalenceTest, PooledLookaheadsMatchBaseline) {
-  const CorpusEntry *E = findCorpusEntry(GetParam());
-  ASSERT_NE(E, nullptr);
-  std::optional<Grammar> G = parseGrammarText(E->Text);
-  ASSERT_TRUE(G);
-  GrammarAnalysis A(*G);
-  expectAutomatonMatchesReference(*G, A, AutomatonKind::Canonical, E->Name);
+  std::vector<unsigned> Core(Canon.numStates());
+  for (unsigned C = 0; C != Canon.numStates(); ++C) {
+    auto It = LalrState.find(kernelOf(Canon.state(C)));
+    ASSERT_NE(It, LalrState.end())
+        << Context << ": canonical state " << C << "'s core is no LALR kernel";
+    Core[C] = It->second;
+  }
+
+  std::vector<std::vector<IndexSet>> Merged(Lalr.numStates());
+  for (unsigned C = 0; C != Canon.numStates(); ++C) {
+    const Automaton::State &CS = Canon.state(C);
+    const Automaton::State &LS = Lalr.state(Core[C]);
+    ASSERT_EQ(CS.NumKernel, LS.NumKernel) << Context << " state " << C;
+    ASSERT_EQ(CS.Items, LS.Items) << Context << " state " << C;
+    ASSERT_EQ(CS.Transitions.size(), LS.Transitions.size())
+        << Context << " state " << C;
+    for (size_t T = 0; T != CS.Transitions.size(); ++T) {
+      ASSERT_EQ(CS.Transitions[T].first, LS.Transitions[T].first)
+          << Context << " state " << C;
+      ASSERT_EQ(Core[CS.Transitions[T].second], LS.Transitions[T].second)
+          << Context << " state " << C << " on "
+          << G.name(CS.Transitions[T].first);
+    }
+    std::vector<IndexSet> &Union = Merged[Core[C]];
+    if (Union.empty())
+      Union.assign(CS.Lookaheads.size(), IndexSet(G.numTerminals()));
+    for (size_t I = 0; I != CS.Lookaheads.size(); ++I)
+      Union[I].unionWith(CS.Lookaheads[I]);
+  }
+
+  for (unsigned L = 0; L != Lalr.numStates(); ++L) {
+    const Automaton::State &LS = Lalr.state(L);
+    ASSERT_FALSE(Merged[L].empty())
+        << Context << ": LALR state " << L << " is no canonical core";
+    for (size_t I = 0; I != LS.Lookaheads.size(); ++I)
+      ASSERT_EQ(LS.Lookaheads[I], Merged[L][I])
+          << Context << " state " << L << " item "
+          << G.productionString(LS.Items[I].Prod, int(LS.Items[I].Dot));
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Corpus, AutomatonPoolEquivalenceTest,
-                         ::testing::Values("figure1", "figure3", "SQL.2",
-                                           "Pascal.1", "C.1"));
+class CanonicalMergeTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CanonicalMergeTest, MergedCoresAreLalr) {
+  std::string Text = grammarText(GetParam());
+  ASSERT_FALSE(Text.empty()) << GetParam();
+  GrammarParseResult R = parseGrammar(Text);
+  ASSERT_TRUE(R.ok()) << GetParam();
+  GrammarAnalysis A(*R.G);
+  expectLalrIsMergedCanonical(*R.G, A, GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Grammars, CanonicalMergeTest,
+                         ::testing::ValuesIn(grammarNames()));
+
+class CanonicalMergeRandomTest : public ::testing::TestWithParam<int> {};
+
+/// The 40 seeded grammars of DeRemerPennelloRandomTest's small sweep.
+TEST_P(CanonicalMergeRandomTest, MergedCoresAreLalr) {
+  uint64_t Seed = uint64_t(GetParam()) + 9000;
+  std::string Text =
+      randomGrammarText(Seed, 4 + unsigned(Seed % 5), 3 + unsigned(Seed % 4));
+  std::optional<Grammar> G = parseGrammarText(Text);
+  ASSERT_TRUE(G) << Text;
+  GrammarAnalysis A(*G);
+  expectLalrIsMergedCanonical(*G, A, Text);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CanonicalMergeRandomTest,
+                         ::testing::Range(0, 40));
 
 } // namespace

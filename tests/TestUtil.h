@@ -68,15 +68,15 @@ inline void expectSameAutomaton(const Automaton &MA, const Automaton &MB,
   }
 }
 
-/// Builds \p G twice — default options and the reference IndexSet
-/// fixpoints (PooledSets off) — and asserts equal machines.
+/// Builds \p G's LALR(1) machine twice — DeRemer–Pennello lookaheads and
+/// the reference IndexSet fixpoints (ReferenceLookaheads) — and asserts
+/// equal machines.
 inline void expectAutomatonMatchesReference(const Grammar &G,
                                             const GrammarAnalysis &A,
-                                            AutomatonKind Kind,
                                             const std::string &Context) {
-  Automaton MP(G, A, AutomatonOptions{Kind, /*PooledSets=*/true});
-  Automaton MB(G, A, AutomatonOptions{Kind, /*PooledSets=*/false});
-  expectSameAutomaton(MP, MB, Context);
+  AutomatonOptions Reference;
+  Reference.ReferenceLookaheads = true;
+  expectSameAutomaton(Automaton(G, A), Automaton(G, A, Reference), Context);
 }
 
 /// Asserts two parse tables are equal: their automatons (as above), every
