@@ -83,7 +83,11 @@ namespace cache {
 /// v4: one `.rep` blob per (options, grammar structure) holds every
 /// stored report with its touched set; the exact-grammar `.rep` and the
 /// per-conflict `.crep` blobs are gone.
-constexpr uint32_t FormatVersion = 4;
+/// v5: a unifying search stops expanding once its queue holds every
+/// configuration its step budget can still pop (saturation), so a
+/// budget-stopped search creates fewer item-sequence entries and
+/// admissions: cached PeakBytes, and MemoryLimit verdicts, are stale.
+constexpr uint32_t FormatVersion = 5;
 
 /// How a cache probe concluded.
 enum class CacheOutcome : uint8_t {

@@ -23,8 +23,15 @@
 //   - The frontier is a monotone bucket queue (Dial's algorithm): edge
 //     costs are small dense constants, so a circular array of FIFO
 //     buckets replaces the binary heap's O(log n) pushes and pops.
+//   - Saturation: once the configurations queued at costs up to the
+//     popped cost plus the smallest successor cost cover every pop the
+//     step budget still allows, with one more configuration queued, the
+//     search generates no more successors; later pops are counted and
+//     goal-tested only. Statuses, counts and examples are unchanged
+//     (DESIGN.md 5c).
 //   - Guard.chargeBytes is charged per new stack entry and per admitted
-//     configuration, at fixed per-item rates (DESIGN.md 5c).
+//     configuration, at fixed per-item rates (DESIGN.md 5c); a saturated
+//     search charges nothing more.
 //
 // Each search runs on one thread; examineAll runs the searches of
 // different conflicts concurrently (DESIGN.md 5h records why the
@@ -142,6 +149,7 @@ public:
   }
 
   bool empty() const { return Count == 0; }
+  size_t size() const { return Count; }
 
   /// The lowest-cost configuration; FIFO among equal costs.
   uint32_t pop() {
@@ -158,6 +166,15 @@ public:
     }
   }
 
+  /// Configurations still queued at costs up to \p Cost, which must be
+  /// below the current minimum plus the bucket count.
+  size_t queuedThrough(int Cost) const {
+    size_t N = 0;
+    for (int K = Cur; K <= Cost; ++K)
+      N += Buckets[size_t(K) % Buckets.size()].size() - (K == Cur ? Head : 0);
+    return N;
+  }
+
   size_t pushes() const { return PushCount; }
   size_t pops() const { return PopCount; }
 
@@ -170,12 +187,13 @@ private:
   int Cur = 0; // current minimum cost (monotone)
 };
 
-/// Flushes a search's lifetime queue and item-sequence totals into the
-/// metrics registry when searchImpl exits, including via SearchError /
-/// bad_alloc.
+/// Flushes a search's lifetime queue, item-sequence and saturation totals
+/// into the metrics registry when searchImpl exits, including via
+/// SearchError / bad_alloc.
 struct SearchMetricsFlusher {
   const BucketQueue &Queue;
   const ItemStackArena &Items;
+  const size_t &SaturatedPops;
   MetricsRegistry *Metrics;
   ~SearchMetricsFlusher() {
     if (!Metrics)
@@ -184,6 +202,7 @@ struct SearchMetricsFlusher {
     Metrics->add(metric::UnifyingQueuePops, Queue.pops());
     Metrics->add(metric::UnifyingSequenceEntries, Items.entries());
     Metrics->add(metric::UnifyingSequenceCompares, Items.compares());
+    Metrics->add(metric::UnifyingSaturatedPops, SaturatedPops);
   }
 };
 
@@ -314,14 +333,25 @@ void UnifyingSearch::searchImpl(
       SlspState[Graph.stateOf(Step.Node)] = true;
   }
 
+  // The smallest and largest cost a successor can add: the largest sizes
+  // the queue, the smallest decides saturation. Off-path reverse
+  // transitions occur only in extended search.
+  const std::pair<int, int> Deltas = std::minmax(
+      {ShiftCost, RevTransitionCost, ReduceCost, RevProductionCost,
+       ProductionCost, ProductionCost + DupCost,
+       Opts.ExtendedSearch ? ExtRevCost : ShiftCost});
+  const int MinDelta = Deltas.first;
+
   ItemStackArena IA(Guard);
   DerivChainArena DA(Guard);
   std::vector<Config> Pool;
   IdIndex Visited; // pool ids, keyed by the items and flags of Pool[id]
-  BucketQueue Queue(size_t(std::max(
-      {ShiftCost, RevTransitionCost, ReduceCost, RevProductionCost,
-       ProductionCost + DupCost, Opts.ExtendedSearch ? ExtRevCost : 0})));
-  SearchMetricsFlusher Flusher{Queue, IA, Opts.Metrics};
+  BucketQueue Queue(size_t(Deltas.second));
+  // Set once the queue holds every configuration the step budget can
+  // still pop (see processConfig); never cleared.
+  bool Saturated = false;
+  size_t SaturatedPops = 0;
+  SearchMetricsFlusher Flusher{Queue, IA, SaturatedPops, Opts.Metrics};
 
   // One leaf per symbol: derivation trees are immutable, so every shift
   // of the same symbol can share one leaf instead of allocating anew.
@@ -790,7 +820,8 @@ void UnifyingSearch::searchImpl(
   };
 
   // Expands one configuration: counting, fault hooks, integrity check,
-  // goal test, then every successor generate() lists, applied in order.
+  // goal test, saturation test, then every successor generate() lists,
+  // applied in order.
   // \returns true when the goal was reached (Result is filled in).
   std::vector<Candidate> Cands;
   auto processConfig = [&](uint32_t PoolId) -> bool {
@@ -825,6 +856,25 @@ void UnifyingSearch::searchImpl(
       Result.Status = UnifyingStatus::Found;
       Result.Example = std::move(Ex);
       return true;
+    }
+
+    // Saturation (DESIGN.md 5c). Every later successor costs at least
+    // C.Cost + MinDelta and queues behind the configurations already
+    // queued at costs up to that. Once those cover the Left pops the step
+    // budget still allows, the rest of the run pops a prefix of them
+    // whatever is pushed; once the queue also holds one configuration
+    // more, it cannot run empty before the budget stops the search. So
+    // expanding anything more cannot change a pop, the final status or
+    // the example. Without the second test, a queue holding exactly Left
+    // would end Exhausted where an admitted successor makes it LimitHit.
+    if (!Saturated) {
+      const size_t Left = Guard.limits().MaxSteps - Guard.steps();
+      Saturated = Queue.size() > Left &&
+                  Queue.queuedThrough(C.Cost + MinDelta) >= Left;
+    }
+    if (Saturated) {
+      ++SaturatedPops;
+      return false;
     }
 
     Cands.clear();

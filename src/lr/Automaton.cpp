@@ -206,11 +206,15 @@ void Automaton::buildCanonical() {
       for (size_t I = 0; I != A.size(); ++I) {
         if (A[I].first != B[I].first)
           return A[I].first < B[I].first;
-        // Compare lookahead sets element-wise for a total order.
-        std::vector<unsigned> EA = A[I].second.elements();
-        std::vector<unsigned> EB = B[I].second.elements();
-        if (EA != EB)
-          return EA < EB;
+        // Any total order will do (the map only finds kernels; states are
+        // numbered in discovery order): compare the lookahead sets' words,
+        // which share one universe and so one length.
+        const uint64_t *WA = A[I].second.words(), *WB = B[I].second.words();
+        size_t Words = (A[I].second.universeSize() + 63) / 64;
+        auto Order = std::lexicographical_compare_three_way(
+            WA, WA + Words, WB, WB + Words);
+        if (Order != 0)
+          return Order < 0;
       }
       return false;
     }

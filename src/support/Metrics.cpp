@@ -70,6 +70,7 @@ const char *const CounterNames[metric::NumCounters] = {
     "cache.remap_unverified_row",
     "cache.remap_unverified_first",
     "cache.remap_unverified_choice",
+    "unifying.saturated_pops",
 };
 
 const char *const GaugeNames[metric::NumGauges] = {

@@ -91,6 +91,10 @@ enum Counter : unsigned {
   CacheRemapUnverifiedRow,       ///< the forward target or a row differs
   CacheRemapUnverifiedFirst,  ///< a symbol unmapped, FIRST/nullable changed
   CacheRemapUnverifiedChoice, ///< a minimal-derivation choice moved
+  /// Configurations a unifying search popped and goal-tested but did not
+  /// expand, because its queue already held every configuration its step
+  /// budget could still pop (DESIGN.md §5c, saturation).
+  UnifyingSaturatedPops,
   NumCounters
 };
 

@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -181,6 +183,45 @@ TEST(MetricsTest, GuardOvershootObservedOncePerStoppedSearch) {
   MetricsSnapshot Found = examineUnder("else");
   EXPECT_EQ(Found.counter(metric::UnifyingFound), 1u);
   EXPECT_EQ(Found.hist(metric::TimeGuardOvershootNs).Count, 0u);
+}
+
+TEST(MetricsTest, SaturatedPopsCountConfigurationsNotExpanded) {
+  // unifying.saturated_pops counts the configurations a search popped and
+  // goal-tested but did not expand, because its queue already held every
+  // configuration its step budget could still pop. sql.y's seven searches
+  // at 5,000 configurations saturate at pops 2,390 and 2,428 (the two
+  // reduce/reduce conflicts) and 3,912 to 3,918 (the five shift/reduce
+  // ones).
+  auto examineAllUnder = [](Grammar G, size_t MaxConfigurations) {
+    BuiltGrammar B(std::move(G));
+    MetricsRegistry Reg;
+    FinderOptions Opts;
+    Opts.Jobs = 1;
+    Opts.ConflictTimeLimitSeconds = 0;
+    Opts.MaxConfigurations = MaxConfigurations;
+    Opts.Metrics = &Reg;
+    CounterexampleFinder(B.T, Opts).examineAll();
+    return Reg.snapshot();
+  };
+
+  std::ifstream In(std::string(LALRCEX_EXAMPLE_GRAMMARS) + "/sql.y",
+                   std::ios::binary);
+  std::stringstream Buf;
+  Buf << In.rdbuf();
+  std::optional<Grammar> Sql = parseGrammar(Buf.str()).G;
+  ASSERT_TRUE(Sql);
+  MetricsSnapshot S = examineAllUnder(std::move(*Sql), 5000);
+  EXPECT_EQ(S.counter(metric::UnifyingSearches), 7u);
+  EXPECT_EQ(S.counter(metric::UnifyingConfigurations), 35000u);
+  EXPECT_EQ(S.counter(metric::UnifyingBudgetStops), 7u);
+  EXPECT_EQ(S.counter(metric::UnifyingSaturatedPops), 10613u);
+
+  // figure1's three searches, the digit one included, all find their
+  // examples well within the default budget.
+  MetricsSnapshot Figure1 = examineAllUnder(
+      loadCorpusGrammar("figure1"), FinderOptions().MaxConfigurations);
+  EXPECT_EQ(Figure1.counter(metric::UnifyingFound), 3u);
+  EXPECT_EQ(Figure1.counter(metric::UnifyingSaturatedPops), 0u);
 }
 
 TEST(TraceTest, SpanNestingLinksParents) {
