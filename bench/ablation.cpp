@@ -91,15 +91,13 @@ int main(int argc, char **argv) {
       for (const Conflict &C : B->T.reportedConflicts()) {
         StateItemGraph::NodeId Reduce =
             Graph.nodeFor(C.State, C.reduceItem(B->G));
-        std::vector<StateItemGraph::NodeId> Others;
-        if (C.K == Conflict::ShiftReduce) {
-          Others.push_back(Graph.nodeFor(C.State, C.ShiftItm));
-        } else {
-          Others.push_back(Graph.nodeFor(
-              C.State, Item(C.OtherProd,
-                            uint32_t(B->G.production(C.OtherProd)
-                                         .Rhs.size()))));
-        }
+        StateItemGraph::NodeId Other =
+            C.K == Conflict::ShiftReduce
+                ? Graph.nodeFor(C.State, C.ShiftItm)
+                : Graph.nodeFor(C.State,
+                                Item(C.OtherProd,
+                                     uint32_t(B->G.production(C.OtherProd)
+                                                  .Rhs.size())));
         std::optional<LssPath> Path =
             shortestLookaheadSensitivePath(Graph, Reduce, C.Token);
         if (!Path)
@@ -107,7 +105,7 @@ int main(int argc, char **argv) {
         UnifyingOptions UO;
         UO.TimeLimitSeconds = 1.0 * Scale;
         UO.DuplicateProductionCost = 0;
-        UnifyingResult UR = Search.search(Reduce, Others, C.Token, &*Path, UO);
+        UnifyingResult UR = Search.search(Reduce, Other, C.Token, &*Path, UO);
         if (UR.Status == UnifyingStatus::Found)
           ++RN.Unif;
         else

@@ -86,7 +86,7 @@ void BM_UnifyingDanglingElse(benchmark::State &State) {
   UnifyingOptions Opts;
   for (auto _ : State) {
     UnifyingResult R =
-        Search.search(S.ReduceNode, {Other}, S.C.Token, &*Path, Opts);
+        Search.search(S.ReduceNode, Other, S.C.Token, &*Path, Opts);
     benchmark::DoNotOptimize(R.Status);
   }
 }
@@ -103,7 +103,7 @@ void BM_UnifyingChallengingConflict(benchmark::State &State) {
   UnifyingOptions Opts;
   for (auto _ : State) {
     UnifyingResult R =
-        Search.search(S.ReduceNode, {Other}, S.C.Token, &*Path, Opts);
+        Search.search(S.ReduceNode, Other, S.C.Token, &*Path, Opts);
     benchmark::DoNotOptimize(R.Status);
   }
 }
@@ -141,7 +141,7 @@ BenchRecord searchRecord(const char *Name, const char *Grammar,
   UnifyingOptions Opts;
   UnifyingResult Last;
   double Ms = minWallMs([&] {
-    Last = Search.search(S.ReduceNode, {Other}, S.C.Token, &*Path, Opts);
+    Last = Search.search(S.ReduceNode, Other, S.C.Token, &*Path, Opts);
   });
 
   BenchRecord R;

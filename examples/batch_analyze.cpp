@@ -120,6 +120,19 @@ bool parseFlagValue(const char *Flag, const char *Value, uint64_t Max,
   return true;
 }
 
+/// Parses the seconds value of \p Flag; rejects text that is not a finite
+/// number, which std::atof would turn into 0 (no deadline at all).
+bool parseSecondsValue(const char *Flag, const char *Value, double &Out) {
+  std::optional<double> V = parseFiniteDouble(Value);
+  if (!V) {
+    std::fprintf(stderr, "%s: '%s' is not a finite number of seconds\n", Flag,
+                 Value);
+    return false;
+  }
+  Out = *V;
+  return true;
+}
+
 struct Job {
   std::string Name; // report/bench label
   std::string Text; // grammar text
@@ -476,13 +489,13 @@ int main(int argc, char **argv) {
         return usage(argv[0]);
       Jobs = unsigned(V);
     } else if (Arg == "-timeout") {
-      if (++I == argc)
+      if (++I == argc || !parseSecondsValue("-timeout", argv[I],
+                                            Opts.ConflictTimeLimitSeconds))
         return usage(argv[0]);
-      Opts.ConflictTimeLimitSeconds = std::atof(argv[I]);
     } else if (Arg == "-cumulative") {
-      if (++I == argc)
+      if (++I == argc || !parseSecondsValue("-cumulative", argv[I],
+                                            Opts.CumulativeTimeLimitSeconds))
         return usage(argv[0]);
-      Opts.CumulativeTimeLimitSeconds = std::atof(argv[I]);
       CumulativeSet = true;
     } else if (Arg == "-steps") {
       uint64_t V;

@@ -9,16 +9,14 @@
 //   grammar_debugger [options] <grammar-file | corpus:NAME>
 //     -extendedsearch     full product-parser search (paper §6)
 //     -nonunifying        skip the unifying search entirely
-//     -timeout <seconds>  per-conflict unifying budget (default 5)
+//     -timeout <seconds>  per-conflict unifying budget (default 5;
+//                         0 = unlimited)
 //     -cumulative <sec>   cumulative budget across all conflicts (default
 //                         120; 0 = unlimited)
 //     -steps <n>          deterministic per-conflict configuration budget
 //     -memory-mb <n>      accounted memory budget per unifying search
 //     -jobs <n>           worker threads for conflict examination
 //                         (default: hardware concurrency; 1 = serial)
-//     -lss-stats          print per-conflict lookahead-sensitive search
-//                         stats (vertices expanded, enqueued, and pruned
-//                         by dominance)
 //     -metrics            print the pipeline metrics registry (per-phase
 //                         wall times, search-effort counters, guard trips)
 //                         after the run
@@ -63,7 +61,7 @@ static int usage(const char *Prog) {
                "usage: %s [-extendedsearch] [-nonunifying] "
                "[-timeout <sec>] [-cumulative <sec>] [-steps <n>] "
                "[-memory-mb <n>] [-jobs <n>] "
-               "[-lss-stats] [-metrics] "
+               "[-metrics] "
                "[-trace-out <file>] [-canonical] "
                "[-dump] [-print] [-list] <grammar-file | corpus:NAME>\n",
                Prog);
@@ -85,6 +83,20 @@ static bool parseFlagValue(const char *Flag, const char *Value, uint64_t Max,
   return true;
 }
 
+/// Parses the seconds value of \p Flag; rejects text that is not a finite
+/// number, which std::atof would turn into 0 (no deadline at all).
+static bool parseSecondsValue(const char *Flag, const char *Value,
+                              double &Out) {
+  std::optional<double> V = parseFiniteDouble(Value);
+  if (!V) {
+    std::fprintf(stderr, "%s: '%s' is not a finite number of seconds\n", Flag,
+                 Value);
+    return false;
+  }
+  Out = *V;
+  return true;
+}
+
 int main(int argc, char **argv) {
   FinderOptions Opts;
   std::string Source;
@@ -99,13 +111,13 @@ int main(int argc, char **argv) {
     } else if (Arg == "-nonunifying") {
       Opts.UnifyingEnabled = false;
     } else if (Arg == "-timeout") {
-      if (++I == argc)
+      if (++I == argc || !parseSecondsValue("-timeout", argv[I],
+                                            Opts.ConflictTimeLimitSeconds))
         return usage(argv[0]);
-      Opts.ConflictTimeLimitSeconds = std::atof(argv[I]);
     } else if (Arg == "-cumulative") {
-      if (++I == argc)
+      if (++I == argc || !parseSecondsValue("-cumulative", argv[I],
+                                            Opts.CumulativeTimeLimitSeconds))
         return usage(argv[0]);
-      Opts.CumulativeTimeLimitSeconds = std::atof(argv[I]);
     } else if (Arg == "-steps") {
       uint64_t V;
       if (++I == argc || !parseFlagValue("-steps", argv[I], SIZE_MAX, V))
@@ -123,8 +135,6 @@ int main(int argc, char **argv) {
       if (++I == argc || !parseFlagValue("-jobs", argv[I], UINT32_MAX, V))
         return usage(argv[0]);
       Opts.Jobs = unsigned(V);
-    } else if (Arg == "-lss-stats") {
-      Opts.CollectLssStats = true;
     } else if (Arg == "-metrics") {
       PrintMetrics = true;
     } else if (Arg == "-trace-out") {
@@ -239,10 +249,6 @@ int main(int argc, char **argv) {
                   R.Failure->Stage.c_str(),
                   R.Failure->Detail.empty() ? "" : ": ",
                   R.Failure->Detail.c_str());
-    if (R.Lss)
-      std::printf("  [lss: %zu expanded, %zu enqueued, %zu pruned by "
-                  "dominance]\n",
-                  R.Lss->Expanded, R.Lss->Enqueued, R.Lss->DominancePruned);
     std::printf("\n");
   }
   std::printf("examined %zu conflicts with %u worker thread(s); "
@@ -255,6 +261,9 @@ int main(int argc, char **argv) {
     std::printf("\n-- metrics --\n%s",
                 Metrics.snapshot().renderText().c_str());
   }
+  // Flushed before the closing stderr lines, so they follow the report
+  // text when both streams go to one pipe.
+  std::fflush(stdout);
   if (!TracePath.empty()) {
     if (!Trace.writeChromeJson(TracePath)) {
       std::fprintf(stderr, "cannot write trace '%s'\n", TracePath.c_str());

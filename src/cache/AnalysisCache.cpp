@@ -110,7 +110,6 @@ Fingerprint128 lalrcex::cache::optionsFingerprint(const FinderOptions &Opts,
   H.addU64(Opts.MaxConfigurations);
   H.addU64(Opts.CumulativeMaxConfigurations);
   H.addU64(Opts.MemoryLimitBytes);
-  H.addU32(Opts.WallPollPeriod);
   return H.finish();
 }
 

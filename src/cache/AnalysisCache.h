@@ -87,7 +87,9 @@ namespace cache {
 /// configuration its step budget can still pop (saturation), so a
 /// budget-stopped search creates fewer item-sequence entries and
 /// admissions: cached PeakBytes, and MemoryLimit verdicts, are stale.
-constexpr uint32_t FormatVersion = 5;
+/// v6: the finder options no longer carry a wall-clock poll period, so
+/// the options fingerprint hashes one field fewer.
+constexpr uint32_t FormatVersion = 6;
 
 /// How a cache probe concluded.
 enum class CacheOutcome : uint8_t {

@@ -55,7 +55,6 @@ ResourceLimits cumulativeLimits(const FinderOptions &Opts) {
   L.MaxSteps = Opts.CumulativeMaxConfigurations;
   if (Opts.CumulativeTimeLimitSeconds != 0)
     L.WallClockSeconds = Opts.CumulativeTimeLimitSeconds;
-  L.WallPollPeriod = Opts.WallPollPeriod;
   return L;
 }
 
@@ -179,47 +178,39 @@ ConflictReport CounterexampleFinder::examineImpl(const Conflict &C,
     return finish();
   }
 
-  std::vector<StateItemGraph::NodeId> OtherNodes;
+  // One conflict record exists per shift item (CUP counting); search with
+  // that specific item, or with the second reduce item.
+  StateItemGraph::NodeId OtherNode;
   if (C.K == Conflict::ShiftReduce) {
-    // One conflict record exists per shift item (CUP counting); search
-    // with that specific item.
-    StateItemGraph::NodeId N = Graph.nodeFor(C.State, C.ShiftItm);
-    if (N == StateItemGraph::InvalidNode) {
+    OtherNode = Graph.nodeFor(C.State, C.ShiftItm);
+    if (OtherNode == StateItemGraph::InvalidNode) {
       fail(FailureReason::InternalError, "conflict-setup",
            "conflict shift item missing from its state");
       return finish();
     }
-    OtherNodes.push_back(N);
     Report.ShiftItem = C.ShiftItm;
   } else {
     Item OtherItem(C.OtherProd,
                    uint32_t(G.production(C.OtherProd).Rhs.size()));
-    StateItemGraph::NodeId N = Graph.nodeFor(C.State, OtherItem);
-    if (N == StateItemGraph::InvalidNode) {
+    OtherNode = Graph.nodeFor(C.State, OtherItem);
+    if (OtherNode == StateItemGraph::InvalidNode) {
       fail(FailureReason::InternalError, "conflict-setup",
            "second conflict reduce item missing from its state");
       return finish();
     }
-    OtherNodes.push_back(N);
   }
 
   // Shortest lookahead-sensitive path (§4). Both fallback rungs need it,
   // so it is bounded only by cancellation, not by the cumulative search
   // budgets (nonunifying-only mode must still work after exhaustion).
-  ResourceLimits LssLimits;
-  LssLimits.WallPollPeriod = Opts.WallPollPeriod;
-  ResourceGuard LssGuard(LssLimits, Opts.Cancellation);
+  ResourceGuard LssGuard(ResourceLimits(), Opts.Cancellation);
   LssGuard.attachMetrics(Opts.Metrics);
   std::optional<LssPath> Path;
-  LssStats PathStats;
   try {
     TraceSpan LssSpan(Opts.Trace, "lss", Index);
-    Path = shortestLookaheadSensitivePath(
-        Graph, ReduceNode, C.Token,
-        /*PruneToReaching=*/true, &LssGuard,
-        Opts.CollectLssStats ? &PathStats : nullptr, Opts.Metrics);
-    if (Opts.CollectLssStats)
-      Report.Lss = PathStats;
+    Path = shortestLookaheadSensitivePath(Graph, ReduceNode, C.Token,
+                                          /*PruneToReaching=*/true,
+                                          &LssGuard, Opts.Metrics);
   } catch (const SearchError &E) {
     fail(FailureReason::InternalError, "lss-path", E.what());
     return finish();
@@ -258,7 +249,6 @@ ConflictReport CounterexampleFinder::examineImpl(const Conflict &C,
     UO.ExtendedSearch = Opts.ExtendedSearch;
     UO.MemoryLimitBytes = Opts.MemoryLimitBytes;
     UO.Cancellation = Opts.Cancellation;
-    UO.WallPollPeriod = Opts.WallPollPeriod;
     UO.Metrics = Opts.Metrics;
     // Effective step budget: per-conflict cap, shrunk to what the
     // cumulative deterministic budget still allows.
@@ -273,7 +263,7 @@ ConflictReport CounterexampleFinder::examineImpl(const Conflict &C,
 
     UnifyingResult UR = [&] {
       TraceSpan UnifySpan(Opts.Trace, "unifying", Index);
-      return Unifying.search(ReduceNode, OtherNodes, C.Token, &*Path, UO);
+      return Unifying.search(ReduceNode, OtherNode, C.Token, &*Path, UO);
     }();
     Report.Configurations = UR.ConfigurationsExplored;
     Report.PeakBytes = UR.PeakBytes;
@@ -328,35 +318,26 @@ ConflictReport CounterexampleFinder::examineImpl(const Conflict &C,
              ")");
   }
 
-  // Fall back to a nonunifying counterexample (§4), trying each candidate
-  // conflicting item. Builder failures degrade to the bare report.
+  // Fall back to a nonunifying counterexample (§4). Builder failures
+  // degrade to the bare report.
   {
     ScopedTimer NonunifTimer(Opts.Metrics, metric::TimeNonunifyingNs);
     TraceSpan NonunifSpan(Opts.Trace, "nonunifying", Index);
-    for (StateItemGraph::NodeId Other : OtherNodes) {
-      std::optional<Counterexample> Ex;
-      try {
-        if (Opts.Metrics)
-          Opts.Metrics->add(metric::NonunifyingBuilds);
-        Ex = Nonunifying.build(*Path, Other, C.Token);
-      } catch (const SearchError &E) {
-        if (Opts.Metrics)
-          Opts.Metrics->add(metric::NonunifyingFailures);
-        Report.Status = CounterexampleStatus::Failed;
-        fail(FailureReason::InternalError, "nonunifying-builder", E.what());
-        continue;
-      } catch (const std::bad_alloc &) {
-        if (Opts.Metrics)
-          Opts.Metrics->add(metric::NonunifyingFailures);
-        Report.Status = CounterexampleStatus::Failed;
-        fail(FailureReason::AllocationFailure, "nonunifying-builder",
-             "allocation failure");
-        continue;
-      }
-      if (Ex) {
-        Report.Example = std::move(Ex);
-        break;
-      }
+    try {
+      if (Opts.Metrics)
+        Opts.Metrics->add(metric::NonunifyingBuilds);
+      Report.Example = Nonunifying.build(*Path, OtherNode, C.Token);
+    } catch (const SearchError &E) {
+      if (Opts.Metrics)
+        Opts.Metrics->add(metric::NonunifyingFailures);
+      Report.Status = CounterexampleStatus::Failed;
+      fail(FailureReason::InternalError, "nonunifying-builder", E.what());
+    } catch (const std::bad_alloc &) {
+      if (Opts.Metrics)
+        Opts.Metrics->add(metric::NonunifyingFailures);
+      Report.Status = CounterexampleStatus::Failed;
+      fail(FailureReason::AllocationFailure, "nonunifying-builder",
+           "allocation failure");
     }
   }
   if (!Report.Example && Report.Status != CounterexampleStatus::Failed) {

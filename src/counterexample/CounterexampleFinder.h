@@ -61,8 +61,6 @@ struct FinderOptions {
   /// Cooperative cancellation: trip from another thread to stop all
   /// remaining work; every conflict still gets a (bare) report.
   CancellationToken Cancellation;
-  /// Configurations between wall-clock / cancellation polls.
-  unsigned WallPollPeriod = 64;
   /// Worker threads for examineAll (0 = hardware concurrency). Conflicts
   /// are examined concurrently over shared read-only tables and one
   /// shared cumulative guard; each conflict's searches run on the one
@@ -73,10 +71,6 @@ struct FinderOptions {
   /// Ignored. Each unifying search is serial (DESIGN.md 5h); the field
   /// remains so existing callers that set it still compile.
   unsigned JobsInner = 0;
-  /// Collect per-conflict LssStats (pool occupancy, union-cache hit rate,
-  /// dominance-check counts) into ConflictReport::Lss. Observability
-  /// only: never changes reports or rendering.
-  bool CollectLssStats = false;
   /// Directory of the persistent report cache (cache/AnalysisCache.h);
   /// empty disables caching. examineAll() reads one blob per (options,
   /// grammar structure), serves every reported conflict it holds
@@ -164,9 +158,6 @@ struct ConflictReport {
   /// Why the report was degraded (set for every status except
   /// UnifyingFound / NonunifyingComplete).
   std::optional<FailureReason> Failure;
-  /// Lookahead-sensitive search counters; only populated when
-  /// FinderOptions::CollectLssStats is set. Not rendered in reports.
-  std::optional<LssStats> Lss;
 };
 
 /// What the persistent report cache did in one finder's examineAll();

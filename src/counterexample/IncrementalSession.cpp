@@ -402,7 +402,6 @@ bool IncrementalHandoff::remapReport(const ConflictReport &OldRep,
   Rep.PeakBytes = OldRep.PeakBytes;
   Rep.UnifyingOutcome = OldRep.UnifyingOutcome;
   Rep.Failure = OldRep.Failure;
-  Rep.Lss = OldRep.Lss;
   if (OldRep.Example) {
     Counterexample Ex;
     Ex.Unifying = OldRep.Example->Unifying;

@@ -43,7 +43,7 @@ struct BitVertex {
 std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
     const StateItemGraph &Graph, StateItemGraph::NodeId ConflictNode,
     Symbol ConflictTerm, bool PruneToReaching, ResourceGuard *Guard,
-    LssStats *Stats, MetricsRegistry *Metrics) {
+    MetricsRegistry *Metrics) {
   ScopedTimer Timer(Metrics, metric::TimeLssNs);
   const Automaton &M = Graph.automaton();
   const Grammar &G = M.grammar();
@@ -71,11 +71,6 @@ std::optional<LssPath> lalrcex::shortestLookaheadSensitivePath(
       Metrics->add(metric::LssExpanded, Expanded);
       Metrics->add(metric::LssEnqueued, Enqueued);
       Metrics->add(metric::LssDominancePruned, Pruned);
-    }
-    if (Stats) {
-      Stats->Expanded = Expanded;
-      Stats->Enqueued = Enqueued;
-      Stats->DominancePruned = Pruned;
     }
   };
 

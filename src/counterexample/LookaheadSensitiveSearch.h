@@ -73,16 +73,6 @@ struct LssPath {
   std::vector<StateItemGraph::NodeId> nodes() const;
 };
 
-/// Observability counters for one lookahead-sensitive search (surfaced by
-/// grammar_debugger -lss-stats and the microbenchmarks). Never affects
-/// the search result. The pipeline-wide MetricsRegistry reports the same
-/// quantities as lss.* counters.
-struct LssStats {
-  size_t Expanded = 0;        ///< vertices popped from the queue
-  size_t Enqueued = 0;        ///< vertices admitted to the frontier
-  size_t DominancePruned = 0; ///< candidates covered by an earlier vertex
-};
-
 /// Finds the shortest lookahead-sensitive path from the start item to
 /// (\p ConflictNode, L) with \p ConflictTerm in L. \returns nullopt only
 /// if the conflict item is unreachable (which would indicate an automaton
@@ -93,16 +83,14 @@ struct LssStats {
 /// \p Guard, when given, is charged one step per expanded vertex; if it
 /// trips (cancellation, cumulative budget), the search stops and returns
 /// nullopt — callers degrade to a bare item-pair report.
-/// \p Stats, when given, receives the search's counters.
-/// \p Metrics, when given, receives the same counters as lss.* metrics
-/// plus the search wall time (time.lss_ns).
+/// \p Metrics, when given, receives the search's counters as lss.*
+/// metrics plus its wall time (time.lss_ns).
 std::optional<LssPath>
 shortestLookaheadSensitivePath(const StateItemGraph &Graph,
                                StateItemGraph::NodeId ConflictNode,
                                Symbol ConflictTerm,
                                bool PruneToReaching = true,
                                ResourceGuard *Guard = nullptr,
-                               LssStats *Stats = nullptr,
                                MetricsRegistry *Metrics = nullptr);
 
 /// The reference implementation (plain set-valued BFS, per-vertex

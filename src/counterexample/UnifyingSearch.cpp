@@ -60,13 +60,19 @@ using namespace unifying_detail;
 // potentially infinite expansions are postponed behind every other option
 // (paper §5.4). Reverse transitions off the shortest lookahead-sensitive
 // path are only possible in extended search and are costed like a fresh
-// exploration. The bucket queue requires non-negative deltas, so the two
-// configurable costs are clamped at zero.
+// exploration. The bucket queue requires non-negative deltas, so the
+// configurable duplicate surcharge is clamped at zero.
 constexpr int ShiftCost = 1;
 constexpr int RevTransitionCost = 1;
 constexpr int ProductionCost = 5;
 constexpr int RevProductionCost = 3;
 constexpr int ReduceCost = 1;
+constexpr int ExtendedRevTransitionCost = 100;
+/// The smallest cost a successor can add (the duplicate surcharge only
+/// raises a production step's); it decides saturation.
+constexpr int MinDelta =
+    std::min({ShiftCost, RevTransitionCost, ProductionCost, RevProductionCost,
+              ReduceCost, ExtendedRevTransitionCost});
 
 /// Persistent chains of derivation handles. Unlike item stacks these are
 /// not interned (ledgers are never used as keys); a chain id plus the
@@ -206,28 +212,6 @@ struct SearchMetricsFlusher {
   }
 };
 
-/// One potential successor of a configuration, recorded by the read-only
-/// generation pass and executed (intern + admit + ledger + enqueue) by the
-/// apply pass.
-enum class CandKind : uint8_t {
-  SharedShift, ///< Fig. 10(a): A/B = successor nodes of the two sides
-  ProdStep,    ///< Fig. 10(b): A = dot-0 item node, side in First
-  Reduce,      ///< Fig. 10(f): A = goto node, Prod/PopLen describe it
-  RevProd,     ///< Fig. 10(d)/(e): A = prepended context node
-  RevTrans,    ///< Fig. 10(c): A/B = prepended nodes of the two sides
-};
-
-struct Candidate {
-  CandKind Kind;
-  bool First = false;          ///< which side, for the per-side kinds
-  bool ShiftsConflict = false; ///< SharedShift consumes the conflict term
-  NodeId A = 0, B = 0;
-  int CostDelta = 0;
-  uint32_t Prod = 0;   ///< Reduce: production index
-  uint32_t PopLen = 0; ///< Reduce: right-hand-side length
-};
-static_assert(sizeof(Candidate) == 24);
-
 } // namespace
 
 UnifyingSearch::UnifyingSearch(const StateItemGraph &Graph)
@@ -235,8 +219,7 @@ UnifyingSearch::UnifyingSearch(const StateItemGraph &Graph)
       Analysis(Graph.automaton().analysis()) {}
 
 UnifyingResult
-UnifyingSearch::search(NodeId ReduceNode,
-                       const std::vector<NodeId> &OtherNodes,
+UnifyingSearch::search(NodeId ReduceNode, NodeId OtherNode,
                        Symbol ConflictTerm, const LssPath *Slsp,
                        const UnifyingOptions &Opts) const {
   UnifyingResult Result;
@@ -246,7 +229,6 @@ UnifyingSearch::search(NodeId ReduceNode,
   Limits.MaxBytes = Opts.MemoryLimitBytes;
   if (Opts.TimeLimitSeconds != 0)
     Limits.WallClockSeconds = Opts.TimeLimitSeconds;
-  Limits.WallPollPeriod = Opts.WallPollPeriod;
   ResourceGuard Guard(Limits, Opts.Cancellation);
   Guard.attachMetrics(Opts.Metrics);
 
@@ -259,8 +241,8 @@ UnifyingSearch::search(NodeId ReduceNode,
   // allocation failure degrade to a structured Error result instead of
   // propagating; partial statistics survive.
   try {
-    searchImpl(ReduceNode, OtherNodes, ConflictTerm, Slsp, Opts, Guard,
-               Result, StoppedAt);
+    searchImpl(ReduceNode, OtherNode, ConflictTerm, Slsp, Opts, Guard, Result,
+               StoppedAt);
   } catch (const SearchError &E) {
     Result.Status = UnifyingStatus::Error;
     Result.Message = E.what();
@@ -304,25 +286,19 @@ UnifyingSearch::search(NodeId ReduceNode,
 }
 
 void UnifyingSearch::searchImpl(
-    NodeId ReduceNode, const std::vector<NodeId> &OtherNodes,
-    Symbol ConflictTerm, const LssPath *Slsp, const UnifyingOptions &Opts,
-    ResourceGuard &Guard, UnifyingResult &Result,
+    NodeId ReduceNode, NodeId OtherNode, Symbol ConflictTerm,
+    const LssPath *Slsp, const UnifyingOptions &Opts, ResourceGuard &Guard,
+    UnifyingResult &Result,
     std::optional<std::chrono::steady_clock::time_point> &StoppedAt) const {
   // Malformed caller input is a recoverable error, not UB: these checks
   // replace what used to be implicit assumptions on valid node ids.
-  if (OtherNodes.empty())
-    throw SearchError("unifying search: no conflicting items given");
   if (ReduceNode >= Graph.numNodes() ||
       !Graph.itemOf(ReduceNode).atEnd(G))
     throw SearchError("unifying search: reduce node is not a reduce item");
-  for (NodeId Other : OtherNodes)
-    if (Other >= Graph.numNodes())
-      throw SearchError("unifying search: conflicting node out of range");
+  if (OtherNode >= Graph.numNodes())
+    throw SearchError("unifying search: conflicting node out of range");
 
-  const bool ReduceReduce =
-      !OtherNodes.empty() && Graph.itemOf(OtherNodes.front()).atEnd(G);
   const int DupCost = std::max(0, Opts.DuplicateProductionCost);
-  const int ExtRevCost = std::max(0, Opts.ExtendedRevTransitionCost);
 
   // States admissible for reverse transitions in default mode (§6). In
   // extended search, off-path states are allowed but cost extra.
@@ -333,20 +309,14 @@ void UnifyingSearch::searchImpl(
       SlspState[Graph.stateOf(Step.Node)] = true;
   }
 
-  // The smallest and largest cost a successor can add: the largest sizes
-  // the queue, the smallest decides saturation. Off-path reverse
-  // transitions occur only in extended search.
-  const std::pair<int, int> Deltas = std::minmax(
-      {ShiftCost, RevTransitionCost, ReduceCost, RevProductionCost,
-       ProductionCost, ProductionCost + DupCost,
-       Opts.ExtendedSearch ? ExtRevCost : ShiftCost});
-  const int MinDelta = Deltas.first;
-
   ItemStackArena IA(Guard);
   DerivChainArena DA(Guard);
   std::vector<Config> Pool;
   IdIndex Visited; // pool ids, keyed by the items and flags of Pool[id]
-  BucketQueue Queue(size_t(Deltas.second));
+  // Sized by the largest cost a successor can add.
+  BucketQueue Queue(size_t(std::max(
+      {ShiftCost, RevTransitionCost, ProductionCost + DupCost,
+       RevProductionCost, ReduceCost, ExtendedRevTransitionCost})));
   // Set once the queue holds every configuration the step budget can
   // still pop (see processConfig); never cleared.
   bool Saturated = false;
@@ -412,8 +382,9 @@ void UnifyingSearch::searchImpl(
   //
   // The visited index holds pool ids and reads each key back from Pool, so
   // an admitted configuration must be in Pool before the next admission.
-  // apply() guarantees it: every successful admit is followed by that
-  // configuration's enqueue, or by a throw that ends the search.
+  // Every successor rule below guarantees it: a successful admit is
+  // followed by that configuration's enqueue, or by a throw that ends the
+  // search.
   //
   // AdmitBytes is the accounting charge per admitted configuration: the
   // pool slot plus a fixed 36-byte visited-set charge, an upper bound on
@@ -444,17 +415,13 @@ void UnifyingSearch::searchImpl(
     Queue.push(N.Cost, uint32_t(Pool.size() - 1));
   };
 
-  for (NodeId Other : OtherNodes) {
-    uint32_t I1 = IA.push(NilChain, ReduceNode);
-    uint32_t I2 = IA.push(NilChain, Other);
-    uint8_t Flags =
-        ReduceReduce ? 0 : FlagReduce2; // only R/R must complete both
-    if (!admit(I1, I2, Flags))
-      continue;
+  {
     Config C;
-    C.S1.Items = I1;
-    C.S2.Items = I2;
-    C.Flags = Flags;
+    C.S1.Items = IA.push(NilChain, ReduceNode);
+    C.S2.Items = IA.push(NilChain, OtherNode);
+    // Only a reduce/reduce conflict must complete both reductions.
+    C.Flags = Graph.itemOf(OtherNode).atEnd(G) ? 0 : FlagReduce2;
+    admit(C.S1.Items, C.S2.Items, C.Flags); // the visited set is empty
     enqueue(C);
   }
 
@@ -489,15 +456,77 @@ void UnifyingSearch::searchImpl(
   };
 
   // --------------------------------------------------------------------
-  // Successor generation (Fig. 10), split into a read-only generate pass
-  // that lists a configuration's candidates in canonical order and a
-  // mutating apply pass that executes them one by one.
+  // Successor rules (Fig. 10). Each one interns, admits, does its ledger
+  // work and enqueues every successor as soon as it finds it; expand()
+  // calls them in canonical order.
   // --------------------------------------------------------------------
 
-  // Reduction on one side (Fig. 10(f)); records one candidate if the
-  // side has enough items, otherwise signals that preparation is needed.
-  auto genReduce = [&](const Config &C, bool First,
-                       std::vector<Candidate> &Out) -> bool /*prepared*/ {
+  // Shared forward transition (Fig. 10(a)).
+  auto sharedShift = [&](const Config &C) {
+    NodeId L1 = IA.top(C.S1.Items);
+    NodeId L2 = IA.top(C.S2.Items);
+    NodeId F1 = Graph.forwardTransition(L1);
+    NodeId F2 = Graph.forwardTransition(L2);
+    Symbol Z = Graph.transitionSymbol(L1);
+    if (F1 == StateItemGraph::InvalidNode ||
+        F2 == StateItemGraph::InvalidNode || Z != Graph.transitionSymbol(L2))
+      return;
+    const bool ShiftsConflict = awaitingConflictShift(C);
+    if (ShiftsConflict && Z != ConflictTerm)
+      return;
+    uint32_t NI1 = IA.push(C.S1.Items, F1);
+    uint32_t NI2 = IA.push(C.S2.Items, F2);
+    uint8_t NF = C.Flags | (ShiftsConflict ? FlagShifted : 0);
+    if (!admit(NI1, NI2, NF))
+      return;
+    Config N = C;
+    N.S1.Items = NI1;
+    N.S2.Items = NI2;
+    N.Flags = NF;
+    if (ShiftsConflict) {
+      // Paper presentation (Fig. 11): on the reduce side the dot sits
+      // inside the completed reduction's brackets — attach it as the
+      // last child of the latest derivation node. The shift side gets it
+      // right before the conflict terminal.
+      if (!ledgerEmpty(N.S1) && lastDeriv(N.S1)->isNode()) {
+        DerivPtr Last = popBackDeriv(N.S1);
+        std::vector<DerivPtr> Children = Last->children();
+        Children.push_back(Derivation::dot());
+        appendDeriv(N.S1, Derivation::node(Last->symbol(),
+                                           Last->productionIndex(),
+                                           std::move(Children)));
+      } else {
+        appendDeriv(N.S1, Derivation::dot());
+      }
+      appendDeriv(N.S2, Derivation::dot());
+    }
+    appendDeriv(N.S1, leafOf(Z));
+    appendDeriv(N.S2, leafOf(Z));
+    N.Cost += ShiftCost;
+    enqueue(N);
+  };
+
+  // Production steps on one side (Fig. 10(b)).
+  auto productionSteps = [&](const Config &C, bool First) {
+    const SideRef &S = First ? C.S1 : C.S2;
+    for (NodeId Step : Graph.productionSteps(IA.top(S.Items))) {
+      if (awaitingConflictShift(C) && !usefulWhileAwaiting(Step))
+        continue;
+      int Cost = ProductionCost + (IA.contains(S.Items, Step) ? DupCost : 0);
+      uint32_t NI = IA.push(S.Items, Step);
+      if (!admit(First ? NI : C.S1.Items, First ? C.S2.Items : NI, C.Flags))
+        continue;
+      Config N = C;
+      (First ? N.S1 : N.S2).Items = NI;
+      N.Cost += Cost;
+      enqueue(N);
+    }
+  };
+
+  // Reduction on one side (Fig. 10(f)). \returns false when a reduction
+  // is pending but the side lacks its left context, so reverse
+  // preparation is needed.
+  auto reduce = [&](const Config &C, bool First) -> bool {
     const SideRef &S = First ? C.S1 : C.S2;
     NodeId Last = IA.top(S.Items);
     const Item &Itm = Graph.itemOf(Last);
@@ -510,32 +539,34 @@ void UnifyingSearch::searchImpl(
     if (!(C.Flags & FlagShifted) &&
         !Graph.lookahead(Last).contains(ConflictTerm.id()))
       return true; // reduction inadmissible; not a preparation problem
-    if (IA.depth(S.Items) > L + 1 &&
-        Graph.itemOf(IA.fromTop(S.Items, L)) == Item(Itm.Prod, 0)) {
-      NodeId Context = IA.fromTop(S.Items, L + 1);
-      NodeId Goto = Graph.forwardTransition(Context);
-      if (Goto == StateItemGraph::InvalidNode)
-        throw SearchError(
-            "unifying search: missing goto transition after reduction");
-      Candidate D;
-      D.Kind = CandKind::Reduce;
-      D.First = First;
-      D.A = Goto;
-      D.Prod = Itm.Prod;
-      D.PopLen = L;
-      D.CostDelta = ReduceCost;
-      Out.push_back(D);
+    if (IA.depth(S.Items) <= L + 1 ||
+        Graph.itemOf(IA.fromTop(S.Items, L)) != Item(Itm.Prod, 0))
+      return false;
+    NodeId Goto = Graph.forwardTransition(IA.fromTop(S.Items, L + 1));
+    if (Goto == StateItemGraph::InvalidNode)
+      throw SearchError(
+          "unifying search: missing goto transition after reduction");
+    uint32_t NI = IA.push(IA.popN(S.Items, L + 1), Goto);
+    uint8_t NF = C.Flags | (First ? FlagReduce1 : FlagReduce2);
+    if (!admit(First ? NI : C.S1.Items, First ? C.S2.Items : NI, NF))
       return true;
-    }
-    return false; // needs reverse preparation
+    Config N = C;
+    SideRef &NS = First ? N.S1 : N.S2;
+    NS.Items = NI;
+    std::vector<DerivPtr> Children = popChildren(NS, L);
+    appendDeriv(NS, Derivation::node(G.production(Itm.Prod).Lhs, Itm.Prod,
+                                     std::move(Children)));
+    N.Flags = NF;
+    N.Cost += ReduceCost;
+    enqueue(N);
+    return true;
   };
 
-  // Reverse production step prepending to side `First` (Fig. 10(d)/(e)).
-  auto genRevProd = [&](const Config &C, bool First, bool GuardConflict,
-                        std::vector<Candidate> &Out) {
+  // Reverse production steps prepending to one side (Fig. 10(d)/(e)).
+  auto reverseProductionSteps = [&](const Config &C, bool First,
+                                    bool GuardConflict) {
     const SideRef &S = First ? C.S1 : C.S2;
-    NodeId Head = IA.front(S.Items);
-    for (NodeId Src : Graph.reverseProductionSteps(Head)) {
+    for (NodeId Src : Graph.reverseProductionSteps(IA.front(S.Items))) {
       if (GuardConflict) {
         // The conflict terminal must still be able to follow the
         // completed production in the prepended context.
@@ -545,25 +576,26 @@ void UnifyingSearch::searchImpl(
                                          &Graph.lookahead(Src)))
           continue;
       }
-      Candidate D;
-      D.Kind = CandKind::RevProd;
-      D.First = First;
-      D.A = Src;
-      D.CostDelta = RevProductionCost;
-      Out.push_back(D);
+      uint32_t NI = IA.prepend(S.Items, Src);
+      if (!admit(First ? NI : C.S1.Items, First ? C.S2.Items : NI, C.Flags))
+        continue;
+      Config N = C;
+      (First ? N.S1 : N.S2).Items = NI;
+      N.Cost += RevProductionCost;
+      enqueue(N);
     }
   };
 
   // Reverse transitions prepending to both sides (Fig. 10(c)).
-  auto genRevTrans = [&](const Config &C, bool Stage1Guard,
-                         std::vector<Candidate> &Out) {
+  auto reverseTransitions = [&](const Config &C, bool Stage1Guard) {
     NodeId H1 = IA.front(C.S1.Items);
     NodeId H2 = IA.front(C.S2.Items);
     const Item &I1 = Graph.itemOf(H1);
     const Item &I2 = Graph.itemOf(H2);
     if (I1.Dot == 0 || I2.Dot == 0)
       return;
-    if (I1.beforeDot(G) != I2.beforeDot(G))
+    Symbol Z = I1.beforeDot(G);
+    if (Z != I2.beforeDot(G))
       return;
     for (NodeId M1 : Graph.reverseTransitions(H1)) {
       unsigned FromState = Graph.stateOf(M1);
@@ -576,180 +608,50 @@ void UnifyingSearch::searchImpl(
       for (NodeId M2 : Graph.reverseTransitions(H2)) {
         if (Graph.stateOf(M2) != FromState)
           continue;
-        Candidate D;
-        D.Kind = CandKind::RevTrans;
-        D.A = M1;
-        D.B = M2;
-        D.CostDelta = OffPath ? ExtRevCost : RevTransitionCost;
-        Out.push_back(D);
+        uint32_t NI1 = IA.prepend(C.S1.Items, M1);
+        uint32_t NI2 = IA.prepend(C.S2.Items, M2);
+        if (!admit(NI1, NI2, C.Flags))
+          continue;
+        Config N = C;
+        N.S1.Items = NI1;
+        N.S2.Items = NI2;
+        prependDeriv(N.S1, leafOf(Z));
+        prependDeriv(N.S2, leafOf(Z));
+        N.Cost += OffPath ? ExtendedRevTransitionCost : RevTransitionCost;
+        enqueue(N);
       }
     }
   };
 
-  // All successors of one configuration, in canonical order: shared
-  // shift, production steps (side 1, then 2), then the per-side
-  // reduce/reverse block. Read-only.
-  auto generate = [&](const Config &C, std::vector<Candidate> &Out) {
-    NodeId L1 = IA.top(C.S1.Items);
-    NodeId L2 = IA.top(C.S2.Items);
-
-    // Shared forward transition (Fig. 10(a)).
-    {
-      NodeId F1 = Graph.forwardTransition(L1);
-      NodeId F2 = Graph.forwardTransition(L2);
-      Symbol Z = Graph.transitionSymbol(L1);
-      if (F1 != StateItemGraph::InvalidNode &&
-          F2 != StateItemGraph::InvalidNode &&
-          Z == Graph.transitionSymbol(L2) &&
-          (!awaitingConflictShift(C) || Z == ConflictTerm)) {
-        Candidate D;
-        D.Kind = CandKind::SharedShift;
-        D.ShiftsConflict = awaitingConflictShift(C) && Z == ConflictTerm;
-        D.A = F1;
-        D.B = F2;
-        D.CostDelta = ShiftCost;
-        Out.push_back(D);
-      }
-    }
-
-    // Per-side production steps (Fig. 10(b)).
+  // Every successor of one configuration, in canonical order: shared
+  // shift, production steps (side 1, then 2), then per side the
+  // reduction, or the reverse preparation a pending reduction that lacks
+  // left context needs (Fig. 10(c)-(f)). A rule's arena reads depend only
+  // on the sequences' contents, which the interning of an earlier rule
+  // never changes.
+  auto expand = [&](const Config &C) {
+    sharedShift(C);
+    productionSteps(C, true);
+    productionSteps(C, false);
     for (bool First : {true, false}) {
-      const SideRef &S = First ? C.S1 : C.S2;
-      NodeId Last = IA.top(S.Items);
-      for (NodeId Step : Graph.productionSteps(Last)) {
-        if (awaitingConflictShift(C) && !usefulWhileAwaiting(Step))
-          continue;
-        Candidate D;
-        D.Kind = CandKind::ProdStep;
-        D.First = First;
-        D.A = Step;
-        D.CostDelta =
-            ProductionCost + (IA.contains(S.Items, Step) ? DupCost : 0);
-        Out.push_back(D);
-      }
-    }
-
-    // Per-side reductions, and reverse preparation when a pending
-    // reduction lacks left context (Fig. 10(c)-(f)).
-    for (bool First : {true, false}) {
-      if (genReduce(C, First, Out))
+      if (reduce(C, First))
         continue;
       const SideRef &S = First ? C.S1 : C.S2;
       const SideRef &O = First ? C.S2 : C.S1;
       const Item &Pending = Graph.itemOf(IA.top(S.Items));
-      bool GuardConflict =
-          First ? !(C.Flags & FlagReduce1) : !(C.Flags & FlagReduce2);
+      bool GuardConflict = !(C.Flags & (First ? FlagReduce1 : FlagReduce2));
       if (IA.depth(S.Items) == Pending.Dot + 1 &&
-          Graph.itemOf(IA.front(S.Items)) == Item(Pending.Prod, 0)) {
+          Graph.itemOf(IA.front(S.Items)) == Item(Pending.Prod, 0))
         // Fig. 10(d): the production's own items are all present;
         // prepend a context item via a reverse production step here.
-        genRevProd(C, First, GuardConflict, Out);
-        continue;
-      }
-      // Fig. 10(c)/(e): the walk extends past the head. If the other
-      // side's head is a dot-0 item it must first be un-produced;
-      // otherwise prepend a shared reverse transition.
-      if (Graph.itemOf(IA.front(O.Items)).Dot == 0)
-        genRevProd(C, !First, /*GuardConflict=*/false, Out);
+        reverseProductionSteps(C, First, GuardConflict);
+      else if (Graph.itemOf(IA.front(O.Items)).Dot == 0)
+        // Fig. 10(c)/(e): the walk extends past the head, and the other
+        // side's head is a dot-0 item that must first be un-produced.
+        reverseProductionSteps(C, !First, /*GuardConflict=*/false);
       else
-        genRevTrans(C, GuardConflict, Out);
-    }
-  };
-
-  // Executes one candidate: interning, admission, ledger work, and
-  // enqueue. Every mutation of the search state funnels through here.
-  auto apply = [&](const Config &C, const Candidate &D) {
-    switch (D.Kind) {
-    case CandKind::SharedShift: {
-      Symbol Z = Graph.transitionSymbol(IA.top(C.S1.Items));
-      uint32_t NI1 = IA.push(C.S1.Items, D.A);
-      uint32_t NI2 = IA.push(C.S2.Items, D.B);
-      uint8_t NF = C.Flags | (D.ShiftsConflict ? FlagShifted : 0);
-      if (!admit(NI1, NI2, NF))
-        return;
-      Config N = C;
-      N.S1.Items = NI1;
-      N.S2.Items = NI2;
-      N.Flags = NF;
-      if (D.ShiftsConflict) {
-        // Paper presentation (Fig. 11): on the reduce side the dot sits
-        // inside the completed reduction's brackets — attach it as the
-        // last child of the latest derivation node. The shift side gets
-        // it right before the conflict terminal.
-        if (!ledgerEmpty(N.S1) && lastDeriv(N.S1)->isNode()) {
-          DerivPtr Last = popBackDeriv(N.S1);
-          std::vector<DerivPtr> Children = Last->children();
-          Children.push_back(Derivation::dot());
-          appendDeriv(N.S1,
-                      Derivation::node(Last->symbol(),
-                                       Last->productionIndex(),
-                                       std::move(Children)));
-        } else {
-          appendDeriv(N.S1, Derivation::dot());
-        }
-        appendDeriv(N.S2, Derivation::dot());
-      }
-      appendDeriv(N.S1, leafOf(Z));
-      appendDeriv(N.S2, leafOf(Z));
-      N.Cost += D.CostDelta;
-      enqueue(N);
-      return;
-    }
-    case CandKind::ProdStep: {
-      uint32_t NI = IA.push((D.First ? C.S1 : C.S2).Items, D.A);
-      if (!admit(D.First ? NI : C.S1.Items, D.First ? C.S2.Items : NI,
-                 C.Flags))
-        return;
-      Config N = C;
-      (D.First ? N.S1 : N.S2).Items = NI;
-      N.Cost += D.CostDelta;
-      enqueue(N);
-      return;
-    }
-    case CandKind::Reduce: {
-      const SideRef &S = D.First ? C.S1 : C.S2;
-      uint32_t NI = IA.push(IA.popN(S.Items, D.PopLen + 1u), D.A);
-      uint8_t NF = C.Flags | (D.First ? FlagReduce1 : FlagReduce2);
-      if (!admit(D.First ? NI : C.S1.Items, D.First ? C.S2.Items : NI,
-                 NF))
-        return;
-      Config N = C;
-      SideRef &NS = D.First ? N.S1 : N.S2;
-      NS.Items = NI;
-      std::vector<DerivPtr> Children = popChildren(NS, D.PopLen);
-      appendDeriv(NS, Derivation::node(G.production(D.Prod).Lhs, D.Prod,
-                                       std::move(Children)));
-      N.Flags = NF;
-      N.Cost += D.CostDelta;
-      enqueue(N);
-      return;
-    }
-    case CandKind::RevProd: {
-      uint32_t NI = IA.prepend((D.First ? C.S1 : C.S2).Items, D.A);
-      if (!admit(D.First ? NI : C.S1.Items, D.First ? C.S2.Items : NI,
-                 C.Flags))
-        return;
-      Config N = C;
-      (D.First ? N.S1 : N.S2).Items = NI;
-      N.Cost += D.CostDelta;
-      enqueue(N);
-      return;
-    }
-    case CandKind::RevTrans: {
-      Symbol Z = Graph.itemOf(IA.front(C.S1.Items)).beforeDot(G);
-      uint32_t NI1 = IA.prepend(C.S1.Items, D.A);
-      uint32_t NI2 = IA.prepend(C.S2.Items, D.B);
-      if (!admit(NI1, NI2, C.Flags))
-        return;
-      Config N = C;
-      N.S1.Items = NI1;
-      N.S2.Items = NI2;
-      prependDeriv(N.S1, leafOf(Z));
-      prependDeriv(N.S2, leafOf(Z));
-      N.Cost += D.CostDelta;
-      enqueue(N);
-      return;
-    }
+        // Otherwise prepend a shared reverse transition.
+        reverseTransitions(C, GuardConflict);
     }
   };
 
@@ -819,11 +721,9 @@ void UnifyingSearch::searchImpl(
     return true;
   };
 
-  // Expands one configuration: counting, fault hooks, integrity check,
-  // goal test, saturation test, then every successor generate() lists,
-  // applied in order.
+  // Processes one popped configuration: counting, fault hooks, integrity
+  // check, goal test, saturation test, then expand().
   // \returns true when the goal was reached (Result is filled in).
-  std::vector<Candidate> Cands;
   auto processConfig = [&](uint32_t PoolId) -> bool {
     Config C = Pool[PoolId]; // 40-byte copy; arenas hold the state
     ++Result.ConfigurationsExplored;
@@ -877,15 +777,12 @@ void UnifyingSearch::searchImpl(
       return false;
     }
 
-    Cands.clear();
-    generate(C, Cands);
-    for (const Candidate &D : Cands)
-      apply(C, D);
+    expand(C);
     return false;
   };
 
   // The cost-ordered search loop (paper §5.4): guard step, pop the
-  // cheapest configuration, goal test, generate, apply.
+  // cheapest configuration, goal test, expand.
   while (!Queue.empty()) {
     if (guardStop())
       return;

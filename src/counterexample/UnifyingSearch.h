@@ -41,7 +41,6 @@
 #include <chrono>
 #include <optional>
 #include <string>
-#include <vector>
 
 namespace lalrcex {
 
@@ -61,16 +60,11 @@ struct UnifyingOptions {
   size_t MemoryLimitBytes = ResourceLimits::Unlimited;
   /// Cooperative cancellation; trip from any thread to stop the search.
   CancellationToken Cancellation;
-  /// Configurations between wall-clock / cancellation polls.
-  unsigned WallPollPeriod = 64;
 
   /// Cost surcharge for repeating a production step within the same state
   /// (the paper's "postpone infinite expansions" rule, §5.4). Exposed for
   /// the ablation benchmark; 0 disables the postponement.
   int DuplicateProductionCost = 500;
-  /// Cost of a reverse transition through a state off the shortest
-  /// lookahead-sensitive path (extended search only).
-  int ExtendedRevTransitionCost = 100;
 
   /// Optional observability sink: wall time, configuration and bucket-queue
   /// counters, peak arena bytes, and guard trips (unifying.* metrics).
@@ -112,23 +106,22 @@ public:
   explicit UnifyingSearch(const StateItemGraph &Graph);
 
   /// Searches for a unifying counterexample for the conflict between the
-  /// reduce item at \p ReduceNode and the items at \p OtherNodes (the
-  /// shift items with the conflict terminal after the dot, or the second
-  /// reduce item of a reduce/reduce conflict), under terminal
-  /// \p ConflictTerm. \p Slsp is the shortest lookahead-sensitive path for
+  /// reduce item at \p ReduceNode and the item at \p OtherNode (the shift
+  /// item with the conflict terminal after the dot, or the second reduce
+  /// item of a reduce/reduce conflict), under terminal \p ConflictTerm. \p Slsp is the shortest lookahead-sensitive path for
   /// the reduce item, used to restrict reverse transitions unless extended
   /// search is enabled.
   /// Never throws: budget exhaustion, cancellation, allocation failure,
   /// and malformed search state all surface through UnifyingResult.
   UnifyingResult search(StateItemGraph::NodeId ReduceNode,
-                        const std::vector<StateItemGraph::NodeId> &OtherNodes,
-                        Symbol ConflictTerm, const LssPath *Slsp,
+                        StateItemGraph::NodeId OtherNode, Symbol ConflictTerm,
+                        const LssPath *Slsp,
                         const UnifyingOptions &Opts) const;
 
 private:
   void searchImpl(StateItemGraph::NodeId ReduceNode,
-                  const std::vector<StateItemGraph::NodeId> &OtherNodes,
-                  Symbol ConflictTerm, const LssPath *Slsp,
+                  StateItemGraph::NodeId OtherNode, Symbol ConflictTerm,
+                  const LssPath *Slsp,
                   const UnifyingOptions &Opts, ResourceGuard &Guard,
                   UnifyingResult &Result,
                   std::optional<std::chrono::steady_clock::time_point>

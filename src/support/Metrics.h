@@ -44,8 +44,9 @@ enum Counter : unsigned {
   GraphNodes,
   GraphEdges,
   LssSearches,
-  LssExpanded,
-  LssEnqueued,
+  LssExpanded, ///< vertices the lookahead-sensitive search popped
+  LssEnqueued, ///< vertices it admitted to its frontier
+  /// Successors it dropped because their key held their bit or the set bit.
   LssDominancePruned,
   UnifyingSearches,
   UnifyingConfigurations,

@@ -43,13 +43,26 @@ class Deadline {
 public:
   Deadline() = default;
 
-  /// Creates a deadline \p Seconds from now. Non-positive budgets create an
-  /// already-expired deadline.
+  /// Creates a deadline \p Seconds from now. Non-positive budgets (and
+  /// NaN) create an already-expired deadline; a budget beyond the clock's
+  /// range, +infinity included, never expires.
   static Deadline afterSeconds(double Seconds) {
     Deadline D;
+    Clock::time_point Now = Clock::now();
+    if (!(Seconds > 0)) {
+      D.Armed = true;
+      D.Expiry = Now;
+      return D;
+    }
+    // Compared in seconds, with a second to spare for rounding, so only
+    // budgets that fit the clock reach the integer conversion.
+    double Room =
+        std::chrono::duration<double>(Clock::time_point::max() - Now).count();
+    if (Seconds >= Room - 1)
+      return D;
     D.Armed = true;
-    D.Expiry = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                  std::chrono::duration<double>(Seconds));
+    D.Expiry = Now + std::chrono::duration_cast<Clock::duration>(
+                         std::chrono::duration<double>(Seconds));
     return D;
   }
 

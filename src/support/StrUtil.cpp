@@ -6,7 +6,11 @@
 
 #include "support/StrUtil.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 using namespace lalrcex;
 
@@ -53,6 +57,17 @@ std::optional<uint64_t> lalrcex::parseUnsigned(const std::string &S,
     Value = Value * 10 + Digit;
   }
   if (Value > Max)
+    return std::nullopt;
+  return Value;
+}
+
+std::optional<double> lalrcex::parseFiniteDouble(const std::string &S) {
+  if (S.empty() || std::isspace(static_cast<unsigned char>(S[0])))
+    return std::nullopt;
+  char *End = nullptr;
+  errno = 0;
+  double Value = std::strtod(S.c_str(), &End);
+  if (End != S.c_str() + S.size() || errno == ERANGE || !std::isfinite(Value))
     return std::nullopt;
   return Value;
 }

@@ -35,6 +35,12 @@ std::string padRight(const std::string &S, size_t Width);
 std::optional<uint64_t> parseUnsigned(const std::string &S,
                                       uint64_t Max = UINT64_MAX);
 
+/// Strictly parses \p S as a finite floating-point number, in the syntax
+/// std::strtod reads. Returns nullopt for an empty string, leading
+/// whitespace, trailing characters, an infinity or NaN, or a value out of
+/// range; std::atof would map garbage to 0.
+std::optional<double> parseFiniteDouble(const std::string &S);
+
 } // namespace lalrcex
 
 #endif // LALRCEX_SUPPORT_STRUTIL_H

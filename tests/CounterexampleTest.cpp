@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 using namespace lalrcex;
 
@@ -347,6 +348,28 @@ TEST(CounterexampleTest, CumulativeExpiredDeadlineStillReportsEveryConflict) {
     ASSERT_TRUE(R.Example) << Finder.render(R);
   }
   EXPECT_EQ(Finder.cumulativeGuard().stopped(), GuardStop::Deadline);
+}
+
+TEST(CounterexampleTest, WallBudgetsBeyondTheClockNeverExpire) {
+  // A budget too large for the clock's integer nanoseconds, +infinity
+  // included, must mean "no deadline", not an already-expired one.
+  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
+  const double Inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> Budgets[] = {
+      {1e300, 0}, {Inf, 0}, {5.0, 1e300}}; // per-conflict, cumulative
+  for (auto [PerConflict, Cumulative] : Budgets) {
+    FinderOptions Opts;
+    Opts.ConflictTimeLimitSeconds = PerConflict;
+    Opts.CumulativeTimeLimitSeconds = Cumulative;
+    CounterexampleFinder Finder(B.T, Opts);
+    std::vector<ConflictReport> Reports = Finder.examineAll();
+    ASSERT_EQ(Reports.size(), 3u);
+    for (const ConflictReport &R : Reports)
+      EXPECT_EQ(R.Status, CounterexampleStatus::UnifyingFound)
+          << "per-conflict " << PerConflict << ", cumulative " << Cumulative
+          << "\n"
+          << Finder.render(R);
+  }
 }
 
 TEST(CounterexampleTest, MalformedConflictFailsGracefully) {

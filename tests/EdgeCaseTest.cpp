@@ -87,7 +87,7 @@ TEST(UnifyingKnobsTest, ZeroDuplicateCostStillFindsDanglingElse) {
     UnifyingOptions Opts;
     Opts.DuplicateProductionCost = 0;
     UnifyingResult R =
-        Search.search(Reduce, {Shift}, Else, &*Path, Opts);
+        Search.search(Reduce, Shift, Else, &*Path, Opts);
     EXPECT_EQ(R.Status, UnifyingStatus::Found);
   }
 }

@@ -24,6 +24,7 @@
 #include "grammar/GrammarParser.h"
 #include "lr/ParseTable.h"
 #include "support/Hash.h"
+#include "support/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -45,9 +46,9 @@ void expectEquivalentPaths(const Grammar &G, const Automaton &M,
   for (const Conflict &C : Conflicts) {
     StateItemGraph::NodeId Node = Graph.nodeFor(C.State, C.reduceItem(G));
     for (bool Prune : {true, false}) {
-      LssStats Stats;
+      MetricsRegistry Metrics;
       std::optional<LssPath> Pooled = shortestLookaheadSensitivePath(
-          Graph, Node, C.Token, Prune, /*Guard=*/nullptr, &Stats);
+          Graph, Node, C.Token, Prune, /*Guard=*/nullptr, &Metrics);
       std::optional<LssPath> Ref = shortestLookaheadSensitivePathReference(
           Graph, Node, C.Token, Prune);
 
@@ -68,9 +69,11 @@ void expectEquivalentPaths(const Grammar &G, const Automaton &M,
         ASSERT_EQ(P.Lookaheads, R.Lookaheads)
             << Context << "\nstep " << I << " of " << C.describe(G);
       }
-      // The stats hook observed the search that just ran.
-      EXPECT_GT(Stats.Expanded, 0u) << Context;
-      EXPECT_GE(Stats.Enqueued, Pooled->Steps.size()) << Context;
+      // The metrics observed the search that just ran.
+      MetricsSnapshot Stats = Metrics.snapshot();
+      EXPECT_GT(Stats.counter(metric::LssExpanded), 0u) << Context;
+      EXPECT_GE(Stats.counter(metric::LssEnqueued), Pooled->Steps.size())
+          << Context;
     }
   }
 }
@@ -155,20 +158,22 @@ TEST(LssExampleEquivalenceTest, SqlReduceReduceMatchesReference) {
 struct RecordedSearch {
   std::optional<LssPath> Path;
   std::vector<uint32_t> Touched; ///< ascending
-  LssStats Stats;
+  MetricsSnapshot Stats;         ///< this search's lss.* counters
 };
 
 RecordedSearch recordedSearch(const StateItemGraph &Graph, const Grammar &G,
                               const Conflict &C, bool Prune = true) {
   StateItemGraph::NodeId Node = Graph.nodeFor(C.State, C.reduceItem(G));
   GraphTouchRecorder Rec(Graph.numNodes());
+  MetricsRegistry Metrics;
   RecordedSearch R;
   {
     ScopedGraphTouchRecorder Scope(&Rec);
     R.Path = shortestLookaheadSensitivePath(Graph, Node, C.Token, Prune,
-                                            /*Guard=*/nullptr, &R.Stats);
+                                            /*Guard=*/nullptr, &Metrics);
   }
   R.Touched = Rec.sortedNodes();
+  R.Stats = Metrics.snapshot();
   return R;
 }
 
@@ -235,9 +240,11 @@ TEST(LssWorkTest, SqlFamiliesKeepWorkAndShareProbes) {
     ASSERT_EQ(C.State, W.State);
     RecordedSearch S = recordedSearch(Graph, B.G, C);
     ASSERT_TRUE(S.Path) << "state " << C.State;
-    EXPECT_EQ(S.Stats.Expanded, W.Expanded) << "state " << C.State;
-    EXPECT_EQ(S.Stats.Enqueued, W.Enqueued) << "state " << C.State;
-    EXPECT_EQ(S.Stats.DominancePruned, W.DominancePruned)
+    EXPECT_EQ(S.Stats.counter(metric::LssExpanded), W.Expanded)
+        << "state " << C.State;
+    EXPECT_EQ(S.Stats.counter(metric::LssEnqueued), W.Enqueued)
+        << "state " << C.State;
+    EXPECT_EQ(S.Stats.counter(metric::LssDominancePruned), W.DominancePruned)
         << "state " << C.State;
     EXPECT_EQ(S.Path->Steps.size(), W.PathLength) << "state " << C.State;
     EXPECT_EQ(S.Touched.size(), W.TouchedSize) << "state " << C.State;
@@ -245,7 +252,8 @@ TEST(LssWorkTest, SqlFamiliesKeepWorkAndShareProbes) {
     hashSearch(H, S);
     EXPECT_EQ(H.finish().hex(), W.Fingerprint) << "state " << C.State;
     // Each frontier key admits at most two vertices.
-    EXPECT_LE(S.Stats.Expanded, 2 * size_t(Graph.numNodes()))
+    EXPECT_LE(S.Stats.counter(metric::LssExpanded),
+              2 * size_t(Graph.numNodes()))
         << "state " << C.State;
     hashSearch(Unpruned, recordedSearch(Graph, B.G, C, /*Prune=*/false));
   }

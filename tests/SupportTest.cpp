@@ -10,9 +10,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace lalrcex;
 
 namespace {
+
+constexpr double Inf = std::numeric_limits<double>::infinity();
+constexpr double NaN = std::numeric_limits<double>::quiet_NaN();
 
 TEST(IndexSetTest, BasicOperations) {
   IndexSet S(100);
@@ -107,11 +112,17 @@ TEST(DeadlineTest, UnlimitedNeverExpires) {
   EXPECT_GT(D.remainingSeconds(), 1e9);
   Deadline Default;
   EXPECT_FALSE(Default.expired());
+  // Budgets beyond the clock's range never expire.
+  for (double Seconds : {1e12, 1e300, Inf}) {
+    Deadline Huge = Deadline::afterSeconds(Seconds);
+    EXPECT_FALSE(Huge.expired()) << Seconds;
+    EXPECT_GT(Huge.remainingSeconds(), 1e9) << Seconds;
+  }
 }
 
 TEST(DeadlineTest, ExpiredAfterBudget) {
-  Deadline D = Deadline::afterSeconds(-1.0);
-  EXPECT_TRUE(D.expired());
+  for (double Seconds : {-1.0, 0.0, -1e300, -Inf, NaN})
+    EXPECT_TRUE(Deadline::afterSeconds(Seconds).expired()) << Seconds;
   Deadline Soon = Deadline::afterSeconds(3600.0);
   EXPECT_FALSE(Soon.expired());
   EXPECT_LE(Soon.remainingSeconds(), 3600.0);
@@ -152,6 +163,17 @@ TEST(StrUtilTest, ParseUnsigned) {
   // The Max cap rejects values the caller's field cannot hold.
   EXPECT_EQ(parseUnsigned("100", 100), std::optional<uint64_t>(100));
   EXPECT_FALSE(parseUnsigned("101", 100));
+}
+
+TEST(StrUtilTest, ParseFiniteDoubleIsStrict) {
+  EXPECT_EQ(parseFiniteDouble("5"), std::optional<double>(5.0));
+  EXPECT_EQ(parseFiniteDouble("-1"), std::optional<double>(-1.0));
+  EXPECT_EQ(parseFiniteDouble("0.25"), std::optional<double>(0.25));
+  EXPECT_EQ(parseFiniteDouble("1e300"), std::optional<double>(1e300));
+
+  for (const char *Bad : {"", "banana", "5s", " 5", "5 ", "inf", "-inf",
+                          "nan", "1e400", "1e-400"})
+    EXPECT_FALSE(parseFiniteDouble(Bad)) << "'" << Bad << "'";
 }
 
 } // namespace

@@ -35,7 +35,7 @@ struct ConflictFixture {
   StateItemGraph Graph;
   Conflict C;
   StateItemGraph::NodeId ReduceNode;
-  std::vector<StateItemGraph::NodeId> OtherNodes;
+  StateItemGraph::NodeId OtherNode;
   std::optional<LssPath> Path;
 
   ConflictFixture(const std::string &Corpus, const std::string &Token)
@@ -56,12 +56,11 @@ struct ConflictFixture {
     EXPECT_TRUE(Found) << "no conflict under " << Token;
     ReduceNode = Graph.nodeFor(C.State, C.reduceItem(B.G));
     if (C.K == Conflict::ShiftReduce)
-      OtherNodes.push_back(Graph.nodeFor(C.State, C.ShiftItm));
+      OtherNode = Graph.nodeFor(C.State, C.ShiftItm);
     else
-      OtherNodes.push_back(Graph.nodeFor(
+      OtherNode = Graph.nodeFor(
           C.State,
-          Item(C.OtherProd,
-               uint32_t(B.G.production(C.OtherProd).Rhs.size()))));
+          Item(C.OtherProd, uint32_t(B.G.production(C.OtherProd).Rhs.size())));
     Path = shortestLookaheadSensitivePath(Graph, ReduceNode, C.Token);
     EXPECT_TRUE(Path.has_value());
   }
@@ -70,7 +69,7 @@ struct ConflictFixture {
 TEST(UnifyingSearchTest, FindsDanglingElse) {
   ConflictFixture S("figure1", "else");
   UnifyingSearch Search(S.Graph);
-  UnifyingResult R = Search.search(S.ReduceNode, S.OtherNodes, S.C.Token,
+  UnifyingResult R = Search.search(S.ReduceNode, S.OtherNode, S.C.Token,
                                    &*S.Path, UnifyingOptions());
   ASSERT_EQ(R.Status, UnifyingStatus::Found);
   ASSERT_TRUE(R.Example);
@@ -90,7 +89,7 @@ TEST(UnifyingSearchTest, ConfigurationLimitReturnsLimitHit) {
   UnifyingOptions Opts;
   Opts.MaxConfigurations = 1;
   UnifyingResult R =
-      Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
+      Search.search(S.ReduceNode, S.OtherNode, S.C.Token, &*S.Path, Opts);
   EXPECT_EQ(R.Status, UnifyingStatus::LimitHit);
   EXPECT_FALSE(R.Example);
 }
@@ -103,7 +102,7 @@ TEST(UnifyingSearchTest, ExpiredDeadlineTimesOutDeterministically) {
   // with no dependence on machine speed.
   Opts.TimeLimitSeconds = -1;
   UnifyingResult R =
-      Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
+      Search.search(S.ReduceNode, S.OtherNode, S.C.Token, &*S.Path, Opts);
   EXPECT_EQ(R.Status, UnifyingStatus::TimedOut);
   EXPECT_FALSE(R.Example);
 }
@@ -114,7 +113,7 @@ TEST(UnifyingSearchTest, TinyMemoryBudgetStopsSearch) {
   UnifyingOptions Opts;
   Opts.MemoryLimitBytes = 1; // the first admitted configuration trips it
   UnifyingResult R =
-      Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
+      Search.search(S.ReduceNode, S.OtherNode, S.C.Token, &*S.Path, Opts);
   EXPECT_EQ(R.Status, UnifyingStatus::MemoryLimit);
   EXPECT_FALSE(R.Example);
   EXPECT_GT(R.PeakBytes, 0u);
@@ -126,7 +125,7 @@ TEST(UnifyingSearchTest, PreCancelledTokenStopsSearch) {
   UnifyingOptions Opts;
   Opts.Cancellation.cancel();
   UnifyingResult R =
-      Search.search(S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
+      Search.search(S.ReduceNode, S.OtherNode, S.C.Token, &*S.Path, Opts);
   EXPECT_EQ(R.Status, UnifyingStatus::Cancelled);
   EXPECT_FALSE(R.Example);
 }
@@ -135,16 +134,18 @@ TEST(UnifyingSearchTest, MalformedInputsReturnErrorNotCrash) {
   ConflictFixture S("figure1", "else");
   UnifyingSearch Search(S.Graph);
 
-  // No conflicting items at all.
-  UnifyingResult NoOther = Search.search(S.ReduceNode, {}, S.C.Token,
-                                         &*S.Path, UnifyingOptions());
-  EXPECT_EQ(NoOther.Status, UnifyingStatus::Error);
-  EXPECT_FALSE(NoOther.Message.empty());
-  EXPECT_FALSE(NoOther.BadAlloc);
+  // Out-of-range conflicting node.
+  UnifyingResult BadOther =
+      Search.search(S.ReduceNode, StateItemGraph::NodeId(S.Graph.numNodes()),
+                    S.C.Token, &*S.Path, UnifyingOptions());
+  EXPECT_EQ(BadOther.Status, UnifyingStatus::Error);
+  EXPECT_EQ(BadOther.Message,
+            "unifying search: conflicting node out of range");
+  EXPECT_FALSE(BadOther.BadAlloc);
 
   // Out-of-range reduce node.
   UnifyingResult BadNode =
-      Search.search(StateItemGraph::NodeId(S.Graph.numNodes()), S.OtherNodes,
+      Search.search(StateItemGraph::NodeId(S.Graph.numNodes()), S.OtherNode,
                     S.C.Token, &*S.Path, UnifyingOptions());
   EXPECT_EQ(BadNode.Status, UnifyingStatus::Error);
 
@@ -157,7 +158,7 @@ TEST(UnifyingSearchTest, MalformedInputsReturnErrorNotCrash) {
     }
   }
   ASSERT_NE(NotReduce, StateItemGraph::InvalidNode);
-  UnifyingResult NotAtEnd = Search.search(NotReduce, S.OtherNodes, S.C.Token,
+  UnifyingResult NotAtEnd = Search.search(NotReduce, S.OtherNode, S.C.Token,
                                           &*S.Path, UnifyingOptions());
   EXPECT_EQ(NotAtEnd.Status, UnifyingStatus::Error);
 }
@@ -165,7 +166,7 @@ TEST(UnifyingSearchTest, MalformedInputsReturnErrorNotCrash) {
 TEST(UnifyingSearchTest, ExhaustsOnUnambiguousLr2Conflict) {
   ConflictFixture S("figure3", "a");
   UnifyingSearch Search(S.Graph);
-  UnifyingResult R = Search.search(S.ReduceNode, S.OtherNodes, S.C.Token,
+  UnifyingResult R = Search.search(S.ReduceNode, S.OtherNode, S.C.Token,
                                    &*S.Path, UnifyingOptions());
   EXPECT_EQ(R.Status, UnifyingStatus::Exhausted);
 }
@@ -177,12 +178,12 @@ TEST(UnifyingSearchTest, RestrictionBlocksOffPathAmbiguity) {
   UnifyingSearch Search(S.Graph);
 
   UnifyingResult Restricted = Search.search(
-      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, UnifyingOptions());
+      S.ReduceNode, S.OtherNode, S.C.Token, &*S.Path, UnifyingOptions());
   EXPECT_EQ(Restricted.Status, UnifyingStatus::Exhausted);
 
   UnifyingOptions Extended;
   Extended.ExtendedSearch = true;
-  UnifyingResult Full = Search.search(S.ReduceNode, S.OtherNodes, S.C.Token,
+  UnifyingResult Full = Search.search(S.ReduceNode, S.OtherNode, S.C.Token,
                                       &*S.Path, Extended);
   ASSERT_EQ(Full.Status, UnifyingStatus::Found);
   expectCounterexampleWellFormed(S.B.G, *Full.Example, S.C.Token);
@@ -223,7 +224,7 @@ UnifyingResult searchOnWorker(const ConflictFixture &S,
   std::thread Worker([&] {
     GraphTouchRecorder Recorder(S.Graph.numNodes());
     ScopedGraphTouchRecorder Scope(&Recorder);
-    R = UnifyingSearch(S.Graph).search(S.ReduceNode, S.OtherNodes, S.C.Token,
+    R = UnifyingSearch(S.Graph).search(S.ReduceNode, S.OtherNode, S.C.Token,
                                        &*S.Path, Opts);
   });
   Worker.join();
@@ -240,7 +241,7 @@ TEST(UnifyingSearchTest, WorkerThreadMatchesCallerOnChallengingConflict) {
   // Dial buckets.
   ConflictFixture S("figure1", "digit");
   UnifyingResult Serial = UnifyingSearch(S.Graph).search(
-      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, UnifyingOptions());
+      S.ReduceNode, S.OtherNode, S.C.Token, &*S.Path, UnifyingOptions());
   ASSERT_EQ(Serial.Status, UnifyingStatus::Found);
   std::string Expected = resultKey(S.B, Serial);
   for (unsigned Run = 0; Run != 2; ++Run)
@@ -253,7 +254,7 @@ TEST(UnifyingSearchTest, WorkerThreadMatchesCallerWhenExhausted) {
   // configurations wherever the search runs.
   ConflictFixture S("figure3", "a");
   UnifyingResult Serial = UnifyingSearch(S.Graph).search(
-      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, UnifyingOptions());
+      S.ReduceNode, S.OtherNode, S.C.Token, &*S.Path, UnifyingOptions());
   EXPECT_EQ(Serial.Status, UnifyingStatus::Exhausted);
   UnifyingResult Worker = searchOnWorker(S, UnifyingOptions());
   EXPECT_EQ(Worker.Status, UnifyingStatus::Exhausted);
@@ -267,7 +268,7 @@ TEST(UnifyingSearchTest, WorkerThreadMatchesCallerAtConfigurationLimit) {
   UnifyingOptions Opts;
   Opts.MaxConfigurations = 500;
   UnifyingResult Serial = UnifyingSearch(S.Graph).search(
-      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
+      S.ReduceNode, S.OtherNode, S.C.Token, &*S.Path, Opts);
   EXPECT_EQ(Serial.Status, UnifyingStatus::LimitHit);
   UnifyingResult Worker = searchOnWorker(S, Opts);
   EXPECT_EQ(Worker.Status, UnifyingStatus::LimitHit);
@@ -279,7 +280,7 @@ TEST(UnifyingSearchTest, WorkerThreadMatchesCallerWithDefaultOptions) {
   // worker thread matches the calling thread's bit for bit.
   ConflictFixture S("figure1", "else");
   UnifyingResult Serial = UnifyingSearch(S.Graph).search(
-      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, UnifyingOptions());
+      S.ReduceNode, S.OtherNode, S.C.Token, &*S.Path, UnifyingOptions());
   UnifyingResult R = searchOnWorker(S, UnifyingOptions());
   ASSERT_EQ(R.Status, UnifyingStatus::Found);
   EXPECT_EQ(resultKey(S.B, R), resultKey(S.B, Serial));
@@ -321,7 +322,7 @@ TEST(UnifyingSearchTest, PinnedWorkAndPeakBytes) {
     UnifyingOptions Opts;
     Opts.TimeLimitSeconds = 0;
     Opts.MaxConfigurations = MaxConfigurations;
-    return UnifyingSearch(S.Graph).search(S.ReduceNode, S.OtherNodes,
+    return UnifyingSearch(S.Graph).search(S.ReduceNode, S.OtherNode,
                                           S.C.Token, &*S.Path, Opts);
   };
   const size_t DefaultSteps = UnifyingOptions().MaxConfigurations;
@@ -386,7 +387,7 @@ TEST(UnifyingSearchTest, PinnedSequenceCounters) {
     Opts.TimeLimitSeconds = 0;
     Opts.MaxConfigurations = MaxConfigurations;
     Opts.Metrics = &Metrics;
-    UnifyingSearch(S.Graph).search(S.ReduceNode, S.OtherNodes, S.C.Token,
+    UnifyingSearch(S.Graph).search(S.ReduceNode, S.OtherNode, S.C.Token,
                                    &*S.Path, Opts);
     MetricsSnapshot Snap = Metrics.snapshot();
     return std::make_pair(
@@ -443,7 +444,7 @@ void checkBudgetPrefixes(Grammar InG, const std::string &Name, size_t Max,
       Opts.TimeLimitSeconds = 0;
       Opts.ExtendedSearch = Extended;
       Opts.MaxConfigurations = Max;
-      UnifyingResult Long = Search.search(Reduce, {Other}, C.Token, &*Path,
+      UnifyingResult Long = Search.search(Reduce, Other, C.Token, &*Path,
                                           Opts);
       const bool Ended = Long.Status == UnifyingStatus::Found ||
                          Long.Status == UnifyingStatus::Exhausted;
@@ -451,7 +452,7 @@ void checkBudgetPrefixes(Grammar InG, const std::string &Name, size_t Max,
           << Name << ": " << C.describe(B.G) << ": " << Long.Message;
       for (size_t Budget : Budgets) {
         Opts.MaxConfigurations = Budget;
-        UnifyingResult Short = Search.search(Reduce, {Other}, C.Token,
+        UnifyingResult Short = Search.search(Reduce, Other, C.Token,
                                              &*Path, Opts);
         ++Pairs;
         std::string Context = Name + ": " + C.describe(B.G) +
@@ -524,7 +525,7 @@ TEST(UnifyingSearchTest, LongProductionAmbiguityIsFound) {
   Opts.MaxConfigurations = 100000;
   Opts.MemoryLimitBytes = size_t(512) << 20;
   UnifyingResult R = UnifyingSearch(S.Graph).search(
-      S.ReduceNode, S.OtherNodes, S.C.Token, &*S.Path, Opts);
+      S.ReduceNode, S.OtherNode, S.C.Token, &*S.Path, Opts);
   ASSERT_EQ(R.Status, UnifyingStatus::Found);
   ASSERT_TRUE(R.Example);
   EXPECT_EQ(S.B.G.name(R.Example->Root), "s");
@@ -650,7 +651,7 @@ variable : W ;
 
   UnifyingSearch Search(Graph);
   UnifyingResult R =
-      Search.search(Reduce, {Other}, C.Token, &*Path, UnifyingOptions());
+      Search.search(Reduce, Other, C.Token, &*Path, UnifyingOptions());
   ASSERT_EQ(R.Status, UnifyingStatus::Found);
   int DotPos = -1;
   std::vector<Symbol> Yield = yieldOf(R.Example->Derivs1, &DotPos);
