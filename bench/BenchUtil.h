@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 
 namespace lalrcex {
 namespace bench {
@@ -66,6 +67,32 @@ template <typename F> double minWallMs(F &&Fn, int Reps = 5) {
     Best = std::min(Best, SW.milliseconds());
   }
   return Best;
+}
+
+/// Best wall times, in milliseconds, of \p A and \p B measured as a pair
+/// for a gate that compares them: \p Rounds rounds of one run each, the
+/// side that goes first alternating. Timing each side as its own block
+/// puts any shift in host speed between the blocks on one side only;
+/// interleaved, a slow stretch costs both sides alike.
+template <typename FA, typename FB>
+std::pair<double, double> interleavedMinWallMs(FA &&A, FB &&B,
+                                               int Rounds = 25) {
+  double BestA = 1e300, BestB = 1e300;
+  auto timeOne = [](auto &Fn, double &Best) {
+    Stopwatch SW;
+    Fn();
+    Best = std::min(Best, SW.milliseconds());
+  };
+  for (int I = 0; I < Rounds; ++I) {
+    if (I % 2 == 0) {
+      timeOne(A, BestA);
+      timeOne(B, BestB);
+    } else {
+      timeOne(B, BestB);
+      timeOne(A, BestA);
+    }
+  }
+  return {BestA, BestB};
 }
 
 } // namespace bench

@@ -157,8 +157,9 @@ BenchRecord searchRecord(const char *Name, const char *Grammar,
 /// Shortest lookahead-sensitive path over every reported conflict of one
 /// grammar: the one-bit search ("lss-pooled", the name of the pooled search
 /// it replaced, kept so the committed baselines still match) vs. the
-/// retained set-valued reference BFS ("lss-reference"). The two rows share
-/// a grammar and step count, so baseline comparisons divide their
+/// retained set-valued reference BFS ("lss-reference"), timed as an
+/// interleaved pair. The two rows share a grammar and step count, so
+/// baseline comparisons divide their
 /// wall_ms_serial fields directly; the CI perf smoke checks lss-pooled
 /// against bench/baselines. \returns false, adding no rows, when the two
 /// searches' step totals differ: timing a search that finds other paths
@@ -171,23 +172,23 @@ bool lssRecords(const char *Grammar, std::vector<BenchRecord> &Records) {
     Conflicts.emplace_back(Graph.nodeFor(C.State, C.reduceItem(B->G)),
                            C.Token);
 
-  size_t PooledSteps = 0;
-  double PooledMs = minWallMs([&] {
-    PooledSteps = 0;
-    for (const auto &[Node, Token] : Conflicts) {
-      auto Path = shortestLookaheadSensitivePath(Graph, Node, Token);
-      PooledSteps += Path ? Path->Steps.size() : 0;
-    }
-  });
-  size_t RefSteps = 0;
-  double RefMs = minWallMs([&] {
-    RefSteps = 0;
-    for (const auto &[Node, Token] : Conflicts) {
-      auto Path =
-          shortestLookaheadSensitivePathReference(Graph, Node, Token);
-      RefSteps += Path ? Path->Steps.size() : 0;
-    }
-  });
+  size_t PooledSteps = 0, RefSteps = 0;
+  auto [PooledMs, RefMs] = interleavedMinWallMs(
+      [&] {
+        PooledSteps = 0;
+        for (const auto &[Node, Token] : Conflicts) {
+          auto Path = shortestLookaheadSensitivePath(Graph, Node, Token);
+          PooledSteps += Path ? Path->Steps.size() : 0;
+        }
+      },
+      [&] {
+        RefSteps = 0;
+        for (const auto &[Node, Token] : Conflicts) {
+          auto Path =
+              shortestLookaheadSensitivePathReference(Graph, Node, Token);
+          RefSteps += Path ? Path->Steps.size() : 0;
+        }
+      });
   if (PooledSteps != RefSteps) {
     std::fprintf(stderr,
                  "error: pooled/reference LSS step totals differ on %s "
@@ -215,40 +216,42 @@ bool lssRecords(const char *Grammar, std::vector<BenchRecord> &Records) {
 }
 
 /// The metrics-overhead pair: examineAll serially with the registry off
-/// and on, same grammar, best-of-N each. CI's perf smoke compares the two
-/// wall_ms_serial fields (bench/check_metrics_overhead.py) to hold the
+/// and on, same grammar, best of 25 interleaved rounds each (the
+/// registry accumulates over all of them). CI's perf smoke compares the
+/// two wall_ms_serial fields (bench/check_metrics_overhead.py) to hold the
 /// "off is free, on is cheap" claim; the -on row also carries the
 /// flattened snapshot so the schema-3 metrics object gets exercised.
 void metricsOverheadRecords(const char *Grammar,
                             std::vector<BenchRecord> &Records) {
   auto B = buildEntry(*findCorpusEntry(Grammar));
 
-  FinderOptions Opts;
-  Opts.Jobs = 1;
-  double OffMs = minWallMs([&] {
-    CounterexampleFinder Finder(B->T, Opts);
-    benchmark::DoNotOptimize(Finder.examineAll().size());
-  });
-
+  FinderOptions Off;
+  Off.Jobs = 1;
   MetricsRegistry Registry;
-  Opts.Metrics = &Registry;
-  double OnMs = minWallMs([&] {
-    CounterexampleFinder Finder(B->T, Opts);
-    benchmark::DoNotOptimize(Finder.examineAll().size());
-  });
+  FinderOptions On = Off;
+  On.Metrics = &Registry;
+  auto [OffMs, OnMs] = interleavedMinWallMs(
+      [&] {
+        CounterexampleFinder Finder(B->T, Off);
+        benchmark::DoNotOptimize(Finder.examineAll().size());
+      },
+      [&] {
+        CounterexampleFinder Finder(B->T, On);
+        benchmark::DoNotOptimize(Finder.examineAll().size());
+      });
 
-  BenchRecord Off;
-  Off.Name = "examine-all-metrics-off";
-  Off.Grammar = Grammar;
-  Off.WallMsSerial = OffMs;
-  Records.push_back(Off);
+  BenchRecord OffRec;
+  OffRec.Name = "examine-all-metrics-off";
+  OffRec.Grammar = Grammar;
+  OffRec.WallMsSerial = OffMs;
+  Records.push_back(OffRec);
 
-  BenchRecord On;
-  On.Name = "examine-all-metrics-on";
-  On.Grammar = Grammar;
-  On.WallMsSerial = OnMs;
-  On.Metrics = Registry.snapshot().flatten();
-  Records.push_back(On);
+  BenchRecord OnRec;
+  OnRec.Name = "examine-all-metrics-on";
+  OnRec.Grammar = Grammar;
+  OnRec.WallMsSerial = OnMs;
+  OnRec.Metrics = Registry.snapshot().flatten();
+  Records.push_back(OnRec);
 }
 
 /// examineAll over a whole grammar, serial vs. a small worker pool.

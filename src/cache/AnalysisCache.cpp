@@ -610,12 +610,17 @@ CacheProbe AnalysisCache::readBlob(const std::string &Path,
   std::error_code Ec;
   if (!std::filesystem::exists(Path, Ec))
     return {CacheOutcome::Miss, ""};
+  // One sized read: a blob is a few hundred KB, and reading it a
+  // character at a time costs several times the read itself. A path that
+  // is no regular file (a directory, say) has no size.
+  const std::uintmax_t Size = std::filesystem::file_size(Path, Ec);
+  if (Ec)
+    return {CacheOutcome::IoError, "cannot size " + Path + ": " + Ec.message()};
   std::ifstream In(Path, std::ios::binary);
   if (!In)
     return {CacheOutcome::IoError, "cannot open " + Path};
-  std::string Blob((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  if (In.bad())
+  std::string Blob(size_t(Size), '\0');
+  if (!In.read(Blob.data(), std::streamsize(Size)))
     return {CacheOutcome::IoError, "cannot read " + Path};
   Out = std::move(Blob);
   return {CacheOutcome::Hit, ""};

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
 
 using namespace lalrcex;
 
@@ -447,10 +446,11 @@ void IncrementalSession::matchStates() {
   const Automaton &OldM = *Prev.M, &NewM = *Cur.M;
   // An old kernel whose productions all map becomes, through the
   // monotone production map, a sorted new-grammar kernel; the new state
-  // with exactly that kernel is its counterpart. Kernels are distinct
-  // within a machine and the map is injective, so the match is 1:1.
-  std::unordered_map<std::vector<Item>, unsigned, KernelHash> OldByKernel;
-  OldByKernel.reserve(OldM.numStates());
+  // with exactly that kernel, found through the new machine's kernel
+  // index, is its counterpart. Kernels are distinct within a machine and
+  // the map is injective, so the match is 1:1.
+  OldToNewState.assign(OldM.numStates(), -1);
+  NewToOldState.assign(NewM.numStates(), -1);
   std::vector<Item> Kernel;
   for (unsigned OS = 0, OE = OldM.numStates(); OS != OE; ++OS) {
     const Automaton::State &St = OldM.state(OS);
@@ -465,19 +465,11 @@ void IncrementalSession::matchStates() {
       continue;
     assert(std::is_sorted(Kernel.begin(), Kernel.end()) &&
            "a monotone production map keeps kernels sorted");
-    OldByKernel.emplace(Kernel, OS);
-  }
-
-  OldToNewState.assign(OldM.numStates(), -1);
-  NewToOldState.assign(NewM.numStates(), -1);
-  for (unsigned S = 0, SE = NewM.numStates(); S != SE; ++S) {
-    const Automaton::State &St = NewM.state(S);
-    Kernel.assign(St.Items.begin(), St.Items.begin() + St.NumKernel);
-    auto It = OldByKernel.find(Kernel);
-    if (It == OldByKernel.end())
+    int S = NewM.stateWithKernel(Kernel.data(), Kernel.data() + Kernel.size());
+    if (S < 0)
       continue;
-    NewToOldState[S] = int(It->second);
-    OldToNewState[It->second] = int(S);
+    NewToOldState[unsigned(S)] = int(OS);
+    OldToNewState[OS] = S;
     ++Stats.Patch.StatesReused;
   }
 }

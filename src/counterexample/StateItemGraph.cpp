@@ -43,16 +43,16 @@ void transpose(size_t NumNodes, std::vector<uint32_t> &Begin,
 
 StateItemGraph::StateItemGraph(const Automaton &M, MetricsRegistry *Metrics,
                                TraceRecorder *Trace)
-    : M(M) {
+    : M(M), Fwd(M.successors().data()) {
+  static_assert(InvalidNode == Automaton::NoSuccessor,
+                "a reduce item's forward node is its missing successor");
   ScopedTimer Timer(Metrics, metric::TimeGraphBuildNs);
   TraceSpan Span(Trace, "graph-build");
   const Grammar &G = M.grammar();
 
-  // Enumerate nodes: per state, in the state's item order.
-  StateOffset.assign(M.numStates() + 1, 0);
-  for (unsigned S = 0, SE = M.numStates(); S != SE; ++S)
-    StateOffset[S + 1] = StateOffset[S] + unsigned(M.state(S).Items.size());
-  const NodeId NumNodes = StateOffset[M.numStates()];
+  // Nodes are the automaton's item numbers: per state, in the state's item
+  // order. Forward edges are the automaton's successors.
+  const NodeId NumNodes = M.numItems();
   Nodes.reserve(NumNodes);
   for (unsigned S = 0, SE = M.numStates(); S != SE; ++S) {
     const Automaton::State &St = M.state(S);
@@ -60,41 +60,26 @@ StateItemGraph::StateItemGraph(const Automaton &M, MetricsRegistry *Metrics,
       Nodes.push_back(NodeData{S, I, St.Items[I]});
   }
 
-  // Forward edges and production-step rows, state by state. A dot-0 item
-  // is always a closure item (S' -> . S aside, which no right-hand side
-  // mentions), so stamping each production's dot-0 node per state answers
-  // every production-step target of the state. A transition's advanced
-  // item is a kernel item of the goto state, and kernels are sorted, so a
-  // binary search over that kernel finds the forward target.
-  Fwd.assign(NumNodes, InvalidNode);
+  // Production-step rows, state by state. A dot-0 item is always a
+  // closure item (S' -> . S aside, which no right-hand side mentions), so
+  // stamping each production's dot-0 node per state answers every
+  // production-step target of the state.
   ProdSteps.Begin.reserve(NumNodes + 1);
   ProdSteps.Begin.push_back(0);
   std::vector<NodeId> DotZero(G.numProductions(), InvalidNode);
   for (unsigned S = 0, SE = M.numStates(); S != SE; ++S) {
     const Automaton::State &St = M.state(S);
-    const NodeId Base = StateOffset[S];
+    const NodeId Base = M.firstItem(S);
     for (unsigned I = 0, IE = unsigned(St.Items.size()); I != IE; ++I)
       if (St.Items[I].Dot == 0)
         DotZero[St.Items[I].Prod] = Base + I;
     for (unsigned I = 0, IE = unsigned(St.Items.size()); I != IE; ++I) {
-      const Item &Itm = St.Items[I];
-      Symbol Next = Itm.afterDot(G);
-      if (Next.valid()) {
-        int Target = M.transition(S, Next);
-        assert(Target >= 0 && "state must have a transition on the dot symbol");
-        const Automaton::State &To = M.state(unsigned(Target));
-        auto KernelEnd = To.Items.begin() + To.NumKernel;
-        auto It = std::lower_bound(To.Items.begin(), KernelEnd, Itm.advanced());
-        assert(It != KernelEnd && *It == Itm.advanced() &&
-               "advanced item missing from the target kernel");
-        Fwd[Base + I] =
-            StateOffset[unsigned(Target)] + NodeId(It - To.Items.begin());
-        if (G.isNonterminal(Next)) {
-          for (unsigned P : G.productionsOf(Next)) {
-            assert(DotZero[P] >= Base && DotZero[P] < StateOffset[S + 1] &&
-                   "closure item missing from state");
-            ProdSteps.Data.push_back(DotZero[P]);
-          }
+      Symbol Next = St.Items[I].afterDot(G);
+      if (Next.valid() && G.isNonterminal(Next)) {
+        for (unsigned P : G.productionsOf(Next)) {
+          assert(DotZero[P] >= Base && DotZero[P] < M.firstItem(S + 1) &&
+                 "closure item missing from state");
+          ProdSteps.Data.push_back(DotZero[P]);
         }
       }
       ProdSteps.Begin.push_back(uint32_t(ProdSteps.Data.size()));
@@ -129,7 +114,7 @@ StateItemGraph::NodeId StateItemGraph::nodeFor(unsigned State,
   int Idx = M.state(State).indexOfItem(I);
   if (Idx < 0)
     return InvalidNode;
-  NodeId N = StateOffset[State] + unsigned(Idx);
+  NodeId N = M.firstItem(State) + unsigned(Idx);
   recordTouch(N);
   return N;
 }

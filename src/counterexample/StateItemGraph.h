@@ -18,7 +18,10 @@
 ///
 /// The paper's implementation section (§6) notes that parser generators do
 /// not index reverse transitions and reverse production steps; this class
-/// is exactly that precomputed lookup-table infrastructure.
+/// is exactly that precomputed lookup-table infrastructure. Node ids are
+/// the automaton's item numbers and the transition edges are its item
+/// successors, both recorded while the automaton was built; the graph adds
+/// the production-step rows and the two reverse tables.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -210,9 +213,8 @@ private:
   };
 
   const Automaton &M;
-  std::vector<NodeData> Nodes;
-  std::vector<unsigned> StateOffset; // state -> first node id
-  std::vector<NodeId> Fwd;
+  std::vector<NodeData> Nodes; // node id = the automaton's item number
+  const NodeId *Fwd;           // the automaton's successors
   Csr ProdSteps;
   Csr RevTransitions;
   Csr RevProdSteps;

@@ -13,84 +13,27 @@
 #include <cassert>
 #include <deque>
 #include <map>
-#include <unordered_map>
 
 using namespace lalrcex;
 
 namespace {
 
-/// Kernel interning table: sorted kernel -> state number.
-using KernelIndex = std::unordered_map<std::vector<Item>, unsigned, KernelHash>;
-
-/// The LR(0) worklist. States are numbered in discovery order and
-/// expanded in that order (a FIFO worklist); a state's moves are grouped
-/// per symbol and interned in symbol order, each target kernel sorted; a
-/// closure lists the kernel first, then closure items in discovery order.
-class Lr0Builder {
-public:
-  explicit Lr0Builder(const Grammar &G)
-      : G(G), Expanded(G.numSymbols(), 0), Bucket(G.numSymbols()) {}
-
-  /// Fills \p S with the LR(0) closure of the sorted \p Kernel. All
-  /// productions of a nonterminal enter together, so one generation stamp
-  /// per nonterminal records what the closure holds; the augmented start
-  /// symbol is on no right-hand side, so its kernel item never repeats.
-  void close(const std::vector<Item> &Kernel, Automaton::State &S) {
-    S.Items = Kernel;
-    S.NumKernel = unsigned(Kernel.size());
-    ++Gen;
-    for (size_t Idx = 0; Idx != S.Items.size(); ++Idx) {
-      Symbol Next = S.Items[Idx].afterDot(G);
-      if (!Next.valid() || G.isTerminal(Next) || Expanded[Next.id()] == Gen)
-        continue;
-      Expanded[Next.id()] = Gen;
-      for (unsigned P : G.productionsOf(Next))
-        S.Items.emplace_back(P, 0);
-    }
+/// Hash of the sorted kernel [\p Begin, \p End), mixed for IdIndex.
+uint64_t kernelHash(const Item *Begin, const Item *End) {
+  uint64_t H = 0x9e3779b97f4a7c15ULL ^ uint64_t(End - Begin);
+  for (const Item *I = Begin; I != End; ++I) {
+    H = (H ^ I->key()) * 0xff51afd7ed558ccdULL;
+    H ^= H >> 29;
   }
+  return mixKey(H);
+}
 
-  /// Builds the LR(0) collection into the empty \p States.
-  void run(std::vector<Automaton::State> &States) {
-    KernelIndex Index;
-    std::vector<Item> Kernel{Item(G.augmentedProduction(), 0)};
-    auto intern = [&]() -> unsigned {
-      auto [It, Inserted] = Index.try_emplace(Kernel, unsigned(States.size()));
-      if (Inserted) {
-        States.emplace_back();
-        close(Kernel, States.back());
-      }
-      return It->second;
-    };
-    intern();
-    std::vector<int32_t> Touched;
-    for (unsigned S = 0; S != States.size(); ++S) {
-      for (const Item &I : States[S].Items) {
-        Symbol Next = I.afterDot(G);
-        if (!Next.valid())
-          continue;
-        std::vector<Item> &Moves = Bucket[Next.id()];
-        if (Moves.empty())
-          Touched.push_back(Next.id());
-        Moves.push_back(I.advanced());
-      }
-      std::sort(Touched.begin(), Touched.end());
-      for (int32_t Sym : Touched) {
-        Kernel.swap(Bucket[Sym]);
-        Bucket[Sym].clear();
-        std::sort(Kernel.begin(), Kernel.end());
-        unsigned Target = intern();
-        States[S].Transitions.emplace_back(Symbol(Sym), Target);
-      }
-      Touched.clear();
-    }
-  }
-
-private:
-  const Grammar &G;
-  uint32_t Gen = 0;                      ///< closures computed so far
-  std::vector<uint32_t> Expanded;        ///< symbol -> last closure using it
-  std::vector<std::vector<Item>> Bucket; ///< symbol -> advanced items
-};
+/// True when \p St's kernel is [\p Begin, \p End).
+bool hasKernel(const Automaton::State &St, const Item *Begin,
+               const Item *End) {
+  return St.NumKernel == size_t(End - Begin) &&
+         std::equal(Begin, End, St.Items.begin());
+}
 
 /// Edges of a relation over nonterminal transitions, in compressed rows.
 struct Relation {
@@ -179,19 +122,111 @@ Automaton::Automaton(const Grammar &G, const GrammarAnalysis &Analysis,
   if (Kind == AutomatonKind::Canonical) {
     buildCanonical();
   } else {
-    Lr0Builder(G).run(States);
+    buildLr0();
     Work = computeLookaheads(Opts.ReferenceLookaheads);
   }
   if (Opts.Metrics) {
     Opts.Metrics->add(metric::AutomatonBuilds);
     Opts.Metrics->add(metric::AutomatonStates, States.size());
-    size_t Items = 0;
-    for (const State &St : States)
-      Items += St.Items.size();
-    Opts.Metrics->add(metric::AutomatonClosureItems, Items);
+    Opts.Metrics->add(metric::AutomatonClosureItems, numItems());
     Opts.Metrics->add(metric::AutomatonNtTransitions, Work.NtTransitions);
     Opts.Metrics->add(metric::AutomatonRelationEdges, Work.RelationEdges);
   }
+}
+
+void Automaton::numberNewState() {
+  ItemBase.push_back(ItemBase.back() + unsigned(States.back().Items.size()));
+  Successors.resize(ItemBase.back(), NoSuccessor);
+}
+
+void Automaton::buildLr0() {
+  // All productions of a nonterminal enter a closure together, so one
+  // generation stamp per nonterminal records what the closure holds; the
+  // augmented start symbol is on no right-hand side, so its kernel item
+  // never repeats.
+  std::vector<uint32_t> Expanded(G.numSymbols(), 0);
+  uint32_t Gen = 0;
+  std::vector<Item> Closure;
+  // Kernels are interned by hash; a stored state's key is its kernel
+  // prefix, so the index holds nothing but state numbers.
+  std::vector<uint64_t> KernelHashes;
+  std::vector<Item> Kernel{Item(G.augmentedProduction(), 0)};
+  auto intern = [&]() -> unsigned {
+    const Item *KB = Kernel.data(), *KE = KB + Kernel.size();
+    const uint64_t Hash = kernelHash(KB, KE);
+    uint32_t &Slot = KernelIndex.probe(
+        Hash,
+        [&](uint32_t Id) {
+          return KernelHashes[Id] == Hash && hasKernel(States[Id], KB, KE);
+        },
+        [&](uint32_t Id) { return KernelHashes[Id]; });
+    if (Slot != IdIndex::Empty)
+      return Slot;
+    Closure.assign(KB, KE);
+    ++Gen;
+    for (size_t Idx = 0; Idx != Closure.size(); ++Idx) {
+      Symbol Next = Closure[Idx].afterDot(G);
+      if (!Next.valid() || G.isTerminal(Next) || Expanded[Next.id()] == Gen)
+        continue;
+      Expanded[Next.id()] = Gen;
+      for (unsigned P : G.productionsOf(Next))
+        Closure.emplace_back(P, 0);
+    }
+    States.emplace_back();
+    States.back().Items = Closure;
+    States.back().NumKernel = unsigned(Kernel.size());
+    numberNewState();
+    KernelHashes.push_back(Hash);
+    KernelIndex.publish(Slot, unsigned(States.size() - 1));
+    return unsigned(States.size() - 1);
+  };
+  intern();
+
+  // Per symbol, the advanced items of the state being expanded, each with
+  // the index of the item it advances.
+  std::vector<std::vector<std::pair<Item, unsigned>>> Bucket(G.numSymbols());
+  std::vector<int32_t> Touched;
+  for (unsigned S = 0; S != States.size(); ++S) {
+    const std::vector<Item> &Items = States[S].Items;
+    for (unsigned I = 0, E = unsigned(Items.size()); I != E; ++I) {
+      Symbol Next = Items[I].afterDot(G);
+      if (!Next.valid())
+        continue;
+      auto &Moves = Bucket[Next.id()];
+      if (Moves.empty())
+        Touched.push_back(Next.id());
+      Moves.emplace_back(Items[I].advanced(), I);
+    }
+    std::sort(Touched.begin(), Touched.end());
+    std::vector<std::pair<Symbol, unsigned>> Transitions;
+    Transitions.reserve(Touched.size());
+    const unsigned Base = ItemBase[S];
+    for (int32_t Sym : Touched) {
+      auto &Moves = Bucket[Sym];
+      // The items of a state are distinct, so are their advanced items.
+      std::sort(Moves.begin(), Moves.end(),
+                [](const auto &A, const auto &B) { return A.first < B.first; });
+      Kernel.clear();
+      for (const auto &Move : Moves)
+        Kernel.push_back(Move.first);
+      unsigned Target = intern();
+      // The kernel is sorted, so the k-th move lands on item k of Target.
+      for (unsigned K = 0, KE = unsigned(Moves.size()); K != KE; ++K)
+        Successors[Base + Moves[K].second] = ItemBase[Target] + K;
+      Moves.clear();
+      Transitions.emplace_back(Symbol(Sym), Target);
+    }
+    States[S].Transitions = std::move(Transitions);
+    Touched.clear();
+  }
+}
+
+int Automaton::stateWithKernel(const Item *Begin, const Item *End) const {
+  const uint64_t Hash = kernelHash(Begin, End);
+  uint32_t Id = KernelIndex.find(Hash, [&](uint32_t Id) {
+    return hasKernel(States[Id], Begin, End);
+  });
+  return Id == IdIndex::Empty ? -1 : int(Id);
 }
 
 void Automaton::buildCanonical() {
@@ -268,9 +303,8 @@ void Automaton::buildCanonical() {
     }
   };
 
+  // Interns the sorted kernel \p K.
   auto internState = [&](Kernel K) -> unsigned {
-    std::sort(K.begin(), K.end(),
-              [](const auto &A, const auto &B) { return A.first < B.first; });
     auto It = KernelToState.find(K);
     if (It != KernelToState.end())
       return It->second;
@@ -278,6 +312,7 @@ void Automaton::buildCanonical() {
     KernelToState.emplace(K, Index);
     States.emplace_back();
     close(K, States.back());
+    numberNewState();
     Work.push_back(Index);
     return Index;
   };
@@ -293,28 +328,27 @@ void Automaton::buildCanonical() {
   while (!Work.empty()) {
     unsigned Index = Work.front();
     Work.pop_front();
-    // Group (advanced item, lookahead) pairs by the symbol after the dot.
-    std::map<Symbol, Kernel> Moves;
+    // Group item indices by the symbol after the dot. The items of a
+    // state are distinct, so each advanced item enters its kernel once.
+    std::map<Symbol, std::vector<unsigned>> Moves;
     for (unsigned I = 0; I != States[Index].Items.size(); ++I) {
-      const Item &Itm = States[Index].Items[I];
-      Symbol Next = Itm.afterDot(G);
-      if (!Next.valid())
-        continue;
-      Kernel &K = Moves[Next];
-      // Merge lookaheads if the advanced item is already in the kernel.
-      bool Merged = false;
-      for (auto &[KItm, L] : K) {
-        if (KItm == Itm.advanced()) {
-          L.unionWith(States[Index].Lookaheads[I]);
-          Merged = true;
-          break;
-        }
-      }
-      if (!Merged)
-        K.emplace_back(Itm.advanced(), States[Index].Lookaheads[I]);
+      Symbol Next = States[Index].Items[I].afterDot(G);
+      if (Next.valid())
+        Moves[Next].push_back(I);
     }
-    for (auto &[Sym, K] : Moves) {
+    for (auto &[Sym, Sources] : Moves) {
+      const State &St = States[Index];
+      std::sort(Sources.begin(), Sources.end(), [&St](unsigned A, unsigned B) {
+        return St.Items[A] < St.Items[B];
+      });
+      Kernel K;
+      K.reserve(Sources.size());
+      for (unsigned I : Sources)
+        K.emplace_back(St.Items[I].advanced(), St.Lookaheads[I]);
       unsigned Target = internState(std::move(K));
+      // The kernel is sorted, so the k-th source lands on item k of Target.
+      for (unsigned J = 0, JE = unsigned(Sources.size()); J != JE; ++J)
+        Successors[ItemBase[Index] + Sources[J]] = ItemBase[Target] + J;
       States[Index].Transitions.emplace_back(Sym, Target);
     }
   }
@@ -516,16 +550,34 @@ Automaton::LookaheadWork Automaton::computeLookaheads(bool Reference) {
   }
   const unsigned NumNt = Base[NumStates];
   const unsigned Aug = NumNt;
-  auto ntIndex = [&](unsigned P, Symbol A) {
-    const auto &Ts = States[P].Transitions;
-    auto It = std::lower_bound(
-        Ts.begin() + NtFirst[P], Ts.end(), A,
-        [](const std::pair<Symbol, unsigned> &T, Symbol S) {
-          return T.first < S;
-        });
-    assert(It != Ts.end() && It->first == A && "missing goto");
-    return Base[P] + unsigned(It - (Ts.begin() + NtFirst[P]));
-  };
+
+  // Per item, the nonterminal transition it names: NtOf for an item with a
+  // nonterminal after its dot, the transition it moves along; From for a
+  // dot-0 item A -> • ω of state p, (p, A), whose Follow set it takes (Aug
+  // for the augmented item). A per-state stamp of each nonterminal's
+  // transition number answers both without a search.
+  const unsigned NumItems = numItems();
+  const Symbol AugStart = G.augmentedStart();
+  std::vector<unsigned> NtOf(NumItems), From(NumItems);
+  {
+    std::vector<unsigned> Rank(G.numSymbols());
+    for (unsigned P = 0; P != NumStates; ++P) {
+      const auto &Ts = States[P].Transitions;
+      for (unsigned K = NtFirst[P]; K != Ts.size(); ++K)
+        Rank[Ts[K].first.id()] = Base[P] + K - NtFirst[P];
+      const std::vector<Item> &Items = States[P].Items;
+      for (unsigned I = 0, E = unsigned(Items.size()); I != E; ++I) {
+        const unsigned N = ItemBase[P] + I;
+        Symbol Next = Items[I].afterDot(G);
+        if (Next.valid() && G.isNonterminal(Next))
+          NtOf[N] = Rank[Next.id()];
+        if (Items[I].Dot == 0) {
+          Symbol Lhs = G.production(Items[I].Prod).Lhs;
+          From[N] = Lhs == AugStart ? Aug : Rank[Lhs.id()];
+        }
+      }
+    }
+  }
 
   // F holds W words per transition: DR, then Read, then Follow.
   // Read = DIGRAPH(reads, DR): DR(p, A) holds the terminals shifted out of
@@ -556,89 +608,73 @@ Automaton::LookaheadWork Automaton::computeLookaheads(bool Reference) {
       uint64_t(1) << (unsigned(G.eof().id()) % 64);
   digraph(Reads, F, W);
 
-  // One forward walk of every production A -> ω from every (p, A), and of
-  // the augmented production from Aug, finds both the includes edges —
-  // (q, X) includes (p, A) when ω = β X γ, p --β--> q and γ is nullable —
-  // and the lookback pairs: the kernel item A -> β • γ of q inherits
-  // Follow(p, A).
-  std::vector<unsigned> KernelBase(NumStates + 1, 0);
-  for (unsigned P = 0; P != NumStates; ++P)
-    KernelBase[P + 1] = KernelBase[P] + States[P].NumKernel;
+  // Every dot-0 item A -> • ω of every state p is one production of one
+  // (p, A) (or Aug's augmented production). Walking it along the
+  // successors visits A -> β • γ in q for every split ω = β γ with
+  // p --β--> q: (q, X) includes (p, A) when γ = X γ' with γ' nullable, and
+  // the kernel item reached after each step looks back to (p, A).
   std::vector<std::pair<unsigned, unsigned>> Includes; // (from, to)
-  std::vector<std::pair<unsigned, unsigned>> Lookback; // (kernel slot, x)
-  auto walk = [&](unsigned X, unsigned P, unsigned Prod) {
-    const std::vector<Symbol> &Rhs = G.production(Prod).Rhs;
-    unsigned Q = P;
-    for (unsigned I = 0, E = unsigned(Rhs.size()); I != E; ++I) {
-      if (G.isNonterminal(Rhs[I]) && Analysis.suffixNullable(Prod, I + 1))
-        Includes.emplace_back(ntIndex(Q, Rhs[I]), X);
-      int Next = transition(Q, Rhs[I]);
-      assert(Next >= 0 && "missing transition for item symbol");
-      Q = unsigned(Next);
-      const State &St = States[Q];
-      auto KIt = std::lower_bound(St.Items.begin(),
-                                  St.Items.begin() + St.NumKernel,
-                                  Item(Prod, I + 1));
-      assert(KIt != St.Items.begin() + St.NumKernel &&
-             *KIt == Item(Prod, I + 1) && "advanced item not in kernel");
-      Lookback.emplace_back(KernelBase[Q] + unsigned(KIt - St.Items.begin()),
-                            X);
-    }
-  };
   for (unsigned P = 0; P != NumStates; ++P) {
-    const auto &Ts = States[P].Transitions;
-    for (unsigned K = NtFirst[P]; K != Ts.size(); ++K)
-      for (unsigned Prod : G.productionsOf(Ts[K].first))
-        walk(Base[P] + K - NtFirst[P], P, Prod);
+    const std::vector<Item> &Items = States[P].Items;
+    for (unsigned I = 0, E = unsigned(Items.size()); I != E; ++I) {
+      if (Items[I].Dot != 0)
+        continue;
+      const unsigned Prod = Items[I].Prod;
+      const std::vector<Symbol> &Rhs = G.production(Prod).Rhs;
+      unsigned N = ItemBase[P] + I;
+      const unsigned X = From[N];
+      for (unsigned J = 0, JE = unsigned(Rhs.size()); J != JE; ++J) {
+        if (G.isNonterminal(Rhs[J]) && Analysis.suffixNullable(Prod, J + 1))
+          Includes.emplace_back(NtOf[N], X);
+        N = Successors[N];
+      }
+    }
   }
-  walk(Aug, 0, G.augmentedProduction());
 
   // Follow = DIGRAPH(includes, Read).
   Relation Inc;
   Inc.Begin.assign(NumNt + 2, 0);
-  for (const auto &[From, To] : Includes)
-    ++Inc.Begin[From + 1];
+  for (const auto &[Src, Dst] : Includes)
+    ++Inc.Begin[Src + 1];
   for (unsigned X = 0; X != NumNt + 1; ++X)
     Inc.Begin[X + 1] += Inc.Begin[X];
   Inc.To.resize(Includes.size());
   {
     std::vector<unsigned> Fill(Inc.Begin.begin(), Inc.Begin.end() - 1);
-    for (const auto &[From, To] : Includes)
-      Inc.To[Fill[From]++] = To;
+    for (const auto &[Src, Dst] : Includes)
+      Inc.To[Fill[Src]++] = Dst;
   }
   digraph(Inc, F, W);
 
   // Kernel items with the dot past position 0 take the union of their
-  // lookback transitions' Follow sets; dot-0 items A -> • ω of state p
-  // take Follow(p, A) (the augmented item of state 0 takes Aug's).
-  std::vector<uint64_t> KernelLa(W * size_t(KernelBase[NumStates]), 0);
-  for (const auto &[Slot, X] : Lookback) {
-    uint64_t *Dst = &KernelLa[size_t(Slot) * W];
-    const uint64_t *Src = &F[size_t(X) * W];
-    for (unsigned I = 0; I != W; ++I)
-      Dst[I] |= Src[I];
+  // lookback transitions' Follow sets, found by walking the dot-0 items
+  // again (KernelLa is indexed by item number); dot-0 items take their own
+  // transition's Follow set.
+  std::vector<uint64_t> KernelLa(size_t(NumItems) * W, 0);
+  for (unsigned P = 0; P != NumStates; ++P) {
+    const std::vector<Item> &Items = States[P].Items;
+    for (unsigned I = 0, E = unsigned(Items.size()); I != E; ++I) {
+      if (Items[I].Dot != 0)
+        continue;
+      const uint64_t *Src = &F[size_t(From[ItemBase[P] + I]) * W];
+      for (unsigned N = Successors[ItemBase[P] + I]; N != NoSuccessor;
+           N = Successors[N]) {
+        uint64_t *Dst = &KernelLa[size_t(N) * W];
+        for (unsigned K = 0; K != W; ++K)
+          Dst[K] |= Src[K];
+      }
+    }
   }
-  const Symbol AugStart = G.augmentedStart();
   for (unsigned P = 0; P != NumStates; ++P) {
     State &St = States[P];
     St.Lookaheads.clear();
     St.Lookaheads.reserve(St.Items.size());
-    Symbol LastLhs;
-    unsigned LastX = 0;
     for (unsigned I = 0, E = unsigned(St.Items.size()); I != E; ++I) {
-      const Item &Itm = St.Items[I];
-      const uint64_t *Src;
-      if (Itm.Dot != 0) {
-        assert(I < St.NumKernel && "closure items have the dot at 0");
-        Src = &KernelLa[size_t(KernelBase[P] + I) * W];
-      } else {
-        Symbol Lhs = G.production(Itm.Prod).Lhs;
-        if (Lhs != LastLhs) {
-          LastLhs = Lhs;
-          LastX = Lhs == AugStart ? Aug : ntIndex(P, Lhs);
-        }
-        Src = &F[size_t(LastX) * W];
-      }
+      const unsigned N = ItemBase[P] + I;
+      assert((St.Items[I].Dot == 0 || I < St.NumKernel) &&
+             "closure items have the dot at 0");
+      const uint64_t *Src = St.Items[I].Dot != 0 ? &KernelLa[size_t(N) * W]
+                                                 : &F[size_t(From[N]) * W];
       St.Lookaheads.emplace_back(NumTerminals, Src);
     }
   }

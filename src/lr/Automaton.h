@@ -10,14 +10,20 @@
 ///
 /// LALR(1) construction proceeds in two phases:
 ///   1. the canonical LR(0) collection (states = kernel item sets, plus the
-///      closure items of each state), interned through a kernel hash table;
+///      closure items of each state), interned through an id-only kernel
+///      hash table (support/IdIndex.h). As states are closed their items
+///      are numbered in state order, and every item with a symbol after
+///      its dot records the number of its advanced item in the goto
+///      state: its successor;
 ///   2. LALR(1) lookaheads by DeRemer & Pennello's relational method
 ///      ("Efficient computation of LALR(1) look-ahead sets", TOPLAS 1982):
 ///      over the nonterminal transitions (p, A), Read is the DIGRAPH
 ///      closure of the directly-read terminals under `reads`, and Follow
 ///      the closure of Read under `includes`. A closure item A -> . w of
 ///      state p gets Follow(p, A); a kernel item A -> a . b of state q gets
-///      the union of Follow(p, A) over every p whose a-path reaches q.
+///      the union of Follow(p, A) over every p whose a-path reaches q. The
+///      includes and lookback edges come from walking each closure item
+///      along its successors.
 ///
 /// Every item of every state therefore carries the merged LALR(1)
 /// lookahead set that the paper's counterexample algorithms consume. The
@@ -27,7 +33,7 @@
 ///
 /// Canonical LR(1) construction interns kernels of (item, lookahead set)
 /// pairs and closes each one with an IndexSet fixpoint over the analysis's
-/// FIRST sets.
+/// FIRST sets; it numbers items and records successors the same way.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +43,7 @@
 #include "grammar/Analysis.h"
 #include "grammar/Grammar.h"
 #include "lr/Item.h"
+#include "support/IdIndex.h"
 #include "support/IndexSet.h"
 
 #include <vector>
@@ -119,6 +126,25 @@ public:
   /// Lookahead set of \p I in state \p StateIndex. The item must exist.
   const IndexSet &lookahead(unsigned StateIndex, const Item &I) const;
 
+  /// Items are numbered in state order: state S's items are numbers
+  /// firstItem(S) .. firstItem(S + 1) - 1, in the order of its Items.
+  unsigned numItems() const { return ItemBase.back(); }
+  unsigned firstItem(unsigned StateIndex) const {
+    return ItemBase[StateIndex];
+  }
+
+  /// Successor of a reduce item.
+  static constexpr uint32_t NoSuccessor = ~uint32_t(0);
+
+  /// Per item number, the number of its advanced item in the goto state
+  /// on the symbol after its dot (a kernel item), or NoSuccessor.
+  const std::vector<uint32_t> &successors() const { return Successors; }
+
+  /// The LALR(1) state whose kernel is the sorted [\p Begin, \p End), or
+  /// -1. Canonical LR(1) states share kernels, so it always answers -1
+  /// there.
+  int stateWithKernel(const Item *Begin, const Item *End) const;
+
 private:
   /// Work done by one lookahead pass, for the automaton.* metrics.
   struct LookaheadWork {
@@ -133,12 +159,23 @@ private:
   /// in-state LR(1) closure fixpoint.
   void computeKernelLookaheads();
   void computeClosureLookaheads();
+  /// The LR(0) collection: states in discovery order, expanded in that
+  /// order; a state's moves are grouped per symbol and interned in symbol
+  /// order, each target kernel sorted; a closure lists the kernel first,
+  /// then closure items in discovery order.
+  void buildLr0();
   void buildCanonical();
+  /// Numbers the items of the state just appended to States, none of
+  /// them with a successor yet.
+  void numberNewState();
 
   const Grammar &G;
   const GrammarAnalysis &Analysis;
   AutomatonKind Kind;
   std::vector<State> States;
+  std::vector<unsigned> ItemBase{0}; ///< state -> first item number
+  std::vector<uint32_t> Successors;  ///< item number -> successor
+  IdIndex KernelIndex;               ///< LALR(1): state ids by kernel
 };
 
 } // namespace lalrcex

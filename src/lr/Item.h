@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace lalrcex {
 
@@ -60,18 +59,6 @@ struct Item {
 
   /// The item with the dot retracted by one symbol (Dot must be > 0).
   Item retracted() const { return Item(Prod, Dot - 1); }
-};
-
-/// Hash of a sorted kernel, for tables that intern states by kernel.
-struct KernelHash {
-  size_t operator()(const std::vector<Item> &Kernel) const {
-    uint64_t H = 0x9e3779b97f4a7c15ULL ^ Kernel.size();
-    for (const Item &I : Kernel) {
-      H = (H ^ I.key()) * 0xff51afd7ed558ccdULL;
-      H ^= H >> 29;
-    }
-    return size_t(H);
-  }
 };
 
 } // namespace lalrcex

@@ -51,13 +51,16 @@ std::string Conflict::describeResolution(const Grammar &G) const {
   return "";
 }
 
-void ParseTable::buildStateRow(unsigned S, std::vector<Conflict> &Out) {
+void ParseTable::buildStateRow(unsigned S, std::vector<uint64_t> &Reduces,
+                               std::vector<Conflict> &Out) {
   const Grammar &G = M.grammar();
   const unsigned NumT = G.numTerminals();
   const Automaton::State &St = M.state(S);
+  const size_t StateConflicts = Out.size();
 
-  // Reductions wanted per terminal, in production order.
-  std::vector<std::vector<unsigned>> Reduces(NumT);
+  // Reductions wanted, as (terminal << 32 | production) keys: sorted, each
+  // terminal's run lists its productions in increasing order.
+  Reduces.clear();
   bool AcceptsEof = false;
   for (unsigned I = 0, IE = unsigned(St.Items.size()); I != IE; ++I) {
     const Item &Itm = St.Items[I];
@@ -68,10 +71,9 @@ void ParseTable::buildStateRow(unsigned S, std::vector<Conflict> &Out) {
       continue;
     }
     St.Lookaheads[I].forEach(
-        [&](unsigned T) { Reduces[T].push_back(Itm.Prod); });
+        [&](unsigned T) { Reduces.push_back((uint64_t(T) << 32) | Itm.Prod); });
   }
-  for (auto &R : Reduces)
-    std::sort(R.begin(), R.end());
+  std::sort(Reduces.begin(), Reduces.end());
 
   // Shifts from the transition function.
   for (const auto &[Sym, Target] : St.Transitions) {
@@ -81,10 +83,14 @@ void ParseTable::buildStateRow(unsigned S, std::vector<Conflict> &Out) {
   if (AcceptsEof)
     Actions[size_t(S) * NumT + unsigned(G.eof().id())] = Action::accept();
 
-  for (unsigned T = 0; T != NumT; ++T) {
-    std::vector<unsigned> &Rs = Reduces[T];
-    if (Rs.empty())
-      continue;
+  for (size_t R = 0, RE = Reduces.size(); R != RE;) {
+    // Rs[0 .. NumRs): the productions reducing on terminal T.
+    const unsigned T = unsigned(Reduces[R] >> 32);
+    const uint64_t *Rs = &Reduces[R];
+    size_t NumRs = 0;
+    for (; R != RE && unsigned(Reduces[R] >> 32) == T; ++R)
+      ++NumRs;
+    auto prodOf = [Rs](size_t I) { return unsigned(uint32_t(Rs[I])); };
     Action &Cell = Actions[size_t(S) * NumT + T];
     Symbol Tok = Symbol(int32_t(T));
 
@@ -94,11 +100,12 @@ void ParseTable::buildStateRow(unsigned S, std::vector<Conflict> &Out) {
     // CUP), not per clashing lookahead token; Token records the first
     // clashing terminal. The dedup scan only consults this state's own
     // conflicts, which is what makes per-state rows self-contained.
-    for (size_t I = 1; I != Rs.size(); ++I) {
+    for (size_t I = 1; I != NumRs; ++I) {
       bool Seen = false;
-      for (const Conflict &Prev : Out) {
-        if (Prev.K == Conflict::ReduceReduce && Prev.State == S &&
-            Prev.ReduceProd == Rs[0] && Prev.OtherProd == Rs[I]) {
+      for (size_t J = StateConflicts; J != Out.size(); ++J) {
+        const Conflict &Prev = Out[J];
+        if (Prev.K == Conflict::ReduceReduce && Prev.ReduceProd == prodOf(0) &&
+            Prev.OtherProd == prodOf(I)) {
           Seen = true;
           break;
         }
@@ -109,8 +116,8 @@ void ParseTable::buildStateRow(unsigned S, std::vector<Conflict> &Out) {
       C.K = Conflict::ReduceReduce;
       C.State = S;
       C.Token = Tok;
-      C.ReduceProd = Rs[0];
-      C.OtherProd = Rs[I];
+      C.ReduceProd = prodOf(0);
+      C.OtherProd = prodOf(I);
       C.R = Conflict::DefaultFirstRule;
       Out.push_back(C);
     }
@@ -124,8 +131,8 @@ void ParseTable::buildStateRow(unsigned S, std::vector<Conflict> &Out) {
           ShiftItems.push_back(Itm);
       assert(!ShiftItems.empty() && "shift action without a shift item");
 
-      bool ShiftRemoved = false;
-      for (unsigned Prod : Rs) {
+      for (size_t I = 0; I != NumRs; ++I) {
+        const unsigned Prod = prodOf(I);
         Conflict C;
         C.K = Conflict::ShiftReduce;
         C.State = S;
@@ -159,27 +166,21 @@ void ParseTable::buildStateRow(unsigned S, std::vector<Conflict> &Out) {
           C.R = Conflict::DefaultShift;
         }
 
-        if (C.R == Conflict::PrecReduce) {
+        if (C.R == Conflict::PrecReduce)
           Cell = Action::reduce(Prod);
-          ShiftRemoved = true;
-        } else if (C.R == Conflict::PrecError) {
+        else if (C.R == Conflict::PrecError)
           Cell = Action::error();
-          ShiftRemoved = true;
-        }
         for (const Item &ShiftItm : ShiftItems) {
           C.ShiftItm = ShiftItm;
           Out.push_back(C);
         }
-      }
-      if (!ShiftRemoved && Cell.K == Action::Shift) {
-        // Shift kept (by default or by precedence); nothing to do.
       }
       continue;
     }
 
     if (Cell.K == Action::Error || Cell.K == Action::Reduce) {
       // Pure reduction (possibly after R/R resolution above).
-      Cell = Action::reduce(Rs[0]);
+      Cell = Action::reduce(prodOf(0));
       continue;
     }
     // Accept cell: the augmented reduction wins; a reduction on $ in
@@ -191,8 +192,9 @@ void ParseTable::buildStateRow(unsigned S, std::vector<Conflict> &Out) {
 ParseTable::ParseTable(const Automaton &M) : M(M) {
   const unsigned NumT = M.grammar().numTerminals();
   Actions.assign(size_t(M.numStates()) * NumT, Action::error());
+  std::vector<uint64_t> Reduces;
   for (unsigned S = 0, SE = M.numStates(); S != SE; ++S)
-    buildStateRow(S, Conflicts);
+    buildStateRow(S, Reduces, Conflicts);
 }
 
 std::string ParseTable::checkExpectations() const {

@@ -123,7 +123,9 @@ private:
   /// Builds state \p S's ACTION row in place and appends its conflicts
   /// to \p Out. The R/R dedup scan only consults conflicts of the same
   /// state, so running the states in order yields (state, token) order.
-  void buildStateRow(unsigned S, std::vector<Conflict> &Out);
+  /// \p Reduces is scratch, reused across states.
+  void buildStateRow(unsigned S, std::vector<uint64_t> &Reduces,
+                     std::vector<Conflict> &Out);
 
   const Automaton &M;
   std::vector<Action> Actions;

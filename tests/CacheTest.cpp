@@ -326,6 +326,46 @@ TEST(CacheValidationTest, TruncationIsRejected) {
   }
 }
 
+TEST(CacheValidationTest, UnreadableBlobFilesDegrade) {
+  // An empty file, a file cut inside an entry, and a directory at the
+  // blob path each load as a degraded probe, never as a throw.
+  std::string Dir = tempCacheDir("unreadable");
+  AnalysisCache Cache(Dir);
+  BuiltGrammar B = BuiltGrammar::fromCorpus("figure1");
+  FinderOptions Opts = deterministicOptions();
+  Opts.CachePath = Dir;
+  CounterexampleFinder(B.T, Opts).examineAll();
+  const Fingerprint128 Key = blobKey(B, Opts);
+  const std::string Path = Cache.blobPath(Key);
+  const std::string Blob = readFile(Path);
+  ASSERT_GT(Blob.size(), 200u);
+
+  auto expectDegraded = [&](const std::string &What) {
+    std::vector<StoredReport> Loaded;
+    CacheProbe P;
+    EXPECT_NO_THROW(P = Cache.load(Key, B.G, Loaded)) << What;
+    EXPECT_TRUE(P.Outcome == CacheOutcome::Corrupt ||
+                P.Outcome == CacheOutcome::IoError)
+        << What << ": " << toString(P.Outcome);
+    EXPECT_TRUE(Loaded.empty()) << What;
+  };
+  writeFile(Path, "");
+  expectDegraded("empty file");
+  writeFile(Path, Blob.substr(0, Blob.size() / 2));
+  expectDegraded("file cut inside an entry");
+  std::filesystem::remove(Path);
+  std::filesystem::create_directory(Path);
+  expectDegraded("directory at the blob path");
+
+  // The intact blob still loads.
+  std::filesystem::remove(Path);
+  writeFile(Path, Blob);
+  std::vector<StoredReport> Loaded;
+  EXPECT_EQ(Cache.load(Key, B.G, Loaded).Outcome, CacheOutcome::Hit);
+  EXPECT_FALSE(Loaded.empty());
+  std::filesystem::remove_all(Dir);
+}
+
 TEST(CacheValidationTest, ConflictCountPastBlobEndIsCorrupt) {
   // A report blob whose count claims far more entries than the blob
   // holds. The reader must reject it before sizing anything by the

@@ -30,7 +30,7 @@
 
 #include <fstream>
 #include <sstream>
-#include <unordered_map>
+#include <map>
 
 using namespace lalrcex;
 using lalrcex::testing::randomGrammarText;
@@ -360,7 +360,7 @@ void expectLalrIsMergedCanonical(const Grammar &G, const GrammarAnalysis &A,
   auto kernelOf = [](const Automaton::State &S) {
     return std::vector<Item>(S.Items.begin(), S.Items.begin() + S.NumKernel);
   };
-  std::unordered_map<std::vector<Item>, unsigned, KernelHash> LalrState;
+  std::map<std::vector<Item>, unsigned> LalrState;
   for (unsigned L = 0; L != Lalr.numStates(); ++L)
     ASSERT_TRUE(LalrState.emplace(kernelOf(Lalr.state(L)), L).second)
         << Context << ": LALR state " << L << " repeats a kernel";

@@ -4,13 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/IdIndex.h"
 #include "support/IndexSet.h"
 #include "support/Stopwatch.h"
 #include "support/StrUtil.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 using namespace lalrcex;
 
@@ -91,6 +97,161 @@ TEST(IndexSetTest, EqualityAndHash) {
   EXPECT_EQ(A.hash(), B.hash());
   B.insert(8);
   EXPECT_NE(A, B);
+}
+
+static_assert(std::is_nothrow_move_constructible_v<IndexSet>,
+              "std::vector<IndexSet> must move its elements when it grows");
+static_assert(std::is_nothrow_move_assignable_v<IndexSet>);
+
+/// Universes on both sides of the inline/heap boundary (4 words = 256).
+const unsigned Universes[] = {0, 1, 64, 256, 257, 1000};
+
+/// A set over \p U holding every third element from \p Phase, and the
+/// last element.
+IndexSet patterned(unsigned U, unsigned Phase) {
+  IndexSet S(U);
+  for (unsigned E = Phase; E < U; E += 3)
+    S.insert(E);
+  if (U != 0)
+    S.insert(U - 1);
+  return S;
+}
+
+TEST(IndexSetTest, ConstructionFromWordsRoundTrips) {
+  for (unsigned U : Universes) {
+    IndexSet S = patterned(U, 1);
+    const unsigned NumWords = (U + 63) / 64;
+    std::vector<uint64_t> Words(S.words(), S.words() + NumWords);
+    IndexSet T(U, Words.data());
+    EXPECT_EQ(T.universeSize(), U);
+    EXPECT_EQ(T, S) << "universe " << U;
+    EXPECT_EQ(T.elements(), S.elements()) << "universe " << U;
+    EXPECT_TRUE(std::equal(Words.begin(), Words.end(), T.words()))
+        << "universe " << U;
+    EXPECT_EQ(T.hash(), S.hash()) << "universe " << U;
+  }
+}
+
+TEST(IndexSetTest, CopyAndMoveAcrossStorageSizes) {
+  for (unsigned From : Universes) {
+    for (unsigned To : Universes) {
+      const std::string Ctx =
+          std::to_string(From) + " into " + std::to_string(To);
+      const IndexSet Src = patterned(From, 1);
+      const std::vector<unsigned> Want = Src.elements();
+
+      IndexSet Copy(Src);
+      EXPECT_EQ(Copy, Src) << Ctx;
+      IndexSet Assigned = patterned(To, 2);
+      Assigned = Src;
+      EXPECT_EQ(Assigned.universeSize(), From) << Ctx;
+      EXPECT_EQ(Assigned.elements(), Want) << Ctx;
+      if (From != 0) {
+        // A copy owns its words.
+        Assigned.erase(From - 1);
+        Copy.clear();
+        EXPECT_TRUE(Src.contains(From - 1)) << Ctx;
+        EXPECT_EQ(Src.elements(), Want) << Ctx;
+      }
+
+      IndexSet Donor(Src);
+      IndexSet MoveConstructed(std::move(Donor));
+      EXPECT_EQ(MoveConstructed, Src) << Ctx;
+      EXPECT_EQ(Donor.universeSize(), 0u) << Ctx;
+      EXPECT_TRUE(Donor.empty()) << Ctx;
+
+      IndexSet MoveAssigned = patterned(To, 0);
+      IndexSet Donor2(Src);
+      MoveAssigned = std::move(Donor2);
+      EXPECT_EQ(MoveAssigned, Src) << Ctx;
+      EXPECT_EQ(Donor2.universeSize(), 0u) << Ctx;
+
+      // A moved-from set takes new contents of either size.
+      Donor = patterned(To, 1);
+      EXPECT_EQ(Donor, patterned(To, 1)) << Ctx;
+      Donor2 = Donor;
+      EXPECT_EQ(Donor2, Donor) << Ctx;
+    }
+  }
+}
+
+TEST(IndexSetTest, SelfAssignmentKeepsContents) {
+  for (unsigned U : Universes) {
+    IndexSet S = patterned(U, 2);
+    const IndexSet Before(S);
+    IndexSet &Alias = S;
+    S = Alias;
+    EXPECT_EQ(S, Before) << "universe " << U;
+    S = std::move(Alias);
+    EXPECT_EQ(S, Before) << "universe " << U;
+  }
+}
+
+TEST(IndexSetTest, EqualityAcrossUniverses) {
+  for (unsigned A : Universes) {
+    for (unsigned B : Universes) {
+      IndexSet SA(A), SB(B);
+      if (A != 0 && B != 0) {
+        SA.insert(0);
+        SB.insert(0);
+      }
+      // Equal only over the same universe, even with the same elements.
+      EXPECT_EQ(SA == SB, A == B) << A << " vs " << B;
+      EXPECT_EQ(SA != SB, A != B) << A << " vs " << B;
+    }
+  }
+}
+
+TEST(IndexSetTest, VectorGrowthKeepsElements) {
+  std::vector<IndexSet> Sets;
+  for (unsigned I = 0; I != 100; ++I)
+    Sets.push_back(patterned(Universes[I % 6], I % 3));
+  for (unsigned I = 0; I != 100; ++I)
+    EXPECT_EQ(Sets[I], patterned(Universes[I % 6], I % 3)) << "set " << I;
+}
+
+TEST(IdIndexTest, GrowsAndFindsEveryId) {
+  // Keys live in the caller's storage; the index holds only ids. 5,000
+  // ids take the table from 64 slots through eight doublings.
+  std::vector<uint64_t> Keys;
+  IdIndex Index;
+  auto hashOf = [&Keys](uint32_t Id) { return mixKey(Keys[Id]); };
+  auto keyIs = [&Keys](uint64_t Key) {
+    return [&Keys, Key](uint32_t Id) { return Keys[Id] == Key; };
+  };
+  for (uint64_t K = 0; K != 5000; ++K) {
+    const uint64_t Key = K * 7919 + 13;
+    uint32_t &Slot = Index.probe(mixKey(Key), keyIs(Key), hashOf);
+    ASSERT_EQ(Slot, IdIndex::Empty) << "key " << Key;
+    Keys.push_back(Key);
+    Index.publish(Slot, uint32_t(Keys.size() - 1));
+  }
+  EXPECT_EQ(Index.size(), Keys.size());
+  for (uint32_t Id = 0; Id != Keys.size(); ++Id) {
+    EXPECT_EQ(Index.find(mixKey(Keys[Id]), keyIs(Keys[Id])), Id);
+    EXPECT_EQ(Index.probe(mixKey(Keys[Id]), keyIs(Keys[Id]), hashOf), Id);
+  }
+  EXPECT_EQ(Index.find(mixKey(14), keyIs(14)), IdIndex::Empty);
+  EXPECT_EQ(IdIndex().find(mixKey(13), keyIs(13)), IdIndex::Empty);
+}
+
+TEST(IdIndexTest, CollidingHashesProbeOn) {
+  // Every key hashes to one of four values: linear probing must still
+  // tell the ids apart, before and after growth.
+  std::vector<uint64_t> Keys;
+  IdIndex Index;
+  auto hashOf = [&Keys](uint32_t Id) { return Keys[Id] % 4; };
+  for (uint64_t Key = 0; Key != 300; ++Key) {
+    uint32_t &Slot = Index.probe(
+        Key % 4, [&](uint32_t Id) { return Keys[Id] == Key; }, hashOf);
+    ASSERT_EQ(Slot, IdIndex::Empty);
+    Keys.push_back(Key);
+    Index.publish(Slot, uint32_t(Key));
+  }
+  for (uint64_t Key = 0; Key != 300; ++Key) {
+    auto Matches = [&](uint32_t Id) { return Keys[Id] == Key; };
+    EXPECT_EQ(Index.find(Key % 4, Matches), uint32_t(Key));
+  }
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {
