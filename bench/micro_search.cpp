@@ -216,8 +216,9 @@ bool lssRecords(const char *Grammar, std::vector<BenchRecord> &Records) {
 }
 
 /// The metrics-overhead pair: examineAll serially with the registry off
-/// and on, same grammar, best of 25 interleaved rounds each (the
-/// registry accumulates over all of them). CI's perf smoke compares the
+/// and on, same grammar, best of 100 interleaved rounds each (the
+/// registry accumulates over all of them; a run takes under 1 ms, and
+/// fewer rounds leave the minimum too coarse for a 2% gate). CI's perf smoke compares the
 /// two wall_ms_serial fields (bench/check_metrics_overhead.py) to hold the
 /// "off is free, on is cheap" claim; the -on row also carries the
 /// flattened snapshot so the schema-3 metrics object gets exercised.
@@ -238,7 +239,8 @@ void metricsOverheadRecords(const char *Grammar,
       [&] {
         CounterexampleFinder Finder(B->T, On);
         benchmark::DoNotOptimize(Finder.examineAll().size());
-      });
+      },
+      100);
 
   BenchRecord OffRec;
   OffRec.Name = "examine-all-metrics-off";

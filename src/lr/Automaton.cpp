@@ -154,7 +154,7 @@ void Automaton::buildLr0() {
   auto intern = [&]() -> unsigned {
     const Item *KB = Kernel.data(), *KE = KB + Kernel.size();
     const uint64_t Hash = kernelHash(KB, KE);
-    uint32_t &Slot = KernelIndex.probe(
+    uint32_t &Slot = KernelTable.probe(
         Hash,
         [&](uint32_t Id) {
           return KernelHashes[Id] == Hash && hasKernel(States[Id], KB, KE);
@@ -177,7 +177,7 @@ void Automaton::buildLr0() {
     States.back().NumKernel = unsigned(Kernel.size());
     numberNewState();
     KernelHashes.push_back(Hash);
-    KernelIndex.publish(Slot, unsigned(States.size() - 1));
+    KernelTable.publish(Slot, unsigned(States.size() - 1));
     return unsigned(States.size() - 1);
   };
   intern();
@@ -223,7 +223,7 @@ void Automaton::buildLr0() {
 
 int Automaton::stateWithKernel(const Item *Begin, const Item *End) const {
   const uint64_t Hash = kernelHash(Begin, End);
-  uint32_t Id = KernelIndex.find(Hash, [&](uint32_t Id) {
+  uint32_t Id = KernelTable.find(Hash, [&](uint32_t Id) {
     return hasKernel(States[Id], Begin, End);
   });
   return Id == IdIndex::Empty ? -1 : int(Id);

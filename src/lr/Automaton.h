@@ -175,7 +175,7 @@ private:
   std::vector<State> States;
   std::vector<unsigned> ItemBase{0}; ///< state -> first item number
   std::vector<uint32_t> Successors;  ///< item number -> successor
-  IdIndex KernelIndex;               ///< LALR(1): state ids by kernel
+  IdIndex KernelTable;               ///< LALR(1): state ids by kernel
 };
 
 } // namespace lalrcex

@@ -62,9 +62,6 @@ public:
     ++Count;
   }
 
-  /// Number of ids stored.
-  size_t size() const { return Count; }
-
 private:
   template <typename HashFn> void grow(HashFn HashOf) {
     std::vector<uint32_t> Old(std::max<size_t>(64, 2 * Slots.size()), Empty);

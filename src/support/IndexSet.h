@@ -35,10 +35,10 @@ namespace lalrcex {
 /// vector. All sets participating in a binary operation must have been
 /// created with the same universe size.
 class IndexSet {
-public:
   /// Words kept inside the object; larger universes use the heap.
   static constexpr unsigned InlineWords = 4;
 
+public:
   IndexSet() noexcept {}
 
   /// Creates an empty set over the universe {0, ..., \p UniverseSize - 1}.

@@ -226,7 +226,6 @@ TEST(IdIndexTest, GrowsAndFindsEveryId) {
     Keys.push_back(Key);
     Index.publish(Slot, uint32_t(Keys.size() - 1));
   }
-  EXPECT_EQ(Index.size(), Keys.size());
   for (uint32_t Id = 0; Id != Keys.size(); ++Id) {
     EXPECT_EQ(Index.find(mixKey(Keys[Id]), keyIs(Keys[Id])), Id);
     EXPECT_EQ(Index.probe(mixKey(Keys[Id]), keyIs(Keys[Id]), hashOf), Id);
