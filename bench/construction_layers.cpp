@@ -4,12 +4,12 @@
 //
 // Times each construction layer run alone: grammar analysis, the LALR(1)
 // automaton, the parse table and the state-item graph. Each grammar is
-// built Rounds times (default 15) and each layer keeps its minimum; the
-// totals sum those minima over the corpus-cold set (every corpus grammar
-// but worst-case-conflict), and any grammar files named on the command
-// line get their own rows.
+// built 15 times and each layer keeps its minimum; the corpus row sums
+// those minima over every corpus grammar but worst-case-conflict (with
+// ansi_c.y, cexbench's corpus-cold set), Java.2 gets its own row, and so
+// does each grammar file named on the command line.
 //
-//   construction_layers [-rounds N] [file.y ...]
+//   construction_layers [file.y ...]
 //
 // Pin it to one core (taskset -c 2) on a quiet machine: the minimum of a
 // sub-millisecond build is only as steady as the host.
@@ -24,12 +24,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <vector>
 
 using namespace lalrcex;
 
@@ -42,7 +39,9 @@ struct Layers {
   double total() const { return Analysis + Automaton + Table + Graph; }
 };
 
-Layers measure(const Grammar &G, unsigned Rounds) {
+constexpr unsigned Rounds = 15;
+
+Layers measure(const Grammar &G) {
   Layers Min;
   for (unsigned R = 0; R != Rounds; ++R) {
     Stopwatch W;
@@ -73,14 +72,6 @@ void printRow(const std::string &Name, const Layers &L) {
 } // namespace
 
 int main(int Argc, char **Argv) {
-  unsigned Rounds = 15;
-  std::vector<std::string> Files;
-  for (int I = 1; I < Argc; ++I) {
-    if (std::strcmp(Argv[I], "-rounds") == 0 && I + 1 < Argc)
-      Rounds = unsigned(std::max(1, std::atoi(Argv[++I])));
-    else
-      Files.push_back(Argv[I]);
-  }
 
   std::printf("%-22s %9s %9s %9s %9s %9s   (ms, min of %u)\n", "grammar",
               "analysis", "automaton", "table", "graph", "total", Rounds);
@@ -89,7 +80,7 @@ int main(int Argc, char **Argv) {
   for (const CorpusEntry &E : corpus()) {
     if (E.Name == "worst-case-conflict")
       continue;
-    Layers L = measure(loadCorpusGrammar(E.Name), Rounds);
+    Layers L = measure(loadCorpusGrammar(E.Name));
     if (E.Name == "Java.2")
       printRow(E.Name, L);
     Sum.Analysis += L.Analysis;
@@ -100,7 +91,8 @@ int main(int Argc, char **Argv) {
   }
   printRow("corpus sum (" + std::to_string(Count) + ")", Sum);
 
-  for (const std::string &Path : Files) {
+  for (int I = 1; I < Argc; ++I) {
+    const std::string Path = Argv[I];
     std::ifstream In(Path, std::ios::binary);
     std::stringstream Buf;
     if (In)
@@ -111,7 +103,7 @@ int main(int Argc, char **Argv) {
       return 1;
     }
     std::string Name = Path.substr(Path.find_last_of('/') + 1);
-    printRow(Name, measure(*R.G, Rounds));
+    printRow(Name, measure(*R.G));
   }
   return 0;
 }
